@@ -1,7 +1,7 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 # Everything runs offline: external crates are in-repo shims (shims/README.md).
 
-.PHONY: verify fmt lint test test-serial test-faults test-loom test-miri test-tsan stress determinism test-tiers test-numa bench-smoke bench-parallel bench-parallel-save bench-tiers-save bench-numa-save goldens goldens-check goldens-save ci
+.PHONY: verify fmt lint test test-serial test-faults test-loom test-miri test-tsan stress determinism test-tiers test-numa bench-smoke bench-parallel bench-parallel-save bench-tiers-save bench-numa-save bench-e2e goldens goldens-check goldens-save ci
 
 # The canonical acceptance gate: release build + full test suite.
 verify:
@@ -115,6 +115,20 @@ bench-tiers-save:
 bench-numa-save:
 	cargo run -q --release -p cmcp-bench --bin numa_sweep
 
+# Whole-run host benchmark (perfbench/), checked for correctness only:
+# the tampered-digest self-test must be caught, and a short traced run
+# per workload must report every operation correct. No timing gate —
+# on shared hosts differences under about 20% are noise
+# (perfbench/README.md).
+bench-e2e:
+	python3 perfbench/run.py --self-test
+	@for w in cg_share lu_tiered; do \
+		out=$$(python3 perfbench/run.py --workload $$w --seconds 5 --trace 1) || exit 1; \
+		echo "$$out" | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); \
+			print("%s: %d operations, %d failed, correct %s" % (sys.argv[1], r["attempted"], r["failed"], r["correct"])); \
+			sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' $$w || exit 1; \
+	done
+
 # Regenerate every deterministic golden into a scratch directory and
 # require byte-identity with the committed results/ files. The old
 # in-place `cargo build --release && git diff` flow regenerated with
@@ -139,4 +153,4 @@ goldens-save:
 		> results/golden_faulted_cg.json
 
 ci: fmt lint verify test-serial test-faults test-loom stress test-tiers \
-    test-numa bench-smoke bench-hotpath goldens-check
+    test-numa bench-smoke bench-hotpath bench-e2e goldens-check

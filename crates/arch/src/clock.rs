@@ -73,15 +73,23 @@ impl CoreClock {
 
     /// Folds any outstanding interrupt debt into the executed timeline and
     /// returns the amount absorbed.
+    ///
+    /// Loads before it swaps: the runner settles on every simulated
+    /// touch, but only kernel commits charge debt, so it is almost always
+    /// zero — and a plain load neither locks the bus nor takes the cache
+    /// line (shared with other cores' clocks) exclusive. A charge that
+    /// lands after the load is not lost: it stays in `debt` for the next
+    /// settle, and the swap moves whatever is there in one atomic step.
     #[inline]
     pub fn settle(&self) -> Cycles {
-        let d = self.debt.swap(0, Ordering::Relaxed);
-        if d != 0 {
-            // Single-writer store, like `advance` (settle runs on the
-            // owning core's thread).
-            self.cycles
-                .store(self.cycles.load(Ordering::Relaxed) + d, Ordering::Relaxed);
+        if self.debt.load(Ordering::Relaxed) == 0 {
+            return 0;
         }
+        let d = self.debt.swap(0, Ordering::Relaxed);
+        // Single-writer store, like `advance` (settle runs on the owning
+        // core's thread).
+        self.cycles
+            .store(self.cycles.load(Ordering::Relaxed) + d, Ordering::Relaxed);
         d
     }
 
@@ -152,5 +160,45 @@ mod tests {
         }
         assert_eq!(c.now(), 80_000);
         assert_eq!(c.settle(), 80_000);
+    }
+
+    #[test]
+    fn settling_while_charged_never_loses_a_charge() {
+        // The owner settles in a loop while eight threads charge it: the
+        // load-first fast path must never drop a charge that lands
+        // between its load and a later swap.
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::{Arc, Barrier};
+        const CHARGERS: usize = 8;
+        const CHARGES: u64 = 200_000;
+        let c = Arc::new(CoreClock::new());
+        let running = Arc::new(AtomicUsize::new(CHARGERS));
+        let start = Arc::new(Barrier::new(CHARGERS + 1));
+        let chargers: Vec<_> = (0..CHARGERS)
+            .map(|k| {
+                let (c, running, start) =
+                    (Arc::clone(&c), Arc::clone(&running), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..CHARGES {
+                        c.charge_remote(k as u64 + 1);
+                    }
+                    running.fetch_sub(1, Ordering::Release);
+                })
+            })
+            .collect();
+        start.wait();
+        let mut absorbed = 0;
+        while running.load(Ordering::Acquire) > 0 {
+            absorbed += c.settle();
+        }
+        for h in chargers {
+            h.join().unwrap();
+        }
+        let total: u64 = (1..=CHARGERS as u64).map(|k| k * CHARGES).sum();
+        let executed = c.executed();
+        assert_eq!(executed, absorbed, "settle returns what it folds");
+        assert_eq!(executed + c.settle(), total);
+        assert_eq!(c.now(), total);
     }
 }

@@ -17,7 +17,11 @@
 //!
 //! The steady-state single-fault throughput is the number the
 //! `perf-regression` CI job gates on against `results/BENCH_hotpath.json`
-//! (>25 % regression fails; see `--compare`).
+//! (>25 % regression fails with exit status 3; see `--compare`).
+//! `--compare` also requires the sustained run's virtual runtime and
+//! fault count to equal the baseline's exactly (exit status 1 if not):
+//! they are deterministic, so any difference means the simulated
+//! behaviour moved or the baseline is stale.
 //!
 //! Usage:
 //!   fault_latency [--quick] [--skip-sustained] [--save]
@@ -35,6 +39,10 @@ use cmcp_kernel::{KernelConfig, Vmm};
 /// Regression threshold for `--compare`: fresh throughput below
 /// (1 - 0.25) x baseline fails the gate.
 const REGRESSION_TOLERANCE: f64 = 0.25;
+
+/// `--compare` exit status when throughput is the only failure; any other
+/// failure exits 1.
+const EXIT_THROUGHPUT_ONLY: i32 = 3;
 
 #[derive(Serialize)]
 struct ConfigDesc {
@@ -104,6 +112,12 @@ fn parse_args() -> Args {
                 std::process::exit(2);
             }
         }
+    }
+    if args.compare.is_some() && args.skip_sustained {
+        eprintln!(
+            "--compare checks the sustained run; it cannot be combined with --skip-sustained"
+        );
+        std::process::exit(2);
     }
     args
 }
@@ -233,11 +247,45 @@ fn measure_sustained() -> Sustained {
     }
 }
 
-fn compare_against(baseline_path: &str, fresh: &HotpathResults) -> Result<(), String> {
+/// Checks `fresh` against the baseline. `Err` is a broken baseline or a
+/// moved deterministic result (never waived); `Ok(Some(_))` is a
+/// throughput regression alone, the one failure the CI `perf-override`
+/// label may downgrade to advisory.
+fn compare_against(baseline_path: &str, fresh: &HotpathResults) -> Result<Option<String>, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
     let v: serde_json::Value =
         serde_json::from_str(&text).map_err(|e| format!("cannot parse {baseline_path}: {e:?}"))?;
+
+    let sustained = fresh
+        .sustained
+        .as_ref()
+        .expect("--compare always measures the sustained run");
+    let mut moved = Vec::new();
+    for (field, got) in [
+        ("runtime_cycles", sustained.runtime_cycles),
+        ("page_faults", sustained.page_faults),
+    ] {
+        let base = v
+            .get("sustained")
+            .and_then(|s| s.get(field))
+            .and_then(|t| t.as_u64())
+            .ok_or_else(|| format!("{baseline_path} lacks sustained.{field}"))?;
+        if got != base {
+            moved.push(format!("sustained.{field} is {got}, baseline has {base}"));
+        }
+    }
+    if !moved.is_empty() {
+        return Err(format!(
+            "the simulated result moved: {} (recommit the baseline if the change is intended)",
+            moved.join("; ")
+        ));
+    }
+    println!(
+        "determinism gate: sustained run matches the baseline ({} cycles, {} faults)",
+        sustained.runtime_cycles, sustained.page_faults
+    );
+
     let base = v
         .get("single_fault")
         .and_then(|s| s.get("throughput_per_sec"))
@@ -252,13 +300,12 @@ fn compare_against(baseline_path: &str, fresh: &HotpathResults) -> Result<(), St
         floor,
         (1.0 - REGRESSION_TOLERANCE) * 100.0
     );
-    if got < floor {
-        return Err(format!(
+    Ok((got < floor).then(|| {
+        format!(
             "throughput regression: {got:.0} faults/s is more than {:.0}% below baseline {base:.0}",
             REGRESSION_TOLERANCE * 100.0
-        ));
-    }
-    Ok(())
+        )
+    }))
 }
 
 fn main() {
@@ -308,11 +355,19 @@ fn main() {
         cmcp_bench::save_results("BENCH_hotpath", &results);
     }
     if let Some(baseline) = &args.compare {
-        if let Err(msg) = compare_against(baseline, &results) {
-            eprintln!("FAIL: {msg}");
-            eprintln!("(an intentional regression can be merged with the `perf-override` label)");
-            std::process::exit(1);
+        match compare_against(baseline, &results) {
+            Err(msg) => {
+                eprintln!("FAIL: {msg}");
+                std::process::exit(1);
+            }
+            Ok(Some(regression)) => {
+                eprintln!("FAIL: {regression}");
+                eprintln!(
+                    "(an intentional regression can be merged with the `perf-override` label)"
+                );
+                std::process::exit(EXIT_THROUGHPUT_ONLY);
+            }
+            Ok(None) => println!("perf gate: OK"),
         }
-        println!("perf gate: OK");
     }
 }

@@ -96,7 +96,7 @@ pub struct EngineOptions {
 }
 
 /// Where a core stands between epochs.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     /// Advancing in phase A.
     Running,
@@ -114,13 +114,108 @@ enum Status {
 }
 
 /// One core's parked state, written by its worker at the end of phase A
-/// and read/updated by the committer in phase B. The mutex is never
-/// contended across phases (the host barrier separates them); it exists
-/// so the engine stays within `forbid(unsafe_code)`.
+/// and read/updated by the committer in phase B.
+///
+/// The words are `Relaxed` atomics rather than a locked struct: every
+/// slot has one writer per phase — in phase A the worker that owns the
+/// core, in phase B worker 0 (or, in a shard round, the worker running
+/// that core's task) — and the [`PhaseBarrier`] release/acquire edge
+/// orders each phase's writes before the next phase's reads (DESIGN.md
+/// §10). A lock would order nothing the barrier does not.
+///
+/// The status packs into two words, like the PTE word: `tag` holds the
+/// variant in bits 0–2 with its flags above, `payload` the faulting page
+/// or the syscall's byte count (read only for the variants that carry
+/// one, so a stale payload under any other tag is inert).
 struct Slot {
-    status: Status,
+    tag: AtomicU64,
+    payload: AtomicU64,
     /// Virtual time at which the core parked (== its clock then).
-    stamp: Cycles,
+    stamp: AtomicU64,
+}
+
+// Slot tag word: the variant in bits 0–2, a fault's write flag in bit 3,
+// a syscall's kind in bits 4–5.
+const TAG_RUNNING: u64 = 0;
+const TAG_FAULT: u64 = 1;
+const TAG_SYSCALL: u64 = 2;
+const TAG_ARRIVED: u64 = 3;
+const TAG_WAITING: u64 = 4;
+const TAG_DONE: u64 = 5;
+const TAG_VARIANT: u64 = 0b111;
+const TAG_WRITE: u64 = 1 << 3;
+const TAG_CALL_SHIFT: u32 = 4;
+const CALL_METADATA: u64 = 0;
+const CALL_READ: u64 = 1;
+const CALL_WRITE: u64 = 2;
+
+impl Slot {
+    /// A running core at time zero.
+    fn new() -> Slot {
+        Slot {
+            tag: AtomicU64::new(TAG_RUNNING),
+            payload: AtomicU64::new(0),
+            stamp: AtomicU64::new(0),
+        }
+    }
+
+    fn status(&self) -> Status {
+        let tag = self.tag.load(Ordering::Relaxed);
+        match tag & TAG_VARIANT {
+            TAG_RUNNING => Status::Running,
+            TAG_FAULT => Status::Fault {
+                page: VirtPage(self.payload.load(Ordering::Relaxed)),
+                write: tag & TAG_WRITE != 0,
+            },
+            TAG_SYSCALL => {
+                let bytes = self.payload.load(Ordering::Relaxed);
+                let call = match tag >> TAG_CALL_SHIFT {
+                    CALL_METADATA => Syscall::Metadata,
+                    CALL_READ => Syscall::Read(bytes),
+                    CALL_WRITE => Syscall::Write(bytes),
+                    other => unreachable!("bad syscall kind {other} in slot tag"),
+                };
+                Status::Syscall { call }
+            }
+            TAG_ARRIVED => Status::Arrived,
+            TAG_WAITING => Status::Waiting,
+            TAG_DONE => Status::Done,
+            other => unreachable!("bad status variant {other} in slot tag"),
+        }
+    }
+
+    fn set_status(&self, status: Status) {
+        let tag = match status {
+            Status::Running => TAG_RUNNING,
+            Status::Fault { page, write } => {
+                self.payload.store(page.0, Ordering::Relaxed);
+                TAG_FAULT | if write { TAG_WRITE } else { 0 }
+            }
+            Status::Syscall { call } => {
+                let (kind, bytes) = match call {
+                    Syscall::Metadata => (CALL_METADATA, 0),
+                    Syscall::Read(bytes) => (CALL_READ, bytes),
+                    Syscall::Write(bytes) => (CALL_WRITE, bytes),
+                };
+                self.payload.store(bytes, Ordering::Relaxed);
+                TAG_SYSCALL | (kind << TAG_CALL_SHIFT)
+            }
+            Status::Arrived => TAG_ARRIVED,
+            Status::Waiting => TAG_WAITING,
+            Status::Done => TAG_DONE,
+        };
+        self.tag.store(tag, Ordering::Relaxed);
+    }
+
+    fn stamp(&self) -> Cycles {
+        self.stamp.load(Ordering::Relaxed)
+    }
+
+    /// Records where phase A left the core: its status and its clock.
+    fn park(&self, status: Status, stamp: Cycles) {
+        self.stamp.store(stamp, Ordering::Relaxed);
+        self.set_status(status);
+    }
 }
 
 /// Spin iterations before a barrier waiter starts yielding.
@@ -285,7 +380,7 @@ const SEQ_STRIDE: u64 = 4;
 
 /// State shared by all workers for one run.
 struct Shared {
-    slots: Vec<Mutex<Slot>>,
+    slots: Vec<Slot>,
     /// Epoch ceiling: phase A advances running cores while their clocks
     /// are strictly below it. Written by the committer, read by all.
     ceiling: AtomicU64,
@@ -374,9 +469,8 @@ impl Committer {
 
         // Note this epoch's rendezvous arrivals.
         for slot in &shared.slots {
-            let mut s = slot.lock();
-            if matches!(s.status, Status::Arrived) {
-                s.status = Status::Waiting;
+            if slot.status() == Status::Arrived {
+                slot.set_status(Status::Waiting);
             }
         }
 
@@ -411,13 +505,13 @@ impl Committer {
             }
         }
         for (i, slot) in shared.slots.iter().enumerate() {
-            let s = slot.lock();
-            if s.stamp >= ceiling {
+            let stamp = slot.stamp();
+            if stamp >= ceiling {
                 continue;
             }
-            match s.status {
+            match slot.status() {
                 Status::Fault { page, write } => self.cands.push(Cand {
-                    time: s.stamp,
+                    time: stamp,
                     rank: 2,
                     core: i,
                     kind: EntryKind::Fault {
@@ -428,7 +522,7 @@ impl Committer {
                     },
                 }),
                 Status::Syscall { call } => self.cands.push(Cand {
-                    time: s.stamp,
+                    time: stamp,
                     rank: 2,
                     core: i,
                     kind: EntryKind::Syscall { call },
@@ -563,11 +657,11 @@ impl Committer {
                     if vmm.translate(CoreId(c.core as u16), page).is_none() {
                         vmm.handle_fault(CoreId(c.core as u16), page, write);
                     }
-                    shared.slots[c.core].lock().status = Status::Running;
+                    shared.slots[c.core].set_status(Status::Running);
                 }
                 EntryKind::Syscall { call } => {
                     vmm.offload_syscall(CoreId(c.core as u16), call);
-                    shared.slots[c.core].lock().status = Status::Running;
+                    shared.slots[c.core].set_status(Status::Running);
                 }
             }
         }
@@ -579,7 +673,7 @@ impl Committer {
         let mut live = 0usize;
         let mut waiting = 0usize;
         for slot in &shared.slots {
-            match slot.lock().status {
+            match slot.status() {
                 Status::Done => {}
                 Status::Waiting => {
                     live += 1;
@@ -604,13 +698,12 @@ impl Committer {
                 .slots
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| matches!(s.lock().status, Status::Waiting))
+                .filter(|(_, s)| s.status() == Status::Waiting)
                 .map(|(i, _)| vmm.clocks()[i].now())
                 .max()
                 .unwrap_or(0);
             for (i, slot) in shared.slots.iter().enumerate() {
-                let mut s = slot.lock();
-                if matches!(s.status, Status::Waiting) {
+                if slot.status() == Status::Waiting {
                     if R::ENABLED {
                         let arrived = vmm.clocks()[i].now();
                         vmm.tracer().record(
@@ -622,7 +715,7 @@ impl Committer {
                         );
                     }
                     vmm.clocks()[i].advance_to(release);
-                    s.status = Status::Running;
+                    slot.set_status(Status::Running);
                 }
             }
             self.barrier_seq += 1;
@@ -647,10 +740,9 @@ impl Committer {
         let mut m1 = u64::MAX;
         let mut m2 = u64::MAX;
         for (i, slot) in shared.slots.iter().enumerate() {
-            let s = slot.lock();
-            let bound = match s.status {
+            let bound = match slot.status() {
                 Status::Running => vmm.clocks()[i].now(),
-                Status::Fault { .. } | Status::Syscall { .. } => s.stamp,
+                Status::Fault { .. } | Status::Syscall { .. } => slot.stamp(),
                 Status::Waiting | Status::Done => continue,
                 Status::Arrived => unreachable!("arrivals were folded above"),
             };
@@ -687,7 +779,7 @@ fn commit_shard_task<R: Recorder>(vmm: &Vmm<R>, shared: &Shared, t: ShardTask) {
         next >= t.seq_base && next - t.seq_base <= SEQ_STRIDE,
         "shard-committed entry overflowed its stamp window"
     );
-    shared.slots[t.core].lock().status = Status::Running;
+    shared.slots[t.core].set_status(Status::Running);
 }
 
 /// One worker's loop: advance owned cores to the ceiling (phase A),
@@ -709,19 +801,18 @@ fn worker<R: Recorder, F: Fn(usize) + Sync>(
         let ceiling = shared.ceiling.load(Ordering::Acquire);
         for (i, runner) in cores.iter_mut() {
             let i = *i;
-            if !matches!(shared.slots[i].lock().status, Status::Running) {
+            let slot = &shared.slots[i];
+            if slot.status() != Status::Running {
                 continue;
             }
-            let pause = runner.advance(vmm, &trace.cores[i], ceiling);
-            let mut slot = shared.slots[i].lock();
-            slot.stamp = vmm.clocks()[i].now();
-            slot.status = match pause {
+            let status = match runner.advance(vmm, &trace.cores[i], ceiling) {
                 Pause::Ceiling => Status::Running,
                 Pause::Fault { page, write } => Status::Fault { page, write },
                 Pause::Syscall { call } => Status::Syscall { call },
                 Pause::Barrier => Status::Arrived,
                 Pause::Done => Status::Done,
             };
+            slot.park(status, vmm.clocks()[i].now());
         }
         if !shared.barrier.wait() {
             return;
@@ -820,14 +911,7 @@ fn run_core<R: Recorder, F: Fn(usize) + Sync>(
     let window = vmm.cost().min_cross_core_latency();
     let threads = threads.min(n.max(1));
     let shared = Shared {
-        slots: (0..n)
-            .map(|_| {
-                Mutex::new(Slot {
-                    status: Status::Running,
-                    stamp: 0,
-                })
-            })
-            .collect(),
+        slots: (0..n).map(|_| Slot::new()).collect(),
         // All clocks start at zero, so the first ceiling is the window.
         ceiling: AtomicU64::new(window),
         finished: AtomicBool::new(n == 0),
@@ -1016,6 +1100,47 @@ mod tests {
             }
         }
         t
+    }
+
+    #[test]
+    fn every_status_round_trips_through_its_slot() {
+        // One slot throughout, so a payload left by an earlier variant
+        // must never leak into a later one (Metadata after Read).
+        let slot = Slot::new();
+        assert_eq!(slot.status(), Status::Running);
+        assert_eq!(slot.stamp(), 0);
+        let statuses = [
+            Status::Fault {
+                page: VirtPage(0x1234),
+                write: false,
+            },
+            Status::Fault {
+                page: VirtPage(u64::MAX),
+                write: true,
+            },
+            Status::Syscall {
+                call: Syscall::Read(1 << 20),
+            },
+            Status::Syscall {
+                call: Syscall::Metadata,
+            },
+            Status::Syscall {
+                call: Syscall::Write(u64::MAX),
+            },
+            Status::Arrived,
+            Status::Waiting,
+            Status::Running,
+            Status::Done,
+        ];
+        for (k, status) in statuses.into_iter().enumerate() {
+            let stamp = 1_000 * k as u64 + 7;
+            slot.park(status, stamp);
+            assert_eq!(slot.status(), status);
+            assert_eq!(slot.stamp(), stamp);
+        }
+        slot.set_status(Status::Running);
+        assert_eq!(slot.status(), Status::Running);
+        assert_eq!(slot.stamp(), 8_007, "a status change keeps the stamp");
     }
 
     #[test]
