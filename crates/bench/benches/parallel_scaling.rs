@@ -1,12 +1,11 @@
 //! Host wall-clock scaling of the unified engine on the CG workload.
 //!
 //! Runs the same trace at 1/2/4/8 worker threads. This measures *host*
-//! performance — epoch-parallel core advancement over the sharded frame
-//! pool and striped residency maps — not virtual time, which is
-//! byte-identical at every thread count. Before timing anything the
-//! harness asserts exactly that: every thread count's report must be
-//! byte-equal to the single-thread report, so a scaling number can
-//! never be quoted for a run that broke determinism.
+//! performance — epoch-parallel core advancement (phase A) — not
+//! virtual time, which is byte-identical at every thread count. Before
+//! timing anything the harness asserts exactly that: every thread
+//! count's report must be byte-equal to the single-thread report, so a
+//! scaling number can never be quoted for a run that broke determinism.
 //!
 //! In `--bench` mode the harness also writes
 //! `results/BENCH_parallel.json` so future changes can be compared
@@ -17,7 +16,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cmcp::workloads::cg::{cg_trace, CgConfig};
-use cmcp::{HostScaling, PolicyKind, RunReport, SimulationBuilder, Trace};
+use cmcp::{PolicyKind, RunReport, SimulationBuilder, Trace};
 
 const CORES: usize = 8;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -43,14 +42,6 @@ fn run(trace: &Trace, threads: usize) -> RunReport {
         .memory_ratio(0.75)
         .threads(threads)
         .run()
-}
-
-fn run_with_stats(trace: &Trace, threads: usize) -> (RunReport, HostScaling) {
-    SimulationBuilder::trace(trace.clone())
-        .policy(PolicyKind::Cmcp { p: 0.5 })
-        .memory_ratio(0.75)
-        .threads(threads)
-        .run_with_host_stats()
 }
 
 /// Every thread count must reproduce the single-thread report byte for
@@ -125,19 +116,9 @@ fn write_baseline(trace: &Trace) {
     } else {
         "delegated-to-ci"
     };
-    // The phase-B decomposition: deterministic counters (identical at
-    // every thread count) plus how many epochs each thread count
-    // actually committed concurrently, so a flat speedup column is
-    // diagnosable from this file alone (e.g. "all reconciliation").
-    let (report, _) = run_with_stats(trace, 1);
-    let s = report.scaling;
-    let rounds: Vec<String> = THREAD_COUNTS
-        .iter()
-        .map(|&t| {
-            let (_, host) = run_with_stats(trace, t);
-            format!("    \"threads_{t}\": {}", host.parallel_rounds)
-        })
-        .collect();
+    // The phase-B decomposition: deterministic counters, identical at
+    // every thread count.
+    let s = run(trace, 1).scaling;
     let json = format!(
         "{{\n  \"workload\": \"cg n=6144 nnz=16 iters=2\",\n  \"cores\": {CORES},\n  \
          \"policy\": \"cmcp p=0.5\",\n  \"memory_ratio\": 0.75,\n  \
@@ -148,7 +129,6 @@ fn write_baseline(trace: &Trace) {
          \"phase_b\": {{\n    \"epochs\": {},\n    \"fast_forwards\": {},\n    \
          \"committed\": {},\n    \"shardable\": {},\n    \"reconciled\": {},\n    \
          \"barrier_releases\": {}\n  }},\n  \
-         \"parallel_rounds\": {{\n{}\n  }},\n  \
          \"speedup_4t_over_1t\": {speedup_4:.3},\n  \
          \"speedup_8t_over_1t\": {speedup_8:.3}\n}}\n",
         entries.join(",\n"),
@@ -158,7 +138,6 @@ fn write_baseline(trace: &Trace) {
         s.shardable,
         s.reconciled,
         s.releases,
-        rounds.join(",\n"),
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

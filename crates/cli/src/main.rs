@@ -72,8 +72,7 @@ OPTIONS:
     --counters <PATH>    write the scaling counters as JSON: the
                          deterministic phase-B decomposition (epochs,
                          shardable vs reconciled entries, fast-forwards)
-                         plus host-side barrier-wait and parallel-round
-                         counters
+                         plus host-side barrier-wait counters
     --rebuild <MS>       periodic PSPT rebuild every MS virtual ms
     --fault-plan <SPEC>  seeded fault injection on the PCIe/backing path,
                          e.g. \"seed=42,dma=0.01,enospc=0.005\"; rules:
@@ -404,7 +403,6 @@ fn main() -> ExitCode {
                 entries.push((
                     "host".to_string(),
                     serde_json::json!({
-                        "parallel_rounds": h.parallel_rounds,
                         "barrier_spins": h.barrier_spins,
                         "barrier_yields": h.barrier_yields,
                         "barrier_sleeps": h.barrier_sleeps,

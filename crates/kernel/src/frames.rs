@@ -46,10 +46,10 @@
 //!   happens-before + coherence. A newer in-flight link store (ABA
 //!   re-push) implies an interleaved pop bumped the version, so the CAS
 //!   fails and the stale read is discarded.
-//! * **Counters (`len`, `usable`, `quarantined`, the debug double-free
+//! * **Counters (`free`, `usable`, `quarantined`, the debug double-free
 //!   flags) are `Relaxed`.** They are statistics trailing the structural
 //!   CASes, never consulted to justify a dereference; signed types
-//!   absorb the transient over/under-shoot (see `free_blocks`).
+//!   absorb the transient undershoot (see `free_blocks`).
 //! * Construction uses `Relaxed` throughout: the pool is published to
 //!   other threads by whatever mechanism shares the reference
 //!   (`Arc::clone`, scoped-thread spawn), which supplies the edge.
@@ -77,11 +77,6 @@ const NIL: u32 = 0;
 struct Shard {
     /// `(version << 32) | (slot + 1)`; slot part [`NIL`] when empty.
     head: AtomicU64,
-    /// Blocks currently on this shard's stack (relaxed, for stats and
-    /// steal targeting; the stack itself is the source of truth). Signed:
-    /// the counter updates trail the head CAS, so a pop racing a push on
-    /// a near-empty shard can observe -1 for an instant.
-    len: AtomicIsize,
 }
 
 #[inline]
@@ -106,6 +101,15 @@ pub struct FramePool {
     next: Vec<AtomicU32>,
     shards: Vec<Shard>,
     total_blocks: usize,
+    /// Free blocks across every shard: decremented after a successful
+    /// pop in [`FramePool::alloc_for`], incremented after the push in
+    /// [`FramePool::free_for`]. One counter, not one per shard: a block
+    /// moving between shards takes its -1 before its +1 in this
+    /// counter's modification order, so no read exceeds capacity.
+    /// Signed: the +1 of a free trails its push, so a pop of the same
+    /// block can decrement first and the value dips below zero for an
+    /// instant.
+    free: AtomicIsize,
     /// Poisoned-frame quarantine: a dedicated Treiber stack that
     /// [`FramePool::alloc_for`] never pops, so a frame whose page-in DMA
     /// failed unrecoverably can be parked without ever re-entering
@@ -113,7 +117,7 @@ pub struct FramePool {
     quarantine: Shard,
     /// Signed count of blocks still in circulation (free or allocated):
     /// `total_blocks` minus completed quarantines. Signed for the same
-    /// reason as [`Shard::len`] — a racing reader must never observe a
+    /// reason as `free` — a racing reader must never observe a
     /// transient underflow as a huge unsigned value.
     usable: AtomicIsize,
     /// Blocks ever quarantined (monotone).
@@ -141,6 +145,7 @@ impl FramePool {
             next: (0..blocks).map(|_| AtomicU32::new(NIL)).collect(),
             shards: (0..shards).map(|_| Shard::default()).collect(),
             total_blocks: blocks,
+            free: AtomicIsize::new(blocks as isize),
             quarantine: Shard::default(),
             usable: AtomicIsize::new(blocks as isize),
             quarantined: AtomicU64::new(0),
@@ -152,7 +157,6 @@ impl FramePool {
             let (version, top) = unpack(shard.head.load(Ordering::Relaxed));
             pool.next[slot as usize].store(top, Ordering::Relaxed);
             shard.head.store(pack(version, slot + 1), Ordering::Relaxed);
-            shard.len.fetch_add(1, Ordering::Relaxed);
         }
         pool
     }
@@ -172,15 +176,11 @@ impl FramePool {
         self.shards.len()
     }
 
-    /// Currently free blocks (relaxed sum over the shard counters —
-    /// exact when the pool is quiescent, approximate mid-race: counter
-    /// updates trail the stack CAS, so the sum is clamped at zero).
+    /// Currently free blocks (the relaxed `free` counter — exact when
+    /// the pool is quiescent; mid-race it may under-read, never exceed
+    /// capacity, and is clamped at zero).
     pub fn free_blocks(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.len.load(Ordering::Relaxed))
-            .sum::<isize>()
-            .max(0) as usize
+        self.free.load(Ordering::Relaxed).max(0) as usize
     }
 
     #[inline]
@@ -229,7 +229,6 @@ impl FramePool {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    shard.len.fetch_sub(1, Ordering::Relaxed);
                     #[cfg(debug_assertions)]
                     self.on_free_list[slot as usize].store(false, Ordering::Relaxed);
                     let span = self.block_size.pages_4k() as u32;
@@ -276,10 +275,7 @@ impl FramePool {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => {
-                    shard.len.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
+                Ok(_) => return,
                 Err(actual) => observed = actual,
             }
         }
@@ -301,6 +297,7 @@ impl FramePool {
         for probe in 0..n {
             let shard = &self.shards[(home + probe) % n];
             if let Some(frame) = self.pop_shard(shard) {
+                self.free.fetch_sub(1, Ordering::Relaxed);
                 return Some(frame);
             }
         }
@@ -330,11 +327,11 @@ impl FramePool {
             (self.slot_of(frame) as usize) < self.total_blocks,
             "freeing {frame} beyond the pool"
         );
-        // No pool-level occupancy assert here: `free_blocks()` is a racy
-        // relaxed sum that can transiently over-read mid-race, so it is
-        // not a sound oracle. The per-slot `on_free_list` flags catch
-        // genuine double frees exactly.
+        // No pool-level occupancy assert here: `free_blocks()` may
+        // under-read mid-race, so it cannot bound a free. The per-slot
+        // `on_free_list` flags catch genuine double frees exactly.
         self.push_shard(&self.shards[hint % self.shards.len()], frame);
+        self.free.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Permanently parks an *owned* block on the quarantine stack after
@@ -701,6 +698,26 @@ mod loom_tests {
                 heads[0], poisoned.0,
                 "quarantined block re-entered circulation"
             );
+        });
+    }
+
+    /// The occupancy read against a block moving between shards: each
+    /// block's decrement of the pool-wide `free` counter precedes its
+    /// increment, so no interleaving may read more free blocks than the
+    /// pool holds. Per-shard counters summed at different instants would
+    /// count the moving block twice.
+    #[test]
+    fn loom_free_blocks_never_over_reads_during_cross_shard_move() {
+        loom::model(|| {
+            let pool = Arc::new(FramePool::with_shards(PageSize::K4, 2, 2));
+            let p2 = Arc::clone(&pool);
+            let t = thread::spawn(move || {
+                let f = p2.alloc_for(0).unwrap();
+                p2.free_for(f, 1);
+            });
+            assert!(pool.free_blocks() <= pool.total_blocks());
+            t.join().unwrap();
+            assert_eq!(pool.free_blocks(), 2);
         });
     }
 

@@ -57,9 +57,9 @@ pub struct BlockNuma {
     pub mask: u8,
 }
 
-/// Interior state, behind one leaf-level lock. Multi-node commits run
-/// on the engine's sequential reconciliation tail, so the lock is
-/// uncontended there; it exists so direct (engine-less) `Vmm` use from
+/// Interior state, behind one leaf-level lock. The engine commits every
+/// kernel entry in one sequential fold, so the lock is uncontended
+/// there; it exists so direct (engine-less) `Vmm` use from
 /// tests stays safe.
 #[derive(Debug, Default)]
 struct BooksInner {

@@ -1,4 +1,4 @@
-//! The unified sharded discrete-event engine.
+//! The unified epoch-barrier discrete-event engine.
 //!
 //! One event-advance code path serves every thread count; `threads = 1`
 //! *is* the deterministic engine, and any other count produces the
@@ -13,20 +13,15 @@
 //!   page-table reads, commutative accessed/dirty PTE bits, and each
 //!   core's own TLB/clock/stats, so its outcome per core is independent
 //!   of scheduling.
-//! * **Phase B (sharded commit + sequential reconciliation):** the
-//!   epoch's parked kernel entries and due maintenance timers, all
-//!   strictly below the ceiling, are sorted by the total order
-//!   `(virtual_time, event_rank, core_id)` and *classified*. A prefix
-//!   of entries whose effects provably stay inside one commit shard
-//!   (PSPT minor faults, and fresh majors within the epoch's frame-pool
-//!   budget — see [`cmcp_kernel::Vmm::commit_shard_of`]) is committed by
-//!   all workers concurrently, each worker owning a disjoint set of
-//!   shards and draining its entries in local stamp order. Everything
-//!   from the first cross-shard entry onward — evictions, DMA-touching
-//!   refaults, syscalls, scan ticks, PSPT rebuilds, every regular-table
-//!   or adaptive-mode entry — is the *reconciliation tail*, committed by
-//!   worker 0 sequentially in exact stamp order. DESIGN.md §14 carries
-//!   the proof that this equals the pure sequential fold byte-for-byte.
+//! * **Phase B (sequential fold):** the epoch's parked kernel entries
+//!   and due maintenance timers, all strictly below the ceiling, are
+//!   sorted by the total order `(virtual_time, event_rank, core_id)` and
+//!   committed by worker 0 in exactly that order. Before the fold, a
+//!   classification pass counts the *shardable* prefix — entries whose
+//!   effects provably stay inside one block-hash shard (PSPT minor
+//!   faults, and fresh majors within the epoch's frame-pool budget) —
+//!   as a diagnostic of how much of phase B could commit concurrently
+//!   (DESIGN.md §14). The count never changes what commits or when.
 //!
 //! The epoch ceiling is `min(next event time) + W` where `W` is
 //! [`cmcp_arch::CostModel::min_cross_core_latency`]: since every kernel
@@ -43,17 +38,15 @@
 //! cannot move (§14).
 //!
 //! Because the ceiling is a pure function of simulated state, phase A is
-//! per-core independent, and phase B commits in a provably
-//! fold-equivalent order, `(seed, config) → byte-identical RunReport`
-//! at any thread count.
+//! per-core independent, and phase B is one stamp-ordered fold on one
+//! thread, `(seed, config) → byte-identical RunReport` at any thread
+//! count.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 // The sleep tier needs a real OS condvar (the parking_lot shim is
 // spin-only by design); the barrier gate is cold, so std's poisoning
 // overhead is irrelevant there.
 use std::sync::{Condvar, Mutex as StdMutex};
-
-use parking_lot::Mutex;
 
 use cmcp_arch::{CoreId, Cycles, VirtPage};
 use cmcp_kernel::{SchemeChoice, Syscall, Vmm};
@@ -72,8 +65,8 @@ pub struct HostScaling {
     /// Worker threads the engine actually ran (after clamping to the
     /// simulated core count).
     pub threads: usize,
-    /// Epochs whose shardable prefix was large enough to commit
-    /// concurrently (the two extra barrier crossings were paid).
+    /// Always 0: phase B commits sequentially on worker 0, so no epoch
+    /// runs a concurrent commit round. Kept for readers of the field.
     pub parallel_rounds: u64,
     /// Barrier-wait spin iterations across all workers.
     pub barrier_spins: u64,
@@ -82,17 +75,6 @@ pub struct HostScaling {
     /// Barrier waits that fell through to a condvar sleep (the
     /// oversubscription tier: waiters stop burning a core).
     pub barrier_sleeps: u64,
-}
-
-/// Engine tuning seams, exposed for tests.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineOptions {
-    /// Commit every entry on worker 0 in pure stamp order even when a
-    /// shardable prefix exists — the reference sequential fold the
-    /// sharded path is property-tested against. Classification still
-    /// runs (the scaling counters must not depend on execution mode).
-    pub force_sequential_commit: bool,
 }
 
 /// Where a core stands between epochs.
@@ -118,10 +100,9 @@ enum Status {
 ///
 /// The words are `Relaxed` atomics rather than a locked struct: every
 /// slot has one writer per phase — in phase A the worker that owns the
-/// core, in phase B worker 0 (or, in a shard round, the worker running
-/// that core's task) — and the [`PhaseBarrier`] release/acquire edge
-/// orders each phase's writes before the next phase's reads (DESIGN.md
-/// §10). A lock would order nothing the barrier does not.
+/// core, in phase B worker 0 — and the [`PhaseBarrier`] release/acquire
+/// edge orders each phase's writes before the next phase's reads
+/// (DESIGN.md §10). A lock would order nothing the barrier does not.
 ///
 /// The status packs into two words, like the PTE word: `tag` holds the
 /// variant in bits 0–2 with its flags above, `payload` the faulting page
@@ -360,24 +341,6 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// One shard-local commit: a parked fault the classifier proved cannot
-/// escape its commit shard this epoch. `seq_base` is the entry's
-/// pre-reserved policy-event stamp window (global commit order), so the
-/// merged policy stream sorts identically to the sequential fold no
-/// matter which worker runs the entry.
-#[derive(Clone, Copy)]
-struct ShardTask {
-    core: usize,
-    page: VirtPage,
-    write: bool,
-    seq_base: u64,
-}
-
-/// Policy-event stamps reserved per shardable entry. A shard-committed
-/// fault pushes at most one event (minor `MapCount` or fresh-major
-/// `Insert`); the headroom is asserted in debug builds.
-const SEQ_STRIDE: u64 = 4;
-
 /// State shared by all workers for one run.
 struct Shared {
     slots: Vec<Slot>,
@@ -386,16 +349,6 @@ struct Shared {
     ceiling: AtomicU64,
     finished: AtomicBool,
     barrier: PhaseBarrier,
-    /// Whether this epoch runs a concurrent shard-commit round (two
-    /// extra barrier crossings). Written by worker 0 during planning,
-    /// read by everyone after the plan barrier.
-    parallel_round: AtomicBool,
-    /// Epochs that actually committed concurrently (host-side counter).
-    parallel_rounds: AtomicU64,
-    /// Per-worker shard-task queues for the current parallel round, in
-    /// global stamp order (same-shard tasks land on the same worker, so
-    /// per-worker order implies per-shard stamp order).
-    assignments: Vec<Mutex<Vec<ShardTask>>>,
 }
 
 /// What a phase-B candidate commits.
@@ -405,16 +358,10 @@ enum EntryKind {
     Scan,
     /// Periodic PSPT rebuild.
     Rebuild,
-    /// A parked page fault; `shard` is its commit shard and `shardable`
-    /// the classifier's verdict (only meaningful inside the prefix).
-    Fault {
-        page: VirtPage,
-        write: bool,
-        shard: usize,
-        shardable: bool,
-    },
-    /// A parked offloaded syscall (always reconciliation class: the IKC
-    /// ring and offload engine are shared, order-sensitive resources).
+    /// A parked page fault.
+    Fault { page: VirtPage, write: bool },
+    /// A parked offloaded syscall (never shardable: the IKC ring and
+    /// offload engine are shared, order-sensitive resources).
     Syscall { call: Syscall },
 }
 
@@ -441,29 +388,21 @@ struct Committer {
     rebuild_period: Cycles,
     next_rebuild: Cycles,
     barrier_seq: u64,
-    threads: usize,
-    force_sequential: bool,
     /// Fast-forward is sound only while no maintenance timer is armed
     /// (a timer firing mid-merged-epoch would fire at a different point
     /// in the straggler's progress than under the base window).
     fast_forward: bool,
     /// Reused per-epoch candidate buffer (sorted commit order).
     cands: Vec<Cand>,
-    /// Where the reconciliation tail starts in `cands` for the epoch in
-    /// flight (parallel rounds only).
-    tail_start: usize,
-    /// Batch limit to restore after a suppressed-flush parallel round.
-    saved_batch: usize,
     scaling: EngineScaling,
 }
 
 impl Committer {
-    /// Folds rendezvous arrivals, collects and classifies this epoch's
-    /// candidates, and either commits everything inline (sequential
-    /// epochs: no extra barriers) or publishes the shard plan and lets
-    /// every worker commit its disjoint shards. Runs with every worker
-    /// parked at the host barrier, so it owns all simulated state.
-    fn plan_and_commit<R: Recorder>(&mut self, vmm: &Vmm<R>, shared: &Shared) {
+    /// Folds rendezvous arrivals, collects this epoch's candidates,
+    /// counts the shardable prefix, and commits every candidate in stamp
+    /// order. Runs with every worker parked at the host barrier, so it
+    /// owns all simulated state.
+    fn commit_epoch<R: Recorder>(&mut self, vmm: &Vmm<R>, shared: &Shared) {
         let ceiling = shared.ceiling.load(Ordering::Relaxed);
         self.scaling.epochs += 1;
 
@@ -509,134 +448,28 @@ impl Committer {
             if stamp >= ceiling {
                 continue;
             }
-            match slot.status() {
-                Status::Fault { page, write } => self.cands.push(Cand {
-                    time: stamp,
-                    rank: 2,
-                    core: i,
-                    kind: EntryKind::Fault {
-                        page,
-                        write,
-                        shard: 0,
-                        shardable: false,
-                    },
-                }),
-                Status::Syscall { call } => self.cands.push(Cand {
-                    time: stamp,
-                    rank: 2,
-                    core: i,
-                    kind: EntryKind::Syscall { call },
-                }),
-                _ => {}
-            }
+            let kind = match slot.status() {
+                Status::Fault { page, write } => EntryKind::Fault { page, write },
+                Status::Syscall { call } => EntryKind::Syscall { call },
+                _ => continue,
+            };
+            self.cands.push(Cand {
+                time: stamp,
+                rank: 2,
+                core: i,
+                kind,
+            });
         }
         self.cands
             .sort_unstable_by_key(|c| (c.time, c.rank, c.core));
 
-        // Conservative classification (DESIGN.md §14): the shardable
-        // prefix ends at the first entry whose effects might escape its
-        // commit shard. Within the prefix, a fault is shard-local iff
-        // the scheme is PSPT (per-block directory shards + sharded PT
-        // locks), the allocator is the fixed-size pool (the buddy pool
-        // is one global resource), and the fault is either minor (block
-        // resident: PTE copy only) or a *fresh* major — no backing copy
-        // to DMA in, and within the epoch's free-block budget so no
-        // eviction can fire. Classification runs at every thread count
-        // so the scaling counters stay thread-invariant. Multi-node
-        // NUMA runs are never shardable: every commit's home/spill and
-        // replica decisions read the shared per-node books, so they all
-        // take the sequential reconciliation tail (deterministic at any
-        // thread count by construction — DESIGN.md §15).
-        let sharded_scheme = vmm.config().scheme == SchemeChoice::Pspt
-            && !vmm.config().adaptive
-            && vmm.config().cost.numa.is_single();
-        let budget = vmm.pool_free_blocks().unwrap_or(0);
-        let mut majors = 0usize;
-        let mut prefix = 0usize;
-        for c in self.cands.iter_mut() {
-            let EntryKind::Fault {
-                page,
-                ref mut shard,
-                ref mut shardable,
-                ..
-            } = c.kind
-            else {
-                break;
-            };
-            if !sharded_scheme {
-                break;
-            }
-            if vmm.block_resident(page) {
-                // Minor: resident-map read + sibling PTE copy, all under
-                // this block's stripe/directory/lock shard.
-                *shard = vmm.commit_shard_of(page);
-                *shardable = true;
-            } else if !vmm.backing_contains(page) && majors < budget {
-                // Fresh major: pool pop (no eviction possible within the
-                // budget — nothing frees frames mid-prefix), map, insert.
-                majors += 1;
-                *shard = vmm.commit_shard_of(page);
-                *shardable = true;
-            } else {
-                break;
-            }
-            prefix += 1;
-        }
+        let shardable = self.shardable_prefix(vmm);
         self.scaling.committed += self.cands.len() as u64;
-        self.scaling.shardable += prefix as u64;
-        self.scaling.reconciled += (self.cands.len() - prefix) as u64;
+        self.scaling.shardable += shardable as u64;
+        self.scaling.reconciled += (self.cands.len() - shardable) as u64;
 
-        // Two extra barrier crossings only pay off when every worker
-        // gets something to do.
-        let go_parallel =
-            !self.force_sequential && self.threads > 1 && prefix >= self.threads.max(2);
-        if go_parallel {
-            let base = vmm.reserve_policy_seqs(prefix as u64 * SEQ_STRIDE);
-            // Suppress threshold flushes for the round: a flush drains
-            // *all* cores' buffers, which must not happen while another
-            // worker is mid-push. Decision-neutral (see the kernel's
-            // batch-limit contract); restored before the tail commits.
-            self.saved_batch = vmm.policy_batch_limit();
-            vmm.set_policy_batch(usize::MAX);
-            for (idx, c) in self.cands[..prefix].iter().enumerate() {
-                let EntryKind::Fault {
-                    page, write, shard, ..
-                } = c.kind
-                else {
-                    unreachable!("prefix holds faults only");
-                };
-                shared.assignments[shard % self.threads]
-                    .lock()
-                    .push(ShardTask {
-                        core: c.core,
-                        page,
-                        write,
-                        seq_base: base + idx as u64 * SEQ_STRIDE,
-                    });
-            }
-            self.tail_start = prefix;
-            shared.parallel_rounds.fetch_add(1, Ordering::Relaxed);
-            shared.parallel_round.store(true, Ordering::Release);
-        } else {
-            shared.parallel_round.store(false, Ordering::Relaxed);
-            self.commit_range(vmm, shared, 0, self.cands.len());
-            self.epilogue(vmm, shared);
-        }
-    }
-
-    /// Parallel rounds only: restores the flush threshold, commits the
-    /// reconciliation tail in stamp order, and closes the epoch.
-    fn commit_tail<R: Recorder>(&mut self, vmm: &Vmm<R>, shared: &Shared) {
-        vmm.set_policy_batch(self.saved_batch);
-        self.commit_range(vmm, shared, self.tail_start, self.cands.len());
-        shared.parallel_round.store(false, Ordering::Relaxed);
-        self.epilogue(vmm, shared);
-    }
-
-    /// Commits `cands[from..to]` in order on this thread — the
-    /// sequential fold over that range.
-    fn commit_range<R: Recorder>(&mut self, vmm: &Vmm<R>, shared: &Shared, from: usize, to: usize) {
-        for idx in from..to {
+        // The sequential fold.
+        for idx in 0..self.cands.len() {
             let c = self.cands[idx];
             match c.kind {
                 EntryKind::Scan => {
@@ -647,7 +480,7 @@ impl Committer {
                     vmm.rebuild_pspt();
                     self.next_rebuild += self.rebuild_period;
                 }
-                EntryKind::Fault { page, write, .. } => {
+                EntryKind::Fault { page, write } => {
                     // A commit earlier in this fold (another core's fault
                     // on the same block, under the shared regular table)
                     // may have installed the mapping since this core's
@@ -665,6 +498,43 @@ impl Committer {
                 }
             }
         }
+        self.epilogue(vmm, shared);
+    }
+
+    /// Length of the sorted candidates' shardable prefix (DESIGN.md §14):
+    /// it ends at the first entry whose effects might escape its
+    /// block-hash shard. A fault is shard-local iff the scheme is PSPT
+    /// (per-block directory shards + sharded PT locks), the allocator is
+    /// the fixed-size pool (the buddy pool is one global resource), the
+    /// topology is single-node (multi-node commits read the shared
+    /// per-node books), and the fault is either minor (block resident:
+    /// PTE copy only) or a *fresh* major — no backing copy to DMA in,
+    /// and within the epoch's free-block budget so no eviction can fire.
+    /// A pure function of simulated state read before the fold, so the
+    /// count is thread-invariant; nothing commits differently for it.
+    fn shardable_prefix<R: Recorder>(&self, vmm: &Vmm<R>) -> usize {
+        let cfg = vmm.config();
+        if cfg.scheme != SchemeChoice::Pspt || cfg.adaptive || !cfg.cost.numa.is_single() {
+            return 0;
+        }
+        let budget = vmm.pool_free_blocks().unwrap_or(0);
+        let mut majors = 0usize;
+        self.cands
+            .iter()
+            .take_while(|c| {
+                let EntryKind::Fault { page, .. } = c.kind else {
+                    return false;
+                };
+                if vmm.block_resident(page) {
+                    true
+                } else if !vmm.backing_contains(page) && majors < budget {
+                    majors += 1;
+                    true
+                } else {
+                    false
+                }
+            })
+            .count()
     }
 
     /// Epoch close-out: rendezvous release, finish detection, and the
@@ -765,27 +635,8 @@ impl Committer {
     }
 }
 
-/// Commits one shard-local task: the same re-probe + handler the
-/// sequential fold runs, with the entry's pre-assigned policy-event
-/// stamp window active.
-fn commit_shard_task<R: Recorder>(vmm: &Vmm<R>, shared: &Shared, t: ShardTask) {
-    let core = CoreId(t.core as u16);
-    vmm.begin_policy_seq_override(core, t.seq_base);
-    if vmm.translate(core, t.page).is_none() {
-        vmm.handle_fault(core, t.page, t.write);
-    }
-    let next = vmm.end_policy_seq_override(core);
-    debug_assert!(
-        next >= t.seq_base && next - t.seq_base <= SEQ_STRIDE,
-        "shard-committed entry overflowed its stamp window"
-    );
-    shared.slots[t.core].set_status(Status::Running);
-}
-
 /// One worker's loop: advance owned cores to the ceiling (phase A),
-/// rendezvous, let worker 0 plan/commit (phase B) — with two extra
-/// crossings bracketing the concurrent shard round when one is on —
-/// rendezvous, repeat.
+/// rendezvous, let worker 0 commit (phase B), rendezvous, repeat.
 fn worker<R: Recorder, F: Fn(usize) + Sync>(
     id: usize,
     cores: &mut [(usize, CoreRunner)],
@@ -818,27 +669,10 @@ fn worker<R: Recorder, F: Fn(usize) + Sync>(
             return;
         }
         if let Some(c) = committer.as_mut() {
-            c.plan_and_commit(vmm, shared);
+            c.commit_epoch(vmm, shared);
         }
         if !shared.barrier.wait() {
             return;
-        }
-        if shared.parallel_round.load(Ordering::Acquire) {
-            {
-                let mut tasks = shared.assignments[id].lock();
-                for t in tasks.drain(..) {
-                    commit_shard_task(vmm, shared, t);
-                }
-            }
-            if !shared.barrier.wait() {
-                return;
-            }
-            if let Some(c) = committer.as_mut() {
-                c.commit_tail(vmm, shared);
-            }
-            if !shared.barrier.wait() {
-                return;
-            }
         }
         if shared.finished.load(Ordering::Acquire) {
             return;
@@ -857,14 +691,13 @@ pub fn run<R: Recorder>(vmm: &Vmm<R>, trace: &Trace, threads: usize) -> RunRepor
 }
 
 /// [`run`], additionally returning the host-side (thread- and
-/// machine-dependent) scaling counters: barrier wait tiers and the
-/// number of concurrently committed rounds.
+/// machine-dependent) scaling counters: the barrier wait tiers.
 pub fn run_with_host_stats<R: Recorder>(
     vmm: &Vmm<R>,
     trace: &Trace,
     threads: usize,
 ) -> (RunReport, HostScaling) {
-    run_core(vmm, trace, threads, &|_| {}, EngineOptions::default())
+    run_core(vmm, trace, threads, &|_| {})
 }
 
 /// [`run`] with a per-worker, per-epoch hook — a test seam for fault
@@ -877,19 +710,7 @@ pub fn run_with_worker_hook<R: Recorder, F: Fn(usize) + Sync>(
     threads: usize,
     hook: &F,
 ) -> RunReport {
-    run_core(vmm, trace, threads, hook, EngineOptions::default()).0
-}
-
-/// [`run`] with explicit [`EngineOptions`] — the property-test seam for
-/// comparing the sharded commit path against the pure sequential fold.
-#[doc(hidden)]
-pub fn run_with_options<R: Recorder>(
-    vmm: &Vmm<R>,
-    trace: &Trace,
-    threads: usize,
-    opts: EngineOptions,
-) -> (RunReport, HostScaling) {
-    run_core(vmm, trace, threads, &|_| {}, opts)
+    run_core(vmm, trace, threads, hook).0
 }
 
 fn run_core<R: Recorder, F: Fn(usize) + Sync>(
@@ -897,7 +718,6 @@ fn run_core<R: Recorder, F: Fn(usize) + Sync>(
     trace: &Trace,
     threads: usize,
     hook: &F,
-    opts: EngineOptions,
 ) -> (RunReport, HostScaling) {
     assert!(threads > 0, "engine thread count must be >= 1");
     trace.validate().expect("invalid trace");
@@ -916,9 +736,6 @@ fn run_core<R: Recorder, F: Fn(usize) + Sync>(
         ceiling: AtomicU64::new(window),
         finished: AtomicBool::new(n == 0),
         barrier: PhaseBarrier::new(threads),
-        parallel_round: AtomicBool::new(false),
-        parallel_rounds: AtomicU64::new(0),
-        assignments: (0..threads).map(|_| Mutex::new(Vec::new())).collect(),
     };
     let scanning = vmm.wants_periodic_scan();
     let rebuild_period = vmm.rebuild_period();
@@ -930,12 +747,8 @@ fn run_core<R: Recorder, F: Fn(usize) + Sync>(
         rebuild_period,
         next_rebuild: rebuild_period,
         barrier_seq: 0,
-        threads,
-        force_sequential: opts.force_sequential_commit,
         fast_forward: !scanning && rebuild_period == 0,
         cands: Vec::new(),
-        tail_start: 0,
-        saved_batch: 0,
         scaling: EngineScaling::default(),
     };
 
@@ -999,7 +812,7 @@ fn run_core<R: Recorder, F: Fn(usize) + Sync>(
     report.scaling = committer.scaling;
     let host = HostScaling {
         threads,
-        parallel_rounds: shared.parallel_rounds.load(Ordering::Relaxed),
+        parallel_rounds: 0,
         barrier_spins: shared.barrier.spins.load(Ordering::Relaxed),
         barrier_yields: shared.barrier.yields.load(Ordering::Relaxed),
         barrier_sleeps: shared.barrier.sleeps.load(Ordering::Relaxed),
@@ -1176,49 +989,44 @@ mod tests {
 
     #[test]
     fn reports_are_byte_identical_across_thread_counts() {
-        // The tentpole invariant in miniature: eviction pressure, LRU
-        // (scan timer live), shootdowns — and the full report rendering
-        // must agree byte-for-byte at 1, 2, and 4 workers.
-        let t = shared_and_private_trace(4, 4);
-        let render = |threads: usize| {
-            let vmm = Vmm::new(KernelConfig::new(4, 48).with_policy(PolicyKind::Lru));
-            format!("{:?}", super::run(&vmm, &t, threads))
-        };
-        let base = render(1);
-        assert_eq!(base, render(2), "threads=2 must match threads=1");
-        assert_eq!(base, render(4), "threads=4 must match threads=1");
-    }
-
-    #[test]
-    fn sharded_commit_rounds_fire_and_match_the_sequential_fold() {
-        // Ample memory so every fault is shardable (minors + fresh
-        // majors, no backing, no evictions): multi-thread runs must
-        // actually take the concurrent shard-commit path and still
-        // render byte-identically to the forced sequential fold.
-        let t = shared_and_private_trace(8, 4);
-        let mk = || Vmm::new(KernelConfig::new(8, 512).with_policy(PolicyKind::Cmcp { p: 0.5 }));
-        let vmm = mk();
-        let (sharded, host) = super::run_with_options(&vmm, &t, 4, EngineOptions::default());
-        assert!(
-            host.parallel_rounds > 0,
-            "8 cores faulting under ample memory must trigger parallel rounds"
-        );
-        assert!(sharded.scaling.shardable > 0);
-        let vmm = mk();
-        let (reference, ref_host) = super::run_with_options(
-            &vmm,
-            &t,
-            4,
-            EngineOptions {
-                force_sequential_commit: true,
-            },
-        );
-        assert_eq!(ref_host.parallel_rounds, 0, "reference must never shard");
-        assert_eq!(
-            format!("{sharded:?}"),
-            format!("{reference:?}"),
-            "sharded commit must equal the sequential fold byte-for-byte"
-        );
+        // The tentpole invariant in miniature: the full report rendering
+        // must agree byte-for-byte at 1, 2, and 4 workers — under
+        // eviction pressure with LRU (scan timer live) and shootdowns,
+        // and with 8 cores faulting under ample memory, where every fault
+        // is a minor or a fresh major and so lands in the shardable
+        // prefix.
+        let inputs = [
+            (shared_and_private_trace(4, 4), 48, PolicyKind::Lru),
+            (
+                shared_and_private_trace(8, 4),
+                512,
+                PolicyKind::Cmcp { p: 0.5 },
+            ),
+        ];
+        for (t, blocks, policy) in inputs {
+            let cores = t.cores.len();
+            let render = |threads: usize| {
+                let vmm = Vmm::new(KernelConfig::new(cores, blocks).with_policy(policy));
+                super::run(&vmm, &t, threads)
+            };
+            let base = render(1);
+            assert!(
+                base.scaling.shardable > 0,
+                "cold faults must classify shardable: {:?}",
+                base.scaling
+            );
+            let base = format!("{base:?}");
+            assert_eq!(
+                base,
+                format!("{:?}", render(2)),
+                "threads=2 must match threads=1"
+            );
+            assert_eq!(
+                base,
+                format!("{:?}", render(4)),
+                "threads=4 must match threads=1"
+            );
+        }
     }
 
     #[test]
@@ -1328,7 +1136,7 @@ mod tests {
         assert!(r.per_core[0].page_faults > 64);
         assert!(r.dma_bytes.1 > 0, "dirty sweeps write back");
         assert!(r.global.refaults > 0);
-        // Refaults DMA backing copies in: reconciliation class.
+        // Refaults DMA backing copies in: never shardable.
         assert!(r.scaling.reconciled > 0, "{:?}", r.scaling);
     }
 

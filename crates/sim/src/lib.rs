@@ -8,12 +8,11 @@
 //! * [`runner`] — one core's execution state: its TLB, its position in
 //!   the trace, dirty-block tracking, invalidation draining; advances
 //!   freely to an epoch ceiling and *parks* at kernel entries.
-//! * [`engine`] — the **unified sharded discrete-event engine**: cores
-//!   partitioned over host workers, advancing in epoch windows bounded
-//!   by the minimum cross-core interaction latency. Kernel effects
-//!   commit in virtual-time stamp order — shard-local entries
-//!   concurrently on all workers, cross-shard entries in a sequential
-//!   reconciliation pass. One code path for every thread count;
+//! * [`engine`] — the **unified epoch-barrier discrete-event engine**:
+//!   cores partitioned over host workers, advancing in epoch windows
+//!   bounded by the minimum cross-core interaction latency. Kernel
+//!   effects commit in virtual-time stamp order, as one sequential fold
+//!   on worker 0. One code path for every thread count;
 //!   `(seed, config)` yields a byte-identical report whether run on 1
 //!   thread or 8.
 //! * [`report`] — the merged run report: runtime, per-core Table-1

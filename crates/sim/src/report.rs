@@ -57,9 +57,9 @@ pub struct NumaReport {
 /// fault-plan)` — classification runs at every thread count, including
 /// 1, so these are identical no matter how many workers executed the
 /// run (asserted by the byte-identity suite, since `RunReport` derives
-/// `Debug` over this struct). Host-dependent counters (barrier waits,
-/// rounds actually committed concurrently) live in the engine's
-/// `HostScaling` instead and never enter the report.
+/// `Debug` over this struct). Host-dependent counters (barrier waits)
+/// live in the engine's `HostScaling` instead and never enter the
+/// report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineScaling {
     /// Epochs the engine ran (phase-B invocations).
@@ -70,11 +70,12 @@ pub struct EngineScaling {
     /// Kernel entries committed across all epochs (faults, syscalls,
     /// scan ticks, rebuilds).
     pub committed: u64,
-    /// Entries the classifier proved shard-local (eligible for the
-    /// concurrent commit round).
+    /// Entries the classifier proved shard-local: a diagnostic of how
+    /// much of phase B could commit concurrently (all of it commits
+    /// sequentially).
     pub shardable: u64,
-    /// Entries in the sequential reconciliation class. Always
-    /// `committed - shardable`; a high share explains flat scaling.
+    /// Entries that could not be proved shard-local. Always
+    /// `committed - shardable`.
     pub reconciled: u64,
     /// Rendezvous-barrier releases (virtual-time barriers, not host
     /// barriers).

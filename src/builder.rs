@@ -268,10 +268,9 @@ impl SimulationBuilder {
     }
 
     /// Like [`SimulationBuilder::run`], additionally returning the
-    /// host-side scaling counters (barrier wait tiers, concurrent
-    /// commit rounds). Those are machine- and thread-count-dependent,
-    /// which is why they ride alongside the byte-stable report instead
-    /// of inside it.
+    /// host-side scaling counters (barrier wait tiers). Those are
+    /// machine- and thread-count-dependent, which is why they ride
+    /// alongside the byte-stable report instead of inside it.
     pub fn run_with_host_stats(self) -> (RunReport, HostScaling) {
         let (trace, cfg) = self.materialize();
         let vmm = Vmm::new(cfg);

@@ -32,7 +32,7 @@
 //! | page tables | [`pagetable`] | 4-level tables, 64 kB PTE format, regular vs PSPT |
 //! | policies | [`policies`] | CMCP, FIFO, two-list LRU, CLOCK, LFU, adaptive CMCP |
 //! | kernel | [`kernel`] | fault path, eviction, shootdowns, scan timer |
-//! | engine | [`sim`] | unified sharded engine, deterministic at any thread count |
+//! | engine | [`sim`] | unified epoch-barrier engine, deterministic at any thread count |
 //! | workloads | [`workloads`] | CG/LU/BT/SCALE trace generators + real numerics |
 //!
 //! See `DESIGN.md` for the paper-to-module mapping and `EXPERIMENTS.md`

@@ -20,7 +20,7 @@
 //!   count — frames are charged to exactly one home each.
 //! * **Thread invariance**: multi-node reports are Debug-identical at
 //!   1/2/4/8 worker threads, replication on and off — the NUMA ledger
-//!   lives behind the sequential reconciliation tail (DESIGN.md §15).
+//!   is only touched by the sequential phase-B fold (DESIGN.md §15).
 
 use cmcp::arch::VirtPage;
 use cmcp::kernel::{KernelConfig, SchemeChoice, Vmm};

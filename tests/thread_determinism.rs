@@ -9,15 +9,10 @@
 use proptest::prelude::*;
 
 use cmcp::arch::VirtPage;
-use cmcp::kernel::KernelConfig;
-use cmcp::sim::engine::{run_with_options, EngineOptions};
 use cmcp::sim::Op;
 use cmcp::workloads::scale::{scale_trace, ScaleConfig};
 use cmcp::workloads::synthetic;
-use cmcp::{
-    FaultPlan, PageSize, PolicyKind, RunReport, SchemeChoice, SimulationBuilder, TierConfig, Trace,
-    Vmm,
-};
+use cmcp::{FaultPlan, PolicyKind, RunReport, SchemeChoice, SimulationBuilder, TierConfig, Trace};
 
 /// The thread counts the acceptance matrix pins. 8 oversubscribes the
 /// core counts used below on purpose: clamping must not change bytes.
@@ -204,7 +199,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// For any trace and any policy, every thread count yields the
-    /// byte-identical report — the tentpole invariant, property-tested.
+    /// byte-identical report — the tentpole invariant, property-tested
+    /// on the flat store, on a tiered hierarchy, and with the
+    /// fault-injection layer armed.
     #[test]
     fn any_trace_any_policy_is_thread_count_invariant(
         trace in pressure_trace_strategy(),
@@ -218,24 +215,44 @@ proptest! {
             Just(PolicyKind::AdaptiveCmcp),
         ],
     ) {
-        let run = |threads| {
-            SimulationBuilder::trace(trace.clone())
-                .policy(policy)
-                .memory_ratio(0.5)
-                .threads(threads)
-                .run()
-        };
-        let reference = run(1);
-        // Conservation sanity before equality: every touch executed,
-        // faults bounded by misses.
-        let touches: u64 = reference.per_core.iter().map(|c| c.dtlb_accesses).sum();
-        prop_assert_eq!(touches, trace.total_touches());
-        let faults: u64 = reference.per_core.iter().map(|c| c.page_faults).sum();
-        let misses: u64 = reference.per_core.iter().map(|c| c.dtlb_misses).sum();
-        prop_assert!(faults <= misses);
-        let want = fingerprint(&reference);
-        for threads in [2usize, 4, 8] {
-            prop_assert_eq!(&fingerprint(&run(threads)), &want, "threads={}", threads);
+        let legs: [(&str, Option<&str>, Option<FaultPlan>); 3] = [
+            ("flat", None, None),
+            ("2tier", Some("2tier"), None),
+            ("faulted", None, Some(FaultPlan::new(7).dma_errors(0.01).enospc(0.005))),
+        ];
+        for (label, tiers, plan) in legs {
+            let run = |threads| {
+                let mut b = SimulationBuilder::trace(trace.clone())
+                    .policy(policy)
+                    .memory_ratio(0.5)
+                    .threads(threads);
+                if let Some(spec) = tiers {
+                    b = b.tiers(TierConfig::parse(spec).unwrap());
+                }
+                if let Some(plan) = plan.clone() {
+                    b = b.fault_plan(plan);
+                }
+                b.run()
+            };
+            let reference = run(1);
+            // Conservation sanity before equality: every touch executed,
+            // faults bounded by misses.
+            let touches: u64 = reference.per_core.iter().map(|c| c.dtlb_accesses).sum();
+            prop_assert_eq!(touches, trace.total_touches(), "{} leg", label);
+            let faults: u64 = reference.per_core.iter().map(|c| c.page_faults).sum();
+            let misses: u64 = reference.per_core.iter().map(|c| c.dtlb_misses).sum();
+            prop_assert!(faults <= misses, "{} leg", label);
+            let want = fingerprint(&reference);
+            for threads in [2usize, 4, 8] {
+                prop_assert_eq!(
+                    &fingerprint(&run(threads)),
+                    &want,
+                    "{} leg ({}): threads={}",
+                    label,
+                    policy.label(),
+                    threads
+                );
+            }
         }
     }
 }
@@ -301,59 +318,14 @@ fn tiered_and_adaptive_runs_are_byte_identical_across_thread_counts() {
     }
 }
 
-/// The same memory sizing `SimulationBuilder` applies, so the reference
-/// runs below face the identical kernel the builder-driven runs do.
-fn kernel_config(
-    trace: &Trace,
-    policy: PolicyKind,
-    ratio: f64,
-    tiers: Option<&str>,
-    plan: Option<FaultPlan>,
-) -> KernelConfig {
-    let footprint = trace.declared_blocks(PageSize::K4);
-    let blocks = ((footprint as f64 * ratio).ceil() as usize).max(1);
-    let mut cfg = KernelConfig::new(trace.cores.len(), blocks).with_policy(policy);
-    if let Some(spec) = tiers {
-        cfg.cost.tiers = TierConfig::parse(spec).unwrap();
-    }
-    cfg.fault_plan = plan;
-    cfg
-}
-
-/// Fingerprint of a run forced down the pure sequential stamp-ordered
-/// fold (no concurrent shard rounds) — the reference the sharded commit
-/// path is asserted byte-equal to.
-fn sequential_reference(cfg: KernelConfig, trace: &Trace) -> String {
-    let vmm = Vmm::new(cfg);
-    let (report, host) = run_with_options(
-        &vmm,
-        trace,
-        4,
-        EngineOptions {
-            force_sequential_commit: true,
-        },
-    );
-    assert_eq!(host.parallel_rounds, 0, "reference must never shard");
-    fingerprint(&report)
-}
-
-/// Fingerprint of the normal engine (sharded prefix + reconciliation
-/// tail) at `threads` workers.
-fn sharded_run(cfg: KernelConfig, trace: &Trace, threads: usize) -> String {
-    let vmm = Vmm::new(cfg);
-    let (report, _) = run_with_options(&vmm, trace, threads, EngineOptions::default());
-    fingerprint(&report)
-}
-
 #[test]
 fn eviction_storm_is_byte_identical_and_reconciliation_heavy() {
     // The reconciliation-heavy leg: a hot set plus private streams
     // squeezed to 30% of the footprint, so the frame pool runs dry in
     // the first epochs and nearly every subsequent fault either evicts
-    // or re-loads from backing — both reconciliation class. This is the
-    // adversarial regime for the sharded commit: the classifier must
-    // send almost everything down the sequential tail and the bytes
-    // must not move at any thread count.
+    // or re-loads from backing — neither is shardable. The classifier
+    // must count almost everything as reconciled and the bytes must not
+    // move at any thread count.
     let t = synthetic::shared_hot(8, 48, 64, 4);
     let run = |threads| {
         SimulationBuilder::trace(t.clone())
@@ -380,48 +352,6 @@ fn eviction_storm_is_byte_identical_and_reconciliation_heavy() {
             want,
             "storm leg: threads={threads} diverged from threads=1"
         );
-    }
-    // And the engine's sharded path must equal the forced sequential
-    // fold on the same kernel.
-    let cfg = || kernel_config(&t, PolicyKind::Cmcp { p: 0.5 }, 0.3, None, None);
-    assert_eq!(sharded_run(cfg(), &t, 4), sequential_reference(cfg(), &t));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// For any trace and any policy, the sharded commit path (concurrent
-    /// prefix + reconciliation tail) produces the byte-identical report
-    /// to a forced sequential stamp-ordered fold — on the flat store, on
-    /// a tiered hierarchy, and with the fault-injection layer armed.
-    #[test]
-    fn sharded_commit_equals_sequential_fold(
-        trace in pressure_trace_strategy(),
-        policy in prop_oneof![
-            Just(PolicyKind::Fifo),
-            Just(PolicyKind::Lru),
-            Just(PolicyKind::Clock),
-            Just(PolicyKind::Lfu),
-            Just(PolicyKind::Random),
-            Just(PolicyKind::Cmcp { p: 0.5 }),
-            Just(PolicyKind::AdaptiveCmcp),
-        ],
-    ) {
-        let legs: [(&str, Option<&str>, Option<FaultPlan>); 3] = [
-            ("flat", None, None),
-            ("tiered", Some("2tier"), None),
-            ("faulted", None, Some(FaultPlan::new(7).dma_errors(0.01).enospc(0.005))),
-        ];
-        for (label, tiers, plan) in legs {
-            let cfg = || kernel_config(&trace, policy, 0.5, tiers, plan.clone());
-            prop_assert_eq!(
-                &sharded_run(cfg(), &trace, 4),
-                &sequential_reference(cfg(), &trace),
-                "{} leg: sharded commit diverged from the sequential fold ({})",
-                label,
-                policy.label()
-            );
-        }
     }
 }
 
