@@ -10,8 +10,12 @@ verify:
 fmt:
 	cargo fmt --all --check
 
+# perfbench/ is a Cargo workspace of its own, which `cargo fmt --all`
+# and `cargo clippy --workspace` never see: it is linted by manifest path.
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
+	cargo fmt --check --manifest-path perfbench/Cargo.toml
+	cargo clippy --locked --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 test:
 	cargo test -q

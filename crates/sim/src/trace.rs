@@ -12,7 +12,7 @@
 
 use std::collections::HashSet;
 
-use cmcp_arch::{Cycles, PageSize, VirtPage};
+use cmcp_arch::{Cycles, FxHashSet, PageSize, VirtPage};
 
 /// One element of a core's op stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,21 +141,21 @@ impl Trace {
     /// Distinct 4 kB pages touched by any core — the application
     /// footprint the paper's "memory provided" percentages refer to.
     pub fn footprint_pages(&self) -> usize {
-        let mut set = HashSet::new();
-        for c in &self.cores {
-            set.extend(c.page_set());
-        }
-        set.len()
+        self.footprint_blocks(PageSize::K4)
     }
 
     /// Footprint in mapping blocks of `size` (what the device RAM must
     /// hold for a no-data-movement run).
     pub fn footprint_blocks(&self, size: PageSize) -> usize {
         let span = size.pages_4k() as u64;
-        let mut set = HashSet::new();
+        let mut set = FxHashSet::default();
         for c in &self.cores {
             for op in &c.ops {
                 if let Op::Stream { start, pages, .. } = op {
+                    if *pages == 0 {
+                        // Touches nothing (the runner skips it too).
+                        continue;
+                    }
                     let first = start.0 / span;
                     let last = (start.0 + *pages as u64 - 1) / span;
                     for b in first..=last {
@@ -229,6 +229,25 @@ mod tests {
             write: false,
             work_per_page: 1,
         });
+        assert_eq!(t.footprint_blocks(PageSize::K4), 2);
+        assert_eq!(t.footprint_blocks(PageSize::K64), 2);
+        assert_eq!(t.footprint_blocks(PageSize::M2), 1);
+        // Zero-page streams touch nothing, at any size. At page 0 the
+        // run's last page would underflow; at page 17 it would be page
+        // 16, in block 1 at 64 kB and block 0 at 2 MB.
+        let mut empty = Trace::new(1, "zero-page streams");
+        for start in [0, 17] {
+            empty.cores[0].ops.push(Op::Stream {
+                start: VirtPage(start),
+                pages: 0,
+                write: true,
+                work_per_page: 1,
+            });
+        }
+        for size in PageSize::ALL {
+            assert_eq!(empty.footprint_blocks(size), 0, "{size:?}");
+        }
+        t.cores[0].ops.extend_from_slice(&empty.cores[0].ops);
         assert_eq!(t.footprint_blocks(PageSize::K4), 2);
         assert_eq!(t.footprint_blocks(PageSize::K64), 2);
         assert_eq!(t.footprint_blocks(PageSize::M2), 1);

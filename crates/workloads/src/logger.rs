@@ -112,6 +112,19 @@ impl CoreLogger {
         });
     }
 
+    /// Reserves room for `additional` more ops.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.ops.reserve_exact(additional);
+    }
+
+    /// Appends `ops`, a finished run logged by another `CoreLogger`.
+    /// The coalescing window is flushed first, so nothing before the run
+    /// merges into it.
+    pub(crate) fn extend(&mut self, ops: &[Op]) {
+        self.flush();
+        self.ops.extend_from_slice(ops);
+    }
+
     /// Logs a barrier.
     pub fn barrier(&mut self) {
         self.flush();
@@ -253,6 +266,19 @@ mod tests {
             }
             _ => panic!("expected stream"),
         }
+    }
+
+    #[test]
+    fn extended_run_never_merges_with_its_neighbours() {
+        let mut run = CoreLogger::default();
+        run.touch_page(VirtPage(6), false, 1);
+        let run = run.finish();
+        let mut l = CoreLogger::default();
+        l.touch_page(VirtPage(5), false, 1);
+        l.extend(&run.ops);
+        l.touch_page(VirtPage(7), false, 1);
+        // Logged directly, pages 5–7 would be one forward run.
+        assert_eq!(l.finish().ops.len(), 3);
     }
 
     #[test]

@@ -29,40 +29,40 @@ impl CsrMatrix {
     /// symmetrized by construction, plus a dominant diagonal.
     pub fn random_spd(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
         assert!(n > 1 && nnz_per_row >= 1);
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Collect symmetric off-diagonal pattern as (row, col, val).
-        let mut cols_per_row: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        // Counting sort of the symmetric off-diagonal pattern: one pass
+        // over the draws sizes every row, a second pass over the same
+        // draws scatters each entry into its row's slot of one flat
+        // array, so every row holds its entries in draw order.
+        let mut start = vec![0usize; n + 1];
+        draw_pattern(n, nnz_per_row, seed, |i, j, _| {
+            start[i + 1] += 1;
+            start[j + 1] += 1;
+        });
         for i in 0..n {
-            for _ in 0..nnz_per_row.div_ceil(2) {
-                // Geometric distance from the diagonal (cluster like NPB's
-                // makea), occasionally jumping far (the long-range tail).
-                let far = rng.gen_bool(0.15);
-                let dist = if far {
-                    rng.gen_range(1..n as u64)
-                } else {
-                    let span = (n as u64 / 64).max(2);
-                    1 + (rng.gen_range(0.0f64..1.0).powi(3) * (span - 1) as f64) as u64
-                };
-                let j = ((i as u64 + dist) % n as u64) as usize;
-                if j == i {
-                    continue;
-                }
-                let v = rng.gen_range(-0.5f64..0.5);
-                cols_per_row[i].push((j as u32, v));
-                cols_per_row[j].push((i as u32, v));
-            }
+            start[i + 1] += start[i];
         }
+        let mut next = start[..n].to_vec();
+        let mut entries = vec![(0u32, 0.0f64); start[n]];
+        draw_pattern(n, nnz_per_row, seed, |i, j, v| {
+            entries[next[i]] = (j as u32, v);
+            next[i] += 1;
+            entries[next[j]] = (i as u32, v);
+            next[j] += 1;
+        });
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
+        let mut col_idx = Vec::with_capacity(start[n] + n);
+        let mut vals = Vec::with_capacity(start[n] + n);
         row_ptr.push(0);
-        for (i, row) in cols_per_row.iter_mut().enumerate() {
+        for i in 0..n {
+            let row = &mut entries[start[i]..start[i + 1]];
             row.sort_by_key(|&(c, _)| c);
-            row.dedup_by_key(|&mut (c, _)| c);
+            // Of duplicate columns the first drawn is kept: the sort is
+            // stable, so it leads its run.
+            let kept = || row.chunk_by(|a, b| a.0 == b.0).map(|run| run[0]);
             // Strict diagonal dominance ⇒ SPD for a symmetric matrix.
-            let offdiag_sum: f64 = row.iter().map(|&(_, v)| v.abs()).sum();
+            let offdiag_sum: f64 = kept().map(|(_, v)| v.abs()).sum();
             let mut inserted_diag = false;
-            for &(c, v) in row.iter() {
+            for (c, v) in kept() {
                 if !inserted_diag && c as usize > i {
                     col_idx.push(i as u32);
                     vals.push(offdiag_sum + 1.0);
@@ -103,9 +103,9 @@ impl CsrMatrix {
         }
     }
 
-    /// Checks structural symmetry (testing aid).
+    /// Checks symmetry, structure and values, exactly: every entry must
+    /// have its mirror (testing aid).
     pub fn is_symmetric(&self) -> bool {
-        // Sample-based check for big matrices, exact for small ones.
         for i in 0..self.n {
             for k in self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize {
                 let j = self.col_idx[k] as usize;
@@ -126,6 +126,31 @@ impl CsrMatrix {
             }
         }
         true
+    }
+}
+
+/// Draws the off-diagonal pattern of [`CsrMatrix::random_spd`], calling
+/// `emit(i, j, v)` for each drawn entry in draw order: the matrix holds
+/// `v` at both `(i, j)` and `(j, i)`.
+fn draw_pattern(n: usize, nnz_per_row: usize, seed: u64, mut emit: impl FnMut(usize, usize, f64)) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..n {
+        for _ in 0..nnz_per_row.div_ceil(2) {
+            // Geometric distance from the diagonal (cluster like NPB's
+            // makea), occasionally jumping far (the long-range tail).
+            let far = rng.gen_bool(0.15);
+            let dist = if far {
+                rng.gen_range(1..n as u64)
+            } else {
+                let span = (n as u64 / 64).max(2);
+                1 + (rng.gen_range(0.0f64..1.0).powi(3) * (span - 1) as f64) as u64
+            };
+            let j = ((i as u64 + dist) % n as u64) as usize;
+            if j == i {
+                continue;
+            }
+            emit(i, j, rng.gen_range(-0.5f64..0.5));
+        }
     }
 }
 
@@ -256,11 +281,32 @@ mod tests {
         assert!(b.nnz() > a.nnz() * 2);
     }
 
+    /// FNV-1a over `row_ptr`, `col_idx` and the bit patterns of `vals`,
+    /// each little-endian.
+    fn digest(a: &CsrMatrix) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        a.row_ptr.iter().for_each(|p| eat(&p.to_le_bytes()));
+        a.col_idx.iter().for_each(|c| eat(&c.to_le_bytes()));
+        a.vals.iter().for_each(|v| eat(&v.to_bits().to_le_bytes()));
+        h
+    }
+
     #[test]
     fn same_seed_same_matrix() {
-        let a = CsrMatrix::random_spd(100, 5, 11);
-        let b = CsrMatrix::random_spd(100, 5, 11);
-        assert_eq!(a.col_idx, b.col_idx);
-        assert_eq!(a.row_ptr, b.row_ptr);
+        // The generator's exact output, pinned: the CG traces (and every
+        // golden built on them) are walked from these matrices.
+        for (n, nnz_per_row, seed, want) in [
+            (10, 3, 7, 0xcec5_8bbb_0605_7565u64),
+            (200, 8, 42, 0xfc34_b90a_03c6_b74d),
+            (2048, 8, 5, 0xf1fa_ac5b_2e77_a646),
+        ] {
+            let got = digest(&CsrMatrix::random_spd(n, nnz_per_row, seed));
+            assert_eq!(got, want, "random_spd({n}, {nnz_per_row}, {seed})");
+        }
     }
 }
