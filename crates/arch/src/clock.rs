@@ -12,6 +12,12 @@
 //! required to charge a remote core) while preserving the total cost, and
 //! the frequent barriers in the HPC workloads bound the skew between the
 //! instant a charge is incurred and the instant it is absorbed.
+//!
+//! Phase A advances a [`LocalClock`]: the owning core's runner copies its
+//! clock out on entry, advances and settles the copy on every touch, and
+//! writes it back once when it returns. Only phase-B commits charge debt,
+//! so the copy's debt is exactly the shared one for the whole call, and
+//! the per-touch bookkeeping writes no cache line another core can read.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,13 +28,17 @@ pub type Cycles = u64;
 /// atomically chargeable interrupt debt.
 ///
 /// The clock is `Sync` so the parallel engine can charge remote cores
-/// while each core's worker thread advances its own clock.
+/// while each core's worker thread advances its own clock. Each clock is
+/// 128-byte aligned (the adjacent-line prefetcher pairs 64-byte lines),
+/// so a write-back to one core's clock never invalidates the line
+/// another worker's clock lives on.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct CoreClock {
     /// Cycles the core has executed, advanced only by the owning context.
     cycles: AtomicU64,
     /// Pending cycles charged by *other* cores (interrupt handling),
-    /// folded into `cycles` on the next [`CoreClock::settle`].
+    /// folded into `cycles` by the owner's next [`LocalClock::settle`].
     debt: AtomicU64,
 }
 
@@ -71,26 +81,33 @@ impl CoreClock {
         self.debt.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Folds any outstanding interrupt debt into the executed timeline and
-    /// returns the amount absorbed.
-    ///
-    /// Loads before it swaps: the runner settles on every simulated
-    /// touch, but only kernel commits charge debt, so it is almost always
-    /// zero — and a plain load neither locks the bus nor takes the cache
-    /// line (shared with other cores' clocks) exclusive. A charge that
-    /// lands after the load is not lost: it stays in `debt` for the next
-    /// settle, and the swap moves whatever is there in one atomic step.
+    /// Copies the clock out for its owning core's phase-A run; write it
+    /// back with [`CoreClock::store`].
     #[inline]
-    pub fn settle(&self) -> Cycles {
-        if self.debt.load(Ordering::Relaxed) == 0 {
-            return 0;
+    pub fn load(&self) -> LocalClock {
+        let debt = self.debt.load(Ordering::Relaxed);
+        LocalClock {
+            cycles: self.cycles.load(Ordering::Relaxed),
+            debt,
+            loaded_debt: debt,
         }
-        let d = self.debt.swap(0, Ordering::Relaxed);
-        // Single-writer store, like `advance` (settle runs on the owning
-        // core's thread).
-        self.cycles
-            .store(self.cycles.load(Ordering::Relaxed) + d, Ordering::Relaxed);
-        d
+    }
+
+    /// Writes back a copy taken by [`CoreClock::load`].
+    ///
+    /// Plain stores: `cycles` has a single writer (the owner), and no
+    /// charge may land between the load and the store — only phase-B
+    /// commits charge debt, and the copy lives within one phase A. Debug
+    /// builds check that the shared debt did not move.
+    #[inline]
+    pub fn store(&self, local: &LocalClock) {
+        debug_assert_eq!(
+            self.debt.load(Ordering::Relaxed),
+            local.loaded_debt,
+            "remote debt charged while the owner ran on a local copy"
+        );
+        self.cycles.store(local.cycles, Ordering::Relaxed);
+        self.debt.store(local.debt, Ordering::Relaxed);
     }
 
     /// Moves the clock forward to at least `t` (used when a core leaves a
@@ -102,6 +119,40 @@ impl CoreClock {
             // Single-writer store, like `advance`.
             self.cycles.store(t, Ordering::Relaxed);
         }
+    }
+}
+
+/// A core's clock copied out of its [`CoreClock`] for one phase-A run of
+/// the owning core: plain integers, so the per-touch advance, settle and
+/// ceiling check touch no shared cache line.
+#[derive(Debug)]
+pub struct LocalClock {
+    cycles: Cycles,
+    debt: Cycles,
+    /// `debt` as loaded, for the write-back's frozen-debt check.
+    loaded_debt: Cycles,
+}
+
+impl LocalClock {
+    /// Current virtual time including unsettled interrupt debt.
+    #[inline]
+    pub fn now(&self) -> Cycles {
+        self.cycles + self.debt
+    }
+
+    /// Advances the clock by `delta` cycles of the core's own work.
+    #[inline]
+    pub fn advance(&mut self, delta: Cycles) {
+        self.cycles += delta;
+    }
+
+    /// Folds any outstanding interrupt debt into the executed timeline and
+    /// returns the amount absorbed.
+    #[inline]
+    pub fn settle(&mut self) -> Cycles {
+        let d = std::mem::take(&mut self.debt);
+        self.cycles += d;
+        d
     }
 }
 
@@ -124,11 +175,30 @@ mod tests {
         let c = CoreClock::new();
         c.advance(50);
         c.charge_remote(30);
-        assert_eq!(c.now(), 80);
-        assert_eq!(c.executed(), 50);
-        assert_eq!(c.settle(), 30);
-        assert_eq!(c.executed(), 80);
-        assert_eq!(c.settle(), 0);
+        assert_eq!((c.executed(), c.now()), (50, 80));
+        // A copy that only advances writes the debt back unsettled...
+        let mut local = c.load();
+        local.advance(10);
+        assert_eq!(local.now(), 90);
+        assert_eq!(c.now(), 80, "the shared clock waits for the write-back");
+        c.store(&local);
+        assert_eq!((c.executed(), c.now()), (60, 90));
+        // ...and one that settles folds it into the executed cycles.
+        let mut local = c.load();
+        assert_eq!(local.settle(), 30);
+        assert_eq!(local.settle(), 0);
+        c.store(&local);
+        assert_eq!((c.executed(), c.now()), (90, 90));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "remote debt charged while the owner ran on a local copy")]
+    fn a_charge_during_a_local_run_is_caught_in_debug_builds() {
+        let c = CoreClock::new();
+        let local = c.load();
+        c.charge_remote(1);
+        c.store(&local);
     }
 
     #[test]
@@ -159,46 +229,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.now(), 80_000);
-        assert_eq!(c.settle(), 80_000);
-    }
-
-    #[test]
-    fn settling_while_charged_never_loses_a_charge() {
-        // The owner settles in a loop while eight threads charge it: the
-        // load-first fast path must never drop a charge that lands
-        // between its load and a later swap.
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::{Arc, Barrier};
-        const CHARGERS: usize = 8;
-        const CHARGES: u64 = 200_000;
-        let c = Arc::new(CoreClock::new());
-        let running = Arc::new(AtomicUsize::new(CHARGERS));
-        let start = Arc::new(Barrier::new(CHARGERS + 1));
-        let chargers: Vec<_> = (0..CHARGERS)
-            .map(|k| {
-                let (c, running, start) =
-                    (Arc::clone(&c), Arc::clone(&running), Arc::clone(&start));
-                std::thread::spawn(move || {
-                    start.wait();
-                    for _ in 0..CHARGES {
-                        c.charge_remote(k as u64 + 1);
-                    }
-                    running.fetch_sub(1, Ordering::Release);
-                })
-            })
-            .collect();
-        start.wait();
-        let mut absorbed = 0;
-        while running.load(Ordering::Acquire) > 0 {
-            absorbed += c.settle();
-        }
-        for h in chargers {
-            h.join().unwrap();
-        }
-        let total: u64 = (1..=CHARGERS as u64).map(|k| k * CHARGES).sum();
-        let executed = c.executed();
-        assert_eq!(executed, absorbed, "settle returns what it folds");
-        assert_eq!(executed + c.settle(), total);
-        assert_eq!(c.now(), total);
+        assert_eq!(c.load().settle(), 80_000);
     }
 }

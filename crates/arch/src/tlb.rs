@@ -66,105 +66,100 @@ pub struct TlbStats {
     pub flushes: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// Page number in units of the array's size class.
-    tag: u64,
-    stamp: u64,
-}
-
+/// One set-associative array, stored flat and row-major by set: slot
+/// `i` holds `tags[i]` with LRU stamp `stamps[i]`. A stamp of 0 marks an
+/// empty slot — the TLB bumps its stamp before every use, so live stamps
+/// start at 1.
 #[derive(Debug)]
 struct SetAssocArray {
-    sets: usize,
+    /// `sets - 1`: the set count is a power of two, so a mask indexes it.
+    set_mask: usize,
     ways: usize,
     /// Bits of the tag to drop before set indexing. The unified L2 keys
     /// entries by `(vpn << 2) | class` for uniqueness but indexes sets by
     /// the vpn alone, so class bits don't shrink its effective capacity.
     index_shift: u32,
-    /// `sets × ways` slots, row-major by set.
-    slots: Vec<Option<Entry>>,
+    /// Page number of each slot, in units of the array's size class.
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
 }
 
 impl SetAssocArray {
     fn new((entries, ways): (usize, usize), index_shift: u32) -> SetAssocArray {
         assert!(
-            entries > 0 && ways > 0 && entries % ways == 0,
+            entries > 0 && ways > 0 && entries % ways == 0 && (entries / ways).is_power_of_two(),
             "bad TLB geometry"
         );
-        let sets = entries / ways;
         SetAssocArray {
-            sets,
+            set_mask: entries / ways - 1,
             ways,
             index_shift,
-            slots: vec![None; entries],
+            tags: vec![0; entries],
+            stamps: vec![0; entries],
         }
     }
 
+    /// First slot of `tag`'s set.
     #[inline]
-    fn set_range(&self, tag: u64) -> std::ops::Range<usize> {
-        let set = ((tag >> self.index_shift) as usize) % self.sets;
-        set * self.ways..(set + 1) * self.ways
+    fn set_base(&self, tag: u64) -> usize {
+        ((tag >> self.index_shift) as usize & self.set_mask) * self.ways
+    }
+
+    /// The slot holding `tag`, if any.
+    #[inline]
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        let ways = base..base + self.ways;
+        let (tags, stamps) = (&self.tags[ways.clone()], &self.stamps[ways]);
+        (0..tags.len())
+            .find(|&w| tags[w] == tag && stamps[w] != 0)
+            .map(|w| base + w)
     }
 
     /// Finds `tag`, refreshing its LRU stamp.
+    #[inline]
     fn lookup(&mut self, tag: u64, stamp: u64) -> bool {
-        let range = self.set_range(tag);
-        for e in self.slots[range].iter_mut().flatten() {
-            if e.tag == tag {
-                e.stamp = stamp;
-                return true;
+        match self.find(self.set_base(tag), tag) {
+            Some(i) => {
+                self.stamps[i] = stamp;
+                true
             }
+            None => false,
         }
-        false
     }
 
-    /// Inserts `tag`, evicting the LRU way of its set if full. Returns the
-    /// evicted tag, if any.
-    fn insert(&mut self, tag: u64, stamp: u64) -> Option<u64> {
-        let range = self.set_range(tag);
+    /// Inserts `tag`, evicting the LRU way of its set if full.
+    fn insert(&mut self, tag: u64, stamp: u64) {
+        let base = self.set_base(tag);
         // Already present: refresh.
-        for e in self.slots[range.clone()].iter_mut().flatten() {
-            if e.tag == tag {
-                e.stamp = stamp;
-                return None;
-            }
+        if let Some(i) = self.find(base, tag) {
+            self.stamps[i] = stamp;
+            return;
         }
-        // Free way?
-        for slot in &mut self.slots[range.clone()] {
-            if slot.is_none() {
-                *slot = Some(Entry { tag, stamp });
-                return None;
-            }
-        }
-        // Evict LRU way.
-        let victim_idx = range
-            .clone()
-            .min_by_key(|&i| self.slots[i].as_ref().map(|e| e.stamp).unwrap_or(0))
-            .expect("non-empty set");
-        let old = self.slots[victim_idx].replace(Entry { tag, stamp });
-        old.map(|e| e.tag)
+        // One min-stamp scan picks the victim: the first minimum is the
+        // first empty way (stamp 0) if there is one, else the LRU way.
+        let stamps = &self.stamps[base..base + self.ways];
+        let victim = base + (0..self.ways).min_by_key(|&w| stamps[w]).expect("ways > 0");
+        self.tags[victim] = tag;
+        self.stamps[victim] = stamp;
     }
 
     /// Removes `tag` if present; returns whether it was.
     fn invalidate(&mut self, tag: u64) -> bool {
-        let range = self.set_range(tag);
-        for slot in &mut self.slots[range] {
-            if slot.map(|e| e.tag) == Some(tag) {
-                *slot = None;
-                return true;
+        match self.find(self.set_base(tag), tag) {
+            Some(i) => {
+                self.stamps[i] = 0;
+                true
             }
+            None => false,
         }
-        false
     }
 
-    fn clear(&mut self) -> usize {
-        let n = self.slots.iter().filter(|s| s.is_some()).count();
-        self.slots.iter_mut().for_each(|s| *s = None);
-        n
+    fn clear(&mut self) {
+        self.stamps.fill(0);
     }
 
     fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.stamps.iter().filter(|&&s| s != 0).count()
     }
 }
 
@@ -558,6 +553,84 @@ mod tests {
         assert_eq!(t.access_any(VirtPage(5)), TlbLookup::L2);
         // The promotion restored a 2 MB-class L1 entry covering page 5.
         assert_eq!(t.access(VirtPage(5), PageSize::M2), TlbLookup::L1);
+    }
+
+    /// FNV-1a over every observable result of a seeded op stream through
+    /// one TLB: each lookup, invalidation and drained penalty in order,
+    /// then the final counters and L1 occupancy, fields little-endian.
+    fn op_stream_digest(seed: u64, ops: usize) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        // SplitMix64: a self-contained stream, so the pin depends on
+        // nothing but the TLB.
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut t = tlb();
+        for _ in 0..ops {
+            let r = next();
+            // A hot range that mostly hits, a warm one, and 8K pages:
+            // 16 distinct 2 MB pages against the 8-way 2 MB array and far
+            // more 4 kB and 64 kB tags than their sets hold, so every
+            // array conflicts and evicts.
+            let span = [64, 512, 8192, 8192][(r & 3) as usize];
+            let page = VirtPage((r >> 16) % span);
+            let size = PageSize::ALL[((r >> 2) % 3) as usize];
+            match (r >> 4) % 1000 {
+                0..=379 => eat(&[t.access(page, size) as u8]),
+                380..=529 => eat(&[t.access_any(page) as u8]),
+                530..=799 => t.fill(page, size),
+                800..=899 => eat(&[t.invalidate(page) as u8]),
+                900..=998 => t.rewalk(),
+                _ => t.flush(),
+            }
+            eat(&t.drain_cycles().to_le_bytes());
+        }
+        let s = t.stats();
+        for v in [
+            s.accesses,
+            s.l1_hits,
+            s.l2_hits,
+            s.misses,
+            s.invalidations,
+            s.flushes,
+        ] {
+            eat(&v.to_le_bytes());
+        }
+        eat(&(t.l1_occupancy() as u64).to_le_bytes());
+        h
+    }
+
+    #[test]
+    fn seeded_op_streams_are_pinned() {
+        // The set layout, LRU victim order and counters, pinned: every
+        // golden's dTLB misses and walk cycles come from this model.
+        for (seed, want) in [
+            (1u64, 0x8d4a_8cd3_65fe_8939u64),
+            (42, 0xc349_a8eb_dd2a_c3e8),
+            (0xdead_beef, 0xb739_593a_7f5c_718b),
+        ] {
+            assert_eq!(op_stream_digest(seed, 20_000), want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad TLB geometry")]
+    fn non_power_of_two_set_count_is_rejected() {
+        let config = TlbConfig {
+            l1_4k: (48, 4),
+            ..TlbConfig::default()
+        };
+        Tlb::new(config, 1, 1);
     }
 
     #[test]

@@ -184,11 +184,8 @@ pub struct Vmm<R: Recorder = NullTracer> {
     /// PSPT: sharded fine-grained locks.
     pt_shard_locks: Vec<VirtualResource>,
     clocks: Arc<Vec<CoreClock>>,
-    /// Pending TLB invalidations per core, applied by the owning core:
-    /// `(head, span_4k)` — flat runs always post the configured block
-    /// span; adaptive runs post the victim's actual granularity.
-    mailboxes: Vec<Mutex<Vec<(VirtPage, u32)>>>,
-    mailbox_flags: Vec<AtomicBool>,
+    /// Pending TLB invalidations per core, applied by the owning core.
+    mailboxes: Vec<Mailbox>,
     core_stats: Vec<CoreStats>,
     global: GlobalStats,
     offload: OffloadEngine,
@@ -205,6 +202,27 @@ pub struct Vmm<R: Recorder = NullTracer> {
     /// synchronous fallback.
     offload_dead: AtomicBool,
     tracer: R,
+}
+
+/// One core's pending TLB invalidations: `(head, span_4k)` pairs — flat
+/// runs always post the configured block span; adaptive runs post the
+/// victim's actual granularity. 128-byte aligned (the adjacent-line
+/// prefetcher pairs 64-byte lines): phase A reads the flag on every
+/// runner entry, from the worker that owns the core, and neighbouring
+/// cores belong to different workers.
+#[derive(Default)]
+#[repr(align(128))]
+struct Mailbox {
+    /// Hint that `posted` is non-empty, read without the lock.
+    pending: AtomicBool,
+    posted: Mutex<Vec<(VirtPage, u32)>>,
+}
+
+impl Mailbox {
+    fn post(&self, page: VirtPage, span: u32) {
+        self.posted.lock().push((page, span));
+        self.pending.store(true, Relaxed);
+    }
 }
 
 /// Static dispatch over the two schemes (keeps the fault path free of a
@@ -292,8 +310,7 @@ impl<R: Recorder> Vmm<R> {
             pt_global_lock: VirtualResource::new(),
             pt_shard_locks: (0..LOCK_SHARDS).map(|_| VirtualResource::new()).collect(),
             clocks: Arc::new((0..cfg.cores).map(|_| CoreClock::new()).collect()),
-            mailboxes: (0..cfg.cores).map(|_| Mutex::new(Vec::new())).collect(),
-            mailbox_flags: (0..cfg.cores).map(|_| AtomicBool::new(false)).collect(),
+            mailboxes: (0..cfg.cores).map(|_| Mailbox::default()).collect(),
             core_stats: (0..cfg.cores).map(|_| CoreStats::default()).collect(),
             global: GlobalStats::default(),
             offload: OffloadEngine::new(&cfg.cost, cfg.cores),
@@ -675,7 +692,7 @@ impl<R: Recorder> Vmm<R> {
     /// Whether `core` has pending TLB invalidations (lock-free check).
     #[inline]
     pub fn has_pending_invalidations(&self, core: CoreId) -> bool {
-        self.mailbox_flags[core.index()].load(Relaxed)
+        self.mailboxes[core.index()].pending.load(Relaxed)
     }
 
     /// Drains `core`'s pending invalidations — `(head, span_4k)` pairs —
@@ -685,9 +702,9 @@ impl<R: Recorder> Vmm<R> {
         if !self.has_pending_invalidations(core) {
             return;
         }
-        let mut mb = self.mailboxes[core.index()].lock();
-        out.append(&mut mb);
-        self.mailbox_flags[core.index()].store(false, Relaxed);
+        let mb = &self.mailboxes[core.index()];
+        out.append(&mut mb.posted.lock());
+        mb.pending.store(false, Relaxed);
     }
 
     /// Virtual-time period of the statistics scan timer.
@@ -904,8 +921,7 @@ impl<R: Recorder> Vmm<R> {
                 self.core_stats[t.index()]
                     .remote_inv_received
                     .fetch_add(1, Relaxed);
-                self.mailboxes[t.index()].lock().push((page, span));
-                self.mailbox_flags[t.index()].store(true, Relaxed);
+                self.mailboxes[t.index()].post(page, span);
                 if R::ENABLED {
                     self.tracer.record(
                         t.0,
@@ -921,8 +937,7 @@ impl<R: Recorder> Vmm<R> {
         if let Some(req) = requester {
             if targets.contains(req) {
                 self.clocks[req.index()].advance(self.cfg.cost.tlb_invlpg);
-                self.mailboxes[req.index()].lock().push((page, span));
-                self.mailbox_flags[req.index()].store(true, Relaxed);
+                self.mailboxes[req.index()].post(page, span);
             }
         }
     }
@@ -2056,6 +2071,21 @@ mod tests {
             .sum();
         assert_eq!(recv, 7, "all other cores interrupted");
         assert!(v.core_stats()[0].remote_inv_sent.load(Relaxed) >= 7);
+    }
+
+    #[test]
+    fn per_core_clocks_and_mailboxes_do_not_share_a_cache_line_pair() {
+        // Elements 0 and 1 start on 128-byte boundaries, 128+ bytes apart.
+        fn check<T>(what: &str, v: &[T]) {
+            let (a, b) = (&v[0] as *const T as usize, &v[1] as *const T as usize);
+            assert!(
+                a.is_multiple_of(128) && b.is_multiple_of(128) && b >= a + 128,
+                "{what} at {a:#x}, {b:#x}"
+            );
+        }
+        let v = Vmm::new(KernelConfig::new(2, 1));
+        check("clocks", v.clocks());
+        check("mailboxes", &v.mailboxes);
     }
 
     #[test]

@@ -31,11 +31,18 @@ use crate::table::{MapError, PageTable};
 
 const DIR_SHARDS: usize = 64;
 
+/// One core's private table. 128-byte aligned (the adjacent-line
+/// prefetcher pairs 64-byte lines): phase A takes its lock on every TLB
+/// miss and first store, from the worker that owns the core, and
+/// neighbouring cores belong to different workers.
+#[repr(align(128))]
+struct CoreTable(RwLock<PageTable>);
+
 /// The per-core partially separated table scheme.
 pub struct Pspt {
     /// One private table per core, individually locked — the fine
     /// granularity is the point.
-    tables: Vec<RwLock<PageTable>>,
+    tables: Vec<CoreTable>,
     cores: CoreSet,
     /// Sharded directory: block head page → cores mapping it.
     directory: Vec<Mutex<FxHashMap<u64, CoreSet>>>,
@@ -46,13 +53,18 @@ impl Pspt {
     pub fn new(n_cores: usize) -> Pspt {
         Pspt {
             tables: (0..n_cores)
-                .map(|_| RwLock::new(PageTable::new()))
+                .map(|_| CoreTable(RwLock::new(PageTable::new())))
                 .collect(),
             cores: CoreSet::first_n(n_cores),
             directory: (0..DIR_SHARDS)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
         }
+    }
+
+    #[inline]
+    fn table(&self, core: CoreId) -> &RwLock<PageTable> {
+        &self.tables[core.index()].0
     }
 
     #[inline]
@@ -95,7 +107,7 @@ impl TableScheme for Pspt {
     }
 
     fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation> {
-        self.tables[core.index()]
+        self.table(core)
             .read()
             .translate(page)
             .map(|t| Translation {
@@ -106,7 +118,7 @@ impl TableScheme for Pspt {
     }
 
     fn mark_accessed(&self, core: CoreId, page: VirtPage, write: bool) {
-        self.tables[core.index()].write().mark_accessed(page, write);
+        self.table(core).write().mark_accessed(page, write);
     }
 
     fn map(
@@ -137,7 +149,7 @@ impl TableScheme for Pspt {
         // statistics" live in the entry the walk already touched, so
         // CMCP's signal costs no extra lookup (head entry only;
         // sub-entries keep count 0).
-        self.tables[core.index()]
+        self.table(core)
             .write()
             .map_counted(head, frame, size, flags, count)?;
         entry.insert(core);
@@ -161,7 +173,7 @@ impl TableScheme for Pspt {
         let mut accessed = false;
         let mut removed = 0;
         for core in mappers.iter() {
-            if let Some(pte) = self.tables[core.index()].write().unmap(head, size) {
+            if let Some(pte) = self.table(core).write().unmap(head, size) {
                 dirty |= pte.dirty();
                 accessed |= pte.accessed();
                 removed += match size {
@@ -208,7 +220,7 @@ impl TableScheme for Pspt {
             set
         };
         for core in mappers.iter() {
-            let done = self.tables[core.index()].write().split(head, size);
+            let done = self.table(core).write().split(head, size);
             debug_assert!(done, "directory said {core} maps {head} but split failed");
         }
         let step = child.pages_4k() as u64;
@@ -226,7 +238,8 @@ impl TableScheme for Pspt {
         let mut examined = 0;
         let mut invalidate = CoreSet::empty();
         for core in mappers.iter() {
-            let (acc, n) = self.tables[core.index()]
+            let (acc, n) = self
+                .table(core)
                 .write()
                 .test_and_clear_accessed_block(head, size);
             examined += n;
@@ -247,13 +260,25 @@ impl TableScheme for Pspt {
     fn block_dirty(&self, head: VirtPage, size: PageSize) -> bool {
         self.mapping_cores(head)
             .iter()
-            .any(|core| self.tables[core.index()].write().block_dirty(head, size))
+            .any(|core| self.table(core).write().block_dirty(head, size))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn per_core_tables_do_not_share_a_cache_line_pair() {
+        // Tables 0 and 1 start on 128-byte boundaries, 128+ bytes apart.
+        let p = Pspt::new(2);
+        let a = p.table(CoreId(0)) as *const _ as usize;
+        let b = p.table(CoreId(1)) as *const _ as usize;
+        assert!(
+            a.is_multiple_of(128) && b.is_multiple_of(128) && b >= a + 128,
+            "tables at {a:#x}, {b:#x}"
+        );
+    }
 
     #[test]
     fn private_tables_are_really_private() {
@@ -301,7 +326,7 @@ mod tests {
             // The freshly faulting core's head PTE carries the count at
             // map time; sub-entries stay at 0.
             let (head_count, sub_count) = {
-                let mut t = p.tables[CoreId(*c).index()].write();
+                let mut t = p.table(CoreId(*c)).write();
                 (
                     t.with_pte(VirtPage(0x40), |pte| pte.map_count()).unwrap(),
                     t.with_pte(VirtPage(0x41), |pte| pte.map_count()).unwrap(),

@@ -108,6 +108,11 @@ enum Status {
 /// variant in bits 0–2 with its flags above, `payload` the faulting page
 /// or the syscall's byte count (read only for the variants that carry
 /// one, so a stale payload under any other tag is inert).
+///
+/// Each slot is 128-byte aligned (the adjacent-line prefetcher pairs
+/// 64-byte lines): cores go to workers round-robin, so packed slots
+/// would put two workers' phase-A parks on one line.
+#[repr(align(128))]
 struct Slot {
     tag: AtomicU64,
     payload: AtomicU64,
@@ -871,6 +876,20 @@ mod tests {
     use cmcp_arch::{PageSize, VirtPage};
     use cmcp_core::PolicyKind;
     use cmcp_kernel::KernelConfig;
+
+    #[test]
+    fn status_slots_do_not_share_a_cache_line_pair() {
+        // Slots 0 and 1 start on 128-byte boundaries, 128+ bytes apart.
+        let slots: Vec<Slot> = (0..2).map(|_| Slot::new()).collect();
+        let (a, b) = (
+            &slots[0] as *const Slot as usize,
+            &slots[1] as *const Slot as usize,
+        );
+        assert!(
+            a.is_multiple_of(128) && b.is_multiple_of(128) && b >= a + 128,
+            "slots at {a:#x}, {b:#x}"
+        );
+    }
 
     /// Two cores stream over private ranges with barriers between phases.
     fn private_sweep_trace(cores: usize, pages_per_core: u32, rounds: usize) -> Trace {

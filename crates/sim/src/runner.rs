@@ -11,7 +11,7 @@
 
 use std::collections::HashSet;
 
-use cmcp_arch::{CoreId, Cycles, PageSize, Tlb, TlbLookup, VirtPage};
+use cmcp_arch::{CoreId, Cycles, LocalClock, PageSize, Tlb, TlbLookup, VirtPage};
 use cmcp_kernel::{Syscall, Vmm};
 use cmcp_trace::Recorder;
 
@@ -103,16 +103,12 @@ impl CoreRunner {
 
     /// Applies pending remote TLB invalidations (their cycle cost was
     /// charged by the shootdown; here the entries actually disappear).
-    fn drain_invalidations<R: Recorder>(&mut self, vmm: &Vmm<R>) {
+    /// `now` stamps the traced invalidation events.
+    fn drain_invalidations<R: Recorder>(&mut self, vmm: &Vmm<R>, now: Cycles) {
         if !vmm.has_pending_invalidations(self.core) {
             return;
         }
         vmm.drain_invalidations(self.core, &mut self.inval_buf);
-        let now = if R::ENABLED {
-            vmm.clocks()[self.core.index()].now()
-        } else {
-            0
-        };
         for (head, span) in self.inval_buf.drain(..) {
             // Invalidate every TLB entry covering the block — the span
             // rides in the mailbox entry now that adaptive mode evicts
@@ -143,9 +139,13 @@ impl CoreRunner {
     /// before the walk re-read it — the hardware would simply fault
     /// again, and each retry pairs the extra fault with the extra walk
     /// it implies, so faults never outnumber misses in anyone's books.
-    fn resume_pending<R: Recorder>(&mut self, vmm: &Vmm<R>, trace: &CoreTrace) -> Option<Pause> {
+    fn resume_pending<R: Recorder>(
+        &mut self,
+        vmm: &Vmm<R>,
+        trace: &CoreTrace,
+        clock: &mut LocalClock,
+    ) -> Option<Pause> {
         let pf = self.pending?;
-        let clock = &vmm.clocks()[self.core.index()];
         match vmm.translate(self.core, pf.page) {
             Some(tr) => {
                 self.tlb.fill(pf.page, tr.size);
@@ -177,13 +177,13 @@ impl CoreRunner {
     fn touch<R: Recorder>(
         &mut self,
         vmm: &Vmm<R>,
+        clock: &mut LocalClock,
         page: VirtPage,
         write: bool,
         work: u32,
     ) -> Option<Pause> {
         let size = vmm.config().block_size;
         let cost = vmm.cost();
-        let clock = &vmm.clocks()[self.core.index()];
         clock.advance(work as u64 * cost.work_unit);
 
         let lookup = if self.adaptive {
@@ -235,19 +235,38 @@ impl CoreRunner {
     /// ops and between the touches of a stream. With `ceiling ==
     /// u64::MAX` this runs until the next park, which is exactly the
     /// single-threaded degenerate case.
+    ///
+    /// The core's clock is copied out on entry and written back once on
+    /// return; every advance, settle and ceiling check in between runs
+    /// on the copy ([`LocalClock`]). Only phase-B commits charge debt,
+    /// so the copy's debt is exact for the whole call.
     pub fn advance<R: Recorder>(
         &mut self,
         vmm: &Vmm<R>,
         trace: &CoreTrace,
         ceiling: Cycles,
     ) -> Pause {
-        self.drain_invalidations(vmm);
-        if let Some(parked) = self.resume_pending(vmm, trace) {
+        let shared = &vmm.clocks()[self.core.index()];
+        let mut clock = shared.load();
+        let pause = self.run(vmm, trace, ceiling, &mut clock);
+        shared.store(&clock);
+        pause
+    }
+
+    /// [`CoreRunner::advance`] on the local clock copy.
+    fn run<R: Recorder>(
+        &mut self,
+        vmm: &Vmm<R>,
+        trace: &CoreTrace,
+        ceiling: Cycles,
+        clock: &mut LocalClock,
+    ) -> Pause {
+        self.drain_invalidations(vmm, clock.now());
+        if let Some(parked) = self.resume_pending(vmm, trace, clock) {
             return parked;
         }
-        let clock_idx = self.core.index();
         loop {
-            if vmm.clocks()[clock_idx].now() >= ceiling {
+            if clock.now() >= ceiling {
                 return Pause::Ceiling;
             }
             let Some(op) = trace.ops.get(self.op_idx) else {
@@ -261,11 +280,11 @@ impl CoreRunner {
                     work_per_page,
                 } => {
                     while self.stream_pos < pages {
-                        if vmm.clocks()[clock_idx].now() >= ceiling {
+                        if clock.now() >= ceiling {
                             return Pause::Ceiling;
                         }
                         let page = start.add(self.stream_pos as u64);
-                        if let Some(parked) = self.touch(vmm, page, write, work_per_page) {
+                        if let Some(parked) = self.touch(vmm, clock, page, write, work_per_page) {
                             return parked;
                         }
                         self.stream_pos += 1;
@@ -274,7 +293,7 @@ impl CoreRunner {
                     self.stream_pos = 0;
                 }
                 Op::Compute(cycles) => {
-                    vmm.clocks()[clock_idx].advance(cycles);
+                    clock.advance(cycles);
                     self.op_idx += 1;
                 }
                 Op::Syscall {
@@ -454,6 +473,54 @@ mod tests {
         assert_eq!(r.advance(&v, &t, u64::MAX), Pause::Done);
         assert_eq!(v.clocks()[0].now(), 12345);
         assert_eq!(r.tlb_stats().accesses, 0);
+    }
+
+    // Debt folds into `executed()` only where the runner settles — after
+    // a touch or a resume, never at a ceiling check, a compute op or a
+    // barrier. The barrier release and the fault path's lock both
+    // `advance_to` against executed cycles alone, so the fold points are
+    // observable in the simulated numbers.
+
+    #[test]
+    fn a_ceiling_pause_leaves_remote_debt_unsettled() {
+        let v = vmm(4);
+        let mut r = CoreRunner::new(CoreId(0), &v);
+        let t = trace_of(vec![Op::touch(VirtPage(5), false, 1)]);
+        v.clocks()[0].charge_remote(100);
+        // The debt alone reaches the ceiling: no touch runs.
+        assert_eq!(r.advance(&v, &t, 100), Pause::Ceiling);
+        assert_eq!(v.clocks()[0].executed(), 0);
+        assert_eq!(v.clocks()[0].now(), 100);
+        assert_eq!(r.tlb_stats().accesses, 0);
+    }
+
+    #[test]
+    fn compute_and_barrier_leave_remote_debt_unsettled() {
+        let v = vmm(4);
+        let mut r = CoreRunner::new(CoreId(0), &v);
+        let t = trace_of(vec![Op::Compute(50), Op::Barrier]);
+        v.clocks()[0].charge_remote(100);
+        assert_eq!(r.advance(&v, &t, u64::MAX), Pause::Barrier);
+        assert_eq!(v.clocks()[0].executed(), 50);
+        assert_eq!(v.clocks()[0].now(), 150);
+    }
+
+    #[test]
+    fn one_touch_folds_remote_debt_into_executed_cycles() {
+        let v = vmm(4);
+        let mut r = CoreRunner::new(CoreId(0), &v);
+        let t = trace_of(vec![Op::touch(VirtPage(5), false, 1)]);
+        assert_eq!(drive(&mut r, &v, &t), Pause::Done);
+        let before = v.clocks()[0].executed();
+        v.clocks()[0].charge_remote(100);
+        // The same page again: an L1 hit, so the touch costs its work
+        // unit alone, plus the folded debt.
+        let mut r = CoreRunner { op_idx: 0, ..r };
+        assert_eq!(r.advance(&v, &t, u64::MAX), Pause::Done);
+        assert_eq!(r.tlb_stats().l1_hits, 1);
+        let after = before + v.cost().work_unit + 100;
+        assert_eq!(v.clocks()[0].executed(), after);
+        assert_eq!(v.clocks()[0].now(), after);
     }
 
     #[test]
