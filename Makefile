@@ -12,10 +12,12 @@ fmt:
 
 # perfbench/ is a Cargo workspace of its own, which `cargo fmt --all`
 # and `cargo clippy --workspace` never see: it is linted by manifest path.
+# The A/B script's verdict rule is checked on canned inputs.
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 	cargo fmt --check --manifest-path perfbench/Cargo.toml
 	cargo clippy --locked --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+	python3 scripts/bench_pairs.py --self-test
 
 test:
 	cargo test -q

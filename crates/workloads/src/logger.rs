@@ -10,6 +10,8 @@
 //! * accesses marching through *adjacent* pages in the same direction
 //!   with the same kind merge into one [`Op::Stream`] run.
 
+use std::ops::Range;
+
 use cmcp_arch::VirtPage;
 use cmcp_sim::{CoreTrace, Op, Trace};
 
@@ -112,17 +114,27 @@ impl CoreLogger {
         });
     }
 
-    /// Reserves room for `additional` more ops.
+    /// Sets the op capacity to exactly `additional` more ops than are
+    /// logged, so a stream that logs exactly that many more ends with no
+    /// spare capacity.
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.ops.reserve_exact(additional);
+        self.ops.shrink_to(self.ops.len() + additional);
     }
 
-    /// Appends `ops`, a finished run logged by another `CoreLogger`.
-    /// The coalescing window is flushed first, so nothing before the run
-    /// merges into it.
-    pub(crate) fn extend(&mut self, ops: &[Op]) {
+    /// Closes the coalescing window and returns the number of ops logged:
+    /// a run between two marks merges with nothing outside it.
+    pub(crate) fn mark(&mut self) -> usize {
         self.flush();
-        self.ops.extend_from_slice(ops);
+        self.ops.len()
+    }
+
+    /// Appends a copy of `run`, ops between two [`CoreLogger::mark`]s.
+    /// The coalescing window is flushed first, so nothing before the copy
+    /// merges into it.
+    pub(crate) fn repeat(&mut self, run: Range<usize>) {
+        self.flush();
+        self.ops.extend_from_within(run);
     }
 
     /// Logs a barrier.
@@ -269,16 +281,29 @@ mod tests {
     }
 
     #[test]
-    fn extended_run_never_merges_with_its_neighbours() {
-        let mut run = CoreLogger::default();
-        run.touch_page(VirtPage(6), false, 1);
-        let run = run.finish();
+    fn repeated_run_never_merges_with_its_neighbours() {
+        // Logged without marks, pages 5–7 would be one forward run.
         let mut l = CoreLogger::default();
         l.touch_page(VirtPage(5), false, 1);
-        l.extend(&run.ops);
+        let start = l.mark();
+        l.touch_page(VirtPage(6), false, 1);
+        let end = l.mark();
         l.touch_page(VirtPage(7), false, 1);
-        // Logged directly, pages 5–7 would be one forward run.
-        assert_eq!(l.finish().ops.len(), 3);
+        l.touch_page(VirtPage(5), false, 1);
+        l.repeat(start..end);
+        l.touch_page(VirtPage(7), false, 1);
+        let starts: Vec<u64> = l
+            .finish()
+            .ops
+            .iter()
+            .map(|op| match *op {
+                Op::Stream {
+                    start, pages: 1, ..
+                } => start.0,
+                _ => panic!("expected a one-page stream, got {op:?}"),
+            })
+            .collect();
+        assert_eq!(starts, [5, 6, 7, 5, 6, 7]);
     }
 
     #[test]

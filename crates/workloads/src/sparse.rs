@@ -10,17 +10,114 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The sparsity pattern of a compressed-sparse-row matrix: which cells
+/// are stored, not what they hold.
+#[derive(Debug, Clone)]
+pub struct CsrPattern {
+    /// Row pointers, `n + 1` entries.
+    pub row_ptr: Vec<u64>,
+    /// Column indices, `nnz` entries, ascending within each row.
+    pub col_idx: Vec<u32>,
+    /// Dimension.
+    pub n: usize,
+}
+
+impl CsrPattern {
+    /// The pattern of [`CsrMatrix::random_spd`] with the same arguments:
+    /// `nnz_per_row` off-diagonal draws per row with geometric clustering
+    /// near the diagonal, symmetrized, plus the diagonal.
+    pub fn random(n: usize, nnz_per_row: usize, seed: u64) -> CsrPattern {
+        assert!(n > 1 && nnz_per_row >= 1);
+        // Counting sort of the symmetric off-diagonal pattern: one pass
+        // over the draws sizes every row, a second pass over the same
+        // draws scatters each column into its row's segment of one flat
+        // array. A segment starts with a free slot for the diagonal, so
+        // the diagonal can join the row without moving it right.
+        let mut start = vec![0usize; n + 1];
+        draw_pattern(n, nnz_per_row, seed, |i, j, _| {
+            start[i + 1] += 1;
+            start[j + 1] += 1;
+        });
+        for i in 0..n {
+            start[i + 1] += start[i] + 1;
+        }
+        let mut next: Vec<usize> = start[..n].iter().map(|s| s + 1).collect();
+        let mut col_idx = vec![0u32; start[n]];
+        draw_pattern(n, nnz_per_row, seed, |i, j, _| {
+            col_idx[next[i]] = j as u32;
+            next[i] += 1;
+            col_idx[next[j]] = i as u32;
+            next[j] += 1;
+        });
+        // Sort and deduplicate each row, insert its diagonal before the
+        // first larger column, and compact the row left onto the end of
+        // the previous one. Equal columns are indistinguishable, so an
+        // unstable sort is exact. A row never writes past the slot it is
+        // reading: it gains at most the diagonal, whose slot it owns.
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut w = 0;
+        for i in 0..n {
+            let row = start[i] + 1..start[i + 1];
+            col_idx[row.clone()].sort_unstable();
+            let diag = i as u32;
+            let mut placed = false;
+            let mut last = None;
+            for k in row {
+                let c = col_idx[k];
+                if last == Some(c) {
+                    continue;
+                }
+                last = Some(c);
+                if !placed && c > diag {
+                    col_idx[w] = diag;
+                    w += 1;
+                    placed = true;
+                }
+                col_idx[w] = c;
+                w += 1;
+            }
+            if !placed {
+                col_idx[w] = diag;
+                w += 1;
+            }
+            row_ptr.push(w as u64);
+        }
+        col_idx.truncate(w);
+        CsrPattern {
+            row_ptr,
+            col_idx,
+            n,
+        }
+    }
+
+    /// Number of stored entries.
+    pub fn nnz(&self) -> usize {
+        self.col_idx.len()
+    }
+
+    /// The entry range of row `i`.
+    fn row(&self, i: usize) -> std::ops::Range<usize> {
+        self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize
+    }
+
+    /// The entry index of cell `(i, j)`, which must be stored.
+    fn position(&self, i: usize, j: usize) -> usize {
+        let row = self.row(i);
+        let at = self.col_idx[row.clone()]
+            .binary_search(&(j as u32))
+            .expect("cell is in the pattern");
+        row.start + at
+    }
+}
+
 /// Compressed-sparse-row matrix.
 #[derive(Debug, Clone)]
 pub struct CsrMatrix {
-    /// Row pointers, `n + 1` entries.
-    pub row_ptr: Vec<u64>,
-    /// Column indices, `nnz` entries.
-    pub col_idx: Vec<u32>,
-    /// Values, `nnz` entries.
+    /// The stored cells.
+    pub pattern: CsrPattern,
+    /// Values, one per entry of `pattern.col_idx`.
     pub vals: Vec<f64>,
-    /// Dimension.
-    pub n: usize,
 }
 
 impl CsrMatrix {
@@ -28,92 +125,62 @@ impl CsrMatrix {
     /// entries per row drawn with geometric clustering near the diagonal,
     /// symmetrized by construction, plus a dominant diagonal.
     pub fn random_spd(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
-        assert!(n > 1 && nnz_per_row >= 1);
-        // Counting sort of the symmetric off-diagonal pattern: one pass
-        // over the draws sizes every row, a second pass over the same
-        // draws scatters each entry into its row's slot of one flat
-        // array, so every row holds its entries in draw order.
-        let mut start = vec![0usize; n + 1];
-        draw_pattern(n, nnz_per_row, seed, |i, j, _| {
-            start[i + 1] += 1;
-            start[j + 1] += 1;
-        });
-        for i in 0..n {
-            start[i + 1] += start[i];
-        }
-        let mut next = start[..n].to_vec();
-        let mut entries = vec![(0u32, 0.0f64); start[n]];
+        let pattern = CsrPattern::random(n, nnz_per_row, seed);
+        // Replay the draws: a cell takes the value of the first draw that
+        // names it, from either side, so mirrored cells agree and a column
+        // drawn twice keeps its first value. No drawn value is NaN.
+        let mut vals = vec![f64::NAN; pattern.nnz()];
         draw_pattern(n, nnz_per_row, seed, |i, j, v| {
-            entries[next[i]] = (j as u32, v);
-            next[i] += 1;
-            entries[next[j]] = (i as u32, v);
-            next[j] += 1;
-        });
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(start[n] + n);
-        let mut vals = Vec::with_capacity(start[n] + n);
-        row_ptr.push(0);
-        for i in 0..n {
-            let row = &mut entries[start[i]..start[i + 1]];
-            row.sort_by_key(|&(c, _)| c);
-            // Of duplicate columns the first drawn is kept: the sort is
-            // stable, so it leads its run.
-            let kept = || row.chunk_by(|a, b| a.0 == b.0).map(|run| run[0]);
-            // Strict diagonal dominance ⇒ SPD for a symmetric matrix.
-            let offdiag_sum: f64 = kept().map(|(_, v)| v.abs()).sum();
-            let mut inserted_diag = false;
-            for (c, v) in kept() {
-                if !inserted_diag && c as usize > i {
-                    col_idx.push(i as u32);
-                    vals.push(offdiag_sum + 1.0);
-                    inserted_diag = true;
+            for k in [pattern.position(i, j), pattern.position(j, i)] {
+                if vals[k].is_nan() {
+                    vals[k] = v;
                 }
-                col_idx.push(c);
-                vals.push(v);
             }
-            if !inserted_diag {
-                col_idx.push(i as u32);
-                vals.push(offdiag_sum + 1.0);
-            }
-            row_ptr.push(col_idx.len() as u64);
+        });
+        // Strict diagonal dominance ⇒ SPD for a symmetric matrix.
+        for i in 0..n {
+            let diag = pattern.position(i, i);
+            let offdiag_sum: f64 = pattern
+                .row(i)
+                .filter(|&k| k != diag)
+                .map(|k| vals[k].abs())
+                .sum();
+            vals[diag] = offdiag_sum + 1.0;
         }
-        CsrMatrix {
-            row_ptr,
-            col_idx,
-            vals,
-            n,
-        }
+        CsrMatrix { pattern, vals }
     }
 
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
-        self.vals.len()
+        self.pattern.nnz()
     }
 
     /// `y = A·x`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        for i in 0..self.n {
+        let a = &self.pattern;
+        assert_eq!(x.len(), a.n);
+        assert_eq!(y.len(), a.n);
+        for i in 0..a.n {
             let mut acc = 0.0;
-            for k in self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize {
-                acc += self.vals[k] * x[self.col_idx[k] as usize];
+            for k in a.row(i) {
+                acc += self.vals[k] * x[a.col_idx[k] as usize];
             }
             y[i] = acc;
         }
     }
 
     /// Checks symmetry, structure and values, exactly: every entry must
-    /// have its mirror (testing aid).
+    /// have its mirror, holding an equal value (testing aid).
     pub fn is_symmetric(&self) -> bool {
-        for i in 0..self.n {
-            for k in self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize {
-                let j = self.col_idx[k] as usize;
+        let a = &self.pattern;
+        for i in 0..a.n {
+            for k in a.row(i) {
+                let j = a.col_idx[k] as usize;
                 let v = self.vals[k];
                 let mut found = false;
-                for kk in self.row_ptr[j] as usize..self.row_ptr[j + 1] as usize {
-                    if self.col_idx[kk] as usize == i {
-                        if (self.vals[kk] - v).abs() > 1e-12 {
+                for kk in a.row(j) {
+                    if a.col_idx[kk] as usize == i {
+                        if self.vals[kk] != v {
                             return false;
                         }
                         found = true;
@@ -169,7 +236,7 @@ pub struct CgResult {
 /// it converges on the generated SPD matrices, grounding the trace in a
 /// real algorithm.
 pub fn conjugate_gradient(a: &CsrMatrix, b: &[f64], iters: usize) -> CgResult {
-    let n = a.n;
+    let n = a.pattern.n;
     let mut x = vec![0.0; n];
     let mut r = b.to_vec();
     let mut p = r.clone();
@@ -206,11 +273,11 @@ mod tests {
     fn random_spd_is_symmetric_with_dominant_diagonal() {
         let a = CsrMatrix::random_spd(200, 8, 42);
         assert!(a.is_symmetric());
-        for i in 0..a.n {
+        for i in 0..a.pattern.n {
             let mut diag = 0.0;
             let mut off = 0.0;
-            for k in a.row_ptr[i] as usize..a.row_ptr[i + 1] as usize {
-                if a.col_idx[k] as usize == i {
+            for k in a.pattern.row(i) {
+                if a.pattern.col_idx[k] as usize == i {
                     diag = a.vals[k];
                 } else {
                     off += a.vals[k].abs();
@@ -227,8 +294,8 @@ mod tests {
         let a = CsrMatrix::random_spd(10, 3, 7);
         let mut dense = vec![vec![0.0; 10]; 10];
         for i in 0..10 {
-            for k in a.row_ptr[i] as usize..a.row_ptr[i + 1] as usize {
-                dense[i][a.col_idx[k] as usize] = a.vals[k];
+            for k in a.pattern.row(i) {
+                dense[i][a.pattern.col_idx[k] as usize] = a.vals[k];
             }
         }
         let x: Vec<f64> = (0..10).map(|i| (i as f64) - 4.5).collect();
@@ -290,8 +357,8 @@ mod tests {
                 h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
             }
         };
-        a.row_ptr.iter().for_each(|p| eat(&p.to_le_bytes()));
-        a.col_idx.iter().for_each(|c| eat(&c.to_le_bytes()));
+        a.pattern.row_ptr.iter().for_each(|p| eat(&p.to_le_bytes()));
+        a.pattern.col_idx.iter().for_each(|c| eat(&c.to_le_bytes()));
         a.vals.iter().for_each(|v| eat(&v.to_bits().to_le_bytes()));
         h
     }

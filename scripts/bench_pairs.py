@@ -10,6 +10,22 @@ that the change leaves alone ties every pair. It exits non-zero if any run fails
 a non-zero exit, `"correct": false` or `failed > 0`. Timing decides
 nothing here; on a shared host, read the numbers, not the exit code.
 
+Each end-to-end metric also gets a verdict, with the metric's `bound`
+from BENCHMARK.json:
+
+    gain          the change won at least 9/10 of the pairs (ties count
+                  for neither) and the median gap exceeds the base's
+                  quartile spread;
+    unresolved    the base's quartile spread exceeds the bound (relative
+                  to its median) and not every change run beats every
+                  base run;
+    within bound  the change's median is worse than the base's by at
+                  most the bound, relative to the base's median;
+    worse         otherwise.
+
+The verdict only reports. `--self-test` checks the rule on one canned
+input per verdict and runs nothing.
+
 Build each commit's benchmark into its own target directory first:
 
     CARGO_TARGET_DIR=/tmp/base   cargo build --release --manifest-path <base>/perfbench/Cargo.toml
@@ -39,12 +55,47 @@ def parse_seeds(text):
 
 
 def declared():
-    """(metric name -> "higher" or "lower", end-to-end metric names),
-    from BENCHMARK.json."""
+    """(metric name -> "higher" or "lower", end-to-end metric name ->
+    bound), from BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    return better, [m["name"] for m in spec["end_to_end"]]
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def verdict(base, change, higher, bound):
+    """One end-to-end metric's verdict over paired runs (see the module
+    doc): "gain", "unresolved", "within bound" or "worse"."""
+    def beats(c, b):
+        return c > b if higher else c < b
+
+    won = sum(beats(c, b) for b, c in zip(base, change))
+    bq1, bmed, bq3 = statistics.quantiles(base, n=4, method="inclusive")
+    cmed = statistics.median(change)
+    gap = (cmed - bmed) if higher else (bmed - cmed)
+    if 10 * won >= 9 * len(base) and gap > bq3 - bq1:
+        return "gain"
+    if bq3 - bq1 > bound * abs(bmed) and not all(beats(c, b) for b in base for c in change):
+        return "unresolved"
+    return "within bound" if -gap <= bound * abs(bmed) else "worse"
+
+
+def self_test():
+    """Checks `verdict` on one canned input per verdict; exits non-zero
+    on a mismatch."""
+    tight = [1.00 + 0.01 * k for k in range(10)]
+    cases = [
+        ("gain", tight, [x - 0.5 for x in tight], False),
+        ("unresolved", [1.0, 2.0] * 5, [1.5] * 10, False),
+        # 8/10 pairs won: a wide gap alone is no gain.
+        ("within bound", tight, [x - 0.5 for x in tight[:8]] + tight[8:], False),
+        ("worse", [x * 1e6 for x in tight], [x * 0.5e6 for x in tight], True),
+    ]
+    for want, base, change, higher in cases:
+        got = verdict(base, change, higher, 0.25)
+        if got != want:
+            sys.exit(f"bench_pairs self-test: expected {want!r}, got {got!r}")
+    print(f"bench_pairs self-test: {len(cases)} canned verdicts ok")
 
 
 def run_once(binary, workload, seed, seconds, trace):
@@ -72,13 +123,20 @@ def fmt(x):
 
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--base", required=True, help="perfbench binary of the parent")
-    p.add_argument("--change", required=True, help="perfbench binary of the change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, help="e.g. 181-190 or 3,5,8")
+    p.add_argument("--base", help="perfbench binary of the parent")
+    p.add_argument("--change", help="perfbench binary of the change")
+    p.add_argument("--workload")
+    p.add_argument("--seeds", help="e.g. 181-190 or 3,5,8")
     p.add_argument("--seconds", type=float, default=5)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--self-test", action="store_true",
+                   help="check the verdict rule on canned inputs and exit")
     a = p.parse_args()
+    if a.self_test:
+        self_test()
+        return
+    if None in (a.base, a.change, a.workload, a.seeds):
+        p.error("--base, --change, --workload and --seeds are required")
     seeds = parse_seeds(a.seeds)
     if len(seeds) < 2:
         sys.exit("bench_pairs: quartiles need at least two seeds")
@@ -98,7 +156,7 @@ def main():
     print(f"{a.workload}: {len(seeds)} pairs, seeds {a.seeds}, {a.seconds:g} s per run, "
           f"--trace {a.trace}")
     print(f"{'metric':<36} {'base median [q1-q3]':>32} {'change median [q1-q3]':>32} "
-          f"{'won':>7} {'tied':>7} {'gap>IQR':>8}")
+          f"{'won':>7} {'tied':>7} {'gap>IQR':>8} {'verdict':>13}")
     for name in runs["base"][0]:
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
@@ -112,9 +170,11 @@ def main():
         gap = (cmed - bmed) if higher else (bmed - cmed)
         b = f"{fmt(bmed)} [{fmt(bq1)}-{fmt(bq3)}]"
         c = f"{fmt(cmed)} [{fmt(cq1)}-{fmt(cq3)}]"
-        verdict = "yes" if gap > bq3 - bq1 else "no"
+        beyond = "yes" if gap > bq3 - bq1 else "no"
+        rule = verdict(base, change, higher, end_to_end[name]) if name in end_to_end else "-"
         n = len(seeds)
-        print(f"{name:<36} {b:>32} {c:>32} {f'{won}/{n}':>7} {f'{tied}/{n}':>7} {verdict:>8}")
+        print(f"{name:<36} {b:>32} {c:>32} {f'{won}/{n}':>7} {f'{tied}/{n}':>7} {beyond:>8} "
+              f"{rule:>13}")
 
 
 if __name__ == "__main__":

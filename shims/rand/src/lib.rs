@@ -41,8 +41,10 @@ macro_rules! uniform_int {
         impl SampleRange<$t> for std::ops::Range<$t> {
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range in gen_range");
-                let span = (self.end as u128).wrapping_sub(self.start as u128);
-                self.start.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                // A half-open span is below 2^64, so the two's-complement
+                // difference is exact in u64 and so is the remainder.
+                let span = (self.end as u64).wrapping_sub(self.start as u64);
+                self.start.wrapping_add((rng.next_u64() % span) as $t)
             }
         }
 
@@ -218,6 +220,33 @@ mod tests {
             let i = r.gen_range(-3i64..=3);
             assert!((-3..=3).contains(&i));
         }
+    }
+
+    #[test]
+    fn gen_range_outputs_are_pinned() {
+        // FNV-1a over the little-endian bytes of every sample: the
+        // integer sampling arithmetic may change, the values may not.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut r = StdRng::seed_from_u64(4);
+        for _ in 0..1000 {
+            eat(&r.gen_range(3u8..200).to_le_bytes());
+            eat(&r.gen_range(0u8..=255).to_le_bytes());
+            eat(&r.gen_range(1u32..1_000_003).to_le_bytes());
+            eat(&r.gen_range(7u32..=9).to_le_bytes());
+            eat(&r.gen_range(1u64..49_152).to_le_bytes());
+            eat(&r.gen_range(0u64..u64::MAX).to_le_bytes());
+            eat(&r.gen_range(0u64..=u64::MAX).to_le_bytes());
+            eat(&r.gen_range(5usize..(1 << 40)).to_le_bytes());
+            eat(&r.gen_range(-1000i64..1000).to_le_bytes());
+            eat(&r.gen_range(i64::MIN..i64::MAX).to_le_bytes());
+            eat(&r.gen_range(-3i64..=3).to_le_bytes());
+        }
+        assert_eq!(h, 0x2fd2_c0d9_68e5_0bec);
     }
 
     #[test]

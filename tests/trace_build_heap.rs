@@ -1,0 +1,87 @@
+//! Heap high-water mark of a CG trace build, counted by a wrapping
+//! global allocator: deterministic, with no wall clock.
+//!
+//! This binary holds exactly one test, so nothing else allocates while it
+//! runs.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use cmcp::workloads::cg::{cg_trace, CgConfig};
+
+/// Counts live heap bytes and their high-water mark. The counters
+/// publish no other data, so `Relaxed` suffices. `alloc_zeroed` keeps
+/// its default, which goes through `alloc`.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters only observe.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's guarantees for `layout` carry over.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grow(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, hence from `System`,
+        // with `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        shrink(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`; the caller guarantees `new_size`.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            // Counted as a resize in place: a moving realloc's transient
+            // copy is the allocator's, not the caller's.
+            if new_size > layout.size() {
+                grow(new_size - layout.size());
+            } else {
+                shrink(layout.size() - new_size);
+            }
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+#[test]
+fn cg_trace_build_peaks_near_the_finished_trace() {
+    let cfg = CgConfig::class_b();
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let trace = cg_trace(16, &cfg);
+    let live = LIVE.load(Ordering::Relaxed) - before;
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let ratio = peak as f64 / live as f64;
+    assert!(
+        ratio <= 1.25,
+        "cg.B trace build peaked at {peak} heap bytes, {ratio:.2}× the finished trace's {live}"
+    );
+    for (c, core) in trace.cores.iter().enumerate() {
+        assert_eq!(
+            core.ops.capacity(),
+            core.ops.len(),
+            "core {c}'s op vector holds spare capacity"
+        );
+    }
+}
