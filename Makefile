@@ -32,19 +32,19 @@ test-faults:
 	cargo test -q --test trace_validation
 	cargo test -q --release --test parallel_stress stress_workers_survive_a_one_percent_dma_error_plan
 
-# Bounded model checking of the lock-free core (frame pool, trace ring):
-# swaps std atomics for the loom shim's model-checked ones and explores
-# every thread interleaving + release/acquire read choice up to the
+# Bounded model checking of the lock-free core (the trace ring): swaps
+# std atomics for the loom shim's model-checked ones and explores every
+# thread interleaving + release/acquire read choice up to the
 # preemption bound. LOOM_MAX_PREEMPTIONS=3 make test-loom to dig deeper.
 test-loom:
-	RUSTFLAGS="--cfg loom" cargo test -p cmcp-kernel -p cmcp-trace --lib loom_
+	RUSTFLAGS="--cfg loom" cargo test -p cmcp-trace --lib loom_
 
-# Miri over the audited lock-free modules (UB + ordering detector with a
+# Miri over the audited lock-free module (UB + ordering detector with a
 # randomized scheduler). Skips with a notice when the toolchain has no
 # miri component (it is nightly-only on some channels).
 test-miri:
 	@if cargo miri --version >/dev/null 2>&1; then \
-		cargo miri test -p cmcp-kernel -p cmcp-trace --lib; \
+		cargo miri test -p cmcp-trace --lib; \
 	else \
 		echo "miri component not installed (rustup component add miri); skipping"; \
 	fi
@@ -56,7 +56,7 @@ test-tsan:
 	@if cargo +nightly --version >/dev/null 2>&1 && \
 	    rustup component list --toolchain nightly --installed 2>/dev/null | grep -q rust-src; then \
 		RUSTFLAGS="-Z sanitizer=thread" \
-		cargo +nightly test -Z build-std -p cmcp-kernel -p cmcp-trace --lib \
+		cargo +nightly test -Z build-std -p cmcp-trace --lib \
 			--target x86_64-unknown-linux-gnu; \
 	else \
 		echo "nightly + rust-src not installed (TSan needs an instrumented std via -Zbuild-std); skipping"; \

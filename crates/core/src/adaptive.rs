@@ -20,7 +20,7 @@ use cmcp_arch::FxHashMap;
 use cmcp_arch::VirtPage;
 
 use crate::cmcp::{CmcpConfig, CmcpPolicy};
-use crate::policy::{AccessBitOracle, PolicyEvent, ReplacementPolicy};
+use crate::policy::{AccessBitOracle, ReplacementPolicy};
 
 /// How far `p` moves per adaptation window.
 const STEP: f64 = 0.1;
@@ -129,22 +129,6 @@ impl ReplacementPolicy for AdaptiveCmcpPolicy {
     fn on_evict(&mut self, block: VirtPage) {
         self.ghost_insert(block.0);
         self.inner.on_evict(block);
-    }
-
-    fn record_batch(&mut self, events: &[PolicyEvent]) {
-        // Route through our own on_insert so refault detection and the
-        // adaptation windows see batched inserts too; drop MapCount
-        // events whose block was evicted before the flush.
-        for &ev in events {
-            match ev {
-                PolicyEvent::Insert { block, map_count } => self.on_insert(block, map_count),
-                PolicyEvent::MapCount { block, map_count } => {
-                    if self.contains(block) {
-                        self.on_map_count_change(block, map_count);
-                    }
-                }
-            }
-        }
     }
 
     fn resident(&self) -> usize {

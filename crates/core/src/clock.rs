@@ -12,7 +12,7 @@ use cmcp_arch::FxHashMap;
 
 use cmcp_arch::VirtPage;
 
-use crate::policy::{AccessBitOracle, PolicyEvent, ReplacementPolicy};
+use crate::policy::{AccessBitOracle, ReplacementPolicy};
 
 /// The CLOCK algorithm over resident blocks.
 ///
@@ -78,15 +78,6 @@ impl ReplacementPolicy for ClockPolicy {
     fn on_evict(&mut self, block: VirtPage) {
         let removed = self.live.remove(&block.0);
         debug_assert!(removed.is_some(), "evicting untracked {block}");
-    }
-
-    fn record_batch(&mut self, events: &[PolicyEvent]) {
-        // CLOCK never looks at map counts, so only inserts matter.
-        for &ev in events {
-            if let PolicyEvent::Insert { block, map_count } = ev {
-                self.on_insert(block, map_count);
-            }
-        }
     }
 
     fn resident(&self) -> usize {

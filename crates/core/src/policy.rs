@@ -33,33 +33,6 @@ impl AccessBitOracle for NullOracle {
     }
 }
 
-/// A residency event deferred into a per-core batch buffer.
-///
-/// The parallel engine's fault path records these instead of calling the
-/// policy directly, so a single policy-lock acquisition can apply many
-/// events at once ([`ReplacementPolicy::record_batch`]). Events carry the
-/// map count observed when they were generated; by flush time the block
-/// may already have been evicted by another core, so batch application
-/// must tolerate events for blocks the policy no longer tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyEvent {
-    /// A block became resident (`on_insert`).
-    Insert {
-        /// Head virtual page of the block.
-        block: VirtPage,
-        /// Mapping-core count at insertion.
-        map_count: usize,
-    },
-    /// An already-resident block gained a mapping core
-    /// (`on_map_count_change`).
-    MapCount {
-        /// Head virtual page of the block.
-        block: VirtPage,
-        /// New mapping-core count.
-        map_count: usize,
-    },
-}
-
 /// A page replacement policy over resident blocks.
 ///
 /// A *block* is one mapping unit (4 kB, 64 kB or 2 MB, fixed per
@@ -67,9 +40,6 @@ pub enum PolicyEvent {
 /// guarantees: `on_insert` exactly once per block before any other event
 /// for it; `on_evict` exactly once after `select_victim` returns it (or
 /// when the kernel force-evicts); no events for non-resident blocks.
-/// The batched path ([`ReplacementPolicy::record_batch`]) relaxes only
-/// one of these: a `MapCount` event may arrive after the block was
-/// evicted, and must then be dropped.
 pub trait ReplacementPolicy: Send {
     /// Short label for reports ("FIFO", "LRU", "CMCP", ...).
     fn name(&self) -> &'static str;
@@ -90,28 +60,6 @@ pub trait ReplacementPolicy: Send {
 
     /// A block stopped being resident.
     fn on_evict(&mut self, block: VirtPage);
-
-    /// Applies a batch of deferred residency events in order.
-    ///
-    /// Semantically equivalent to calling [`ReplacementPolicy::on_insert`]
-    /// / [`ReplacementPolicy::on_map_count_change`] per event, except that
-    /// `MapCount` events for blocks the policy no longer tracks are
-    /// silently dropped: between a core buffering the event and the batch
-    /// flushing, another core may have evicted the block. Policies that
-    /// ignore map counts entirely may skip those events without the
-    /// `contains` probe.
-    fn record_batch(&mut self, events: &[PolicyEvent]) {
-        for &ev in events {
-            match ev {
-                PolicyEvent::Insert { block, map_count } => self.on_insert(block, map_count),
-                PolicyEvent::MapCount { block, map_count } => {
-                    if self.contains(block) {
-                        self.on_map_count_change(block, map_count);
-                    }
-                }
-            }
-        }
-    }
 
     /// Whether the kernel should run this policy's periodic statistics
     /// scan (the paper's 10 ms timer on dedicated hyperthreads).
@@ -237,89 +185,6 @@ mod tests {
             assert_eq!(p.resident(), 0);
             assert!(!p.name().is_empty());
             assert!(!kind.label().is_empty());
-        }
-    }
-
-    #[test]
-    fn record_batch_matches_direct_calls() {
-        // For every policy, applying a batch must leave the same tracked
-        // set (and the same victim order for the deterministic policies)
-        // as the equivalent direct calls.
-        for kind in [
-            PolicyKind::Fifo,
-            PolicyKind::Lru,
-            PolicyKind::Clock,
-            PolicyKind::Lfu,
-            PolicyKind::Random,
-            PolicyKind::Cmcp { p: 0.5 },
-            PolicyKind::AdaptiveCmcp,
-        ] {
-            let mut direct = kind.build(64);
-            let mut batched = kind.build(64);
-            let events: Vec<PolicyEvent> = (0..16u64)
-                .map(|b| PolicyEvent::Insert {
-                    block: VirtPage(b),
-                    map_count: (b % 4 + 1) as usize,
-                })
-                .chain((0..16u64).map(|b| PolicyEvent::MapCount {
-                    block: VirtPage(b),
-                    map_count: (b % 4 + 2) as usize,
-                }))
-                .collect();
-            for &ev in &events {
-                match ev {
-                    PolicyEvent::Insert { block, map_count } => direct.on_insert(block, map_count),
-                    PolicyEvent::MapCount { block, map_count } => {
-                        direct.on_map_count_change(block, map_count)
-                    }
-                }
-            }
-            batched.record_batch(&events);
-            assert_eq!(batched.resident(), direct.resident(), "{}", kind.label());
-            for b in 0..16u64 {
-                assert_eq!(
-                    batched.contains(VirtPage(b)),
-                    direct.contains(VirtPage(b)),
-                    "{}: block {b}",
-                    kind.label()
-                );
-            }
-            let vd = direct.select_victim(&mut NullOracle);
-            let vb = batched.select_victim(&mut NullOracle);
-            if !matches!(kind, PolicyKind::Random) {
-                assert_eq!(vb, vd, "{}", kind.label());
-            }
-        }
-    }
-
-    #[test]
-    fn record_batch_drops_stale_map_counts() {
-        // A MapCount for a block evicted before the flush must not be
-        // applied (and must not trip the untracked-block assertions).
-        for kind in [
-            PolicyKind::Fifo,
-            PolicyKind::Lru,
-            PolicyKind::Clock,
-            PolicyKind::Lfu,
-            PolicyKind::Random,
-            PolicyKind::Cmcp { p: 0.5 },
-            PolicyKind::AdaptiveCmcp,
-        ] {
-            let mut p = kind.build(64);
-            p.on_insert(VirtPage(1), 1);
-            p.record_batch(&[
-                PolicyEvent::MapCount {
-                    block: VirtPage(7),
-                    map_count: 3,
-                },
-                PolicyEvent::Insert {
-                    block: VirtPage(2),
-                    map_count: 1,
-                },
-            ]);
-            assert!(!p.contains(VirtPage(7)), "{}", kind.label());
-            assert!(p.contains(VirtPage(2)), "{}", kind.label());
-            assert_eq!(p.resident(), 2, "{}", kind.label());
         }
     }
 

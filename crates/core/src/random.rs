@@ -8,7 +8,7 @@ use cmcp_arch::FxHashMap;
 
 use cmcp_arch::VirtPage;
 
-use crate::policy::{AccessBitOracle, PolicyEvent, ReplacementPolicy};
+use crate::policy::{AccessBitOracle, ReplacementPolicy};
 
 /// Seeded random replacement.
 #[derive(Debug)]
@@ -68,15 +68,6 @@ impl ReplacementPolicy for RandomPolicy {
         self.blocks.swap_remove(i);
         if let Some(&moved) = self.blocks.get(i) {
             self.index.insert(moved, i);
-        }
-    }
-
-    fn record_batch(&mut self, events: &[PolicyEvent]) {
-        // RANDOM never looks at map counts, so only inserts matter.
-        for &ev in events {
-            if let PolicyEvent::Insert { block, map_count } = ev {
-                self.on_insert(block, map_count);
-            }
         }
     }
 

@@ -54,11 +54,9 @@ impl BackingStore {
     /// Whether `block` has been written back before (a fault on it needs
     /// a host→device transfer).
     pub fn contains(&self, block: VirtPage) -> bool {
-        // An empty store can answer from the counter alone. A racing
-        // first write-back is benign: the kernel only queries blocks it
-        // holds non-resident, and a block cannot be written back while a
-        // fault on it is in flight (residency transitions serialize on
-        // the block's stripe lock).
+        // An empty store can answer from the counter alone. Every
+        // store and query runs in the kernel's sequential commit phase,
+        // so the counter is never read mid-update.
         if self.count.load(Relaxed) == 0 {
             return false;
         }

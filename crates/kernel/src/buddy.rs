@@ -8,17 +8,13 @@
 //! above, eager coalescing when every sibling of a naturally aligned
 //! parent is free again.
 //!
-//! Everything sits behind one mutex and the free lists are `BTreeSet`s
-//! (lowest address first), so allocation order is a pure function of
-//! the call sequence — and every call happens in the engine's
-//! sequential commit phase, which is what keeps adaptive runs
-//! byte-identical at any host thread count. The lock-free heroics of
-//! the fixed pool are pointless here: the adaptive fault path is
-//! serialized by construction.
+//! The free lists are `BTreeSet`s (lowest address first), so allocation
+//! order is a pure function of the call sequence. The pool lives in the
+//! kernel's single-writer commit state (`vmm::KernelState`), and every
+//! call happens in the engine's sequential commit phase, which is what
+//! keeps adaptive runs byte-identical at any host thread count.
 
 use std::collections::BTreeSet;
-
-use parking_lot::Mutex;
 
 use cmcp_arch::{PageSize, PhysFrame};
 
@@ -33,37 +29,30 @@ fn level_of(size: PageSize) -> usize {
     }
 }
 
+/// Mixed-size device-RAM allocator. See the module docs.
 #[derive(Debug)]
-struct BuddyInner {
+pub(crate) struct BuddyPool {
     /// Free block heads (4 kB frame numbers) per size class.
     free: [BTreeSet<u32>; 3],
     free_pages: u64,
     quarantined_pages: u64,
-}
-
-/// Mixed-size device-RAM allocator. See the module docs.
-#[derive(Debug)]
-pub struct BuddyPool {
-    inner: Mutex<BuddyInner>,
     total_pages: u64,
 }
 
 impl BuddyPool {
     /// A pool of `m2_blocks` 2 MB blocks starting at physical frame 0,
     /// initially all free at the largest class.
-    pub fn new(m2_blocks: usize) -> BuddyPool {
+    pub(crate) fn new(m2_blocks: usize) -> BuddyPool {
         assert!(m2_blocks > 0, "need at least one 2MB block");
         let span = PageSize::M2.pages_4k() as u32;
         BuddyPool {
-            inner: Mutex::new(BuddyInner {
-                free: [
-                    BTreeSet::new(),
-                    BTreeSet::new(),
-                    (0..m2_blocks as u32).map(|i| i * span).collect(),
-                ],
-                free_pages: m2_blocks as u64 * span as u64,
-                quarantined_pages: 0,
-            }),
+            free: [
+                BTreeSet::new(),
+                BTreeSet::new(),
+                (0..m2_blocks as u32).map(|i| i * span).collect(),
+            ],
+            free_pages: m2_blocks as u64 * span as u64,
+            quarantined_pages: 0,
             total_pages: m2_blocks as u64 * span as u64,
         }
     }
@@ -72,23 +61,22 @@ impl BuddyPool {
     /// larger block when the class is dry. `None` when no block of this
     /// size can be formed (the caller evicts, or retries smaller — a
     /// 4 kB request only fails when the pool is truly empty).
-    pub fn alloc(&self, size: PageSize) -> Option<PhysFrame> {
+    pub(crate) fn alloc(&mut self, size: PageSize) -> Option<PhysFrame> {
         let want = level_of(size);
-        let mut inner = self.inner.lock();
         // Find the smallest class at or above `want` with a free block.
-        let from = (want..LEVELS.len()).find(|&l| !inner.free[l].is_empty())?;
-        let head = *inner.free[from].iter().next().expect("nonempty class");
-        inner.free[from].remove(&head);
+        let from = (want..LEVELS.len()).find(|&l| !self.free[l].is_empty())?;
+        let head = *self.free[from].iter().next().expect("nonempty class");
+        self.free[from].remove(&head);
         // Split downward: keep the lowest child at each level, free the
         // rest, so the returned head is the original block's head.
         for l in (want..from).rev() {
             let child = LEVELS[l].pages_4k() as u32;
             let children = LEVELS[l + 1].pages_4k() as u32 / child;
             for k in 1..children {
-                inner.free[l].insert(head + k * child);
+                self.free[l].insert(head + k * child);
             }
         }
-        inner.free_pages -= size.pages_4k() as u64;
+        self.free_pages -= size.pages_4k() as u64;
         Some(PhysFrame(head))
     }
 
@@ -98,24 +86,23 @@ impl BuddyPool {
     ///
     /// Panics on an unaligned head (a mis-sized free would corrupt the
     /// buddy structure silently otherwise).
-    pub fn free(&self, frame: PhysFrame, size: PageSize) {
+    pub(crate) fn free(&mut self, frame: PhysFrame, size: PageSize) {
         let span = size.pages_4k() as u32;
         assert!(
             frame.0.is_multiple_of(span),
             "freeing unaligned {size} block head {frame}"
         );
-        let mut inner = self.inner.lock();
         // Double-free check: the block must not already be covered by a
         // free block of its own or any larger class (a plain re-insert
         // test would miss frees that coalesced upward).
-        for (sz, free) in LEVELS.iter().zip(&inner.free).skip(level_of(size)) {
+        for (sz, free) in LEVELS.iter().zip(&self.free).skip(level_of(size)) {
             let cover = frame.0 - frame.0 % sz.pages_4k() as u32;
             assert!(
                 !free.contains(&cover),
                 "double free of {frame} (covered by a free {sz} block)"
             );
         }
-        inner.free_pages += size.pages_4k() as u64;
+        self.free_pages += size.pages_4k() as u64;
         let mut level = level_of(size);
         let mut head = frame.0;
         while level + 1 < LEVELS.len() {
@@ -124,50 +111,50 @@ impl BuddyPool {
             let parent_head = head - head % parent;
             let all_free = (0..parent / child).all(|k| {
                 let sib = parent_head + k * child;
-                sib == head || inner.free[level].contains(&sib)
+                sib == head || self.free[level].contains(&sib)
             });
             if !all_free {
                 break;
             }
             for k in 0..parent / child {
-                inner.free[level].remove(&(parent_head + k * child));
+                self.free[level].remove(&(parent_head + k * child));
             }
             head = parent_head;
             level += 1;
         }
-        let fresh = inner.free[level].insert(head);
+        let fresh = self.free[level].insert(head);
         assert!(fresh, "double free of {frame}");
     }
 
     /// Permanently parks an owned block after an unrecoverable page-in
     /// error: its pages never return from [`BuddyPool::alloc`].
-    pub fn quarantine(&self, frame: PhysFrame, size: PageSize) {
+    pub(crate) fn quarantine(&mut self, frame: PhysFrame, size: PageSize) {
         let span = size.pages_4k() as u32;
         assert!(
             frame.0.is_multiple_of(span),
             "quarantining unaligned {size} block head {frame}"
         );
-        self.inner.lock().quarantined_pages += size.pages_4k() as u64;
+        self.quarantined_pages += size.pages_4k() as u64;
     }
 
     /// Currently free 4 kB pages.
-    pub fn free_pages(&self) -> u64 {
-        self.inner.lock().free_pages
+    pub(crate) fn free_pages(&self) -> u64 {
+        self.free_pages
     }
 
     /// Pages ever quarantined.
-    pub fn quarantined_pages(&self) -> u64 {
-        self.inner.lock().quarantined_pages
+    pub(crate) fn quarantined_pages(&self) -> u64 {
+        self.quarantined_pages
     }
 
     /// Total capacity in 4 kB pages.
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.total_pages
     }
 
     /// Pages still in circulation: total minus quarantined.
-    pub fn usable_pages(&self) -> u64 {
-        self.total_pages - self.quarantined_pages()
+    pub(crate) fn usable_pages(&self) -> u64 {
+        self.total_pages - self.quarantined_pages
     }
 }
 
@@ -177,7 +164,7 @@ mod tests {
 
     #[test]
     fn whole_pool_starts_as_m2_blocks() {
-        let b = BuddyPool::new(2);
+        let mut b = BuddyPool::new(2);
         assert_eq!(b.total_pages(), 1024);
         assert_eq!(b.free_pages(), 1024);
         assert_eq!(b.alloc(PageSize::M2), Some(PhysFrame(0)));
@@ -188,7 +175,7 @@ mod tests {
 
     #[test]
     fn split_serves_small_from_large_lowest_first() {
-        let b = BuddyPool::new(1);
+        let mut b = BuddyPool::new(1);
         // First 4k block splits M2 → 32×64k, then 64k → 16×4k.
         assert_eq!(b.alloc(PageSize::K4), Some(PhysFrame(0)));
         assert_eq!(b.alloc(PageSize::K4), Some(PhysFrame(1)));
@@ -201,7 +188,7 @@ mod tests {
 
     #[test]
     fn coalesce_reforms_the_parent() {
-        let b = BuddyPool::new(1);
+        let mut b = BuddyPool::new(1);
         let frames: Vec<PhysFrame> = (0..16).map(|_| b.alloc(PageSize::K4).unwrap()).collect();
         assert_eq!(
             b.alloc(PageSize::K64),
@@ -221,7 +208,7 @@ mod tests {
 
     #[test]
     fn quarantine_takes_pages_out_of_circulation() {
-        let b = BuddyPool::new(1);
+        let mut b = BuddyPool::new(1);
         let f = b.alloc(PageSize::K64).unwrap();
         b.quarantine(f, PageSize::K64);
         assert_eq!(b.quarantined_pages(), 16);
@@ -239,14 +226,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "unaligned")]
     fn unaligned_free_is_rejected() {
-        let b = BuddyPool::new(1);
+        let mut b = BuddyPool::new(1);
         b.free(PhysFrame(3), PageSize::K64);
     }
 
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_is_rejected() {
-        let b = BuddyPool::new(1);
+        let mut b = BuddyPool::new(1);
         let f = b.alloc(PageSize::K4).unwrap();
         b.free(f, PageSize::K4);
         b.free(f, PageSize::K4);
@@ -254,7 +241,7 @@ mod tests {
 
     #[test]
     fn mixed_churn_conserves_pages() {
-        let b = BuddyPool::new(4);
+        let mut b = BuddyPool::new(4);
         let mut held: Vec<(PhysFrame, PageSize)> = Vec::new();
         // Deterministic churn across all three classes.
         for i in 0..200u32 {

@@ -4,8 +4,9 @@
 //! IHK/McKernel) that demand-pages a computation area between the
 //! co-processor's small device RAM and the large host memory over PCIe.
 //!
-//! * [`frames`] — the device RAM frame pool, handed out in block-sized
-//!   (4 kB / 64 kB / 2 MB) aligned runs.
+//! * `frames` and `buddy` (crate-private) — the device RAM allocators:
+//!   block-sized (4 kB / 64 kB / 2 MB) aligned runs for fixed page
+//!   sizes, a three-level buddy for adaptive ones.
 //! * [`backing`] — the host-side backing store reached through the DMA
 //!   engine.
 //! * [`stats`] — per-core counters matching the paper's Table 1 (page
@@ -31,18 +32,16 @@
 #![forbid(unsafe_code)]
 
 pub mod backing;
-pub mod buddy;
+mod buddy;
 pub mod config;
-pub mod frames;
+mod frames;
 pub mod numa;
 pub mod offload;
 pub mod stats;
 pub mod vmm;
 
 pub use backing::{BackingStore, TierCounters, TieredStore};
-pub use buddy::BuddyPool;
 pub use config::{KernelConfig, SchemeChoice};
-pub use frames::FramePool;
 pub use numa::{BlockNuma, NumaBooks};
 pub use offload::{OffloadEngine, Syscall};
 pub use stats::{CoreStats, CoreStatsSnapshot, GlobalStats, GlobalStatsSnapshot};

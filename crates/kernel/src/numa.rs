@@ -2,8 +2,8 @@
 //! page-table replica sets, and per-node frame budgets.
 //!
 //! The books are **accounting-level** on purpose. Physical frames still
-//! come from the single device-wide [`crate::FramePool`] — which frame a
-//! block lands in is opaque to every counter and report (the
+//! come from the kernel's single device-wide frame allocator — which
+//! frame a block lands in is opaque to every counter and report (the
 //! frame-opacity invariant the determinism story rests on) — and the
 //! NUMA layer only decides *which node's DRAM budget* the block is
 //! charged against and *which nodes hold a page-table replica* of its

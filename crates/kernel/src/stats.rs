@@ -41,8 +41,11 @@ pub struct CoreStats {
     pub shootdown_cycles: AtomicU64,
     /// Cycles spent queueing on page-table locks.
     pub lock_wait_cycles: AtomicU64,
-    /// Host-side residency stripe-lock acquisitions on this core's fault
-    /// path (zero virtual cost — host parallelism bookkeeping only).
+    /// Residency transactions on this core's fault path: one for the
+    /// lookup, one for a major's insert, one per victim taken and one
+    /// per quarantine retry (zero virtual cost — host bookkeeping only).
+    /// The field keeps its name because the goldens and perfbench's
+    /// pinned report digests contain it.
     pub shard_lock_acquires: AtomicU64,
     /// Faults injected against this core by the active fault plan.
     pub faults_injected: AtomicU64,
@@ -115,7 +118,8 @@ pub struct CoreStatsSnapshot {
     pub shootdown_cycles: u64,
     /// Cycles queueing on page-table locks.
     pub lock_wait_cycles: u64,
-    /// Residency stripe-lock acquisitions (host-side, zero virtual cost).
+    /// Residency transactions on the fault path (host-side, zero
+    /// virtual cost).
     pub shard_lock_acquires: u64,
     /// Faults injected against this core.
     pub faults_injected: u64,

@@ -25,7 +25,7 @@
 //! implementation, which performs real PTE scans and pays for the remote
 //! TLB invalidations x86 requires.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -34,11 +34,11 @@ use cmcp_arch::{
     dma::DmaDirection, CoreClock, CoreId, CoreSet, CostModel, Cycles, DmaModel, FaultInjector,
     FaultSite, FxHashMap, FxHashSet, PageSize, PhysFrame, RingModel, VirtPage, VirtualResource,
 };
-use cmcp_core::{AccessBitOracle, PolicyEvent, ReplacementPolicy};
+use cmcp_core::{AccessBitOracle, ReplacementPolicy};
 use cmcp_pagetable::{MapOutcome, Pspt, RegularTables, TableScheme, Translation};
 use cmcp_trace::{EventKind, NullTracer, Recorder, MAINTENANCE_CORE};
 
-use crate::backing::{TierCounters, TieredStore};
+use crate::backing::{LoadOutcome, TierCounters, TieredStore};
 use crate::buddy::BuddyPool;
 use crate::config::{KernelConfig, SchemeChoice};
 use crate::frames::FramePool;
@@ -47,19 +47,6 @@ use crate::offload::{OffloadEngine, Syscall};
 use crate::stats::{owner_add, CoreStats, GlobalStats};
 
 const LOCK_SHARDS: usize = 64;
-
-/// Lock stripes over the residency metadata. A fixed power of two keyed
-/// by the same page hash as the virtual PSPT locks, so the mapping from
-/// block to stripe is a pure function of the configuration — never of
-/// host thread count — and deterministic runs stay bit-identical.
-const RESIDENT_SHARDS: usize = 64;
-
-/// Bounded back-off for the allocation loop: a dry pool with an empty
-/// policy can only be a transient (another core holds the last frames
-/// between `alloc` and publishing its insert); this many consecutive
-/// failures means the configuration genuinely has fewer blocks than
-/// in-flight faults.
-const ALLOC_RETRY_LIMIT: u32 = 1 << 22;
 
 /// Base delay of the exponential retry backoff after an injected fault:
 /// ~2 µs at the KNC's 1.053 GHz. Doubles per attempt up to
@@ -76,44 +63,31 @@ const BACKOFF_CAP_SHIFT: u32 = 6;
 /// not unlucky, and the run aborts loudly instead of livelocking.
 const MAX_RECOVERY_ATTEMPTS: u32 = 64;
 
-/// Number of policy events a core may buffer before `maybe_flush` forces
-/// a drain. Buffering is invisible to policy decisions: every
-/// consumer of the policy (victim selection, the scan timer, run-end
-/// queries) flushes the buffers — in global stamp order — before reading
-/// or deciding anything, so the event stream each policy observes is
-/// identical at any limit. The limit only bounds buffer memory and, on
-/// the fault hot path, how often the policy mutex is taken when no
-/// eviction forces a flush anyway.
-const DEFAULT_POLICY_BATCH: usize = 32;
-
-/// Flush drains at or below this many events bypass the shared
-/// `flush_events` vector (and its lock) and stage on the stack instead.
-/// Sized for the steady eviction path — the events one core buffers
-/// between two evictions — not for a full `DEFAULT_POLICY_BATCH`, so the
-/// stack fill stays a couple of cache lines.
-const FLUSH_STACK_EVENTS: usize = 8;
-
-/// One lock stripe of the residency metadata: the resident blocks that
-/// hash to this stripe and their deferred write-back debt. Keeping
-/// `pending_dirty` in the same stripe as the map means every residency
-/// transition touches exactly one host lock. Both containers hash with
-/// the seed-free [`FxHashMap`]/[`FxHashSet`]: every fault performs a
-/// lookup-or-insert here, and SipHash was measurable on the hot path.
-#[derive(Debug, Default)]
-struct ResidentShard {
-    /// block head → residency entry for resident blocks of this stripe.
-    map: FxHashMap<u64, Resident>,
+/// Everything only the engine's sequential commit phase (phase B)
+/// mutates, behind the one lock in [`Vmm`]. Each kernel entry — a fault,
+/// a scan tick, a rebuild, a query — takes it once, and the phase
+/// barrier already orders phase B against phase A, so the lock is never
+/// contended; it exists so `Vmm` keeps its `&self` API and stays `Sync`.
+/// Phase A reads only page tables, mailboxes and clocks, never this.
+struct KernelState {
+    /// The replacement policy. The kernel calls it directly, in commit
+    /// order, so every decision sees every earlier residency event.
+    policy: Box<dyn ReplacementPolicy>,
+    /// block head → residency entry, for every resident block. Hashed
+    /// with the seed-free [`FxHashMap`]: every fault probes it, and
+    /// SipHash was measurable on the hot path.
+    resident: FxHashMap<u64, Resident>,
     /// Blocks whose dirty bits were harvested by a PSPT rebuild before
     /// they could be written back: they still owe a write-back when
     /// eventually evicted.
     pending_dirty: FxHashSet<u64>,
-    /// Adaptive page-size mode only: 2 MB region head → (granularity all
-    /// blocks of the region use, number of resident blocks). A region's
-    /// granularity is chosen by the pressure controller at its first
-    /// fault and lowered by split-on-evict; it resets when the region
-    /// empties. Keeping it in the stripe (adaptive stripes are keyed by
-    /// the 2 MB head) means region and blocks share one lock.
+    /// Adaptive page-size mode only: 2 MB region head → (granularity
+    /// for the region's next fresh block, number of resident blocks). A
+    /// region's granularity is chosen by the pressure controller at its
+    /// first fault and lowered by split-on-evict; it resets when the
+    /// region empties.
     regions: FxHashMap<u64, (PageSize, u32)>,
+    frames: Frames,
 }
 
 /// One resident block: its device frame head and mapping granularity
@@ -124,12 +98,45 @@ struct Resident {
     size: PageSize,
 }
 
-/// Device-RAM allocator: the fixed-size lock-free pool for normal runs,
-/// the mutex-guarded mixed-size buddy for adaptive page-size runs (whose
-/// fault path the engine serializes anyway).
+/// Device-RAM allocator: the fixed-size pool for normal runs, the
+/// mixed-size buddy for adaptive page-size runs.
 enum Frames {
     Pool(FramePool),
     Buddy(BuddyPool),
+}
+
+impl Frames {
+    /// The fixed-size frame pool (every non-adaptive run).
+    fn pool(&mut self) -> &mut FramePool {
+        match self {
+            Frames::Pool(p) => p,
+            Frames::Buddy(_) => unreachable!("fixed-size path in adaptive mode"),
+        }
+    }
+
+    /// The buddy allocator (adaptive page-size runs only).
+    fn buddy(&mut self) -> &mut BuddyPool {
+        match self {
+            Frames::Buddy(b) => b,
+            Frames::Pool(_) => unreachable!("adaptive path without buddy pool"),
+        }
+    }
+
+    /// 4 kB pages still in circulation (free or allocated).
+    fn usable_pages(&self) -> u64 {
+        match self {
+            Frames::Pool(p) => p.usable_pages(),
+            Frames::Buddy(b) => b.usable_pages(),
+        }
+    }
+
+    /// Takes an owned `size` block out of circulation for good.
+    fn quarantine(&mut self, frame: PhysFrame, size: PageSize) {
+        match self {
+            Frames::Pool(p) => p.quarantine(),
+            Frames::Buddy(b) => b.quarantine(frame, size),
+        }
+    }
 }
 
 /// Classification of a handled fault.
@@ -139,8 +146,9 @@ pub enum FaultKind {
     Major,
     /// PSPT minor fault: block resident, PTE copied from a sibling.
     MinorCopy,
-    /// Lost race (parallel engine): the block became mapped for this core
-    /// between the TLB miss and the handler.
+    /// The block is already mapped for this core. The engine re-probes
+    /// the walk before it commits a fault, so only direct
+    /// [`Vmm::handle_fault`] callers see this.
     Spurious,
 }
 
@@ -154,31 +162,11 @@ pub enum FaultKind {
 pub struct Vmm<R: Recorder = NullTracer> {
     cfg: KernelConfig,
     scheme: SchemeObj,
-    policy: Mutex<Box<dyn ReplacementPolicy>>,
-    frames: Frames,
+    /// The single-writer commit state (see [`KernelState`]).
+    state: Mutex<KernelState>,
     backing: TieredStore,
     dma: DmaModel,
     ring: RingModel,
-    /// Lock-striped residency metadata, indexed by block hash.
-    resident: Vec<Mutex<ResidentShard>>,
-    /// Per-stripe resident counts (relaxed), so stats reads never sweep
-    /// the stripe locks.
-    resident_len: Vec<AtomicUsize>,
-    /// Per-core buffers of deferred policy events, flushed in one policy
-    /// lock acquisition per [`DEFAULT_POLICY_BATCH`] events.
-    batch_bufs: Vec<Mutex<Vec<(u64, PolicyEvent)>>>,
-    /// Per-core buffered-event counts, maintained under the buffer lock
-    /// but readable without it — flushes skip empty buffers and
-    /// `maybe_flush` decides without locking anything.
-    batch_pending: Vec<AtomicUsize>,
-    /// Global order stamp for deferred events, taken while the block's
-    /// stripe lock is held so same-block events are totally ordered.
-    batch_seq: AtomicU64,
-    /// Merge area for flushes; only touched under the policy lock.
-    flush_scratch: Mutex<Vec<(u64, PolicyEvent)>>,
-    /// Reused event slice handed to `record_batch`; only touched under
-    /// the policy lock.
-    flush_events: Mutex<Vec<PolicyEvent>>,
     /// Regular tables: one address-space-wide lock.
     pt_global_lock: VirtualResource,
     /// PSPT: sharded fine-grained locks.
@@ -280,33 +268,31 @@ impl<R: Recorder> Vmm<R> {
         };
         Vmm {
             scheme,
-            policy: Mutex::new(cfg.policy.build(cfg.device_blocks)),
-            frames: if cfg.adaptive {
-                // Adaptive page sizes need mixed-granularity allocation:
-                // the buddy pool spans the same device RAM, counted in
-                // 2 MB regions.
-                Frames::Buddy(BuddyPool::new(cfg.device_blocks))
-            } else {
-                // One freelist shard per core (capped): a pure function
-                // of the config, so identical runs allocate identically.
-                Frames::Pool(FramePool::with_shards(
-                    cfg.block_size,
-                    cfg.device_blocks,
-                    cfg.cores.min(RESIDENT_SHARDS),
-                ))
-            },
+            state: Mutex::new(KernelState {
+                policy: cfg.policy.build(cfg.device_blocks),
+                // Twice the device's blocks: a hashbrown table rehashes
+                // its tombstones in place only while at most half full,
+                // so a full device's evict/insert churn would otherwise
+                // double it mid-run, and peak RSS counts the old and new
+                // tables side by side.
+                resident: FxHashMap::with_capacity_and_hasher(
+                    2 * cfg.device_blocks,
+                    Default::default(),
+                ),
+                pending_dirty: FxHashSet::default(),
+                regions: FxHashMap::default(),
+                frames: if cfg.adaptive {
+                    // Adaptive page sizes need mixed-granularity
+                    // allocation: the buddy pool spans the same device
+                    // RAM, counted in 2 MB regions.
+                    Frames::Buddy(BuddyPool::new(cfg.device_blocks))
+                } else {
+                    Frames::Pool(FramePool::new(cfg.block_size, cfg.device_blocks))
+                },
+            }),
             backing: TieredStore::new(cfg.tiers(), cfg.adaptive),
             dma: DmaModel::with_clients(&cfg.cost, cfg.cores),
             ring: RingModel::new(cfg.cores, &cfg.cost),
-            resident: (0..RESIDENT_SHARDS)
-                .map(|_| Mutex::new(ResidentShard::default()))
-                .collect(),
-            resident_len: (0..RESIDENT_SHARDS).map(|_| AtomicUsize::new(0)).collect(),
-            batch_bufs: (0..cfg.cores).map(|_| Mutex::new(Vec::new())).collect(),
-            batch_pending: (0..cfg.cores).map(|_| AtomicUsize::new(0)).collect(),
-            batch_seq: AtomicU64::new(0),
-            flush_scratch: Mutex::new(Vec::new()),
-            flush_events: Mutex::new(Vec::new()),
             pt_global_lock: VirtualResource::new(),
             pt_shard_locks: (0..LOCK_SHARDS).map(|_| VirtualResource::new()).collect(),
             clocks: Arc::new((0..cfg.cores).map(|_| CoreClock::new()).collect()),
@@ -376,146 +362,38 @@ impl<R: Recorder> Vmm<R> {
                 .sum::<Cycles>()
     }
 
-    /// Currently resident blocks. A relaxed sum over the per-stripe
-    /// counters: exact when the kernel is quiescent (between faults, or
-    /// post-run), approximate mid-race — never sweeps the stripe locks.
+    /// Currently resident blocks.
     pub fn resident_blocks(&self) -> usize {
-        self.resident_len.iter().map(|n| n.load(Relaxed)).sum()
+        self.state.lock().resident.len()
     }
 
-    /// Flushes every core's buffered policy events (one policy-lock
-    /// acquisition). Engines call this at run end so post-run policy
-    /// queries see a fully applied event stream.
-    pub fn flush_policy_events(&self) {
-        let mut policy = self.policy.lock();
-        self.flush_locked(&mut policy);
-    }
-
-    /// Drains all per-core buffers into the policy, merged in global
-    /// stamp order. Caller holds the policy lock. The pending counters
-    /// let the common case — one core's buffer holds everything — skip
-    /// the other buffers' locks and the merge sort entirely.
-    fn flush_locked(&self, policy: &mut Box<dyn ReplacementPolicy>) {
-        // Scan the counters before touching any lock: the evict-path
-        // flush frequently finds everything already drained.
-        let mut nonempty = 0usize;
-        let mut only = 0usize;
-        for (c, n) in self.batch_pending.iter().enumerate() {
-            if n.load(Relaxed) > 0 {
-                nonempty += 1;
-                only = c;
-            }
-        }
-        match nonempty {
-            0 => {}
-            1 => {
-                // A single core's pushes are already in stamp order. The
-                // common drain is the handful of events buffered since
-                // the last eviction, so stage small batches on the stack
-                // and skip the shared merge vector (and its lock).
-                let mut buf = self.batch_bufs[only].lock();
-                let n = buf.len();
-                if n <= FLUSH_STACK_EVENTS {
-                    let mut stack = [PolicyEvent::MapCount {
-                        block: VirtPage(0),
-                        map_count: 0,
-                    }; FLUSH_STACK_EVENTS];
-                    for (slot, (_, ev)) in stack.iter_mut().zip(buf.drain(..)) {
-                        *slot = ev;
-                    }
-                    self.batch_pending[only].store(0, Relaxed);
-                    drop(buf);
-                    policy.record_batch(&stack[..n]);
-                } else {
-                    let mut events = self.flush_events.lock();
-                    events.clear();
-                    events.extend(buf.drain(..).map(|(_, ev)| ev));
-                    self.batch_pending[only].store(0, Relaxed);
-                    drop(buf);
-                    policy.record_batch(&events);
-                }
-            }
-            _ => {
-                let mut events = self.flush_events.lock();
-                events.clear();
-                let mut scratch = self.flush_scratch.lock();
-                scratch.clear();
-                for (c, buf) in self.batch_bufs.iter().enumerate() {
-                    if self.batch_pending[c].load(Relaxed) > 0 {
-                        let mut b = buf.lock();
-                        scratch.append(&mut b);
-                        self.batch_pending[c].store(0, Relaxed);
-                    }
-                }
-                scratch.sort_unstable_by_key(|&(seq, _)| seq);
-                events.extend(scratch.iter().map(|&(_, ev)| ev));
-                scratch.clear();
-                if !events.is_empty() {
-                    policy.record_batch(&events);
-                }
-            }
-        }
-    }
-
-    /// Buffers a policy event for `core`. Must be called while holding
-    /// the lock of the stripe the event's block lives in, so the global
-    /// stamp orders same-block events correctly.
-    fn push_policy_event(&self, core: CoreId, ev: PolicyEvent) {
-        let seq = self.batch_seq.fetch_add(1, Relaxed);
-        let mut buf = self.batch_bufs[core.index()].lock();
-        buf.push((seq, ev));
-        self.batch_pending[core.index()].store(buf.len(), Relaxed);
-    }
-
-    /// Free blocks in the fixed-size frame pool, exact at quiescent
-    /// points; `None` for adaptive (buddy-pool) runs. The engine's
-    /// classification budget: as long as at most this many fresh majors
-    /// commit before any frame is freed, no allocation can fail and no
-    /// eviction can fire.
+    /// Free blocks in the fixed-size frame pool; `None` for adaptive
+    /// (buddy-pool) runs. The engine's classification budget: as long as
+    /// at most this many fresh majors commit before any frame is freed,
+    /// no allocation can fail and no eviction can fire.
     pub fn pool_free_blocks(&self) -> Option<usize> {
-        match &self.frames {
+        match &self.state.lock().frames {
             Frames::Pool(p) => Some(p.free_blocks()),
             Frames::Buddy(_) => None,
         }
     }
 
-    /// Flushes if `core`'s buffer reached the batch limit. Called with
-    /// no stripe lock held.
-    fn maybe_flush(&self, core: CoreId) {
-        if self.batch_pending[core.index()].load(Relaxed) >= DEFAULT_POLICY_BATCH {
-            self.flush_policy_events();
-        }
-    }
-
-    #[inline]
-    fn resident_shard_of(&self, head: VirtPage) -> usize {
-        // Same multiply-shift hash as the virtual PSPT locks: the stripe
-        // is a function of the page alone.
-        let h = (head.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize;
-        h % RESIDENT_SHARDS
-    }
-
-    /// Takes a residency stripe lock on the fault path: counted per core
-    /// and traced (zero virtual cycles — host locks cost no simulated
-    /// time; the event exists so host-contention analyses line up with
-    /// the kernel counters).
-    fn lock_resident_shard(
-        &self,
-        core: CoreId,
-        shard: usize,
-    ) -> parking_lot::MutexGuard<'_, ResidentShard> {
-        let guard = self.resident[shard].lock();
+    /// Counts one residency transaction on `core`'s fault path — the
+    /// lookup, a major's insert, each victim taken, each quarantine
+    /// retry — and emits its `ShardLock` event with the block head.
+    /// Zero virtual cycles: it is host-side bookkeeping, kept exact
+    /// because `shard_lock_acquires` is in the report.
+    fn note_residency(&self, core: CoreId, head: VirtPage) {
         owner_add(&self.core_stats[core.index()].shard_lock_acquires, 1);
         if R::ENABLED {
             self.tracer.record(
                 core.0,
                 self.clocks[core.index()].now(),
                 EventKind::ShardLock,
-                shard as u64,
+                head.0,
                 0,
             );
         }
-        guard
     }
 
     /// The compiled fault injector, if a plan is active.
@@ -531,17 +409,12 @@ impl<R: Recorder> Vmm<R> {
     /// Whether `page` is currently resident in device RAM (any block
     /// granularity). Quiescent-state query for the test oracles.
     pub fn block_resident(&self, page: VirtPage) -> bool {
+        let state = self.state.lock();
         if self.cfg.adaptive {
-            let m2 = page.align_down(PageSize::M2);
-            let shard = self.resident[self.resident_shard_of(m2)].lock();
-            return PageSize::ALL.iter().any(|&s| {
-                let head = page.align_down(s);
-                shard.map.get(&head.0).is_some_and(|ent| ent.size == s)
-            });
+            covering_entry(&state.resident, page).is_some()
+        } else {
+            state.resident.contains_key(&self.block_of(page).0)
         }
-        let head = self.block_of(page);
-        let idx = self.resident_shard_of(head);
-        self.resident[idx].lock().map.contains_key(&head.0)
     }
 
     /// Whether the backing store holds a written-back copy of `page`.
@@ -589,36 +462,18 @@ impl<R: Recorder> Vmm<R> {
         self.backing.audit();
     }
 
-    /// Frame-conservation audit: `(free, resident, quarantined, total)`
-    /// blocks. At any quiescent point `free + resident + quarantined ==
-    /// total` — a lost or doubly-freed frame breaks the equality.
-    /// Fixed-size runs only; adaptive runs audit in pages via
-    /// [`Vmm::frame_audit_pages`].
-    pub fn frame_audit(&self) -> (usize, usize, u64, usize) {
-        (
-            self.pool().free_blocks(),
-            self.resident_blocks(),
-            self.pool().quarantined_blocks(),
-            self.pool().total_blocks(),
-        )
-    }
-
     /// Frame-conservation audit in 4 kB pages, valid for both allocator
-    /// shapes: `(free, resident, quarantined, total)` with the same
-    /// conservation equality as [`Vmm::frame_audit`].
+    /// shapes: `(free, resident, quarantined, total)`. At any quiescent
+    /// point `free + resident + quarantined == total` — a lost or doubly
+    /// freed frame breaks the equality.
     pub fn frame_audit_pages(&self) -> (u64, u64, u64, u64) {
-        let resident: u64 = self
+        let state = self.state.lock();
+        let resident: u64 = state
             .resident
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .map
-                    .values()
-                    .map(|ent| ent.size.pages_4k() as u64)
-                    .sum::<u64>()
-            })
+            .values()
+            .map(|ent| ent.size.pages_4k() as u64)
             .sum();
-        match &self.frames {
+        match &state.frames {
             Frames::Buddy(b) => (
                 b.free_pages(),
                 resident,
@@ -630,7 +485,7 @@ impl<R: Recorder> Vmm<R> {
                 (
                     p.free_blocks() as u64 * bp,
                     resident,
-                    p.quarantined_blocks() * bp,
+                    p.quarantined_blocks() as u64 * bp,
                     p.total_blocks() as u64 * bp,
                 )
             }
@@ -763,38 +618,25 @@ impl<R: Recorder> Vmm<R> {
         if !matches!(self.cfg.scheme, SchemeChoice::Pspt) {
             return None;
         }
-        // Stripe by stripe, under that stripe's lock: no snapshot of the
-        // whole resident set is ever materialized (the old code cloned
-        // every key into a fresh Vec on each pass), and faults on the
-        // other 63 stripes proceed concurrently.
         let mut torn = 0;
-        for (idx, shard) in self.resident.iter().enumerate() {
-            let mut guard = shard.lock();
-            if R::ENABLED && !guard.map.is_empty() {
-                self.tracer.record(
-                    MAINTENANCE_CORE,
-                    self.maintenance_now(),
-                    EventKind::ShardLock,
-                    idx as u64,
-                    0,
-                );
-            }
-            let ResidentShard {
-                map, pending_dirty, ..
-            } = &mut *guard;
-            for (&head, ent) in map.iter() {
-                let head = VirtPage(head);
-                if let Some(out) = with_scheme!(self, s => s.unmap_all(head, ent.size)) {
-                    torn += 1;
-                    // The rebuild runs on the dedicated maintenance
-                    // hyperthreads (like the scan timer); targets still pay
-                    // their interrupt cost.
-                    self.shootdown(None, head, ent.size.pages_4k() as u32, &out.mappers);
-                    // Unmapping discards the PTE dirty bits; remember the
-                    // write-back debt for the eventual eviction.
-                    if out.dirty {
-                        pending_dirty.insert(head.0);
-                    }
+        let mut state = self.state.lock();
+        let KernelState {
+            resident,
+            pending_dirty,
+            ..
+        } = &mut *state;
+        for (&head, ent) in resident.iter() {
+            let head = VirtPage(head);
+            if let Some(out) = with_scheme!(self, s => s.unmap_all(head, ent.size)) {
+                torn += 1;
+                // The rebuild runs on the dedicated maintenance
+                // hyperthreads (like the scan timer); targets still pay
+                // their interrupt cost.
+                self.shootdown(None, head, ent.size.pages_4k() as u32, &out.mappers);
+                // Unmapping discards the PTE dirty bits; remember the
+                // write-back debt for the eventual eviction.
+                if out.dirty {
+                    pending_dirty.insert(head.0);
                 }
             }
         }
@@ -828,7 +670,7 @@ impl<R: Recorder> Vmm<R> {
 
     /// Whether the configured policy uses the scan timer at all.
     pub fn wants_periodic_scan(&self) -> bool {
-        self.policy.lock().wants_periodic_scan()
+        self.state.lock().policy.wants_periodic_scan()
     }
 
     #[inline]
@@ -839,24 +681,6 @@ impl<R: Recorder> Vmm<R> {
     #[inline]
     fn block_bytes(&self) -> u64 {
         self.cfg.block_size.bytes()
-    }
-
-    /// The fixed-size frame pool (every non-adaptive run).
-    #[inline]
-    fn pool(&self) -> &FramePool {
-        match &self.frames {
-            Frames::Pool(p) => p,
-            Frames::Buddy(_) => unreachable!("fixed-size path in adaptive mode"),
-        }
-    }
-
-    /// The buddy allocator (adaptive page-size runs only).
-    #[inline]
-    fn buddy(&self) -> &BuddyPool {
-        match &self.frames {
-            Frames::Buddy(b) => b,
-            Frames::Pool(_) => unreachable!("adaptive path without buddy pool"),
-        }
     }
 
     /// PTE writes needed to (un)map one `size` block on one core.
@@ -942,49 +766,20 @@ impl<R: Recorder> Vmm<R> {
         }
     }
 
-    /// Acquires a free frame for `requester`, evicting under the policy
-    /// lock while the pool is dry. The policy lock is *not* held while
-    /// allocating, so concurrent fault handlers only serialize when
-    /// reclaim is actually needed.
-    fn alloc_frame(&self, requester: CoreId) -> PhysFrame {
-        let mut dry_spins = 0u32;
-        loop {
-            if let Some(frame) = self.pool().alloc_for(requester.index()) {
-                return frame;
-            }
-            if let Some(frame) = self.try_evict_one(requester) {
-                // The victim's frame transfers to the requester directly,
-                // skipping a free-list round trip through the pool. Same
-                // frame either way: with the pool dry, a free would be
-                // the only frame the subsequent alloc could pop.
-                return frame;
-            }
-            // Pool dry but the policy tracks nothing: every frame is in
-            // flight on some other core between its `alloc` and its
-            // resident-map publish. Back off and retry; if this persists
-            // the device RAM is genuinely too small for the core count.
-            dry_spins += 1;
-            assert!(
-                dry_spins < ALLOC_RETRY_LIMIT,
-                "device RAM exhausted but policy tracks no blocks"
-            );
-            std::thread::yield_now();
-        }
-    }
-
-    /// Evicts one victim block and hands its freed frame to the caller.
-    /// Returns `None` when the policy has nothing to offer (transiently
-    /// possible mid-race).
-    fn try_evict_one(&self, requester: CoreId) -> Option<PhysFrame> {
-        let mut policy = self.policy.lock();
-        // The victim decision must see every insert that already
-        // happened, so the buffers flush first.
-        self.flush_locked(&mut policy);
-        let mut oracle = KernelOracle {
+    /// Evicts one victim block and hands its frame to the caller.
+    /// Returns `None` when the policy tracks no block.
+    fn evict_one(&self, state: &mut KernelState, requester: CoreId) -> Option<PhysFrame> {
+        let KernelState {
+            policy,
+            resident,
+            pending_dirty,
+            ..
+        } = state;
+        let victim = policy.select_victim(&mut KernelOracle {
             vmm: self,
+            resident,
             requester: Some(requester),
-        };
-        let victim = policy.select_victim(&mut oracle)?;
+        })?;
         if R::ENABLED {
             let count = with_scheme!(self, s => s.mapping_cores(victim)).count() as u64;
             let group = policy.victim_group(victim) as u64;
@@ -996,25 +791,13 @@ impl<R: Recorder> Vmm<R> {
                 (count << 8) | group,
             );
         }
-        // Take the victim's stripe for the whole teardown and remove it
-        // from the resident map *first*: a concurrent minor fault on the
-        // victim must go down the major path rather than re-map a frame
-        // that is about to be recycled. (Lock order policy → stripe is
-        // safe: the fault path never waits for the policy while holding
-        // a stripe lock — events are buffered instead.)
-        let shard_idx = self.resident_shard_of(victim);
-        let mut shard = self.lock_resident_shard(requester, shard_idx);
-        let ent = shard
-            .map
+        self.note_residency(requester, victim);
+        let ent = resident
             .remove(&victim.0)
             .expect("victim tracked in resident map");
-        // Only mutated under this stripe's lock (single writer at a
-        // time), so a load + store beats the atomic RMW.
-        let len = &self.resident_len[shard_idx];
-        len.store(len.load(Relaxed) - 1, Relaxed);
         // Write-back debt only exists after a PSPT rebuild; the length
         // check spares the common eviction a pointless hash probe.
-        let mut dirty = !shard.pending_dirty.is_empty() && shard.pending_dirty.remove(&victim.0);
+        let mut dirty = !pending_dirty.is_empty() && pending_dirty.remove(&victim.0);
         // A victim with no mappings is possible right after a PSPT
         // rebuild: resident, but every PTE already torn down.
         let out = with_scheme!(self, s => s.unmap_all(victim, self.cfg.block_size));
@@ -1044,7 +827,6 @@ impl<R: Recorder> Vmm<R> {
             );
         }
         self.numa_on_evict(requester, victim);
-        drop(shard);
         policy.on_evict(victim);
         self.global.evictions.fetch_add(1, Relaxed);
         Some(ent.frame)
@@ -1100,8 +882,7 @@ impl<R: Recorder> Vmm<R> {
 
     /// NUMA bookkeeping for a major fault: places `head` on a home node
     /// (spilling — one link crossing — when the faulting core's node is
-    /// full). Caller holds the block's stripe lock, so the books stay
-    /// consistent with the resident map. No-op on single-node runs.
+    /// full). No-op on single-node runs.
     fn numa_on_insert(&self, core: CoreId, head: VirtPage) {
         let Some(books) = &self.numa else { return };
         if let Some(home) = books.on_insert(core.index(), head) {
@@ -1117,8 +898,8 @@ impl<R: Recorder> Vmm<R> {
     /// on, first fault from a new node) or remote master walk
     /// (replication off, every remote fault), then the home-migration
     /// check against the block's current mapping-node histogram — the
-    /// CMCP map-count-weighted access center. Caller holds the block's
-    /// stripe lock. No-op on single-node runs.
+    /// CMCP map-count-weighted access center. No-op on single-node
+    /// runs.
     fn numa_on_map(&self, core: CoreId, head: VirtPage) {
         let Some(books) = &self.numa else { return };
         let nodes = books.config.len();
@@ -1169,8 +950,8 @@ impl<R: Recorder> Vmm<R> {
     /// cycles. With replication *off* there is nothing on the remote
     /// nodes for a handler to clear; the evictor itself must write the
     /// single master table before handing the frame out, and when the
-    /// home is remote that is one synchronous link crossing. Caller
-    /// holds the victim's stripe lock. No-op on single-node runs.
+    /// home is remote that is one synchronous link crossing. No-op on
+    /// single-node runs.
     fn numa_on_evict(&self, requester: CoreId, victim: VirtPage) {
         let Some(books) = &self.numa else { return };
         let Some(ent) = books.on_evict(victim) else {
@@ -1278,10 +1059,6 @@ impl<R: Recorder> Vmm<R> {
 
     /// Handles a page fault raised by `core` on the 4 kB page `page`.
     pub fn handle_fault(&self, core: CoreId, page: VirtPage, _write: bool) -> FaultKind {
-        if self.cfg.adaptive {
-            return self.handle_fault_adaptive(core, page);
-        }
-        let head = self.block_of(page);
         let clock = &self.clocks[core.index()];
         let st = &self.core_stats[core.index()];
         owner_add(&st.page_faults, 1);
@@ -1292,10 +1069,17 @@ impl<R: Recorder> Vmm<R> {
         }
         clock.advance(self.cfg.cost.fault_base);
 
-        // Page-table lock (virtual-time serialization). The queue bound
-        // is the genuine worst case — every core convoying on one lock —
-        // with headroom; it only binds against parallel-engine clock skew.
-        let (lock, hold) = self.lock_for(head);
+        // Page-table lock (virtual-time serialization), keyed by the
+        // block head — by the 2 MB region head in adaptive mode, so every
+        // granularity of one region serializes on one virtual resource.
+        // The queue bound is the genuine worst case — every core
+        // convoying on one lock — with headroom.
+        let key = if self.cfg.adaptive {
+            page.align_down(PageSize::M2)
+        } else {
+            self.block_of(page)
+        };
+        let (lock, hold) = self.lock_for(key);
         let t_req = clock.now();
         let res = lock.acquire_bounded(t_req, hold, 4 * self.cfg.cores as u64 * hold);
         if res.queue_delay > 0 {
@@ -1306,176 +1090,16 @@ impl<R: Recorder> Vmm<R> {
             self.tracer
                 .record(core.0, t_req, EventKind::LockAcquire, res.queue_delay, hold);
             self.tracer
-                .record(core.0, res.end, EventKind::LockRelease, head.0, 0);
+                .record(core.0, res.end, EventKind::LockRelease, key.0, 0);
         }
 
-        // Residency transitions serialize on the block's stripe lock;
-        // policy notifications are deferred into the per-core batch
-        // buffer and applied under one policy-lock acquisition per
-        // `DEFAULT_POLICY_BATCH` events.
-        let shard_idx = self.resident_shard_of(head);
-        let kind = 'fault: loop {
-            let mut shard = self.lock_resident_shard(core, shard_idx);
-            if let Some(ent) = shard.map.get(&head.0).copied() {
-                // Resident: PSPT minor fault (copy a sibling's PTE).
-                match with_scheme!(self, s => s.map(core, head, ent.frame, self.cfg.block_size, true))
-                {
-                    Ok(MapOutcome::Copied { probes, map_count }) => {
-                        clock.advance(
-                            self.cfg.cost.pspt_probe * probes as u64
-                                + self.cfg.cost.pte_update * self.subentries(),
-                        );
-                        // The new core-map count rides in the outcome
-                        // (read from the directory entry `map` already
-                        // locked), so the minor path never takes the
-                        // directory lock a second time.
-                        self.push_policy_event(
-                            core,
-                            PolicyEvent::MapCount {
-                                block: head,
-                                map_count,
-                            },
-                        );
-                        self.numa_on_map(core, head);
-                        break FaultKind::MinorCopy;
-                    }
-                    Ok(MapOutcome::Fresh) => {
-                        // Resident but unmapped everywhere: the PTEs were
-                        // torn down by a PSPT rebuild; re-establish this
-                        // core's mapping (the frame never moved).
-                        clock.advance(self.cfg.cost.pte_update * self.subentries());
-                        self.push_policy_event(
-                            core,
-                            PolicyEvent::MapCount {
-                                block: head,
-                                map_count: 1,
-                            },
-                        );
-                        self.numa_on_map(core, head);
-                        break FaultKind::MinorCopy;
-                    }
-                    Err(_) => break FaultKind::Spurious,
-                }
-            }
-            // Not resident: allocate (evicting when dry) with the stripe
-            // lock released, then re-check — another core may have
-            // faulted the same block in meanwhile.
-            drop(shard);
-            let mut frame = self.alloc_frame(core);
-            shard = self.lock_resident_shard(core, shard_idx);
-            if shard.map.contains_key(&head.0) {
-                // Lost the race: hand the frame back and retry as minor.
-                drop(shard);
-                self.pool().free_for(frame, core.index());
-                continue 'fault;
-            }
-            let block_pages = self.cfg.block_size.pages_4k() as u64;
-            if let Some(tin) = self.backing.load(head, block_pages) {
-                // Real content on the host: DMA it in, riding out
-                // injected transfer errors. A failed attempt may have
-                // torn a partial block into the frame, so the frame is
-                // quarantined (while the pool has headroom) and the
-                // retry lands in a fresh one; when frames are scarce the
-                // same frame is reused — the retried DMA overwrites the
-                // torn data in full.
-                let inj = self.injector.as_ref();
-                let mut attempt = 0u32;
-                loop {
-                    let c = self.dma.transfer_checked_tiered(
-                        clock.now(),
-                        self.block_bytes(),
-                        DmaDirection::HostToDevice,
-                        inj,
-                        &self.tracer,
-                        core.0,
-                        tin.tier,
-                    );
-                    let wait = c.reservation.end.saturating_sub(clock.now());
-                    clock.advance(wait);
-                    owner_add(&st.dma_wait_cycles, wait);
-                    if R::ENABLED {
-                        self.tracer.record(
-                            core.0,
-                            clock.now(),
-                            EventKind::DmaComplete,
-                            wait,
-                            DmaDirection::HostToDevice.code(),
-                        );
-                    }
-                    if c.spike_cycles > 0 {
-                        self.global.latency_spikes.fetch_add(1, Relaxed);
-                        self.note_injected(core, FaultSite::DmaLatency, attempt as u64);
-                    }
-                    if !c.failed {
-                        break;
-                    }
-                    self.global.dma_errors.fetch_add(1, Relaxed);
-                    self.note_injected(core, FaultSite::DmaIn, attempt as u64);
-                    self.charge_backoff(core, attempt, FaultSite::DmaIn);
-                    attempt += 1;
-                    assert!(
-                        attempt < MAX_RECOVERY_ATTEMPTS,
-                        "{MAX_RECOVERY_ATTEMPTS} consecutive page-in DMA errors on {head}"
-                    );
-                    if self.pool().usable_blocks() > self.cfg.cores {
-                        // Quarantine the poisoned frame and retry into a
-                        // fresh one. Allocation may need to evict, which
-                        // takes the policy lock and a victim stripe —
-                        // never while holding this block's stripe.
-                        drop(shard);
-                        self.pool().quarantine(frame);
-                        owner_add(&st.quarantines, 1);
-                        self.global.quarantined_frames.fetch_add(1, Relaxed);
-                        if R::ENABLED {
-                            self.tracer.record(
-                                core.0,
-                                clock.now(),
-                                EventKind::Quarantine,
-                                frame.0 as u64,
-                                head.0,
-                            );
-                        }
-                        frame = self.alloc_frame(core);
-                        shard = self.lock_resident_shard(core, shard_idx);
-                        if shard.map.contains_key(&head.0) {
-                            // Another core faulted the block in while the
-                            // stripe was unlocked: retry as minor.
-                            drop(shard);
-                            self.pool().free_for(frame, core.index());
-                            continue 'fault;
-                        }
-                    }
-                }
-                self.charge_tier_penalty(core, tin.tier, self.block_bytes());
-                if tin.promoted > 0 {
-                    self.global.tier_promotions.fetch_add(tin.promoted, Relaxed);
-                }
-                self.global.refaults.fetch_add(1, Relaxed);
-            }
-            with_scheme!(self, s => s.map(core, head, frame, self.cfg.block_size, true))
-                .expect("fresh block maps cleanly");
-            clock.advance(self.cfg.cost.pte_update * self.subentries());
-            shard.map.insert(
-                head.0,
-                Resident {
-                    frame,
-                    size: self.cfg.block_size,
-                },
-            );
-            // Mutated under the stripe lock only — see the eviction path.
-            let len = &self.resident_len[shard_idx];
-            len.store(len.load(Relaxed) + 1, Relaxed);
-            self.numa_on_insert(core, head);
-            self.push_policy_event(
-                core,
-                PolicyEvent::Insert {
-                    block: head,
-                    map_count: 1,
-                },
-            );
-            break FaultKind::Major;
+        let mut state = self.state.lock();
+        self.note_residency(core, key);
+        let kind = if self.cfg.adaptive {
+            self.fault_adaptive(&mut state, core, page)
+        } else {
+            self.fault_fixed(&mut state, core, key)
         };
-        self.maybe_flush(core);
         let spent = clock.now() - t0;
         owner_add(&st.fault_cycles, spent);
         if R::ENABLED {
@@ -1490,63 +1114,207 @@ impl<R: Recorder> Vmm<R> {
         kind
     }
 
-    /// Pressure controller: the mapping granularity for the next fresh
-    /// region, from the buddy pool's free ratio. Plenty of headroom →
-    /// 2 MB mappings (fewest faults, fewest PTEs); moderate pressure →
-    /// 64 kB; a nearly full pool → 4 kB so eviction displaces the least
-    /// data. Thresholds are in 1/256ths of the pool.
-    fn adaptive_target(&self) -> PageSize {
-        let b = self.buddy();
-        let ratio = b.free_pages() * 256 / b.total_pages().max(1);
-        if ratio >= 128 {
-            PageSize::M2
-        } else if ratio >= 32 {
-            PageSize::K64
-        } else {
-            PageSize::K4
+    /// The fixed-size fault path for the block at `head`.
+    fn fault_fixed(&self, state: &mut KernelState, core: CoreId, head: VirtPage) -> FaultKind {
+        let clock = &self.clocks[core.index()];
+        let size = self.cfg.block_size;
+        if let Some(ent) = state.resident.get(&head.0).copied() {
+            // Resident: PSPT minor fault (copy a sibling's PTE).
+            // The new core-map count rides in the outcome (read from the
+            // directory entry `map` already locked), so the minor path
+            // never takes the directory lock a second time.
+            let outcome = with_scheme!(self, s => s.map(core, head, ent.frame, size, true));
+            let (probes, map_count) = match outcome {
+                Ok(MapOutcome::Copied { probes, map_count }) => (probes, map_count),
+                // Resident but unmapped everywhere: the PTEs were torn
+                // down by a PSPT rebuild; re-establish this core's
+                // mapping (the frame never moved).
+                Ok(MapOutcome::Fresh) => (0, 1),
+                Err(_) => return FaultKind::Spurious,
+            };
+            clock.advance(
+                self.cfg.cost.pspt_probe * probes as u64
+                    + self.cfg.cost.pte_update * self.subentries(),
+            );
+            state.policy.on_map_count_change(head, map_count);
+            self.numa_on_map(core, head);
+            return FaultKind::MinorCopy;
         }
+        // Not resident: allocate (evicting when dry). Nothing between
+        // here and the insert can make the block resident.
+        let mut frame = self.alloc_block(state, core, size);
+        self.note_residency(core, head);
+        if let Some(tin) = self.backing.load(head, size.pages_4k() as u64) {
+            frame = self.page_in(state, core, head, size, frame, tin);
+        }
+        with_scheme!(self, s => s.map(core, head, frame, size, true))
+            .expect("fresh block maps cleanly");
+        clock.advance(self.cfg.cost.pte_update * self.subentries());
+        state.resident.insert(head.0, Resident { frame, size });
+        self.numa_on_insert(core, head);
+        state.policy.on_insert(head, 1);
+        FaultKind::Major
     }
 
-    /// The resident entry covering `page` at any granularity, with its
-    /// head. Caller holds the stripe lock of `page`'s 2 MB region (all
-    /// candidate heads share it — adaptive stripes hash the region head).
-    fn covering_entry(shard: &ResidentShard, page: VirtPage) -> Option<(VirtPage, Resident)> {
-        PageSize::ALL.iter().find_map(|&s| {
-            let head = page.align_down(s);
-            shard
-                .map
-                .get(&head.0)
-                .filter(|ent| ent.size == s)
-                .map(|&ent| (head, ent))
-        })
+    /// Adaptive-mode fault path: like [`Vmm::fault_fixed`], but the
+    /// mapping granularity is chosen per 2 MB region by the pressure
+    /// controller instead of fixed by the configuration, and device RAM
+    /// comes from the buddy pool.
+    fn fault_adaptive(&self, state: &mut KernelState, core: CoreId, page: VirtPage) -> FaultKind {
+        let clock = &self.clocks[core.index()];
+        let m2 = page.align_down(PageSize::M2);
+        if let Some((head, ent)) = covering_entry(&state.resident, page) {
+            // Resident at some granularity: PSPT minor fault.
+            let outcome = with_scheme!(self, s => s.map(core, head, ent.frame, ent.size, true));
+            let (probes, map_count) = match outcome {
+                Ok(MapOutcome::Copied { probes, map_count }) => (probes, map_count),
+                Ok(MapOutcome::Fresh) => (0, 1),
+                Err(_) => return FaultKind::Spurious,
+            };
+            clock.advance(
+                self.cfg.cost.pspt_probe * probes as u64
+                    + self.cfg.cost.pte_update * Self::subentries_of(ent.size),
+            );
+            state.policy.on_map_count_change(head, map_count);
+            return FaultKind::MinorCopy;
+        }
+        // Not resident: the region's granularity, or the pressure
+        // controller's pick for a fresh region.
+        let size = match state.regions.get(&m2.0) {
+            Some(r) => r.0,
+            None => adaptive_target(state.frames.buddy()),
+        };
+        let head = page.align_down(size);
+        let mut frame = self.alloc_block(state, core, size);
+        // Allocation only evicts and splits: a split victim in this
+        // region is at most as large as `size` (a larger block would
+        // cover `page`), so neither the page's residency nor the
+        // region's granularity can have changed.
+        debug_assert!(
+            covering_entry(&state.resident, page).is_none()
+                && state.regions.get(&m2.0).map_or(size, |r| r.0) == size,
+            "allocation changed the faulting region"
+        );
+        self.note_residency(core, head);
+        if let Some(tin) = self.backing.load(head, size.pages_4k() as u64) {
+            frame = self.page_in(state, core, head, size, frame, tin);
+        }
+        with_scheme!(self, s => s.map(core, head, frame, size, true))
+            .expect("fresh block maps cleanly");
+        clock.advance(self.cfg.cost.pte_update * Self::subentries_of(size));
+        state.resident.insert(head.0, Resident { frame, size });
+        state.regions.entry(m2.0).or_insert((size, 0)).1 += 1;
+        state.policy.on_insert(head, 1);
+        FaultKind::Major
     }
 
-    /// Adaptive-mode allocation: a `size` block from the buddy pool,
-    /// evicting (or splitting oversized victims) while it is dry or too
-    /// fragmented. Mirrors [`Vmm::alloc_frame`], without the direct
-    /// frame handoff — buddy coalescing decides what the freed pages can
-    /// satisfy.
-    fn alloc_block_adaptive(&self, requester: CoreId, size: PageSize) -> PhysFrame {
-        let mut dry_spins = 0u32;
+    /// DMAs a `size` block with real content on the host (`tin`) into
+    /// `frame`, riding out injected transfer errors, and returns the
+    /// frame it landed in. A failed attempt may have torn a partial
+    /// block into the frame, so the frame is quarantined (while the
+    /// pool has headroom) and the retry lands in a fresh one; when
+    /// frames are scarce the same frame is reused — the retried DMA
+    /// overwrites the torn data in full.
+    fn page_in(
+        &self,
+        state: &mut KernelState,
+        core: CoreId,
+        head: VirtPage,
+        size: PageSize,
+        mut frame: PhysFrame,
+        tin: LoadOutcome,
+    ) -> PhysFrame {
+        let clock = &self.clocks[core.index()];
+        let st = &self.core_stats[core.index()];
+        let inj = self.injector.as_ref();
+        let mut attempt = 0u32;
         loop {
-            if let Some(frame) = self.buddy().alloc(size) {
+            let c = self.dma.transfer_checked_tiered(
+                clock.now(),
+                size.bytes(),
+                DmaDirection::HostToDevice,
+                inj,
+                &self.tracer,
+                core.0,
+                tin.tier,
+            );
+            let wait = c.reservation.end.saturating_sub(clock.now());
+            clock.advance(wait);
+            owner_add(&st.dma_wait_cycles, wait);
+            if R::ENABLED {
+                self.tracer.record(
+                    core.0,
+                    clock.now(),
+                    EventKind::DmaComplete,
+                    wait,
+                    DmaDirection::HostToDevice.code(),
+                );
+            }
+            if c.spike_cycles > 0 {
+                self.global.latency_spikes.fetch_add(1, Relaxed);
+                self.note_injected(core, FaultSite::DmaLatency, attempt as u64);
+            }
+            if !c.failed {
+                break;
+            }
+            self.global.dma_errors.fetch_add(1, Relaxed);
+            self.note_injected(core, FaultSite::DmaIn, attempt as u64);
+            self.charge_backoff(core, attempt, FaultSite::DmaIn);
+            attempt += 1;
+            assert!(
+                attempt < MAX_RECOVERY_ATTEMPTS,
+                "{MAX_RECOVERY_ATTEMPTS} consecutive page-in DMA errors on {head}"
+            );
+            if state.frames.usable_pages() > (self.cfg.cores * size.pages_4k()) as u64 {
+                state.frames.quarantine(frame, size);
+                owner_add(&st.quarantines, 1);
+                self.global.quarantined_frames.fetch_add(1, Relaxed);
+                if R::ENABLED {
+                    self.tracer.record(
+                        core.0,
+                        clock.now(),
+                        EventKind::Quarantine,
+                        frame.0 as u64,
+                        head.0,
+                    );
+                }
+                frame = self.alloc_block(state, core, size);
+                self.note_residency(core, head);
+            }
+        }
+        self.charge_tier_penalty(core, tin.tier, size.bytes());
+        if tin.promoted > 0 {
+            self.global.tier_promotions.fetch_add(tin.promoted, Relaxed);
+        }
+        self.global.refaults.fetch_add(1, Relaxed);
+        frame
+    }
+
+    /// Acquires a free `size` block for `requester`, evicting while the
+    /// allocator is dry. Fixed-size runs hand the victim's frame to the
+    /// requester directly, so frames never return to the pool; adaptive
+    /// runs free the victim into the buddy pool (or split an oversized
+    /// one) and retry, since coalescing decides what the freed pages can
+    /// satisfy.
+    fn alloc_block(&self, state: &mut KernelState, requester: CoreId, size: PageSize) -> PhysFrame {
+        const DRY: &str = "device RAM exhausted but policy tracks no blocks";
+        if !self.cfg.adaptive {
+            if let Some(frame) = state.frames.pool().alloc() {
                 return frame;
             }
-            if self.try_evict_one_adaptive(requester, size) {
-                continue;
+            return self.evict_one(state, requester).expect(DRY);
+        }
+        loop {
+            if let Some(frame) = state.frames.buddy().alloc(size) {
+                return frame;
             }
-            dry_spins += 1;
-            assert!(
-                dry_spins < ALLOC_RETRY_LIMIT,
-                "device RAM exhausted but policy tracks no blocks"
-            );
-            std::thread::yield_now();
+            assert!(self.evict_one_adaptive(state, requester, size), "{DRY}");
         }
     }
 
     /// Evicts one victim (or splits an oversized one and retries) to
     /// make progress toward a free block of `want` pages. Returns `false`
-    /// when the policy has nothing to offer.
+    /// when the policy tracks no block.
     ///
     /// This is where page-size adaptation meets CMCP: when the policy
     /// picks a victim *larger* than the granularity pressure currently
@@ -1555,18 +1323,26 @@ impl<R: Recorder> Vmm<R> {
     /// parent's map count. Only blocks already at (or below) the wanted
     /// size are actually evicted, so high pressure sheds small amounts
     /// of data at a time.
-    fn try_evict_one_adaptive(&self, requester: CoreId, want: PageSize) -> bool {
-        let mut policy = self.policy.lock();
-        // The victim decision must see every insert that already
-        // happened, so the buffers flush first.
-        self.flush_locked(&mut policy);
+    fn evict_one_adaptive(
+        &self,
+        state: &mut KernelState,
+        requester: CoreId,
+        want: PageSize,
+    ) -> bool {
+        let KernelState {
+            policy,
+            resident,
+            pending_dirty,
+            regions,
+            frames,
+        } = state;
         let clock = &self.clocks[requester.index()];
         loop {
-            let mut oracle = KernelOracle {
+            let Some(victim) = policy.select_victim(&mut KernelOracle {
                 vmm: self,
+                resident,
                 requester: Some(requester),
-            };
-            let Some(victim) = policy.select_victim(&mut oracle) else {
+            }) else {
                 return false;
             };
             if R::ENABLED {
@@ -1580,11 +1356,9 @@ impl<R: Recorder> Vmm<R> {
                     (count << 8) | group,
                 );
             }
+            self.note_residency(requester, victim);
             let m2 = victim.align_down(PageSize::M2);
-            let shard_idx = self.resident_shard_of(m2);
-            let mut shard = self.lock_resident_shard(requester, shard_idx);
-            let ent = shard
-                .map
+            let ent = resident
                 .get(&victim.0)
                 .copied()
                 .expect("victim tracked in resident map");
@@ -1602,11 +1376,11 @@ impl<R: Recorder> Vmm<R> {
                     });
                 let cspan = child.pages_4k() as u64;
                 let children = ent.size.pages_4k() / child.pages_4k();
-                shard.map.remove(&victim.0);
-                let owed = shard.pending_dirty.remove(&victim.0);
+                resident.remove(&victim.0);
+                let owed = pending_dirty.remove(&victim.0);
                 for k in 0..children as u64 {
                     let chead = VirtPage(victim.0 + k * cspan);
-                    shard.map.insert(
+                    resident.insert(
                         chead.0,
                         Resident {
                             frame: ent.frame.add((k * cspan) as u32),
@@ -1616,22 +1390,18 @@ impl<R: Recorder> Vmm<R> {
                     if owed {
                         // The parent's write-back debt covers every byte;
                         // each child now owes its share.
-                        shard.pending_dirty.insert(chead.0);
+                        pending_dirty.insert(chead.0);
                     }
                 }
-                let len = &self.resident_len[shard_idx];
-                len.store(len.load(Relaxed) + children - 1, Relaxed);
-                let r = shard.regions.entry(m2.0).or_insert((ent.size, 1));
+                let r = regions.entry(m2.0).or_insert((ent.size, 1));
                 r.0 = child;
                 r.1 += children as u32 - 1;
-                drop(shard);
                 // One PTE rewrite per new head (the radix rewrite touched
                 // every sub-entry, but those writes displace the unmap +
                 // remap a whole-block eviction would have cost).
                 clock.advance(self.cfg.cost.pte_update * children as u64);
                 self.global.block_splits.fetch_add(1, Relaxed);
-                // Under the held policy lock (buffers already flushed):
-                // the parent leaves, the children enter with its count.
+                // The parent leaves, the children enter with its count.
                 policy.on_evict(victim);
                 for k in 0..children as u64 {
                     policy.on_insert(VirtPage(victim.0 + k * cspan), mc);
@@ -1639,10 +1409,8 @@ impl<R: Recorder> Vmm<R> {
                 continue;
             }
             // Victim is at (or below) the wanted granularity: evict it.
-            shard.map.remove(&victim.0);
-            let len = &self.resident_len[shard_idx];
-            len.store(len.load(Relaxed) - 1, Relaxed);
-            let region_empty = if let Some(r) = shard.regions.get_mut(&m2.0) {
+            resident.remove(&victim.0);
+            let region_empty = if let Some(r) = regions.get_mut(&m2.0) {
                 r.1 -= 1;
                 r.1 == 0
             } else {
@@ -1651,10 +1419,9 @@ impl<R: Recorder> Vmm<R> {
             if region_empty {
                 // The next fault in this region re-consults the pressure
                 // controller from scratch.
-                shard.regions.remove(&m2.0);
+                regions.remove(&m2.0);
             }
-            let mut dirty =
-                !shard.pending_dirty.is_empty() && shard.pending_dirty.remove(&victim.0);
+            let mut dirty = !pending_dirty.is_empty() && pending_dirty.remove(&victim.0);
             let out = with_scheme!(self, s => s.unmap_all(victim, ent.size));
             let mut map_count = 0u32;
             if let Some(out) = &out {
@@ -1672,233 +1439,77 @@ impl<R: Recorder> Vmm<R> {
                 let rank = self.cfg.tiers().demotion_rank(map_count);
                 self.write_back(requester, victim, ent.size.pages_4k() as u64, rank);
             }
-            drop(shard);
-            self.buddy().free(ent.frame, ent.size);
+            frames.buddy().free(ent.frame, ent.size);
             policy.on_evict(victim);
             self.global.evictions.fetch_add(1, Relaxed);
             return true;
         }
     }
 
-    /// Adaptive-mode fault handler: like [`Vmm::handle_fault`], but the
-    /// mapping granularity is chosen per 2 MB region by the pressure
-    /// controller instead of fixed by the configuration, and device RAM
-    /// comes from the buddy pool.
-    fn handle_fault_adaptive(&self, core: CoreId, page: VirtPage) -> FaultKind {
-        let m2 = page.align_down(PageSize::M2);
-        let clock = &self.clocks[core.index()];
-        let st = &self.core_stats[core.index()];
-        owner_add(&st.page_faults, 1);
-        let t0 = clock.now();
-        if R::ENABLED {
-            self.tracer
-                .record(core.0, t0, EventKind::FaultStart, page.0, 0);
-        }
-        clock.advance(self.cfg.cost.fault_base);
-
-        // Page-table lock, keyed by the region head so every granularity
-        // of the same region serializes on one virtual resource.
-        let (lock, hold) = self.lock_for(m2);
-        let t_req = clock.now();
-        let res = lock.acquire_bounded(t_req, hold, 4 * self.cfg.cores as u64 * hold);
-        if res.queue_delay > 0 {
-            owner_add(&st.lock_wait_cycles, res.queue_delay);
-        }
-        clock.advance_to(res.end);
-        if R::ENABLED {
-            self.tracer
-                .record(core.0, t_req, EventKind::LockAcquire, res.queue_delay, hold);
-            self.tracer
-                .record(core.0, res.end, EventKind::LockRelease, m2.0, 0);
-        }
-
-        let shard_idx = self.resident_shard_of(m2);
-        let kind = 'fault: loop {
-            let mut shard = self.lock_resident_shard(core, shard_idx);
-            if let Some((head, ent)) = Self::covering_entry(&shard, page) {
-                // Resident at some granularity: PSPT minor fault.
-                match with_scheme!(self, s => s.map(core, head, ent.frame, ent.size, true)) {
-                    Ok(MapOutcome::Copied { probes, map_count }) => {
-                        clock.advance(
-                            self.cfg.cost.pspt_probe * probes as u64
-                                + self.cfg.cost.pte_update * Self::subentries_of(ent.size),
-                        );
-                        self.push_policy_event(
-                            core,
-                            PolicyEvent::MapCount {
-                                block: head,
-                                map_count,
-                            },
-                        );
-                        break FaultKind::MinorCopy;
-                    }
-                    Ok(MapOutcome::Fresh) => {
-                        clock.advance(self.cfg.cost.pte_update * Self::subentries_of(ent.size));
-                        self.push_policy_event(
-                            core,
-                            PolicyEvent::MapCount {
-                                block: head,
-                                map_count: 1,
-                            },
-                        );
-                        break FaultKind::MinorCopy;
-                    }
-                    Err(_) => break FaultKind::Spurious,
-                }
-            }
-            // Not resident: pick the region's granularity (the pressure
-            // controller decides for a fresh region) and allocate with
-            // the stripe released.
-            let size = shard
-                .regions
-                .get(&m2.0)
-                .map(|r| r.0)
-                .unwrap_or_else(|| self.adaptive_target());
-            let head = page.align_down(size);
-            drop(shard);
-            let mut frame = self.alloc_block_adaptive(core, size);
-            shard = self.lock_resident_shard(core, shard_idx);
-            // Re-check both races: the block may have been faulted in by
-            // another core, and the region's granularity may have been
-            // lowered by a split while the stripe was unlocked.
-            if Self::covering_entry(&shard, page).is_some()
-                || shard.regions.get(&m2.0).map(|r| r.0).unwrap_or(size) != size
-            {
-                drop(shard);
-                self.buddy().free(frame, size);
-                continue 'fault;
-            }
-            if let Some(tin) = self.backing.load(head, size.pages_4k() as u64) {
-                let inj = self.injector.as_ref();
-                let mut attempt = 0u32;
-                loop {
-                    let c = self.dma.transfer_checked_tiered(
-                        clock.now(),
-                        size.bytes(),
-                        DmaDirection::HostToDevice,
-                        inj,
-                        &self.tracer,
-                        core.0,
-                        tin.tier,
-                    );
-                    let wait = c.reservation.end.saturating_sub(clock.now());
-                    clock.advance(wait);
-                    owner_add(&st.dma_wait_cycles, wait);
-                    if R::ENABLED {
-                        self.tracer.record(
-                            core.0,
-                            clock.now(),
-                            EventKind::DmaComplete,
-                            wait,
-                            DmaDirection::HostToDevice.code(),
-                        );
-                    }
-                    if c.spike_cycles > 0 {
-                        self.global.latency_spikes.fetch_add(1, Relaxed);
-                        self.note_injected(core, FaultSite::DmaLatency, attempt as u64);
-                    }
-                    if !c.failed {
-                        break;
-                    }
-                    self.global.dma_errors.fetch_add(1, Relaxed);
-                    self.note_injected(core, FaultSite::DmaIn, attempt as u64);
-                    self.charge_backoff(core, attempt, FaultSite::DmaIn);
-                    attempt += 1;
-                    assert!(
-                        attempt < MAX_RECOVERY_ATTEMPTS,
-                        "{MAX_RECOVERY_ATTEMPTS} consecutive page-in DMA errors on {head}"
-                    );
-                    if self.buddy().usable_pages() > (self.cfg.cores * size.pages_4k()) as u64 {
-                        // Quarantine the poisoned block and retry into a
-                        // fresh one (see the fixed-size path).
-                        drop(shard);
-                        self.buddy().quarantine(frame, size);
-                        owner_add(&st.quarantines, 1);
-                        self.global.quarantined_frames.fetch_add(1, Relaxed);
-                        if R::ENABLED {
-                            self.tracer.record(
-                                core.0,
-                                clock.now(),
-                                EventKind::Quarantine,
-                                frame.0 as u64,
-                                head.0,
-                            );
-                        }
-                        frame = self.alloc_block_adaptive(core, size);
-                        shard = self.lock_resident_shard(core, shard_idx);
-                        if Self::covering_entry(&shard, page).is_some()
-                            || shard.regions.get(&m2.0).map(|r| r.0).unwrap_or(size) != size
-                        {
-                            drop(shard);
-                            self.buddy().free(frame, size);
-                            continue 'fault;
-                        }
-                    }
-                }
-                self.charge_tier_penalty(core, tin.tier, size.bytes());
-                if tin.promoted > 0 {
-                    self.global.tier_promotions.fetch_add(tin.promoted, Relaxed);
-                }
-                self.global.refaults.fetch_add(1, Relaxed);
-            }
-            with_scheme!(self, s => s.map(core, head, frame, size, true))
-                .expect("fresh block maps cleanly");
-            clock.advance(self.cfg.cost.pte_update * Self::subentries_of(size));
-            shard.map.insert(head.0, Resident { frame, size });
-            let len = &self.resident_len[shard_idx];
-            len.store(len.load(Relaxed) + 1, Relaxed);
-            shard.regions.entry(m2.0).or_insert((size, 0)).1 += 1;
-            self.push_policy_event(
-                core,
-                PolicyEvent::Insert {
-                    block: head,
-                    map_count: 1,
-                },
-            );
-            break FaultKind::Major;
-        };
-        self.maybe_flush(core);
-        let spent = clock.now() - t0;
-        owner_add(&st.fault_cycles, spent);
-        if R::ENABLED {
-            let resolution = match kind {
-                FaultKind::Major => 0,
-                FaultKind::MinorCopy => 1,
-                FaultKind::Spurious => 2,
-            };
-            self.tracer
-                .record(core.0, clock.now(), EventKind::FaultEnd, resolution, spent);
-        }
-        kind
-    }
-
     /// One statistics-scan timer tick (every `scan_period` cycles of
     /// virtual time, run by dedicated hyperthreads in the paper's setup).
     pub fn scan_tick(&self) {
-        let mut policy = self.policy.lock();
+        let mut state = self.state.lock();
+        let KernelState {
+            policy, resident, ..
+        } = &mut *state;
         if !policy.wants_periodic_scan() {
             return;
         }
-        // The scan must see every insert that already happened.
-        self.flush_locked(&mut policy);
         let budget = if self.cfg.scan_budget > 0 {
             self.cfg.scan_budget
         } else {
             (policy.resident() / 8).max(32)
         };
-        let mut oracle = KernelOracle {
-            vmm: self,
-            requester: None,
-        };
-        policy.scan_tick(budget, &mut oracle);
+        policy.scan_tick(
+            budget,
+            &mut KernelOracle {
+                vmm: self,
+                resident,
+                requester: None,
+            },
+        );
         self.global.scan_ticks.fetch_add(1, Relaxed);
     }
+}
+
+/// Pressure controller: the mapping granularity for the next fresh
+/// region, from the buddy pool's free ratio. Plenty of headroom → 2 MB
+/// mappings (fewest faults, fewest PTEs); moderate pressure → 64 kB; a
+/// nearly full pool → 4 kB so eviction displaces the least data.
+/// Thresholds are in 1/256ths of the pool.
+fn adaptive_target(b: &BuddyPool) -> PageSize {
+    let ratio = b.free_pages() * 256 / b.total_pages().max(1);
+    if ratio >= 128 {
+        PageSize::M2
+    } else if ratio >= 32 {
+        PageSize::K64
+    } else {
+        PageSize::K4
+    }
+}
+
+/// The resident entry covering `page` at any granularity, with its head.
+fn covering_entry(
+    resident: &FxHashMap<u64, Resident>,
+    page: VirtPage,
+) -> Option<(VirtPage, Resident)> {
+    PageSize::ALL.iter().find_map(|&s| {
+        let head = page.align_down(s);
+        resident
+            .get(&head.0)
+            .filter(|ent| ent.size == s)
+            .map(|&ent| (head, ent))
+    })
 }
 
 /// The kernel-side implementation of [`AccessBitOracle`]: every query is
 /// a real PTE scan with real shootdowns.
 struct KernelOracle<'a, R: Recorder> {
     vmm: &'a Vmm<R>,
+    /// The resident map, borrowed from the commit-state guard the caller
+    /// already holds: re-locking the state here would self-deadlock.
+    resident: &'a FxHashMap<u64, Resident>,
     /// `Some(core)`: reclaim path, costs charged to the faulting core.
     /// `None`: the scan timer's dedicated hyperthreads.
     requester: Option<CoreId>,
@@ -1907,15 +1518,9 @@ struct KernelOracle<'a, R: Recorder> {
 impl<R: Recorder> AccessBitOracle for KernelOracle<'_, R> {
     fn test_and_clear(&mut self, block: VirtPage) -> bool {
         // Adaptive mode: the policy tracks mixed-size blocks, so look up
-        // the victim candidate's actual granularity. Safe to take the
-        // stripe here — the oracle is only consulted with no stripe lock
-        // held (victim selection precedes the stripe acquisition, and
-        // the scan timer holds none).
+        // the victim candidate's actual granularity.
         let size = if self.vmm.cfg.adaptive {
-            let m2 = block.align_down(PageSize::M2);
-            let shard = self.vmm.resident[self.vmm.resident_shard_of(m2)].lock();
-            shard
-                .map
+            self.resident
                 .get(&block.0)
                 .map(|ent| ent.size)
                 .unwrap_or(self.vmm.cfg.block_size)
@@ -1972,6 +1577,11 @@ mod tests {
         Vmm::new(KernelConfig::new(cores, blocks))
     }
 
+    /// Residency transactions counted against `core` so far.
+    fn transactions(v: &Vmm, core: usize) -> u64 {
+        v.core_stats()[core].shard_lock_acquires.load(Relaxed)
+    }
+
     #[test]
     fn first_touch_fault_maps_block() {
         let v = vmm(2, 4);
@@ -1983,6 +1593,8 @@ mod tests {
         // First touch: no DMA (zero-fill), no eviction.
         assert_eq!(v.dma().bytes_in(), 0);
         assert_eq!(v.global_stats().snapshot().evictions, 0);
+        // A fresh major: the lookup and the insert.
+        assert_eq!(transactions(&v, 0), 2);
     }
 
     #[test]
@@ -1995,6 +1607,8 @@ mod tests {
         assert_eq!(v.resident_blocks(), 1, "still one resident block");
         let hist = v.sharing_histogram().unwrap();
         assert_eq!(hist[1], 1, "one block mapped by exactly 2 cores");
+        // A minor fault: the lookup alone.
+        assert_eq!(transactions(&v, 1), 1);
     }
 
     #[test]
@@ -2002,8 +1616,11 @@ mod tests {
         let v = vmm(1, 2);
         v.handle_fault(CoreId(0), VirtPage(0), false);
         v.handle_fault(CoreId(0), VirtPage(1), false);
-        assert_eq!(v.pool_free(), 0);
+        assert_eq!(v.pool_free_blocks(), Some(0));
+        let before = transactions(&v, 0);
         v.handle_fault(CoreId(0), VirtPage(2), false);
+        // An evicting major: the lookup, the victim and the insert.
+        assert_eq!(transactions(&v, 0), before + 3);
         assert_eq!(v.resident_blocks(), 2);
         assert_eq!(v.global_stats().snapshot().evictions, 1);
         // FIFO: block 0 was evicted.
@@ -2161,8 +1778,8 @@ mod tests {
     fn spurious_fault_under_regular_tables() {
         let v = Vmm::new(KernelConfig::new(2, 4).with_scheme(SchemeChoice::Regular));
         v.handle_fault(CoreId(0), VirtPage(0), false);
-        // Core 1 faults the same (already mapped) block — e.g. a stale
-        // TLB-miss race in the parallel engine.
+        // Core 1 faults the block core 0 already mapped in the shared
+        // table: a direct caller skipping the engine's walk re-probe.
         let k = v.handle_fault(CoreId(1), VirtPage(0), false);
         assert_eq!(k, FaultKind::Spurious);
         assert_eq!(v.resident_blocks(), 1);
@@ -2186,12 +1803,6 @@ mod tests {
         v.handle_fault(CoreId(0), VirtPage(0x4a), false);
         for p in 0x40..0x50u64 {
             assert!(v.translate(CoreId(0), VirtPage(p)).is_some(), "page {p:#x}");
-        }
-    }
-
-    impl Vmm {
-        fn pool_free(&self) -> usize {
-            self.pool().free_blocks()
         }
     }
 }

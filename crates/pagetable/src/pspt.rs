@@ -15,11 +15,14 @@
 //!   known without touching accessed bits, which is exactly the signal
 //!   the CMCP replacement policy consumes.
 //!
-//! Alongside the per-core radix tables, PSPT keeps a sharded *core-map
+//! Alongside the per-core radix tables, PSPT keeps a *core-map
 //! directory* from block head page to [`CoreSet`]. The paper derives the
 //! same information by walking per-core tables; the directory is the
 //! constant-time equivalent and is kept strictly consistent with the
-//! tables (asserted in tests and by `debug_assert`s here).
+//! tables (asserted in tests and by `debug_assert`s here). Only the
+//! kernel's sequential commit phase and post-run reports touch it, so
+//! one lock covers it; the per-core tables keep their own locks because
+//! phase A walks them.
 
 use parking_lot::{Mutex, RwLock};
 
@@ -28,8 +31,6 @@ use cmcp_arch::{CoreId, CoreSet, FxHashMap, PageSize, PhysFrame, VirtPage};
 use crate::pte::PteFlags;
 use crate::scheme::{MapOutcome, ScanOutcome, SchemeKind, TableScheme, Translation, UnmapOutcome};
 use crate::table::{MapError, PageTable};
-
-const DIR_SHARDS: usize = 64;
 
 /// One core's private table. 128-byte aligned (the adjacent-line
 /// prefetcher pairs 64-byte lines): phase A takes its lock on every TLB
@@ -44,8 +45,8 @@ pub struct Pspt {
     /// granularity is the point.
     tables: Vec<CoreTable>,
     cores: CoreSet,
-    /// Sharded directory: block head page → cores mapping it.
-    directory: Vec<Mutex<FxHashMap<u64, CoreSet>>>,
+    /// Directory: block head page → cores mapping it.
+    directory: Mutex<FxHashMap<u64, CoreSet>>,
 }
 
 impl Pspt {
@@ -56,9 +57,7 @@ impl Pspt {
                 .map(|_| CoreTable(RwLock::new(PageTable::new())))
                 .collect(),
             cores: CoreSet::first_n(n_cores),
-            directory: (0..DIR_SHARDS)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
+            directory: Mutex::new(FxHashMap::default()),
         }
     }
 
@@ -67,17 +66,9 @@ impl Pspt {
         &self.tables[core.index()].0
     }
 
-    #[inline]
-    fn shard(&self, head: VirtPage) -> &Mutex<FxHashMap<u64, CoreSet>> {
-        // Multiply-shift hash keeps neighbouring blocks on different
-        // shards without pulling in a hasher crate.
-        let h = (head.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize;
-        &self.directory[h % DIR_SHARDS]
-    }
-
     /// Number of distinct resident blocks.
     pub fn resident_blocks(&self) -> usize {
-        self.directory.iter().map(|s| s.lock().len()).sum()
+        self.directory.lock().len()
     }
 
     /// Histogram of blocks by number of mapping cores: index `k` counts
@@ -85,12 +76,10 @@ impl Pspt {
     /// Figure 6 directly from PSPT bookkeeping.
     pub fn sharing_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.tables.len()];
-        for shard in &self.directory {
-            for set in shard.lock().values() {
-                let c = set.count();
-                if c > 0 {
-                    hist[c - 1] += 1;
-                }
+        for set in self.directory.lock().values() {
+            let c = set.count();
+            if c > 0 {
+                hist[c - 1] += 1;
             }
         }
         hist
@@ -134,9 +123,9 @@ impl TableScheme for Pspt {
         } else {
             PteFlags::empty()
         };
-        // Hold the directory shard across the table update so that a
-        // concurrent unmap_all of the same block cannot interleave.
-        let mut dir = self.shard(head).lock();
+        // Hold the directory across the table update so that an
+        // unmap_all of the same block cannot interleave.
+        let mut dir = self.directory.lock();
         let entry = dir.entry(head.0).or_insert_with(CoreSet::empty);
         let existing = *entry;
         debug_assert!(
@@ -167,7 +156,7 @@ impl TableScheme for Pspt {
     }
 
     fn unmap_all(&self, head: VirtPage, size: PageSize) -> Option<UnmapOutcome> {
-        let mut dir = self.shard(head).lock();
+        let mut dir = self.directory.lock();
         let mappers = dir.remove(&head.0)?;
         let mut dirty = false;
         let mut accessed = false;
@@ -196,7 +185,7 @@ impl TableScheme for Pspt {
     }
 
     fn mapping_cores(&self, head: VirtPage) -> CoreSet {
-        self.shard(head)
+        self.directory
             .lock()
             .get(&head.0)
             .copied()
@@ -205,20 +194,15 @@ impl TableScheme for Pspt {
 
     fn split_block(&self, head: VirtPage, size: PageSize) -> Option<PageSize> {
         let child = size.split_child()?;
-        // Take the block out of the directory first (shard lock held so
-        // no map/unmap of the whole block interleaves), rewrite every
-        // mapper's table, then register the children under the same
-        // core set — their heads may hash to different shards, which is
-        // fine: the engine serializes split against child operations.
-        let mappers = {
-            let mut dir = self.shard(head).lock();
-            let set = *dir.get(&head.0)?;
-            if set.is_empty() {
-                return None;
-            }
-            dir.remove(&head.0);
-            set
-        };
+        // Take the block out of the directory (held throughout, so no
+        // map/unmap of the block interleaves), rewrite every mapper's
+        // table, then register the children under the same core set.
+        let mut dir = self.directory.lock();
+        let mappers = *dir.get(&head.0)?;
+        if mappers.is_empty() {
+            return None;
+        }
+        dir.remove(&head.0);
         for core in mappers.iter() {
             let done = self.table(core).write().split(head, size);
             debug_assert!(done, "directory said {core} maps {head} but split failed");
@@ -227,7 +211,7 @@ impl TableScheme for Pspt {
         let children = size.pages_4k() / child.pages_4k();
         for k in 0..children as u64 {
             let ch = head.add(k * step);
-            self.shard(ch).lock().insert(ch.0, mappers);
+            dir.insert(ch.0, mappers);
         }
         Some(child)
     }

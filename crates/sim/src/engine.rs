@@ -509,7 +509,7 @@ impl Committer {
     /// Length of the sorted candidates' shardable prefix (DESIGN.md §14):
     /// it ends at the first entry whose effects might escape its
     /// block-hash shard. A fault is shard-local iff the scheme is PSPT
-    /// (per-block directory shards + sharded PT locks), the allocator is
+    /// (per-block directory entries + sharded PT locks), the allocator is
     /// the fixed-size pool (the buddy pool is one global resource), the
     /// topology is single-node (multi-node commits read the shared
     /// per-node books), and the fault is either minor (block resident:
@@ -559,7 +559,6 @@ impl Committer {
         }
 
         if live == 0 {
-            vmm.flush_policy_events();
             shared.finished.store(true, Ordering::Release);
             return;
         }
@@ -595,10 +594,6 @@ impl Committer {
             }
             self.barrier_seq += 1;
             self.scaling.releases += 1;
-            // The batch boundary of the policy-event stream: residual
-            // per-core buffers drain under one policy-lock acquisition
-            // while the whole machine is synchronized anyway.
-            vmm.flush_policy_events();
         }
 
         // Next ceiling: the earliest thing that can happen anywhere —

@@ -31,7 +31,7 @@ pub struct CoreTotals {
     pub shootdown_cycles: u64,
     /// Cycles queued on the page-table lock.
     pub lock_wait_cycles: u64,
-    /// Host-side residency stripe-lock acquisitions (zero cycles).
+    /// Residency transactions on the fault path (zero cycles).
     pub shard_lock_acquires: u64,
     /// Faults injected against this core by the fault plan.
     pub faults_injected: u64,
@@ -80,8 +80,9 @@ pub struct CoreBreakdown {
     pub ack_cycles: u64,
     /// Own-TLB entries invalidated while draining the mailbox.
     pub tlb_invalidations: u64,
-    /// Host-side residency stripe-lock acquisitions (`ShardLock` count;
-    /// contributes no cycles — host locks are free in virtual time).
+    /// Residency transactions on the fault path (`ShardLock` count;
+    /// contributes no cycles — host bookkeeping is free in virtual
+    /// time).
     pub shard_lock_acquires: u64,
     /// Cycles spent waiting at barriers.
     pub barrier_wait_cycles: u64,

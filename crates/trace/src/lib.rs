@@ -93,10 +93,11 @@ pub enum EventKind {
     BarrierArrive = 11,
     /// A full PSPT rebuild ran. `a` = blocks rebuilt.
     Rebuild = 12,
-    /// A host-side residency stripe lock was taken on the fault path.
-    /// `a` = stripe index, `b` = 0 — host locks add **zero** virtual
-    /// cycles; the event exists so host-contention analyses line up
-    /// with `CoreStats.shard_lock_acquires` exactly.
+    /// A residency transaction on the fault path: the lookup, a major's
+    /// insert, a victim taken, or a quarantine retry. `a` = block head
+    /// page (the 2 MB region head for an adaptive lookup), `b` = 0 —
+    /// host-side bookkeeping adds **zero** virtual cycles; the count
+    /// matches `CoreStats.shard_lock_acquires` exactly.
     ShardLock = 13,
     /// The fault-injection layer fired at some site. `a` = site code
     /// (see `cmcp_arch::FaultSite`), `b` = attempt index at which the
@@ -550,5 +551,37 @@ mod loom_tests {
                 assert!((11..=14).contains(&e.a), "payload from nowhere: {}", e.a);
             }
         });
+    }
+
+    /// The checker itself, on raw atomics: a publishing CAS whose
+    /// success ordering is `Acquire` (no Release half) does not publish
+    /// the plain store before it, so a reader that acquires the flag can
+    /// still see the stale value. The model checker MUST find that
+    /// execution — the acceptance test that the harness catches a
+    /// missing Release, the bug class every model here guards against.
+    #[test]
+    fn loom_buggy_acquire_publish_is_caught() {
+        use loom::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+        let caught = std::panic::catch_unwind(|| {
+            loom::model(|| {
+                let head = Arc::new(AtomicU64::new(0));
+                let link = Arc::new(AtomicU32::new(0));
+                let (h2, l2) = (Arc::clone(&head), Arc::clone(&link));
+                let t = thread::spawn(move || {
+                    l2.store(7, Ordering::Relaxed);
+                    // BUG under test: success ordering lacks Release, so
+                    // the link store above is unpublished.
+                    let _ = h2.compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed);
+                });
+                if head.load(Ordering::Acquire) == 1 {
+                    assert_eq!(link.load(Ordering::Relaxed), 7, "stale link visible");
+                }
+                t.join().unwrap();
+            });
+        });
+        assert!(
+            caught.is_err(),
+            "the Acquire-publish ordering bug must be detected by the model checker"
+        );
     }
 }

@@ -36,8 +36,7 @@
 //!   **continue release sequences**: an RMW inherits the release set of
 //!   the store it read, whatever its own ordering, so an acquire load
 //!   that reads the last of a chain of CASes synchronizes with every
-//!   release in the chain. The Treiber-stack hand-off proof in
-//!   `cmcp-kernel::frames` leans on this.
+//!   release in the chain.
 //!
 //! Deliberate simplifications (documented in shims/README.md): no
 //! seq-cst total order (`SeqCst` is treated as `AcqRel`), modification

@@ -60,9 +60,9 @@ fn assert_no_lost_pages<R: Recorder>(vmm: &Vmm<R>, t: &Trace, label: &str) {
             "{label}: dirty page {page} lost (neither resident nor backed)"
         );
     }
-    let (free, resident, quarantined, total) = vmm.frame_audit();
+    let (free, resident, quarantined, total) = vmm.frame_audit_pages();
     assert_eq!(
-        free + resident + quarantined as usize,
+        free + resident + quarantined,
         total,
         "{label}: frame books out of balance (double-free or leak)"
     );
@@ -113,9 +113,10 @@ fn quarantined_frames_stay_out_of_circulation() {
     let report = run_deterministic(&vmm, &t);
     let executed: u64 = report.per_core.iter().map(|c| c.dtlb_accesses).sum();
     assert_eq!(executed, touches);
-    let (free, resident, quarantined, total) = vmm.frame_audit();
-    assert_eq!(quarantined, report.global.quarantined_frames);
-    assert_eq!(free + resident, total - quarantined as usize);
+    let (free, resident, quarantined, total) = vmm.frame_audit_pages();
+    let block_pages = vmm.config().block_size.pages_4k() as u64;
+    assert_eq!(quarantined, report.global.quarantined_frames * block_pages);
+    assert_eq!(free + resident, total - quarantined);
     assert_no_lost_pages(&vmm, &t, "quarantine");
 }
 

@@ -1,7 +1,7 @@
-//! Engine stress tests: many worker threads hammering the sharded
-//! kernel state under eviction pressure. These catch lost updates,
-//! frame-pool leaks, and deadlocks that the small determinism tests
-//! are too gentle to provoke.
+//! Engine stress tests: many worker threads running phase A around the
+//! kernel's single-writer commit under eviction pressure. These catch
+//! lost updates, frame leaks, and deadlocks that the small determinism
+//! tests are too gentle to provoke.
 //!
 //! CI runs this suite both with the default test harness and with
 //! `--test-threads=1`, so it must be self-contained per test.
@@ -14,7 +14,7 @@ const STRESS_WORKERS: usize = 8;
 #[test]
 fn eight_workers_under_heavy_pressure_conserve_every_touch() {
     // 16 cores sharing a hot set plus private streams, squeezed to half
-    // the footprint: constant eviction traffic across every stripe.
+    // the footprint: constant eviction traffic.
     let t = synthetic::shared_hot(16, 48, 64, 6);
     let touches = t.total_touches();
     for policy in [
@@ -69,8 +69,8 @@ fn repeated_stress_runs_complete_and_agree_on_footprint() {
 #[test]
 fn traced_stress_run_still_validates_exactly() {
     // The per-core breakdown must keep summing exactly to the kernel
-    // counters even when 8 workers interleave stripe locks and batched
-    // policy flushes.
+    // counters even with 8 workers running phase A around the
+    // single-writer commit.
     let t = synthetic::shared_hot(8, 24, 40, 4);
     let traced = SimulationBuilder::trace(t)
         .policy(PolicyKind::Cmcp { p: 0.5 })
@@ -79,11 +79,11 @@ fn traced_stress_run_still_validates_exactly() {
         .run_traced();
     assert_eq!(traced.dropped, 0, "default ring must hold the stress run");
     let b = traced.report.breakdown.expect("traced run has a breakdown");
-    assert!(b.validated, "stripe-lock events must reconcile exactly");
+    assert!(b.validated, "residency events must reconcile exactly");
     let shard_locks: u64 = b.per_core.iter().map(|r| r.shard_lock_acquires).sum();
     assert!(
         shard_locks > 0,
-        "fault path must cross the residency stripes"
+        "fault path must record residency transactions"
     );
 }
 
