@@ -157,6 +157,9 @@ goldens-save:
 	./target/release/cmcp-cli --workload cg.B --cores 8 \
 		--fault-plan "seed=42,dma=0.01,enospc=0.005" --json \
 		> results/golden_faulted_cg.json
+	./target/release/cmcp-cli --workload lu.B --cores 16 --memory 0.66 \
+		--tiers 4tier --numa 2node --json \
+		> results/golden_tiered_numa_lu.json
 
 ci: fmt lint verify test-serial test-faults test-loom stress test-tiers \
     test-numa bench-smoke bench-hotpath bench-e2e goldens-check

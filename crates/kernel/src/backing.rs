@@ -25,12 +25,12 @@
 //!   adaptive page-size mode too, where a 2 MB write-back may later be
 //!   refaulted — or partially overwritten — at 64 kB granularity.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use parking_lot::Mutex;
 
-use cmcp_arch::{FaultInjector, FaultSite, FxHashSet, TierConfig, VirtPage};
+use cmcp_arch::{FaultInjector, FaultSite, FxHashMap, FxHashSet, TierConfig, VirtPage};
 
 /// Host-side block store (content-free: the simulator tracks residency
 /// and movement, not data bytes). The presence set is probed on every
@@ -95,14 +95,32 @@ impl BackingStore {
     }
 }
 
-/// One stored byte range: `pages` 4 kB pages starting at the map key.
+/// One stored byte range: `pages` 4 kB pages starting at the map key
+/// (at most a 2 MB region's 512, so 16 bytes hold a span).
 #[derive(Debug, Clone, Copy)]
 struct Span {
-    pages: u64,
+    pages: u32,
     tier: u8,
-    /// FIFO stamp within the tier (older = demoted first).
+    /// FIFO stamp within the tier (older = demoted first). Stamps are
+    /// unique over the store's life, so `(seq, head)` names one span.
     seq: u64,
 }
+
+impl Span {
+    /// The span's length in 4 kB pages.
+    fn len(&self) -> u64 {
+        u64::from(self.pages)
+    }
+}
+
+/// 4 kB pages per 2 MB region. The kernel only stores or probes one
+/// naturally aligned block of at most 2 MB, so every range — and every
+/// span, which is a range or a trimmed remainder of one — lies inside
+/// a single region.
+const REGION_PAGES: u64 = 512;
+
+/// Bitmap words per region: bit `i` = a span starts at page `i`.
+const REGION_WORDS: usize = (REGION_PAGES / 64) as usize;
 
 /// Per-tier occupancy and traffic counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -142,55 +160,151 @@ pub struct LoadOutcome {
     pub promoted: u64,
 }
 
-#[derive(Debug)]
+/// The region index of `[head, head + pages)`. Panics when the range
+/// crosses a 2 MB region boundary: the head bitmaps cannot see a span
+/// reaching in from another region.
+fn region_of(head: u64, pages: u64) -> u64 {
+    let region = head / REGION_PAGES;
+    assert!(
+        pages > 0 && (head + pages - 1) / REGION_PAGES == region,
+        "tier store range [{head}, {}) crosses a 2 MB region",
+        head + pages
+    );
+    region
+}
+
+/// The highest set bit of `bits` below bit `end` (`end` < 512).
+fn last_head_below(bits: &[u64; REGION_WORDS], end: u64) -> Option<u64> {
+    let mut w = (end / 64) as usize;
+    let mut word = bits[w] & ((1u64 << (end % 64)) - 1);
+    loop {
+        if word != 0 {
+            return Some(w as u64 * 64 + 63 - u64::from(word.leading_zeros()));
+        }
+        if w == 0 {
+            return None;
+        }
+        w -= 1;
+        word = bits[w];
+    }
+}
+
+#[derive(Debug, Default)]
 struct TieredInner {
     /// Non-overlapping spans, keyed by head page. The non-overlap
     /// invariant is what "no page resident in two tiers" reduces to.
-    spans: BTreeMap<u64, Span>,
-    /// Per-tier FIFO order: seq → head.
-    fifo: Vec<BTreeMap<u64, u64>>,
+    spans: FxHashMap<u64, Span>,
+    /// 2 MB region index → bitmap of the span heads inside it: the
+    /// ordered view the overlap probe needs, without an ordered map.
+    heads: FxHashMap<u64, [u64; REGION_WORDS]>,
+    /// Per-tier FIFO order, oldest first: `(seq, head)`. Removing or
+    /// restamping a span leaves its entry behind, stale (no span with
+    /// that head and seq); the cascade skips stale entries at the
+    /// front, and a push compacts the queue once it holds over twice
+    /// the tier's spans.
+    fifo: Vec<VecDeque<(u64, u64)>>,
     books: Vec<TierCounters>,
     next_seq: u64,
+    /// Heads found by the last [`TieredInner::overlapping`] probe,
+    /// ascending; reused so the probe never allocates.
+    hits: Vec<u64>,
 }
 
 impl TieredInner {
-    fn insert(&mut self, head: u64, pages: u64, tier: usize) {
+    /// Whether the FIFO entry `(seq, head)` still names a stored span.
+    fn live(&self, seq: u64, head: u64) -> bool {
+        self.spans.get(&head).is_some_and(|s| s.seq == seq)
+    }
+
+    /// Takes `span` off its tier's books.
+    fn unbook(&mut self, span: Span) {
+        let t = span.tier as usize;
+        self.books[t].used_pages -= span.len();
+        self.books[t].spans -= 1;
+    }
+
+    /// Stores `[head, head + pages)` on `tier` under a fresh stamp. A
+    /// span already keyed at `head` — rewritten, trimmed to its left
+    /// remainder, demoted or promoted — is replaced in place: its FIFO
+    /// entry goes stale, and the span map takes no tombstone.
+    fn put(&mut self, head: u64, pages: u64, tier: usize) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.spans.insert(
-            head,
-            Span {
-                pages,
-                tier: tier as u8,
-                seq,
-            },
-        );
-        self.fifo[tier].insert(seq, head);
+        let span = Span {
+            pages: pages as u32,
+            tier: tier as u8,
+            seq,
+        };
+        if let Some(old) = self.spans.insert(head, span) {
+            self.unbook(old);
+        } else {
+            let off = head % REGION_PAGES;
+            let bits = self.heads.entry(head / REGION_PAGES).or_default();
+            bits[(off / 64) as usize] |= 1 << (off % 64);
+        }
+        self.fifo[tier].push_back((seq, head));
         self.books[tier].used_pages += pages;
         self.books[tier].spans += 1;
+        if self.fifo[tier].len() as u64 > 2 * self.books[tier].spans {
+            let spans = &self.spans;
+            self.fifo[tier].retain(|&(seq, h)| spans.get(&h).is_some_and(|s| s.seq == seq));
+        }
     }
 
-    fn remove(&mut self, head: u64) -> Span {
+    /// Drops the span at `head`, which a store covers whole.
+    fn remove(&mut self, head: u64) {
         let span = self.spans.remove(&head).expect("span tracked");
-        let t = span.tier as usize;
-        self.fifo[t].remove(&span.seq);
-        self.books[t].used_pages -= span.pages;
-        self.books[t].spans -= 1;
-        span
+        let off = head % REGION_PAGES;
+        let bits = self
+            .heads
+            .get_mut(&(head / REGION_PAGES))
+            .expect("region tracked");
+        bits[(off / 64) as usize] &= !(1 << (off % 64));
+        self.unbook(span);
     }
 
-    /// Heads of every span overlapping `[head, head + pages)`.
-    fn overlapping(&self, head: u64, pages: u64) -> Vec<u64> {
-        let end = head + pages;
-        let mut hits = Vec::new();
-        // A span starting before `head` can still reach into the range.
-        if let Some((&h, s)) = self.spans.range(..head).next_back() {
-            if h + s.pages > head {
-                hits.push(h);
+    /// Fills `hits` with the heads of every span overlapping
+    /// `[head, head + pages)`, ascending.
+    fn overlapping(&mut self, head: u64, pages: u64) {
+        self.hits.clear();
+        let region = region_of(head, pages);
+        let Some(bits) = self.heads.get(&region) else {
+            return;
+        };
+        let base = region * REGION_PAGES;
+        let (lo, hi) = (head - base, head - base + pages);
+        // A span starting before `head` can still reach into the range;
+        // spans never overlap, so only the nearest one can.
+        if let Some(p) = last_head_below(bits, lo) {
+            if base + p + self.spans[&(base + p)].len() > head {
+                self.hits.push(base + p);
             }
         }
-        hits.extend(self.spans.range(head..end).map(|(&h, _)| h));
-        hits
+        for w in lo / 64..hi.div_ceil(64) {
+            let mut word = bits[w as usize];
+            if w == lo / 64 {
+                word &= !0 << (lo % 64);
+            }
+            if hi < (w + 1) * 64 {
+                word &= (1 << (hi % 64)) - 1;
+            }
+            while word != 0 {
+                self.hits
+                    .push(base + w * 64 + u64::from(word.trailing_zeros()));
+                word &= word - 1;
+            }
+        }
+    }
+
+    /// Takes the oldest span of tier `t` off its FIFO, dropping the
+    /// stale entries in front of it, and returns its head.
+    fn pop_oldest(&mut self, t: usize) -> u64 {
+        loop {
+            let (seq, head) = self.fifo[t].pop_front().expect("over-cap tier has spans");
+            if self.live(seq, head) {
+                return head;
+            }
+        }
     }
 
     /// Moves bounded tiers back under capacity by demoting their oldest
@@ -201,10 +315,8 @@ impl TieredInner {
         while let Some(t) =
             (0..caps.len()).find(|&t| caps[t] > 0 && self.books[t].used_pages > caps[t])
         {
-            let (&seq, &head) = self.fifo[t].iter().next().expect("over-cap tier has spans");
-            let _ = seq;
-            let span = self.remove(head);
-            self.insert(head, span.pages, t + 1);
+            let head = self.pop_oldest(t);
+            self.put(head, self.spans[&head].len(), t + 1);
             self.books[t + 1].demoted_in += 1;
             demoted += 1;
         }
@@ -244,21 +356,25 @@ impl TieredStore {
         let n = tiers.len();
         TieredStore::Tiered(Box::new(TieredState {
             inner: Mutex::new(TieredInner {
-                spans: BTreeMap::new(),
-                fifo: (0..n).map(|_| BTreeMap::new()).collect(),
+                fifo: vec![VecDeque::new(); n],
                 books: vec![TierCounters::default(); n],
-                next_seq: 0,
+                ..TieredInner::default()
             }),
             caps: tiers.tiers.iter().map(|t| t.capacity_pages).collect(),
         }))
     }
 
     /// Whether any stored span overlaps `[head, head + pages)` — i.e.
-    /// whether a fault on this range needs a host→device transfer.
+    /// whether a fault on this range needs a host→device transfer. The
+    /// tiered store panics on a range that crosses a 2 MB region.
     pub fn contains(&self, head: VirtPage, pages: u64) -> bool {
         match self {
             TieredStore::Flat(b) => b.contains(head),
-            TieredStore::Tiered(t) => !t.inner.lock().overlapping(head.0, pages).is_empty(),
+            TieredStore::Tiered(t) => {
+                let mut inner = t.inner.lock();
+                inner.overlapping(head.0, pages);
+                !inner.hits.is_empty()
+            }
         }
     }
 
@@ -274,17 +390,15 @@ impl TieredStore {
             }),
             TieredStore::Tiered(t) => {
                 let mut inner = t.inner.lock();
-                let hits = inner.overlapping(head.0, pages);
-                if hits.is_empty() {
-                    return None;
-                }
-                let deepest = hits
+                inner.overlapping(head.0, pages);
+                let deepest = inner
+                    .hits
                     .iter()
                     .map(|h| inner.spans[h].tier as usize)
-                    .max()
-                    .expect("nonempty hits");
+                    .max()?;
                 let mut promoted = 0;
-                for h in hits {
+                for i in 0..inner.hits.len() {
+                    let h = inner.hits[i];
                     let span = inner.spans[&h];
                     let up = span.tier as usize;
                     if up == 0 {
@@ -292,10 +406,9 @@ impl TieredStore {
                     }
                     let dst = up - 1;
                     let room =
-                        t.caps[dst] == 0 || inner.books[dst].used_pages + span.pages <= t.caps[dst];
+                        t.caps[dst] == 0 || inner.books[dst].used_pages + span.len() <= t.caps[dst];
                     if room {
-                        let span = inner.remove(h);
-                        inner.insert(h, span.pages, dst);
+                        inner.put(h, span.len(), dst);
                         inner.books[dst].promoted_in += 1;
                         promoted += 1;
                     }
@@ -344,17 +457,23 @@ impl TieredStore {
                 }
                 let mut inner = t.inner.lock();
                 let end = head.0 + pages;
-                for h in inner.overlapping(head.0, pages) {
-                    let old = inner.remove(h);
-                    let old_end = h + old.pages;
+                inner.overlapping(head.0, pages);
+                for i in 0..inner.hits.len() {
+                    let h = inner.hits[i];
+                    let old = inner.spans[&h];
+                    let old_end = h + old.len();
+                    // A span at `head` itself is overwritten in place by
+                    // the final put; one further in is covered whole.
                     if h < head.0 {
-                        inner.insert(h, head.0 - h, old.tier as usize);
+                        inner.put(h, head.0 - h, old.tier as usize);
+                    } else if h > head.0 {
+                        inner.remove(h);
                     }
                     if old_end > end {
-                        inner.insert(end, old_end - end, old.tier as usize);
+                        inner.put(end, old_end - end, old.tier as usize);
                     }
                 }
-                inner.insert(head.0, pages, tier);
+                inner.put(head.0, pages, tier);
                 inner.books[tier].stores += 1;
                 let demoted = inner.cascade(&t.caps);
                 StoreOutcome {
@@ -379,6 +498,15 @@ impl TieredStore {
         self.len() == 0
     }
 
+    /// Makes room for `spans` spans up front (the flat store ignores
+    /// it). The span map otherwise grows by doubling while write-backs
+    /// accumulate, and peak RSS counts each freed smaller table.
+    pub fn reserve_spans(&self, spans: usize) {
+        if let TieredStore::Tiered(t) = self {
+            t.inner.lock().spans.reserve(spans);
+        }
+    }
+
     /// Per-tier counters, or `None` for the flat representation.
     pub fn tier_counters(&self) -> Option<Vec<TierCounters>> {
         match self {
@@ -388,36 +516,60 @@ impl TieredStore {
     }
 
     /// Consistency audit for the test oracles. Panics if spans overlap
-    /// (a page held by two tiers at once), if any per-tier page book
-    /// disagrees with the spans it claims, or if a bounded tier sits
-    /// over its capacity at a quiescent point.
+    /// (a page held by two tiers at once) or leave their 2 MB region,
+    /// if the head bitmaps disagree with the span keys, if any per-tier
+    /// page book disagrees with the spans it claims, if a tier's live
+    /// FIFO entries are not exactly its spans in stamp order, or if a
+    /// bounded tier sits over its capacity at a quiescent point.
     pub fn audit(&self) {
         let TieredStore::Tiered(t) = self else {
             return;
         };
         let inner = t.inner.lock();
+        let mut heads: Vec<u64> = inner.spans.keys().copied().collect();
+        heads.sort_unstable();
         let mut prev_end = 0u64;
         let mut used = vec![0u64; t.caps.len()];
         let mut spans = vec![0u64; t.caps.len()];
-        for (&h, s) in &inner.spans {
+        for &h in &heads {
+            let s = &inner.spans[&h];
             assert!(h >= prev_end, "spans overlap at page {h}");
-            prev_end = h + s.pages;
-            used[s.tier as usize] += s.pages;
+            prev_end = h + s.len();
+            region_of(h, s.len());
+            used[s.tier as usize] += s.len();
             spans[s.tier as usize] += 1;
-            assert_eq!(
-                inner.fifo[s.tier as usize].get(&s.seq),
-                Some(&h),
-                "span {h} missing from its tier's FIFO"
-            );
         }
+        let mut bitmap_heads: Vec<u64> = inner
+            .heads
+            .iter()
+            .flat_map(|(&region, bits)| {
+                (0..REGION_PAGES)
+                    .filter(|&i| bits[(i / 64) as usize] >> (i % 64) & 1 == 1)
+                    .map(move |i| region * REGION_PAGES + i)
+            })
+            .collect();
+        bitmap_heads.sort_unstable();
+        assert_eq!(
+            bitmap_heads, heads,
+            "head bitmaps drifted from the span keys"
+        );
         for (tier, book) in inner.books.iter().enumerate() {
             assert_eq!(book.used_pages, used[tier], "tier {tier} page book drifted");
             assert_eq!(book.spans, spans[tier], "tier {tier} span book drifted");
-            assert_eq!(
-                inner.fifo[tier].len() as u64,
-                spans[tier],
-                "tier {tier} FIFO size drifted"
+            let fifo = &inner.fifo[tier];
+            assert!(
+                fifo.iter().zip(fifo.iter().skip(1)).all(|(a, b)| a.0 < b.0),
+                "tier {tier} FIFO out of stamp order"
             );
+            let mut live = 0u64;
+            for &(seq, h) in fifo.iter().filter(|&&(seq, h)| inner.live(seq, h)) {
+                assert_eq!(
+                    inner.spans[&h].tier as usize, tier,
+                    "span {h} (stamp {seq}) queued on the wrong tier's FIFO"
+                );
+                live += 1;
+            }
+            assert_eq!(live, spans[tier], "tier {tier} FIFO size drifted");
             assert!(
                 t.caps[tier] == 0 || book.used_pages <= t.caps[tier],
                 "tier {tier} over capacity at a quiescent point"
@@ -535,6 +687,21 @@ mod tests {
     }
 
     #[test]
+    fn a_rewritten_span_queues_as_the_youngest() {
+        let s = TieredStore::new(&two_tier(), false);
+        s.try_store(VirtPage(0), 4, 0, None);
+        s.try_store(VirtPage(10), 4, 0, None);
+        // Rewriting span 0 leaves its first FIFO entry stale behind
+        // span 10's: the overflow must demote 10, not the stale 0.
+        s.try_store(VirtPage(0), 4, 0, None);
+        let out = s.try_store(VirtPage(20), 4, 0, None);
+        assert_eq!(out.demoted, 1);
+        assert_eq!(s.load(VirtPage(10), 4).unwrap().tier, 1, "span 10 demoted");
+        assert_eq!(s.load(VirtPage(0), 4).unwrap().tier, 0, "span 0 stayed hot");
+        s.audit();
+    }
+
+    #[test]
     fn load_promotes_into_slack_only() {
         let s = TieredStore::new(&two_tier(), false);
         s.try_store(VirtPage(0), 4, 1, None);
@@ -564,6 +731,31 @@ mod tests {
         assert_eq!(s.load(VirtPage(0), 2).unwrap().tier, 1);
         assert_eq!(s.load(VirtPage(9), 1).unwrap().tier, 1);
         s.audit();
+    }
+
+    #[test]
+    fn spans_on_either_side_of_a_region_boundary_stay_apart() {
+        let s = TieredStore::new(&two_tier(), true);
+        s.try_store(VirtPage(508), 4, 1, None);
+        s.try_store(VirtPage(512), 16, 1, None);
+        assert!(s.contains(VirtPage(511), 1));
+        assert!(s.contains(VirtPage(527), 1));
+        assert!(!s.contains(VirtPage(528), 1));
+        // A 2 MB probe of the second region sees only its own span.
+        let l = s.load(VirtPage(512), 512).unwrap();
+        assert_eq!(
+            (l.tier, l.promoted),
+            (1, 0),
+            "16 pages do not fit the hot tier"
+        );
+        s.audit();
+    }
+
+    #[test]
+    #[should_panic(expected = "tier store range [510, 514) crosses a 2 MB region")]
+    fn a_range_crossing_a_2mb_boundary_panics() {
+        let s = TieredStore::new(&two_tier(), true);
+        s.try_store(VirtPage(510), 4, 0, None);
     }
 
     #[test]

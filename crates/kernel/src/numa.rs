@@ -43,13 +43,14 @@
 //! window, paired with exact-cost `ReplicaSync` / `Migration` trace
 //! events, so the validated breakdown stays exact.
 
-use cmcp_arch::{FxHashMap, NumaConfig, VirtPage};
-use parking_lot::Mutex;
+use cmcp_arch::NumaConfig;
 
 /// Per-block NUMA state: the node whose DRAM budget holds the block and
 /// the bitmask of nodes holding a page-table replica of its mapping
-/// (bit `n` = node `n`; `MAX_NODES` is 8, so a `u8` covers it).
-#[derive(Clone, Copy, Debug)]
+/// (bit `n` = node `n`; `MAX_NODES` is 8, so a `u8` covers it). It
+/// rides in the kernel's resident-map entry, so it lives exactly as
+/// long as the block is resident.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BlockNuma {
     /// Home node index (budget owner).
     pub home: u8,
@@ -57,19 +58,12 @@ pub struct BlockNuma {
     pub mask: u8,
 }
 
-/// Interior state, behind one leaf-level lock. The engine commits every
-/// kernel entry in one sequential fold, so the lock is uncontended
-/// there; it exists so direct (engine-less) `Vmm` use from
-/// tests stays safe.
-#[derive(Debug, Default)]
-struct BooksInner {
-    /// Blocks charged to each node's budget.
-    used: Vec<u64>,
-    /// Per-resident-block NUMA state, keyed by block head page number.
-    blocks: FxHashMap<u64, BlockNuma>,
-}
-
-/// The per-run NUMA ledger. Constructed only for multi-node configs.
+/// The per-run NUMA topology and the rules over it. Constructed only
+/// for multi-node configs. It holds nothing mutable: each block's
+/// [`BlockNuma`] lives in its resident entry and the per-node used
+/// counts in the kernel's commit state, and the rules below update
+/// them in place. Only the sequential commit phase calls them, under
+/// the kernel's one state lock.
 #[derive(Debug)]
 pub struct NumaBooks {
     /// Topology in force (validated at `Vmm` construction).
@@ -80,7 +74,6 @@ pub struct NumaBooks {
     /// per-node conservation (`Σ used == resident blocks`) follows from
     /// the frame pool's own conservation.
     capacity: Vec<u64>,
-    inner: Mutex<BooksInner>,
 }
 
 /// What a books operation decided, for the caller to charge and trace.
@@ -105,7 +98,6 @@ impl NumaBooks {
     /// blocks. `config` must be multi-node and already validated.
     pub fn new(config: NumaConfig, cores: usize, device_blocks: usize) -> NumaBooks {
         debug_assert!(!config.is_single());
-        let nodes = config.nodes.len();
         NumaBooks {
             node_of_core: (0..cores)
                 .map(|c| config.node_of_core(c, cores) as u8)
@@ -115,10 +107,6 @@ impl NumaBooks {
                 .into_iter()
                 .map(|b| b as u64)
                 .collect(),
-            inner: Mutex::new(BooksInner {
-                used: vec![0; nodes],
-                blocks: FxHashMap::default(),
-            }),
             config,
         }
     }
@@ -134,62 +122,48 @@ impl NumaBooks {
         &self.capacity
     }
 
-    /// Per-node used-block counts (exact at quiescence).
-    pub fn used(&self) -> Vec<u64> {
-        self.inner.lock().used.clone()
-    }
-
-    /// The `(home, replica mask)` of a tracked block, if resident.
-    pub fn block_state(&self, head: VirtPage) -> Option<BlockNuma> {
-        self.inner.lock().blocks.get(&head.0).copied()
-    }
-
-    /// Major-fault placement: charges the block to the faulting core's
-    /// node when its budget has room, else spills to the node with the
-    /// most free budget (ties to the lowest index — deterministic).
-    /// Returns `Some(home)` when the block spilled to a remote node
-    /// (the caller charges one link crossing), `None` for a local
-    /// first touch.
-    pub fn on_insert(&self, core: usize, head: VirtPage) -> Option<u8> {
+    /// Major-fault placement against the per-node `used` counts:
+    /// charges the block to the faulting core's node when its budget
+    /// has room, else spills to the node with the most free budget
+    /// (ties to the lowest index — deterministic). Returns the new
+    /// block's state — its first replica is the inserting node's — and
+    /// `Some(home)` when the block spilled to a remote node (the caller
+    /// charges one link crossing), `None` for a local first touch.
+    pub fn on_insert(&self, core: usize, used: &mut [u64]) -> (BlockNuma, Option<u8>) {
         let node = self.node_of(core) as usize;
-        let mut inner = self.inner.lock();
-        let home = if inner.used[node] < self.capacity[node] {
+        let home = if used[node] < self.capacity[node] {
             node
         } else {
             // Σ capacity == device blocks and a frame was just
             // allocated, so some node must have headroom.
             let spill = (0..self.capacity.len())
-                .filter(|&n| inner.used[n] < self.capacity[n])
-                .max_by_key(|&n| self.capacity[n] - inner.used[n])
+                .filter(|&n| used[n] < self.capacity[n])
+                .max_by_key(|&n| self.capacity[n] - used[n])
                 .expect("frame allocated but every node budget full");
             debug_assert_ne!(spill, node);
             spill
         };
-        inner.used[home] += 1;
-        let prev = inner.blocks.insert(
-            head.0,
-            BlockNuma {
-                home: home as u8,
-                mask: 1 << node,
-            },
-        );
-        debug_assert!(prev.is_none(), "insert over tracked block {head}");
-        (home != node).then_some(home as u8)
+        used[home] += 1;
+        let ent = BlockNuma {
+            home: home as u8,
+            mask: 1 << node,
+        };
+        (ent, (home != node).then_some(home as u8))
     }
 
-    /// Minor-fault bookkeeping: replica sync / remote walk, then the
-    /// migration check against the block's current mapping-node
-    /// histogram (`node_counts[n]` = mapping cores on node `n`,
-    /// *including* the faulting core's fresh mapping).
-    pub fn on_map(&self, core: usize, head: VirtPage, node_counts: &[u32]) -> MapDecision {
+    /// Minor-fault bookkeeping on the block's state `ent`: replica sync
+    /// / remote walk, then the migration check against the block's
+    /// current mapping-node histogram (`node_counts[n]` = mapping cores
+    /// on node `n`, *including* the faulting core's fresh mapping).
+    pub fn on_map(
+        &self,
+        core: usize,
+        ent: &mut BlockNuma,
+        used: &mut [u64],
+        node_counts: &[u32],
+    ) -> MapDecision {
         let node = self.node_of(core);
         let mut d = MapDecision::default();
-        let mut inner = self.inner.lock();
-        let Some(ent) = inner.blocks.get_mut(&head.0) else {
-            // Raced with an eviction teardown; the re-fault will go
-            // down the major path and re-place the block.
-            return d;
-        };
         if self.config.replicate {
             if ent.mask & (1 << node) == 0 {
                 ent.mask |= 1 << node;
@@ -208,41 +182,21 @@ impl NumaBooks {
         if let Some(best) = (0..node_counts.len())
             .find(|&n| n != home && u64::from(node_counts[n]) * 2 > u64::from(total))
         {
-            if inner.used[best] < self.capacity[best] {
-                let ent = *inner.blocks.get(&head.0).expect("checked above");
-                inner.used[home] -= 1;
-                inner.used[best] += 1;
-                inner.blocks.get_mut(&head.0).expect("checked above").home = best as u8;
-                d.migrate = Some((ent.home, best as u8));
+            if used[best] < self.capacity[best] {
+                used[home] -= 1;
+                used[best] += 1;
+                ent.home = best as u8;
+                d.migrate = Some((home as u8, best as u8));
             }
         }
         d
     }
 
-    /// Eviction teardown: releases the block's budget and returns its
-    /// final `(home, replica mask)` so the caller can charge the
-    /// replica invalidations (replication on) or the remote master
-    /// update (off).
-    pub fn on_evict(&self, head: VirtPage) -> Option<BlockNuma> {
-        let mut inner = self.inner.lock();
-        let ent = inner.blocks.remove(&head.0)?;
-        inner.used[ent.home as usize] -= 1;
-        Some(ent)
-    }
-
-    /// PSPT rebuild teardown: the rebuild's global shootdown already
-    /// tore down every PTE, so every replica is gone too. Clears each
-    /// tracked block's mask down to an empty set (homes and budgets are
-    /// untouched — the frames never moved). Returns the number of
-    /// replica entries dropped, for the rebuild's invalidation count.
-    pub fn on_rebuild(&self) -> u64 {
-        let mut inner = self.inner.lock();
-        let mut dropped = 0u64;
-        for ent in inner.blocks.values_mut() {
-            dropped += u64::from(ent.mask.count_ones());
-            ent.mask = 0;
-        }
-        dropped
+    /// Eviction teardown: releases the budget of the block whose final
+    /// state is `ent`; the caller charges the replica invalidations
+    /// (replication on) or the remote master update (off) from it.
+    pub fn on_evict(ent: BlockNuma, used: &mut [u64]) {
+        used[ent.home as usize] -= 1;
     }
 }
 
@@ -257,29 +211,32 @@ mod tests {
     #[test]
     fn insert_prefers_the_local_node_and_spills_when_full() {
         let b = books("a:2@100/0;b:2@100/0", 4, 4);
+        let mut used = vec![0; 2];
         // Cores 0–1 → node 0, cores 2–3 → node 1; two blocks each.
-        assert_eq!(b.on_insert(0, VirtPage(0)), None);
-        assert_eq!(b.on_insert(1, VirtPage(64)), None);
+        assert_eq!(b.on_insert(0, &mut used).1, None);
+        assert_eq!(b.on_insert(1, &mut used).1, None);
         // Node 0 full: the third local insert spills to node 1.
-        assert_eq!(b.on_insert(0, VirtPage(128)), Some(1));
-        assert_eq!(b.used(), vec![2, 1]);
-        assert_eq!(b.block_state(VirtPage(128)).unwrap().home, 1);
+        let (ent, spilled) = b.on_insert(0, &mut used);
+        assert_eq!(spilled, Some(1));
+        assert_eq!(used, vec![2, 1]);
+        assert_eq!(ent.home, 1);
         // The spilled block's first replica is still the inserter's.
-        assert_eq!(b.block_state(VirtPage(128)).unwrap().mask, 0b01);
+        assert_eq!(ent.mask, 0b01);
     }
 
     #[test]
     fn replica_sync_charges_once_per_node() {
         let b = books("a:4@100/0;b:4@100/0", 4, 8);
-        b.on_insert(0, VirtPage(0));
+        let mut used = vec![0; 2];
+        let (mut ent, _) = b.on_insert(0, &mut used);
         // First fault from node 1: counted sync with home 0.
-        let d = b.on_map(2, VirtPage(0), &[1, 1]);
+        let d = b.on_map(2, &mut ent, &mut used, &[1, 1]);
         assert_eq!(d.sync_with, Some(0));
         assert!(d.counted_sync);
         // Second fault from the same node: replica already local.
-        let d = b.on_map(3, VirtPage(0), &[1, 2]);
+        let d = b.on_map(3, &mut ent, &mut used, &[1, 2]);
         assert_eq!(d.sync_with, None);
-        assert_eq!(b.block_state(VirtPage(0)).unwrap().mask, 0b11);
+        assert_eq!(ent.mask, 0b11);
     }
 
     #[test]
@@ -287,9 +244,10 @@ mod tests {
         let mut cfg = NumaConfig::parse("a:4@100/0;b:4@100/0").unwrap();
         cfg.replicate = false;
         let b = NumaBooks::new(cfg, 4, 8);
-        b.on_insert(0, VirtPage(0));
+        let mut used = vec![0; 2];
+        let (mut ent, _) = b.on_insert(0, &mut used);
         for _ in 0..3 {
-            let d = b.on_map(2, VirtPage(0), &[1, 1]);
+            let d = b.on_map(2, &mut ent, &mut used, &[1, 1]);
             assert_eq!(d.sync_with, Some(0));
             assert!(!d.counted_sync);
         }
@@ -298,37 +256,26 @@ mod tests {
     #[test]
     fn majority_shift_migrates_home_within_budget() {
         let b = books("a:4@100/0;b:4@100/0", 4, 8);
-        b.on_insert(0, VirtPage(0));
+        let mut used = vec![0; 2];
+        let (mut ent, _) = b.on_insert(0, &mut used);
         // 1 core on node 0, 2 on node 1: strict majority abroad.
-        let d = b.on_map(3, VirtPage(0), &[1, 2]);
+        let d = b.on_map(3, &mut ent, &mut used, &[1, 2]);
         assert_eq!(d.migrate, Some((0, 1)));
-        assert_eq!(b.block_state(VirtPage(0)).unwrap().home, 1);
-        assert_eq!(b.used(), vec![0, 1]);
+        assert_eq!(ent.home, 1);
+        assert_eq!(used, vec![0, 1]);
         // An even split is not a strict majority: no flapping back.
-        let d = b.on_map(1, VirtPage(0), &[2, 2]);
+        let d = b.on_map(1, &mut ent, &mut used, &[2, 2]);
         assert_eq!(d.migrate, None);
     }
 
     #[test]
-    fn evict_returns_state_and_releases_budget() {
+    fn evict_releases_the_home_budget() {
         let b = books("a:4@100/0;b:4@100/0", 4, 8);
-        b.on_insert(0, VirtPage(0));
-        b.on_map(2, VirtPage(0), &[1, 1]);
-        let ent = b.on_evict(VirtPage(0)).unwrap();
+        let mut used = vec![0; 2];
+        let (mut ent, _) = b.on_insert(0, &mut used);
+        b.on_map(2, &mut ent, &mut used, &[1, 1]);
         assert_eq!(ent.mask, 0b11);
-        assert_eq!(b.used(), vec![0, 0]);
-        assert!(b.on_evict(VirtPage(0)).is_none());
-    }
-
-    #[test]
-    fn rebuild_clears_every_replica() {
-        let b = books("a:4@100/0;b:4@100/0", 4, 8);
-        b.on_insert(0, VirtPage(0));
-        b.on_map(2, VirtPage(0), &[1, 1]);
-        b.on_insert(2, VirtPage(64));
-        assert_eq!(b.on_rebuild(), 3);
-        assert_eq!(b.block_state(VirtPage(0)).unwrap().mask, 0);
-        // Budgets untouched: frames never moved.
-        assert_eq!(b.used(), vec![1, 1]);
+        NumaBooks::on_evict(ent, &mut used);
+        assert_eq!(used, vec![0, 0]);
     }
 }

@@ -88,15 +88,22 @@ struct KernelState {
     /// region empties.
     regions: FxHashMap<u64, (PageSize, u32)>,
     frames: Frames,
+    /// Multi-node runs only: blocks charged to each node's budget
+    /// (empty on a single node). Sums to the resident block count.
+    numa_used: Vec<u64>,
 }
 
-/// One resident block: its device frame head and mapping granularity
-/// (always `cfg.block_size` outside adaptive mode).
+/// One resident block: its device frame head, mapping granularity
+/// (always `cfg.block_size` outside adaptive mode) and, on multi-node
+/// runs, its home node and replica mask (8 bytes with or without them).
 #[derive(Debug, Clone, Copy)]
 struct Resident {
     frame: PhysFrame,
     size: PageSize,
+    numa: BlockNuma,
 }
+
+const _: () = assert!(std::mem::size_of::<Resident>() == 8);
 
 /// Device-RAM allocator: the fixed-size pool for normal runs, the
 /// mixed-size buddy for adaptive page-size runs.
@@ -266,6 +273,11 @@ impl<R: Recorder> Vmm<R> {
             SchemeChoice::Regular => SchemeObj::Regular(RegularTables::new(cfg.cores)),
             SchemeChoice::Pspt => SchemeObj::Pspt(Pspt::new(cfg.cores)),
         };
+        // One span per device block: a run under pressure writes back
+        // about that many (lu.C at 66% memory holds 11.9K spans over
+        // 11.4K blocks), so the span map rarely grows mid-run.
+        let backing = TieredStore::new(cfg.tiers(), cfg.adaptive);
+        backing.reserve_spans(cfg.device_blocks);
         Vmm {
             scheme,
             state: Mutex::new(KernelState {
@@ -289,8 +301,13 @@ impl<R: Recorder> Vmm<R> {
                 } else {
                     Frames::Pool(FramePool::new(cfg.block_size, cfg.device_blocks))
                 },
+                numa_used: if cfg.cost.numa.is_single() {
+                    Vec::new()
+                } else {
+                    vec![0; cfg.cost.numa.len()]
+                },
             }),
-            backing: TieredStore::new(cfg.tiers(), cfg.adaptive),
+            backing,
             dma: DmaModel::with_clients(&cfg.cost, cfg.cores),
             ring: RingModel::new(cfg.cores, &cfg.cost),
             pt_global_lock: VirtualResource::new(),
@@ -433,15 +450,23 @@ impl<R: Recorder> Vmm<R> {
         self.backing.tier_counters()
     }
 
-    /// The NUMA ledger; `None` for single-node topologies.
+    /// The NUMA topology and placement rules; `None` for single-node
+    /// topologies.
     pub fn numa_books(&self) -> Option<&NumaBooks> {
         self.numa.as_ref()
+    }
+
+    /// Per-node used-block counts (exact at quiescence); empty on
+    /// single-node runs.
+    pub fn numa_used(&self) -> Vec<u64> {
+        self.state.lock().numa_used.clone()
     }
 
     /// The `(home node, replica mask)` of a resident block on a
     /// multi-node run. Test-oracle hook.
     pub fn numa_block_state(&self, head: VirtPage) -> Option<BlockNuma> {
-        self.numa.as_ref()?.block_state(head)
+        self.numa.as_ref()?;
+        self.state.lock().resident.get(&head.0).map(|ent| ent.numa)
     }
 
     /// Bitmask of nodes with at least one core currently mapping
@@ -619,13 +644,19 @@ impl<R: Recorder> Vmm<R> {
             return None;
         }
         let mut torn = 0;
+        let mut dropped = 0u64;
         let mut state = self.state.lock();
         let KernelState {
             resident,
             pending_dirty,
             ..
         } = &mut *state;
-        for (&head, ent) in resident.iter() {
+        for (&head, ent) in resident.iter_mut() {
+            // The rebuild's global shootdown tears down every PTE, so
+            // every node-local replica goes with it (homes and budgets
+            // stay: the frames never move). Single-node masks are 0.
+            dropped += u64::from(ent.numa.mask.count_ones());
+            ent.numa.mask = 0;
             let head = VirtPage(head);
             if let Some(out) = with_scheme!(self, s => s.unmap_all(head, ent.size)) {
                 torn += 1;
@@ -640,12 +671,9 @@ impl<R: Recorder> Vmm<R> {
                 }
             }
         }
-        // The rebuild's global shootdown tore down every PTE, so every
-        // node-local replica is gone with it: clear the masks and count
-        // the drops (the maintenance hyperthreads' own time is free,
-        // like the scan timer's).
-        if let Some(books) = &self.numa {
-            let dropped = books.on_rebuild();
+        // Count the dropped replicas (the maintenance hyperthreads' own
+        // time is free, like the scan timer's).
+        if self.numa.is_some() {
             self.global
                 .replica_invalidations
                 .fetch_add(dropped, Relaxed);
@@ -773,6 +801,7 @@ impl<R: Recorder> Vmm<R> {
             policy,
             resident,
             pending_dirty,
+            numa_used,
             ..
         } = state;
         let victim = policy.select_victim(&mut KernelOracle {
@@ -826,7 +855,7 @@ impl<R: Recorder> Vmm<R> {
                 rank,
             );
         }
-        self.numa_on_evict(requester, victim);
+        self.numa_on_evict(requester, ent.numa, numa_used);
         policy.on_evict(victim);
         self.global.evictions.fetch_add(1, Relaxed);
         Some(ent.frame)
@@ -880,27 +909,33 @@ impl<R: Recorder> Vmm<R> {
         }
     }
 
-    /// NUMA bookkeeping for a major fault: places `head` on a home node
-    /// (spilling — one link crossing — when the faulting core's node is
-    /// full). No-op on single-node runs.
-    fn numa_on_insert(&self, core: CoreId, head: VirtPage) {
-        let Some(books) = &self.numa else { return };
-        if let Some(home) = books.on_insert(core.index(), head) {
+    /// NUMA bookkeeping for a major fault: places the new block on a
+    /// home node (spilling — one link crossing — when the faulting
+    /// core's node is full) and returns its state for the resident
+    /// entry. The default state on single-node runs.
+    fn numa_on_insert(&self, core: CoreId, used: &mut [u64]) -> BlockNuma {
+        let Some(books) = &self.numa else {
+            return BlockNuma::default();
+        };
+        let (ent, spilled) = books.on_insert(core.index(), used);
+        if let Some(home) = spilled {
             self.global.remote_spills.fetch_add(1, Relaxed);
             let cost = books
                 .config
                 .cross_latency(books.node_of(core.index()) as usize, home as usize);
             self.charge_replica(core, cost, 0, home);
         }
+        ent
     }
 
     /// NUMA bookkeeping for a minor fault: replica sync (replication
     /// on, first fault from a new node) or remote master walk
     /// (replication off, every remote fault), then the home-migration
     /// check against the block's current mapping-node histogram — the
-    /// CMCP map-count-weighted access center. No-op on single-node
-    /// runs.
-    fn numa_on_map(&self, core: CoreId, head: VirtPage) {
+    /// CMCP map-count-weighted access center. Updates the block's state
+    /// `ent` and the per-node `used` counts in place. No-op on
+    /// single-node runs.
+    fn numa_on_map(&self, core: CoreId, head: VirtPage, ent: &mut BlockNuma, used: &mut [u64]) {
         let Some(books) = &self.numa else { return };
         let nodes = books.config.len();
         let mut counts = [0u32; cmcp_arch::MAX_NODES];
@@ -908,7 +943,7 @@ impl<R: Recorder> Vmm<R> {
         for c in mappers.iter() {
             counts[books.node_of(c.index()) as usize] += 1;
         }
-        let d = books.on_map(core.index(), head, &counts[..nodes]);
+        let d = books.on_map(core.index(), ent, used, &counts[..nodes]);
         if let Some(home) = d.sync_with {
             if d.counted_sync {
                 self.global.replica_syncs.fetch_add(1, Relaxed);
@@ -950,13 +985,11 @@ impl<R: Recorder> Vmm<R> {
     /// cycles. With replication *off* there is nothing on the remote
     /// nodes for a handler to clear; the evictor itself must write the
     /// single master table before handing the frame out, and when the
-    /// home is remote that is one synchronous link crossing. No-op on
-    /// single-node runs.
-    fn numa_on_evict(&self, requester: CoreId, victim: VirtPage) {
+    /// home is remote that is one synchronous link crossing. `ent` is
+    /// the victim's final state. No-op on single-node runs.
+    fn numa_on_evict(&self, requester: CoreId, ent: BlockNuma, used: &mut [u64]) {
         let Some(books) = &self.numa else { return };
-        let Some(ent) = books.on_evict(victim) else {
-            return;
-        };
+        NumaBooks::on_evict(ent, used);
         let req_node = books.node_of(requester.index());
         if books.config.replicate {
             let dropped = u64::from(ent.mask.count_ones());
@@ -1118,7 +1151,13 @@ impl<R: Recorder> Vmm<R> {
     fn fault_fixed(&self, state: &mut KernelState, core: CoreId, head: VirtPage) -> FaultKind {
         let clock = &self.clocks[core.index()];
         let size = self.cfg.block_size;
-        if let Some(ent) = state.resident.get(&head.0).copied() {
+        let KernelState {
+            policy,
+            resident,
+            numa_used,
+            ..
+        } = &mut *state;
+        if let Some(ent) = resident.get_mut(&head.0) {
             // Resident: PSPT minor fault (copy a sibling's PTE).
             // The new core-map count rides in the outcome (read from the
             // directory entry `map` already locked), so the minor path
@@ -1136,8 +1175,8 @@ impl<R: Recorder> Vmm<R> {
                 self.cfg.cost.pspt_probe * probes as u64
                     + self.cfg.cost.pte_update * self.subentries(),
             );
-            state.policy.on_map_count_change(head, map_count);
-            self.numa_on_map(core, head);
+            policy.on_map_count_change(head, map_count);
+            self.numa_on_map(core, head, &mut ent.numa, numa_used);
             return FaultKind::MinorCopy;
         }
         // Not resident: allocate (evicting when dry). Nothing between
@@ -1150,8 +1189,10 @@ impl<R: Recorder> Vmm<R> {
         with_scheme!(self, s => s.map(core, head, frame, size, true))
             .expect("fresh block maps cleanly");
         clock.advance(self.cfg.cost.pte_update * self.subentries());
-        state.resident.insert(head.0, Resident { frame, size });
-        self.numa_on_insert(core, head);
+        let numa = self.numa_on_insert(core, &mut state.numa_used);
+        state
+            .resident
+            .insert(head.0, Resident { frame, size, numa });
         state.policy.on_insert(head, 1);
         FaultKind::Major
     }
@@ -1202,7 +1243,11 @@ impl<R: Recorder> Vmm<R> {
         with_scheme!(self, s => s.map(core, head, frame, size, true))
             .expect("fresh block maps cleanly");
         clock.advance(self.cfg.cost.pte_update * Self::subentries_of(size));
-        state.resident.insert(head.0, Resident { frame, size });
+        // Adaptive page sizes run on a single node only: no NUMA state.
+        let numa = BlockNuma::default();
+        state
+            .resident
+            .insert(head.0, Resident { frame, size, numa });
         state.regions.entry(m2.0).or_insert((size, 0)).1 += 1;
         state.policy.on_insert(head, 1);
         FaultKind::Major
@@ -1335,6 +1380,7 @@ impl<R: Recorder> Vmm<R> {
             pending_dirty,
             regions,
             frames,
+            ..
         } = state;
         let clock = &self.clocks[requester.index()];
         loop {
@@ -1385,6 +1431,7 @@ impl<R: Recorder> Vmm<R> {
                         Resident {
                             frame: ent.frame.add((k * cspan) as u32),
                             size: child,
+                            ..ent
                         },
                     );
                     if owed {
@@ -1688,6 +1735,55 @@ mod tests {
             .sum();
         assert_eq!(recv, 7, "all other cores interrupted");
         assert!(v.core_stats()[0].remote_inv_sent.load(Relaxed) >= 7);
+    }
+
+    /// A 4-core PSPT + FIFO kernel over `blocks` device blocks on the
+    /// `2node` preset: cores 0–1 on node 0, cores 2–3 on node 1.
+    fn two_node(blocks: usize) -> Vmm {
+        let mut cfg = KernelConfig::new(4, blocks)
+            .with_policy(PolicyKind::Fifo)
+            .with_scheme(SchemeChoice::Pspt);
+        cfg.cost.numa = cmcp_arch::NumaConfig::parse("2node").unwrap();
+        Vmm::new(cfg)
+    }
+
+    #[test]
+    fn rebuild_clears_every_replica() {
+        let v = two_node(8);
+        v.handle_fault(CoreId(0), VirtPage(0), false);
+        v.handle_fault(CoreId(2), VirtPage(0), false);
+        v.handle_fault(CoreId(2), VirtPage(64), false);
+        assert_eq!(v.numa_block_state(VirtPage(0)).unwrap().mask, 0b11);
+        let before = v.global_stats().replica_invalidations.load(Relaxed);
+        assert_eq!(v.rebuild_pspt(), Some(2));
+        let dropped = v.global_stats().replica_invalidations.load(Relaxed) - before;
+        assert_eq!(dropped, 3);
+        assert_eq!(v.numa_block_state(VirtPage(0)).unwrap().mask, 0);
+        assert_eq!(v.numa_block_state(VirtPage(64)).unwrap().mask, 0);
+        // Budgets untouched: frames never moved.
+        assert_eq!(v.numa_used(), vec![1, 1]);
+    }
+
+    #[test]
+    fn eviction_takes_the_numa_state_with_the_resident_entry() {
+        // One block per node.
+        let v = two_node(2);
+        v.handle_fault(CoreId(0), VirtPage(0), false);
+        v.handle_fault(CoreId(2), VirtPage(0), false);
+        // Node 0 is full: the next local insert spills to node 1.
+        v.handle_fault(CoreId(0), VirtPage(1), false);
+        assert_eq!(v.numa_block_state(VirtPage(1)).unwrap().home, 1);
+        assert_eq!(v.numa_used(), vec![1, 1]);
+        v.handle_fault(CoreId(0), VirtPage(2), false); // FIFO evicts block 0
+        assert!(v.numa_block_state(VirtPage(0)).is_none());
+        let g = v.global_stats();
+        assert_eq!(
+            g.replica_invalidations.load(Relaxed),
+            2,
+            "both replicas dropped"
+        );
+        assert_eq!(v.numa_block_state(VirtPage(2)).unwrap().home, 0);
+        assert_eq!(v.numa_used(), vec![1, 1]);
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl RunReport {
                     nodes: books.config.nodes.iter().map(|n| n.name.clone()).collect(),
                     replicate: books.config.replicate,
                     capacity_blocks: books.capacity().to_vec(),
-                    used_blocks: books.used(),
+                    used_blocks: vmm.numa_used(),
                     replica_syncs: g.replica_syncs.load(Relaxed),
                     replica_invalidations: g.replica_invalidations.load(Relaxed),
                     page_migrations: g.page_migrations.load(Relaxed),

@@ -9,9 +9,7 @@
 //! so a single runner implementation serves every thread count, and all
 //! cross-core kernel effects happen at exact, reproducible stamps.
 
-use std::collections::HashSet;
-
-use cmcp_arch::{CoreId, Cycles, LocalClock, PageSize, Tlb, TlbLookup, VirtPage};
+use cmcp_arch::{CoreId, Cycles, FxHashSet, LocalClock, PageSize, Tlb, TlbLookup, VirtPage};
 use cmcp_kernel::{Syscall, Vmm};
 use cmcp_trace::Recorder;
 
@@ -64,7 +62,9 @@ pub struct CoreRunner {
     /// write on TLB-hit stores; cleared when the block is invalidated).
     /// Keyed by block head at a fixed block size, by exact 4 kB page in
     /// adaptive mode (where the mapping granularity varies per region).
-    written: HashSet<u64>,
+    /// Probed on every store and never iterated, so the seed-free
+    /// [`FxHashSet`] cannot leak hash order into any result.
+    written: FxHashSet<u64>,
     inval_buf: Vec<(VirtPage, u32)>,
     /// Adaptive page-size mode: translations come in mixed size classes,
     /// so TLB probes search every class.
@@ -80,7 +80,7 @@ impl CoreRunner {
             op_idx: 0,
             stream_pos: 0,
             pending: None,
-            written: HashSet::new(),
+            written: FxHashSet::default(),
             inval_buf: Vec::new(),
             adaptive: vmm.config().adaptive,
         }
@@ -112,14 +112,19 @@ impl CoreRunner {
         for (head, span) in self.inval_buf.drain(..) {
             // Invalidate every TLB entry covering the block — the span
             // rides in the mailbox entry now that adaptive mode evicts
-            // mixed-granularity victims.
+            // mixed-granularity victims — and drop its dirty-dedupe
+            // keys: each page in adaptive mode, the head otherwise.
             for k in 0..span as u64 {
                 let p = head.add(k);
                 self.tlb
                     .invalidate_traced(p, vmm.tracer(), self.core.0, now);
-                self.written.remove(&p.0);
+                if self.adaptive {
+                    self.written.remove(&p.0);
+                }
             }
-            self.written.remove(&head.0);
+            if !self.adaptive {
+                self.written.remove(&head.0);
+            }
         }
     }
 
@@ -521,6 +526,38 @@ mod tests {
         let after = before + v.cost().work_unit + 100;
         assert_eq!(v.clocks()[0].executed(), after);
         assert_eq!(v.clocks()[0].now(), after);
+    }
+
+    #[test]
+    fn invalidating_a_64k_block_clears_its_dirty_key() {
+        let v = Vmm::new(
+            KernelConfig::new(2, 2)
+                .with_block_size(PageSize::K64)
+                .with_policy(cmcp_core::PolicyKind::Fifo),
+        );
+        let mut r0 = CoreRunner::new(CoreId(0), &v);
+        drive(
+            &mut r0,
+            &v,
+            &trace_of(vec![Op::touch(VirtPage(5), true, 1)]),
+        );
+        // Core 1 fills the pool; its second block evicts block 0 (dirty).
+        v.handle_fault(CoreId(1), VirtPage(16), false);
+        v.handle_fault(CoreId(1), VirtPage(32), false);
+        assert_eq!(v.global_stats().snapshot().writebacks, 1);
+        // Core 0 refaults the block clean, then stores through its TLB
+        // entry: the drained invalidation must have dropped the block's
+        // key, or the store would skip the PTE dirty bit.
+        let t = trace_of(vec![
+            Op::touch(VirtPage(5), false, 1),
+            Op::touch(VirtPage(5), true, 1),
+        ]);
+        let mut r0 = CoreRunner { op_idx: 0, ..r0 };
+        drive(&mut r0, &v, &t);
+        // FIFO: block 2 leaves clean, then block 0 must be written back.
+        v.handle_fault(CoreId(1), VirtPage(48), false);
+        v.handle_fault(CoreId(1), VirtPage(64), false);
+        assert_eq!(v.global_stats().snapshot().writebacks, 2);
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //!
 //! Once every container on the path has grown to its working size, an
 //! evicting major fault with a write-back and a DMA refault must not
-//! touch the heap. This binary holds exactly one test, so nothing else
-//! allocates while it runs.
+//! touch the heap — on the flat single-node store, and on the 4-tier
+//! hierarchy over two NUMA nodes, whose write-backs also pass through
+//! the tier spans and the per-node books. This binary holds exactly one
+//! test, so nothing else allocates while it runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cmcp::arch::{CoreId, VirtPage};
-use cmcp::{KernelConfig, PolicyKind, SchemeChoice, Vmm};
+use cmcp::{KernelConfig, NumaConfig, PolicyKind, SchemeChoice, TierConfig, Vmm};
 
 /// Counts heap acquisitions: every allocation and every growing
 /// reallocation. The counter publishes no other data, so `Relaxed`
@@ -54,17 +56,28 @@ const MEASURED_FAULTS: u64 = 2_048;
 
 /// Faults `PAGES` dirty 4 kB pages round-robin over `cores` cores into
 /// `BLOCKS` device blocks under FIFO, draining every mailbox after each
-/// fault as the engine's phase A would. Returns the heap acquisitions
-/// made during `MEASURED_FAULTS` faults after `WARM_LAPS` warm-up laps.
-fn steady_state_allocations(cores: usize) -> u64 {
-    let vmm = Vmm::new(
-        KernelConfig::new(cores, BLOCKS)
-            .with_policy(PolicyKind::Fifo)
-            .with_scheme(SchemeChoice::Pspt),
-    );
-    assert!(
+/// fault as the engine's phase A would — on the flat single-node store,
+/// or with `tiered` on the `4tier` hierarchy over `2node`. Returns the
+/// heap acquisitions made during `MEASURED_FAULTS` faults after
+/// `WARM_LAPS` warm-up laps.
+fn steady_state_allocations(cores: usize, tiered: bool) -> u64 {
+    let mut cfg = KernelConfig::new(cores, BLOCKS)
+        .with_policy(PolicyKind::Fifo)
+        .with_scheme(SchemeChoice::Pspt);
+    if tiered {
+        cfg = cfg.with_tiers(TierConfig::parse("4tier").unwrap());
+        cfg.cost.numa = NumaConfig::parse("2node").unwrap();
+    }
+    let vmm = Vmm::new(cfg);
+    assert_eq!(
         vmm.config().tiers().is_flat(),
-        "the flat store is the subject"
+        !tiered,
+        "the store under test"
+    );
+    assert_eq!(
+        vmm.numa_books().is_some(),
+        tiered,
+        "the topology under test"
     );
     let mut drained = Vec::with_capacity(4 * PAGES as usize);
     let mut fault = |i: u64| {
@@ -97,11 +110,14 @@ fn steady_state_allocations(cores: usize) -> u64 {
 
 #[test]
 fn steady_state_evicting_faults_allocate_nothing() {
-    for cores in [1, 4] {
-        assert_eq!(
-            steady_state_allocations(cores),
-            0,
-            "{cores} core(s): heap allocations over {MEASURED_FAULTS} evicting faults"
-        );
+    for tiered in [false, true] {
+        let store = if tiered { "4tier on 2node" } else { "flat" };
+        for cores in [1, 4] {
+            assert_eq!(
+                steady_state_allocations(cores, tiered),
+                0,
+                "{store}, {cores} core(s): heap allocations over {MEASURED_FAULTS} evicting faults"
+            );
+        }
     }
 }

@@ -49,7 +49,9 @@ fn tier_config_strategy() -> impl Strategy<Value = TierConfig> {
 
 /// One action against the tiered store. Spans are in 4 kB pages over a
 /// small universe so overlapping stores (span trims), capacity cascades
-/// (demotions), and refault promotions all fire routinely.
+/// (demotions), and refault promotions all fire routinely. The universe
+/// straddles a 2 MB region boundary, and each range stays inside its
+/// own region, as every range the kernel stores or probes does.
 #[derive(Debug, Clone, Copy)]
 enum Action {
     /// `try_store(head, pages, rank)` — a write-back demoted to `rank`.
@@ -58,18 +60,31 @@ enum Action {
     Load { head: u64, pages: u64 },
 }
 
-const UNIVERSE: u64 = 192;
+/// The 192-page universe `[UNIVERSE_LO, UNIVERSE_HI)`, centred on the
+/// region boundary at page 512 (a 2 MB region is 512 4 kB pages).
+const UNIVERSE_LO: u64 = 416;
+const UNIVERSE_HI: u64 = 608;
+const REGION_PAGES: u64 = 512;
+
+/// `pages` clamped so `[head, head + pages)` ends inside both the
+/// universe and `head`'s own region.
+fn clamp_pages(head: u64, pages: u64) -> u64 {
+    let limit = ((head / REGION_PAGES + 1) * REGION_PAGES).min(UNIVERSE_HI);
+    pages.min(limit - head).max(1)
+}
 
 fn action_strategy() -> impl Strategy<Value = Action> {
     prop_oneof![
-        (0u64..UNIVERSE, 1u64..48, 0usize..4).prop_map(|(head, pages, rank)| Action::Store {
-            head,
-            pages: pages.min(UNIVERSE - head).max(1),
-            rank,
+        (UNIVERSE_LO..UNIVERSE_HI, 1u64..48, 0usize..4).prop_map(|(head, pages, rank)| {
+            Action::Store {
+                head,
+                pages: clamp_pages(head, pages),
+                rank,
+            }
         }),
-        (0u64..UNIVERSE, 1u64..48).prop_map(|(head, pages)| Action::Load {
+        (UNIVERSE_LO..UNIVERSE_HI, 1u64..48).prop_map(|(head, pages)| Action::Load {
             head,
-            pages: pages.min(UNIVERSE - head).max(1),
+            pages: clamp_pages(head, pages),
         }),
     ]
 }
@@ -142,7 +157,7 @@ proptest! {
         }
 
         // Final resident set: page-by-page equality with the oracle.
-        for p in 0..UNIVERSE {
+        for p in UNIVERSE_LO..UNIVERSE_HI {
             prop_assert_eq!(
                 store.contains(VirtPage(p), 1),
                 oracle.contains(&p),
