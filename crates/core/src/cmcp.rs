@@ -23,11 +23,9 @@
 //! The decisive property: **no accessed-bit reads, hence no remote TLB
 //! invalidations for statistics** — the oracle parameter is never used.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use cmcp_arch::FxHashMap;
-
-use cmcp_arch::VirtPage;
+use cmcp_arch::{FxHashMap, VirtPage};
 
 use crate::policy::{AccessBitOracle, ReplacementPolicy};
 
@@ -60,12 +58,6 @@ impl Default for CmcpConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PrioEntry {
-    count: u32,
-    stamp: u64,
-}
-
 /// The CMCP policy.
 pub struct CmcpPolicy {
     config: CmcpConfig,
@@ -74,13 +66,22 @@ pub struct CmcpPolicy {
     /// FIFO list: `(block, generation)`, stale entries skipped lazily.
     fifo: VecDeque<(u64, u64)>,
     fifo_live: FxHashMap<u64, u64>,
-    /// Priority queue: ordered by (count, stamp, block); the *first*
-    /// element is the lowest priority (fewest mapping cores, least
-    /// recently re-asserted).
-    prio: BTreeSet<(u32, u64, u64)>,
-    prio_live: FxHashMap<u64, PrioEntry>,
-    /// Age index over the priority group: (stamp, block).
-    age: BTreeSet<(u64, u64)>,
+    /// Priority group: one queue of `(stamp, block)` per core-map count.
+    /// Stamps are unique and rising, so each queue's live entries run
+    /// oldest first, and the lowest-priority member (fewest mapping
+    /// cores, least recently re-asserted) is the first live entry of the
+    /// lowest-count queue that holds one. Removing or re-stamping a
+    /// member leaves its entry behind, stale (its stamp is no longer the
+    /// one in `prio_live`): lookups drop stale entries at the front, and
+    /// a push compacts the queues once they hold over twice the members.
+    prio: Vec<VecDeque<(u64, u64)>>,
+    /// Entries queued in `prio`, live and stale.
+    prio_queued: usize,
+    /// Priority members: block → stamp.
+    prio_live: FxHashMap<u64, u64>,
+    /// Age order over the priority group, `(stamp, block)` oldest first,
+    /// pruned like the count queues.
+    age: VecDeque<(u64, u64)>,
     seq: u64,
     inserts: u64,
     /// Statistics: how many placements went to each group.
@@ -111,9 +112,10 @@ impl CmcpPolicy {
             config,
             fifo: VecDeque::new(),
             fifo_live: FxHashMap::default(),
-            prio: BTreeSet::new(),
+            prio: Vec::new(),
+            prio_queued: 0,
             prio_live: FxHashMap::default(),
-            age: BTreeSet::new(),
+            age: VecDeque::new(),
             seq: 0,
             inserts: 0,
             stats: CmcpStats::default(),
@@ -161,28 +163,67 @@ impl CmcpPolicy {
         self.fifo_live.remove(&block).is_some()
     }
 
+    /// Makes `block` a priority member with `count` mapping cores under a
+    /// fresh stamp. A member re-asserted this way leaves its old entries
+    /// stale.
     fn prio_insert(&mut self, block: u64, count: u32) {
         let stamp = self.next_seq();
-        self.prio.insert((count, stamp, block));
-        self.age.insert((stamp, block));
-        self.prio_live.insert(block, PrioEntry { count, stamp });
+        self.prio_live.insert(block, stamp);
+        let count = count as usize;
+        if self.prio.len() <= count {
+            self.prio.resize_with(count + 1, VecDeque::new);
+        }
+        self.prio[count].push_back((stamp, block));
+        self.prio_queued += 1;
+        self.age.push_back((stamp, block));
+        let live = &self.prio_live;
+        let is_live = |&(stamp, block): &(u64, u64)| live.get(&block) == Some(&stamp);
+        if self.prio_queued > 2 * live.len() {
+            for queue in &mut self.prio {
+                queue.retain(is_live);
+            }
+            self.prio_queued = live.len();
+        }
+        if self.age.len() > 2 * live.len() {
+            self.age.retain(is_live);
+        }
     }
 
-    fn prio_remove(&mut self, block: u64) -> Option<PrioEntry> {
-        let e = self.prio_live.remove(&block)?;
-        self.prio.remove(&(e.count, e.stamp, block));
-        self.age.remove(&(e.stamp, block));
-        Some(e)
+    fn prio_remove(&mut self, block: u64) -> bool {
+        self.prio_live.remove(&block).is_some()
     }
 
-    /// Lowest-priority member (fewest mapping cores, oldest stamp).
-    fn prio_min(&self) -> Option<(u32, u64)> {
-        self.prio.first().map(|&(count, _, block)| (count, block))
+    /// Lowest-priority member (fewest mapping cores, oldest stamp),
+    /// dropping the stale entries queued in front of it.
+    fn prio_min(&mut self) -> Option<(u32, u64)> {
+        let live = &self.prio_live;
+        for (count, queue) in self.prio.iter_mut().enumerate() {
+            while let Some(&(stamp, block)) = queue.front() {
+                if live.get(&block) == Some(&stamp) {
+                    return Some((count as u32, block));
+                }
+                queue.pop_front();
+                self.prio_queued -= 1;
+            }
+        }
+        None
+    }
+
+    /// The longest-untouched priority member, dropping the stale age
+    /// entries in front of it.
+    fn prio_oldest(&mut self) -> Option<u64> {
+        while let Some(&(stamp, block)) = self.age.front() {
+            if self.prio_live.get(&block) == Some(&stamp) {
+                return Some(block);
+            }
+            self.age.pop_front();
+        }
+        None
     }
 
     /// Demotes the lowest-priority member to the FIFO tail.
     fn demote_lowest(&mut self) {
-        if let Some(&(_, _, block)) = self.prio.first() {
+        if let Some((_, block)) = self.prio_min() {
             self.prio_remove(block);
             self.fifo_push(block);
             self.stats.demoted += 1;
@@ -218,7 +259,7 @@ impl CmcpPolicy {
     /// Aging pass: demote the `aging_batch` longest-untouched members.
     fn age_pass(&mut self) {
         for _ in 0..self.config.aging_batch {
-            let Some(&(_, block)) = self.age.first() else {
+            let Some(block) = self.prio_oldest() else {
                 break;
             };
             self.prio_remove(block);
@@ -253,14 +294,9 @@ impl ReplacementPolicy for CmcpPolicy {
 
     fn on_map_count_change(&mut self, block: VirtPage, map_count: usize) {
         let count = map_count as u32;
-        if let Some(e) = self.prio_live.get(&block.0).copied() {
-            // Refresh key and stamp in place.
-            self.prio.remove(&(e.count, e.stamp, block.0));
-            self.age.remove(&(e.stamp, block.0));
-            let stamp = self.next_seq();
-            self.prio.insert((count, stamp, block.0));
-            self.age.insert((stamp, block.0));
-            self.prio_live.insert(block.0, PrioEntry { count, stamp });
+        if self.prio_live.contains_key(&block.0) {
+            // Re-queue under the fresh count and stamp.
+            self.prio_insert(block.0, count);
         } else if self.fifo_live.contains_key(&block.0) {
             // A new PTE was set up for a FIFO-resident block: the paper's
             // placement rule runs again with the fresh count.
@@ -291,7 +327,7 @@ impl ReplacementPolicy for CmcpPolicy {
     fn on_evict(&mut self, block: VirtPage) {
         if self.fifo_remove(block.0) {
             self.stats.evict_fifo += 1;
-        } else if self.prio_remove(block.0).is_some() {
+        } else if self.prio_remove(block.0) {
             self.stats.evict_prio += 1;
         } else {
             debug_assert!(false, "evicting untracked {block}");
@@ -469,6 +505,25 @@ mod tests {
         p.on_insert(VirtPage(3), 9); // aging demotes block2 now
         assert!(p.contains(VirtPage(1)));
         assert_eq!(evict_one(&mut p), Some(VirtPage(2)));
+    }
+
+    #[test]
+    fn compaction_keeps_the_priority_order() {
+        // Re-asserting members leaves stale entries behind; the queues
+        // are compacted whenever they outgrow twice the members, and the
+        // live members keep their (count, stamp) order throughout.
+        let mut p = cmcp(1.0, 10);
+        for b in 0..4u64 {
+            p.on_insert(VirtPage(b), 2);
+        }
+        for _ in 0..20 {
+            p.on_map_count_change(VirtPage(1), 2);
+            p.on_map_count_change(VirtPage(0), 3);
+            assert!(p.prio_queued <= 2 * p.priority_len(), "{}", p.prio_queued);
+            assert!(p.age.len() <= 2 * p.priority_len(), "{}", p.age.len());
+        }
+        let order: Vec<u64> = (0..4).map(|_| evict_one(&mut p).unwrap().0).collect();
+        assert_eq!(order, [2, 3, 1, 0]);
     }
 
     #[test]

@@ -887,7 +887,7 @@ mod tests {
     }
 
     /// Two cores stream over private ranges with barriers between phases.
-    fn private_sweep_trace(cores: usize, pages_per_core: u32, rounds: usize) -> Trace {
+    fn private_sweep_trace(cores: usize, pages_per_core: u16, rounds: usize) -> Trace {
         let mut t = Trace::new(cores, "private-sweep");
         for c in 0..cores {
             let base = VirtPage((c as u64) << 20);
@@ -1169,6 +1169,45 @@ mod tests {
     }
 
     #[test]
+    fn a_split_stream_reports_like_the_whole_one() {
+        // Two cores sweep overlapping 300-page runs into 64 blocks, each
+        // run whole or cut into adjacent ops at uneven points. The runner
+        // checks its ceiling between any two touches, so no byte moves.
+        let trace = |cuts: [&[u16]; 2]| {
+            let mut t = Trace::new(2, "split");
+            for (c, cuts) in cuts.into_iter().enumerate() {
+                let start = VirtPage(100 * c as u64);
+                let bounds: Vec<u16> = [0].iter().chain(cuts).chain(&[300]).copied().collect();
+                for write in [true, false] {
+                    for w in bounds.windows(2) {
+                        t.cores[c].ops.push(Op::Stream {
+                            start: start.add(u64::from(w[0])),
+                            pages: w[1] - w[0],
+                            write,
+                            work_per_page: 3,
+                        });
+                    }
+                    t.cores[c].ops.push(Op::Barrier);
+                }
+            }
+            t
+        };
+        let whole = trace([&[], &[]]);
+        let split = trace([&[137], &[1, 211]]);
+        assert_eq!(whole.total_touches(), split.total_touches());
+        for threads in [1, 2] {
+            let report = |t: &Trace| {
+                let vmm =
+                    Vmm::new(KernelConfig::new(2, 64).with_policy(PolicyKind::Cmcp { p: 0.5 }));
+                let r = super::run(&vmm, t, threads);
+                assert!(r.global.evictions > 0, "under eviction pressure");
+                format!("{r:?}")
+            };
+            assert_eq!(report(&whole), report(&split), "{threads} thread(s)");
+        }
+    }
+
+    #[test]
     fn scan_timer_fires_under_lru() {
         let mut t = Trace::new(1, "scan");
         // Enough compute to cross several 10 ms scan periods.
@@ -1215,7 +1254,6 @@ mod tests {
         let mut t = Trace::new(1, "io");
         t.cores[0].ops.push(Op::touch(VirtPage(1), false, 1));
         t.cores[0].ops.push(Op::Syscall {
-            service: 10_000,
             payload: 1 << 20,
             write: true,
         });

@@ -55,7 +55,7 @@ pub struct CoreRunner {
     pub core: CoreId,
     tlb: Tlb,
     op_idx: usize,
-    stream_pos: u32,
+    stream_pos: u16,
     /// A touch that faulted and awaits the kernel's handler.
     pending: Option<PendingFault>,
     /// Blocks this core has already marked dirty (dedupes the PTE dirty
@@ -288,7 +288,7 @@ impl CoreRunner {
                         if clock.now() >= ceiling {
                             return Pause::Ceiling;
                         }
-                        let page = start.add(self.stream_pos as u64);
+                        let page = start.add(u64::from(self.stream_pos));
                         if let Some(parked) = self.touch(vmm, clock, page, write, work_per_page) {
                             return parked;
                         }
@@ -301,17 +301,12 @@ impl CoreRunner {
                     clock.advance(cycles);
                     self.op_idx += 1;
                 }
-                Op::Syscall {
-                    service,
-                    payload,
-                    write,
-                } => {
+                Op::Syscall { payload, write } => {
                     let call = if write {
                         Syscall::Write(payload)
                     } else {
                         Syscall::Read(payload)
                     };
-                    let _ = service; // catalogued in the offload engine
                     self.op_idx += 1;
                     return Pause::Syscall { call };
                 }
@@ -457,7 +452,6 @@ mod tests {
         let v = vmm(4);
         let mut r = CoreRunner::new(CoreId(0), &v);
         let t = trace_of(vec![Op::Syscall {
-            service: 1,
             payload: 4096,
             write: true,
         }]);

@@ -6,6 +6,13 @@
 //! TLB and the paging subsystem care about (element-level accesses within
 //! a page cannot miss the TLB again and are folded into `work_per_page`).
 //!
+//! An [`Op`] is 16 bytes, asserted at compile time: the largest traces
+//! hold over a million ops, and their size is the simulator's own peak
+//! memory. A run is at most `u16::MAX` pages long; a longer one is logged
+//! as back-to-back ops that each carry the whole run's per-page work.
+//! The runner checks its ceiling between any two touches, within an op
+//! or across two, so it cannot tell a split run from an unsplit one.
+//!
 //! Barriers are implicit rendezvous points: every core's `k`-th
 //! [`Op::Barrier`] matches every other core's `k`-th, mirroring the
 //! OpenMP barrier structure of the NPB kernels and SCALE.
@@ -14,7 +21,8 @@ use std::collections::HashSet;
 
 use cmcp_arch::{Cycles, FxHashSet, PageSize, VirtPage};
 
-/// One element of a core's op stream.
+/// One element of a core's op stream: 16 bytes, a tag and the largest
+/// variant's fields packed behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Touch `pages` consecutive 4 kB pages starting at `start`, charging
@@ -22,8 +30,9 @@ pub enum Op {
     Stream {
         /// First 4 kB page of the run.
         start: VirtPage,
-        /// Number of consecutive pages.
-        pages: u32,
+        /// Number of consecutive pages. A longer run is split into
+        /// adjacent ops (module docs).
+        pages: u16,
         /// Whether the touches are writes.
         write: bool,
         /// Work units charged per page (element ops folded per page).
@@ -31,11 +40,10 @@ pub enum Op {
     },
     /// Pure compute: advance the clock without touching memory.
     Compute(Cycles),
-    /// A host-offloaded system call (paper §2.1): `service` cycles of
-    /// host work and `payload` bytes over the IKC channel.
+    /// A host-offloaded system call (paper §2.1): `payload` bytes over
+    /// the IKC channel. The host's service time is the offload engine's
+    /// fixed figure for the call's kind, not the trace's.
     Syscall {
-        /// Host-side service time.
-        service: Cycles,
         /// Payload bytes (request + response).
         payload: u64,
         /// Whether it is a write (vs read) — selects the host path cost.
@@ -44,6 +52,8 @@ pub enum Op {
     /// Rendezvous with every other core.
     Barrier,
 }
+
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 impl Op {
     /// A single-page touch.
@@ -75,7 +85,7 @@ impl CoreTrace {
         self.ops
             .iter()
             .map(|o| match o {
-                Op::Stream { pages, .. } => *pages as u64,
+                Op::Stream { pages, .. } => u64::from(*pages),
                 _ => 0,
             })
             .sum()
@@ -86,7 +96,7 @@ impl CoreTrace {
         let mut set = HashSet::new();
         for op in &self.ops {
             if let Op::Stream { start, pages, .. } = op {
-                for k in 0..*pages as u64 {
+                for k in 0..u64::from(*pages) {
                     set.insert(start.0 + k);
                 }
             }
@@ -157,7 +167,7 @@ impl Trace {
                         continue;
                     }
                     let first = start.0 / span;
-                    let last = (start.0 + *pages as u64 - 1) / span;
+                    let last = (start.0 + u64::from(*pages) - 1) / span;
                     for b in first..=last {
                         set.insert(b);
                     }

@@ -9,6 +9,9 @@
 //!   accumulated work (they could not miss the TLB separately);
 //! * accesses marching through *adjacent* pages in the same direction
 //!   with the same kind merge into one [`Op::Stream`] run.
+//!
+//! A run longer than an op can hold (`u16::MAX` pages) is emitted as
+//! back-to-back ops, each charging the whole run's per-page work.
 
 use std::ops::Range;
 
@@ -28,7 +31,7 @@ pub struct CoreLogger {
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     start: VirtPage,
-    pages: u32,
+    pages: u64,
     write: bool,
     work_total: u64,
 }
@@ -36,13 +39,24 @@ struct Pending {
 impl CoreLogger {
     fn flush(&mut self) {
         if let Some(p) = self.pending.take() {
-            let work_per_page = (p.work_total / p.pages as u64).max(1) as u32;
+            let work_per_page = (p.work_total / p.pages).max(1) as u32;
+            self.push_run(p.start, p.pages, p.write, work_per_page);
+        }
+    }
+
+    /// Pushes a run of `pages` pages as adjacent ops of at most
+    /// `u16::MAX` pages each.
+    fn push_run(&mut self, start: VirtPage, pages: u64, write: bool, work_per_page: u32) {
+        let mut done = 0;
+        while done < pages {
+            let len = (pages - done).min(u64::from(u16::MAX));
             self.ops.push(Op::Stream {
-                start: p.start,
-                pages: p.pages,
-                write: p.write,
+                start: start.add(done),
+                pages: len as u16,
+                write,
                 work_per_page,
             });
+            done += len;
         }
     }
 
@@ -50,7 +64,7 @@ impl CoreLogger {
     pub fn touch_page(&mut self, page: VirtPage, write: bool, work: u32) {
         match &mut self.pending {
             Some(p) if p.write == write => {
-                let last = p.start.0 + p.pages as u64 - 1;
+                let last = p.start.0 + p.pages - 1;
                 if page.0 == last {
                     // Same page: fold the work in.
                     p.work_total += work as u64;
@@ -90,12 +104,7 @@ impl CoreLogger {
         let elems = hi - lo;
         let work_per_page = ((elems * work_per_elem as u64) / pages).max(1) as u32;
         self.flush();
-        self.ops.push(Op::Stream {
-            start,
-            pages: pages as u32,
-            write,
-            work_per_page,
-        });
+        self.push_run(start, pages, write, work_per_page);
     }
 
     /// Logs pure compute time.
@@ -105,13 +114,9 @@ impl CoreLogger {
     }
 
     /// Logs a host-offloaded system call (e.g. SCALE's history writes).
-    pub fn syscall(&mut self, service: u64, payload: u64, write: bool) {
+    pub fn syscall(&mut self, payload: u64, write: bool) {
         self.flush();
-        self.ops.push(Op::Syscall {
-            service,
-            payload,
-            write,
-        });
+        self.ops.push(Op::Syscall { payload, write });
     }
 
     /// Sets the op capacity to exactly `additional` more ops than are
@@ -277,6 +282,34 @@ mod tests {
                 assert_eq!(work_per_page, 1024);
             }
             _ => panic!("expected stream"),
+        }
+    }
+
+    #[test]
+    fn a_run_longer_than_an_op_splits_into_adjacent_ops() {
+        // 70,000 pages, marched page by page or swept as one range: one
+        // op of u16::MAX pages and one of the other 4,465, contiguous and
+        // both charging the whole run's per-page work. The march's first
+        // 65,535 pages cost 1 each and the rest 10, so work averaged per
+        // op would differ between the two.
+        let mut a = AddressSpace::new();
+        let r = a.alloc("v", 70_000 * 512, 8);
+        let mut marched = CoreLogger::default();
+        for p in 0..70_000 {
+            marched.touch_page(r.base.add(p), true, if p < 65_535 { 1 } else { 10 });
+        }
+        let mut swept = CoreLogger::default();
+        swept.range(&r, 0, 70_000 * 512, true, 3);
+        for (t, work_per_page) in [(marched.finish(), 1), (swept.finish(), 1536)] {
+            let op = |start: u64, pages: u16| Op::Stream {
+                start: r.base.add(start),
+                pages,
+                write: true,
+                work_per_page,
+            };
+            assert_eq!(t.ops, [op(0, 65_535), op(65_535, 4_465)]);
+            assert_eq!(t.touches(), 70_000);
+            assert_eq!(t.page_set().len(), 70_000);
         }
     }
 

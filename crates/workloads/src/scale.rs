@@ -136,7 +136,7 @@ pub fn scale_trace(cores: usize, cfg: &ScaleConfig) -> Trace {
                     let core = log.core(c);
                     core.range(&next[0], row(jlo), row(jhi - 1) + nx, false, 6);
                     let slab_bytes = ((jhi - jlo) * cfg.nx) as u64 * 8;
-                    core.syscall(12_000, slab_bytes / 16, true);
+                    core.syscall(slab_bytes / 16, true);
                 }
             }
             log.barrier_all();

@@ -222,7 +222,6 @@ fn offload_death_degrades_syscalls_synchronously() {
     for c in 0..2 {
         for _ in 0..6 {
             t.cores[c].ops.push(Op::Syscall {
-                service: 10_000,
                 payload: 4 << 10,
                 write: true,
             });

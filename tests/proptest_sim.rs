@@ -12,7 +12,7 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
     (
         2usize..5, // cores
         1usize..4, // phases
-        prop::collection::vec((0u64..96, 1u32..10, any::<bool>()), 1..12),
+        prop::collection::vec((0u64..96, 1u16..10, any::<bool>()), 1..12),
     )
         .prop_map(|(cores, phases, chunks)| {
             let mut t = Trace::new(cores, "prop");

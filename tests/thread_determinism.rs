@@ -172,7 +172,7 @@ fn regular_tables_are_byte_identical_across_thread_counts() {
 fn pressure_trace_strategy() -> impl Strategy<Value = Trace> {
     (
         2usize..6,
-        prop::collection::vec((0u64..96, 1u32..12, any::<bool>()), 1..6),
+        prop::collection::vec((0u64..96, 1u16..12, any::<bool>()), 1..6),
     )
         .prop_map(|(cores, chunks)| {
             let mut t = Trace::new(cores, "det-prop");

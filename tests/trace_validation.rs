@@ -15,7 +15,7 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
     (
         2usize..5,
         1usize..3,
-        prop::collection::vec((0u64..64, 1u32..8, any::<bool>()), 1..8),
+        prop::collection::vec((0u64..64, 1u16..8, any::<bool>()), 1..8),
     )
         .prop_map(|(cores, phases, chunks)| {
             let mut t = Trace::new(cores, "trace-prop");
