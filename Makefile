@@ -1,7 +1,7 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 # Everything runs offline: external crates are in-repo shims (shims/README.md).
 
-.PHONY: verify fmt lint test test-serial test-faults test-loom test-miri test-tsan stress determinism test-tiers test-numa bench-smoke bench-parallel bench-parallel-save bench-tiers-save bench-numa-save bench-e2e goldens goldens-check goldens-save ci
+.PHONY: verify fmt lint test test-serial test-faults test-loom test-miri test-tsan stress determinism test-tiers test-numa bench-smoke bench-parallel bench-parallel-save bench-tiers-save bench-numa-save bench-e2e goldens goldens-check goldens-save mutants ci
 
 # The canonical acceptance gate: release build + full test suite.
 verify:
@@ -144,6 +144,13 @@ bench-e2e:
 goldens-check:
 	bash scripts/goldens_check.sh
 
+# The committed mutant corpus: every scripts/mutants/*.patch must fail
+# the test it names (in a scratch copy of the tree), and a generated
+# no-op mutant must survive.
+mutants:
+	bash scripts/mutants_check.sh
+	bash scripts/mutants_check.sh --self-test
+
 # Back-compat alias; `make goldens` has always been the identity gate.
 goldens: goldens-check
 
@@ -162,4 +169,4 @@ goldens-save:
 		> results/golden_tiered_numa_lu.json
 
 ci: fmt lint verify test-serial test-faults test-loom stress test-tiers \
-    test-numa bench-smoke bench-hotpath bench-e2e goldens-check
+    test-numa bench-smoke bench-hotpath bench-e2e goldens-check mutants

@@ -149,30 +149,18 @@ impl DmaModel {
         self.transfer(now, bytes, dir)
     }
 
-    /// [`DmaModel::transfer_traced`] with fault injection. The engine is
-    /// reserved (and the link carries the bytes) whether or not the
-    /// attempt fails — an aborted transfer still burned its slot — and a
-    /// latency spike stretches the caller-visible completion time
-    /// without occupying the engine longer (the stall is in the
-    /// completion path, not the streaming channel). With `inj == None`
-    /// this is exactly [`DmaModel::transfer_traced`].
-    pub fn transfer_checked<R: cmcp_trace::Recorder>(
-        &self,
-        now: Cycles,
-        bytes: u64,
-        dir: DmaDirection,
-        inj: Option<&FaultInjector>,
-        tracer: &R,
-        core: u16,
-    ) -> CheckedTransfer {
-        self.transfer_checked_tiered(now, bytes, dir, inj, tracer, core, 0)
-    }
-
-    /// [`DmaModel::transfer_checked`] keyed by the backing tier the
-    /// transfer lands in (or is served from): the DMA error and latency
-    /// rolls draw from that tier's independent injection sequence, so
-    /// each tier of a hierarchy can fail on its own schedule. Tier 0
-    /// hashes exactly as the untiered path — flat runs are unchanged.
+    /// [`DmaModel::transfer_traced`] with fault injection, keyed by the
+    /// backing tier the transfer lands in (or is served from). The
+    /// engine is reserved (and the link carries the bytes) whether or
+    /// not the attempt fails — an aborted transfer still burned its
+    /// slot — and a latency spike stretches the caller-visible
+    /// completion time without occupying the engine longer (the stall
+    /// is in the completion path, not the streaming channel). The DMA
+    /// error and latency rolls draw from the tier's independent
+    /// injection sequence, so each tier of a hierarchy can fail on its
+    /// own schedule; tier 0 hashes exactly as the pre-tier injector
+    /// did. With `inj == None` this is exactly
+    /// [`DmaModel::transfer_traced`].
     #[allow(clippy::too_many_arguments)]
     pub fn transfer_checked_tiered<R: cmcp_trace::Recorder>(
         &self,
@@ -268,12 +256,13 @@ mod tests {
         let d = DmaModel::new(&CostModel::default());
         let plain = d.transfer(0, 4096, DmaDirection::HostToDevice);
         let d2 = DmaModel::new(&CostModel::default());
-        let checked = d2.transfer_checked(
+        let checked = d2.transfer_checked_tiered(
             0,
             4096,
             DmaDirection::HostToDevice,
             None,
             &cmcp_trace::NullTracer,
+            0,
             0,
         );
         assert!(!checked.failed);
@@ -289,12 +278,13 @@ mod tests {
         let mut spiked = 0;
         let mut now = 0;
         for _ in 0..64 {
-            let c = d.transfer_checked(
+            let c = d.transfer_checked_tiered(
                 now,
                 4096,
                 DmaDirection::HostToDevice,
                 Some(&inj),
                 &cmcp_trace::NullTracer,
+                0,
                 0,
             );
             now = c.reservation.end;
@@ -317,12 +307,13 @@ mod tests {
         let inj = crate::fault::FaultInjector::new(&FaultPlan::new(6).dma_errors(0.5));
         let mut failures = 0;
         for _ in 0..64 {
-            let c = d.transfer_checked(
+            let c = d.transfer_checked_tiered(
                 0,
                 4096,
                 DmaDirection::DeviceToHost,
                 Some(&inj),
                 &cmcp_trace::NullTracer,
+                0,
                 0,
             );
             if c.failed {

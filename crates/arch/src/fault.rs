@@ -388,11 +388,6 @@ impl FaultInjector {
         h % PPM < self.rate_ppm[i] as u64
     }
 
-    /// [`FaultInjector::roll`], returning the site parameter on a hit.
-    pub fn roll_param(&self, site: FaultSite) -> Option<u64> {
-        self.roll(site).then(|| self.param[site as usize])
-    }
-
     /// [`FaultInjector::roll_tiered`], returning the site parameter on
     /// a hit.
     pub fn roll_param_tiered(&self, site: FaultSite, tier: usize) -> Option<u64> {

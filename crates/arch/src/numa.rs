@@ -120,9 +120,11 @@ impl NumaConfig {
         }
     }
 
-    /// `true` for the one-node machine — the kernel takes the legacy
-    /// NUMA-free code path for it (no home nodes, no replicas, no new
-    /// events), which is what keeps single-node runs byte-identical.
+    /// `true` for the one-node machine. The kernel runs it as the
+    /// one-node case of the general rules — nothing spills, syncs or
+    /// migrates, so no cycle or event is added and single-node runs stay
+    /// byte-identical to the pre-NUMA kernel; the report omits its NUMA
+    /// section for it.
     pub fn is_single(&self) -> bool {
         self.nodes.len() == 1
     }

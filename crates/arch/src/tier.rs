@@ -109,7 +109,10 @@ impl TierConfig {
     }
 
     /// `true` for hierarchies with a single zero-cost unbounded tier —
-    /// the kernel takes the legacy flat-store code path for these.
+    /// the paper's one host-DRAM backing level. The kernel runs them
+    /// through the same span store as any hierarchy (nothing cascades,
+    /// promotes or pays a penalty); only the report's shape keys on
+    /// this, omitting its per-tier section.
     pub fn is_flat(&self) -> bool {
         self.tiers.len() == 1 && {
             let t = &self.tiers[0];

@@ -177,17 +177,6 @@ impl PageSize {
             PageSize::M2 => Some(PageSize::K64),
         }
     }
-
-    /// The next larger granularity (inverse of
-    /// [`PageSize::split_child`]), or `None` for 2 MB.
-    #[inline]
-    pub fn merge_parent(self) -> Option<PageSize> {
-        match self {
-            PageSize::K4 => Some(PageSize::K64),
-            PageSize::K64 => Some(PageSize::M2),
-            PageSize::M2 => None,
-        }
-    }
 }
 
 impl fmt::Display for PageSize {

@@ -155,6 +155,18 @@ fn parse_page_size(s: &str) -> Result<PageSize, String> {
     }
 }
 
+/// A device-RAM ratio: finite and positive. `NaN` fails every
+/// comparison, so the check is written to reject it.
+fn parse_memory(s: &str) -> Result<f64, String> {
+    let m: f64 = s.parse().map_err(|_| format!("bad memory ratio '{s}'"))?;
+    if !(m.is_finite() && m > 0.0) {
+        return Err(format!(
+            "memory ratio must be finite and positive, got '{s}'"
+        ));
+    }
+    Ok(m)
+}
+
 /// Returns the internal thread-count sentinel: `0` means auto-detect.
 /// A literal `0` is still rejected loudly — "use every CPU" is spelled
 /// `auto`, not `0`.
@@ -253,15 +265,7 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--tiers" => args.tiers = TierConfig::parse(&value("--tiers")?)?,
             "--numa" => args.numa = NumaConfig::parse(&value("--numa")?)?,
             "--numa-no-replication" => args.numa_replication = false,
-            "--memory" => {
-                let m: f64 = value("--memory")?
-                    .parse()
-                    .map_err(|_| "bad memory ratio".to_string())?;
-                if m <= 0.0 {
-                    return Err("memory ratio must be positive".into());
-                }
-                args.memory = Some(m);
-            }
+            "--memory" => args.memory = Some(parse_memory(&value("--memory")?)?),
             "--threads" => args.threads = parse_threads(&value("--threads")?)?,
             "--parallel" => {
                 return Err(
@@ -652,6 +656,17 @@ mod tests {
     fn threads_auto_maps_to_the_detect_sentinel() {
         assert_eq!(parse_threads("auto"), Ok(0));
         assert_eq!(parse_threads("AUTO"), Ok(0));
+    }
+
+    #[test]
+    fn memory_ratios_must_be_finite_and_positive() {
+        assert_eq!(parse_memory("0.37"), Ok(0.37));
+        assert_eq!(parse_memory("2"), Ok(2.0));
+        for bad in ["nan", "NaN", "inf", "-inf", "0", "-0.5"] {
+            let err = parse_memory(bad).expect_err(bad);
+            assert!(err.contains("finite and positive"), "{bad}: {err}");
+        }
+        assert!(parse_memory("lots").is_err());
     }
 
     #[test]

@@ -7,93 +7,26 @@
 //! fill, no transfer needed in from the host) from refaults (a real
 //! host→device DMA), and it counts write-backs for the reports.
 //!
-//! Two representations share the [`TieredStore`] front:
+//! [`TieredStore`] is an N-tier hierarchy (HBM/DRAM/NVM/CXL-style, see
+//! [`cmcp_arch::tier`]) of byte ranges ("spans"). The paper's own
+//! host-DRAM backing level is its one-tier instance: the `flat` config
+//! is a single unbounded tier that costs nothing, so nothing ever
+//! cascades or promotes and no penalty is charged. Each write-back
+//! lands on the tier chosen by the victim's core-map count (CMCP's
+//! signal decides *how far down* to demote, not just whether to
+//! evict); bounded tiers that overflow cascade their FIFO-oldest span
+//! one tier further; a page-in from tier *t* pays that tier's
+//! latency/bandwidth penalty and promotes the span one tier up when
+//! the tier above has room. Spans make the store correct for the
+//! adaptive page-size mode too, where a 2 MB write-back may later be
+//! refaulted — or partially overwritten — at 64 kB granularity.
 //!
-//! * [`BackingStore`] — the original flat host-DRAM set, used whenever
-//!   the run has a single zero-cost tier *and* a fixed page size. It is
-//!   bit-identical (and instruction-identical on the fault hot path) to
-//!   the pre-tier kernel, which is what keeps the committed goldens and
-//!   the perf-regression gate honest.
-//! * [`TieredStore::Tiered`] — an N-tier hierarchy (HBM/DRAM/NVM/
-//!   CXL-style, see [`cmcp_arch::tier`]) of byte ranges ("spans"). Each
-//!   write-back lands on the tier chosen by the victim's core-map count
-//!   (CMCP's signal decides *how far down* to demote, not just whether
-//!   to evict); bounded tiers that overflow cascade their FIFO-oldest
-//!   span one tier further; a page-in from tier *t* pays that tier's
-//!   latency/bandwidth penalty and promotes the span one tier up when
-//!   the tier above has room. Spans make the store correct for the
-//!   adaptive page-size mode too, where a 2 MB write-back may later be
-//!   refaulted — or partially overwritten — at 64 kB granularity.
+//! The store lives in the kernel's single-writer commit state
+//! (`vmm::KernelState`), so it needs no synchronization of its own.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use parking_lot::Mutex;
-
-use cmcp_arch::{FaultInjector, FaultSite, FxHashMap, FxHashSet, TierConfig, VirtPage};
-
-/// Host-side block store (content-free: the simulator tracks residency
-/// and movement, not data bytes). The presence set is probed on every
-/// major fault, so it hashes with the seed-free `FxHashSet`, and an
-/// atomic mirror of its size lets the probe skip the lock entirely
-/// while no write-back has happened yet (read-mostly workloads never
-/// pay for the store they never use).
-#[derive(Debug, Default)]
-pub struct BackingStore {
-    present: Mutex<FxHashSet<u64>>,
-    /// `present.len()`, maintained under the lock, readable without it.
-    count: AtomicUsize,
-}
-
-impl BackingStore {
-    /// An empty store: every first touch is a zero-fill fault.
-    pub fn new() -> BackingStore {
-        BackingStore::default()
-    }
-
-    /// Whether `block` has been written back before (a fault on it needs
-    /// a host→device transfer).
-    pub fn contains(&self, block: VirtPage) -> bool {
-        // An empty store can answer from the counter alone. Every
-        // store and query runs in the kernel's sequential commit phase,
-        // so the counter is never read mid-update.
-        if self.count.load(Relaxed) == 0 {
-            return false;
-        }
-        self.present.lock().contains(&block.0)
-    }
-
-    /// Records a write-back of `block` (device→host).
-    pub fn store(&self, block: VirtPage) {
-        let mut present = self.present.lock();
-        present.insert(block.0);
-        self.count.store(present.len(), Relaxed);
-    }
-
-    /// [`BackingStore::store`] with fault injection: returns `false`
-    /// (and records nothing) when the plan injects a write failure
-    /// (ENOSPC / transient I/O error) for this attempt. With
-    /// `inj == None` this always stores and succeeds.
-    pub fn try_store(&self, block: VirtPage, inj: Option<&FaultInjector>) -> bool {
-        if let Some(inj) = inj {
-            if inj.roll(FaultSite::Backing) {
-                return false;
-            }
-        }
-        self.store(block);
-        true
-    }
-
-    /// Number of blocks currently held on the host.
-    pub fn len(&self) -> usize {
-        self.present.lock().len()
-    }
-
-    /// Whether nothing has been written back yet.
-    pub fn is_empty(&self) -> bool {
-        self.present.lock().is_empty()
-    }
-}
+use cmcp_arch::{FaultInjector, FaultSite, FxHashMap, TierConfig, VirtPage};
 
 /// One stored byte range: `pages` 4 kB pages starting at the map key
 /// (at most a 2 MB region's 512, so 16 bytes hold a span).
@@ -189,8 +122,10 @@ fn last_head_below(bits: &[u64; REGION_WORDS], end: u64) -> Option<u64> {
     }
 }
 
-#[derive(Debug, Default)]
-struct TieredInner {
+/// The backing hierarchy behind the device RAM: a span store over the
+/// configured tiers. See the module docs.
+#[derive(Debug)]
+pub struct TieredStore {
     /// Non-overlapping spans, keyed by head page. The non-overlap
     /// invariant is what "no page resident in two tiers" reduces to.
     spans: FxHashMap<u64, Span>,
@@ -201,16 +136,35 @@ struct TieredInner {
     /// restamping a span leaves its entry behind, stale (no span with
     /// that head and seq); the cascade skips stale entries at the
     /// front, and a push compacts the queue once it holds over twice
-    /// the tier's spans.
+    /// the tier's spans. Only bounded tiers cascade, so an unbounded
+    /// tier (the last one, and the flat config's only one) keeps its
+    /// queue empty.
     fifo: Vec<VecDeque<(u64, u64)>>,
     books: Vec<TierCounters>,
+    /// Per-tier capacity in 4 kB pages (0 = unbounded).
+    caps: Vec<u64>,
     next_seq: u64,
-    /// Heads found by the last [`TieredInner::overlapping`] probe,
+    /// Heads found by the last [`TieredStore::overlapping`] probe,
     /// ascending; reused so the probe never allocates.
     hits: Vec<u64>,
 }
 
-impl TieredInner {
+impl TieredStore {
+    /// An empty store over `tiers`: every first touch is a zero-fill
+    /// fault.
+    pub fn new(tiers: &TierConfig) -> TieredStore {
+        let n = tiers.len();
+        TieredStore {
+            spans: FxHashMap::default(),
+            heads: FxHashMap::default(),
+            fifo: vec![VecDeque::new(); n],
+            books: vec![TierCounters::default(); n],
+            caps: tiers.tiers.iter().map(|t| t.capacity_pages).collect(),
+            next_seq: 0,
+            hits: Vec::new(),
+        }
+    }
+
     /// Whether the FIFO entry `(seq, head)` still names a stored span.
     fn live(&self, seq: u64, head: u64) -> bool {
         self.spans.get(&head).is_some_and(|s| s.seq == seq)
@@ -242,9 +196,12 @@ impl TieredInner {
             let bits = self.heads.entry(head / REGION_PAGES).or_default();
             bits[(off / 64) as usize] |= 1 << (off % 64);
         }
-        self.fifo[tier].push_back((seq, head));
         self.books[tier].used_pages += pages;
         self.books[tier].spans += 1;
+        if self.caps[tier] == 0 {
+            return;
+        }
+        self.fifo[tier].push_back((seq, head));
         if self.fifo[tier].len() as u64 > 2 * self.books[tier].spans {
             let spans = &self.spans;
             self.fifo[tier].retain(|&(seq, h)| spans.get(&h).is_some_and(|s| s.seq == seq));
@@ -310,10 +267,10 @@ impl TieredInner {
     /// Moves bounded tiers back under capacity by demoting their oldest
     /// spans one tier down. The last tier is unbounded (validated at
     /// config parse), so the cascade always terminates.
-    fn cascade(&mut self, caps: &[u64]) -> u64 {
+    fn cascade(&mut self) -> u64 {
         let mut demoted = 0;
-        while let Some(t) =
-            (0..caps.len()).find(|&t| caps[t] > 0 && self.books[t].used_pages > caps[t])
+        while let Some(t) = (0..self.caps.len())
+            .find(|&t| self.caps[t] > 0 && self.books[t].used_pages > self.caps[t])
         {
             let head = self.pop_oldest(t);
             self.put(head, self.spans[&head].len(), t + 1);
@@ -322,104 +279,48 @@ impl TieredInner {
         }
         demoted
     }
-}
-
-/// The backing hierarchy behind the device RAM: a flat set for the
-/// legacy single-tier fixed-page-size configuration, a span-tracking
-/// tier stack for everything else. See the module docs.
-#[derive(Debug)]
-pub enum TieredStore {
-    /// Single unbounded zero-cost tier, fixed page size: the original
-    /// hash-set store, untouched.
-    Flat(BackingStore),
-    /// Real hierarchy and/or mixed page sizes: span bookkeeping.
-    Tiered(Box<TieredState>),
-}
-
-/// The locked state plus the immutable capacity table of a tiered store.
-#[derive(Debug)]
-pub struct TieredState {
-    inner: Mutex<TieredInner>,
-    /// Per-tier capacity in 4 kB pages (0 = unbounded).
-    caps: Vec<u64>,
-}
-
-impl TieredStore {
-    /// Builds the store for `tiers`. `spans_required` forces the span
-    /// representation even for a flat tier config — the adaptive
-    /// page-size mode needs range coverage regardless of the hierarchy
-    /// depth (a 2 MB write-back refaulted at 64 kB must still hit).
-    pub fn new(tiers: &TierConfig, spans_required: bool) -> TieredStore {
-        if tiers.is_flat() && !spans_required {
-            return TieredStore::Flat(BackingStore::new());
-        }
-        let n = tiers.len();
-        TieredStore::Tiered(Box::new(TieredState {
-            inner: Mutex::new(TieredInner {
-                fifo: vec![VecDeque::new(); n],
-                books: vec![TierCounters::default(); n],
-                ..TieredInner::default()
-            }),
-            caps: tiers.tiers.iter().map(|t| t.capacity_pages).collect(),
-        }))
-    }
 
     /// Whether any stored span overlaps `[head, head + pages)` — i.e.
-    /// whether a fault on this range needs a host→device transfer. The
-    /// tiered store panics on a range that crosses a 2 MB region.
-    pub fn contains(&self, head: VirtPage, pages: u64) -> bool {
-        match self {
-            TieredStore::Flat(b) => b.contains(head),
-            TieredStore::Tiered(t) => {
-                let mut inner = t.inner.lock();
-                inner.overlapping(head.0, pages);
-                !inner.hits.is_empty()
-            }
-        }
+    /// whether a fault on this range needs a host→device transfer.
+    /// Panics on a range that crosses a 2 MB region.
+    pub fn contains(&mut self, head: VirtPage, pages: u64) -> bool {
+        self.overlapping(head.0, pages);
+        !self.hits.is_empty()
     }
 
     /// Page-in lookup: the deepest tier holding any byte of the range,
     /// or `None` for a first touch. Overlapping spans below tier 0 are
     /// promoted one tier up when the tier above has room (promotion
     /// never evicts — cold tiers drain upward only into slack).
-    pub fn load(&self, head: VirtPage, pages: u64) -> Option<LoadOutcome> {
-        match self {
-            TieredStore::Flat(b) => b.contains(head).then_some(LoadOutcome {
-                tier: 0,
-                promoted: 0,
-            }),
-            TieredStore::Tiered(t) => {
-                let mut inner = t.inner.lock();
-                inner.overlapping(head.0, pages);
-                let deepest = inner
-                    .hits
-                    .iter()
-                    .map(|h| inner.spans[h].tier as usize)
-                    .max()?;
-                let mut promoted = 0;
-                for i in 0..inner.hits.len() {
-                    let h = inner.hits[i];
-                    let span = inner.spans[&h];
-                    let up = span.tier as usize;
-                    if up == 0 {
-                        continue;
-                    }
-                    let dst = up - 1;
-                    let room =
-                        t.caps[dst] == 0 || inner.books[dst].used_pages + span.len() <= t.caps[dst];
-                    if room {
-                        inner.put(h, span.len(), dst);
-                        inner.books[dst].promoted_in += 1;
-                        promoted += 1;
-                    }
-                }
-                inner.books[deepest].loads += 1;
-                Some(LoadOutcome {
-                    tier: deepest,
-                    promoted,
-                })
+    pub fn load(&mut self, head: VirtPage, pages: u64) -> Option<LoadOutcome> {
+        self.overlapping(head.0, pages);
+        let deepest = self
+            .hits
+            .iter()
+            .map(|h| self.spans[h].tier as usize)
+            .max()?;
+        let mut promoted = 0;
+        for i in 0..self.hits.len() {
+            let h = self.hits[i];
+            let span = self.spans[&h];
+            let up = span.tier as usize;
+            if up == 0 {
+                continue;
+            }
+            let dst = up - 1;
+            let room =
+                self.caps[dst] == 0 || self.books[dst].used_pages + span.len() <= self.caps[dst];
+            if room {
+                self.put(h, span.len(), dst);
+                self.books[dst].promoted_in += 1;
+                promoted += 1;
             }
         }
+        self.books[deepest].loads += 1;
+        Some(LoadOutcome {
+            tier: deepest,
+            promoted,
+        })
     }
 
     /// Records a write-back of `[head, head + pages)` onto the tier
@@ -429,117 +330,91 @@ impl TieredStore {
     /// original tier. Returns what happened; on an injected failure
     /// nothing is recorded.
     pub fn try_store(
-        &self,
+        &mut self,
         head: VirtPage,
         pages: u64,
         rank: usize,
         inj: Option<&FaultInjector>,
     ) -> StoreOutcome {
-        match self {
-            TieredStore::Flat(b) => {
-                let stored = b.try_store(head, inj);
-                StoreOutcome {
-                    stored,
-                    tier: 0,
-                    demoted: 0,
-                }
+        let tier = rank.min(self.caps.len() - 1);
+        if inj.is_some_and(|inj| inj.roll_tiered(FaultSite::Backing, tier)) {
+            return StoreOutcome {
+                stored: false,
+                tier,
+                demoted: 0,
+            };
+        }
+        let end = head.0 + pages;
+        self.overlapping(head.0, pages);
+        for i in 0..self.hits.len() {
+            let h = self.hits[i];
+            let old = self.spans[&h];
+            let old_end = h + old.len();
+            // A span at `head` itself is overwritten in place by the
+            // final put; one further in is covered whole.
+            if h < head.0 {
+                self.put(h, head.0 - h, old.tier as usize);
+            } else if h > head.0 {
+                self.remove(h);
             }
-            TieredStore::Tiered(t) => {
-                let tier = rank.min(t.caps.len() - 1);
-                if let Some(inj) = inj {
-                    if inj.roll_tiered(FaultSite::Backing, tier) {
-                        return StoreOutcome {
-                            stored: false,
-                            tier,
-                            demoted: 0,
-                        };
-                    }
-                }
-                let mut inner = t.inner.lock();
-                let end = head.0 + pages;
-                inner.overlapping(head.0, pages);
-                for i in 0..inner.hits.len() {
-                    let h = inner.hits[i];
-                    let old = inner.spans[&h];
-                    let old_end = h + old.len();
-                    // A span at `head` itself is overwritten in place by
-                    // the final put; one further in is covered whole.
-                    if h < head.0 {
-                        inner.put(h, head.0 - h, old.tier as usize);
-                    } else if h > head.0 {
-                        inner.remove(h);
-                    }
-                    if old_end > end {
-                        inner.put(end, old_end - end, old.tier as usize);
-                    }
-                }
-                inner.put(head.0, pages, tier);
-                inner.books[tier].stores += 1;
-                let demoted = inner.cascade(&t.caps);
-                StoreOutcome {
-                    stored: true,
-                    tier,
-                    demoted,
-                }
+            if old_end > end {
+                self.put(end, old_end - end, old.tier as usize);
             }
+        }
+        self.put(head.0, pages, tier);
+        self.books[tier].stores += 1;
+        let demoted = self.cascade();
+        StoreOutcome {
+            stored: true,
+            tier,
+            demoted,
         }
     }
 
-    /// Number of spans (flat: blocks) currently held.
+    /// Number of spans currently held.
     pub fn len(&self) -> usize {
-        match self {
-            TieredStore::Flat(b) => b.len(),
-            TieredStore::Tiered(t) => t.inner.lock().spans.len(),
-        }
+        self.spans.len()
     }
 
     /// Whether nothing has been written back yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.spans.is_empty()
     }
 
-    /// Makes room for `spans` spans up front (the flat store ignores
-    /// it). The span map otherwise grows by doubling while write-backs
-    /// accumulate, and peak RSS counts each freed smaller table.
-    pub fn reserve_spans(&self, spans: usize) {
-        if let TieredStore::Tiered(t) = self {
-            t.inner.lock().spans.reserve(spans);
-        }
+    /// Makes room for `spans` spans up front. The span map otherwise
+    /// grows by doubling while write-backs accumulate, and peak RSS
+    /// counts each freed smaller table.
+    pub fn reserve_spans(&mut self, spans: usize) {
+        self.spans.reserve(spans);
     }
 
-    /// Per-tier counters, or `None` for the flat representation.
-    pub fn tier_counters(&self) -> Option<Vec<TierCounters>> {
-        match self {
-            TieredStore::Flat(_) => None,
-            TieredStore::Tiered(t) => Some(t.inner.lock().books.clone()),
-        }
+    /// Per-tier counters, fastest tier first.
+    pub fn tier_counters(&self) -> &[TierCounters] {
+        &self.books
     }
 
     /// Consistency audit for the test oracles. Panics if spans overlap
     /// (a page held by two tiers at once) or leave their 2 MB region,
     /// if the head bitmaps disagree with the span keys, if any per-tier
-    /// page book disagrees with the spans it claims, if a tier's live
-    /// FIFO entries are not exactly its spans in stamp order, or if a
-    /// bounded tier sits over its capacity at a quiescent point.
+    /// page book disagrees with the spans it claims, if a bounded tier's
+    /// live FIFO entries are not exactly its spans in stamp order (an
+    /// unbounded tier's must be empty), or if a bounded tier sits over
+    /// its capacity at a quiescent point.
     pub fn audit(&self) {
-        let TieredStore::Tiered(t) = self else {
-            return;
-        };
-        let inner = t.inner.lock();
-        let mut heads: Vec<u64> = inner.spans.keys().copied().collect();
+        let mut heads: Vec<u64> = self.spans.keys().copied().collect();
         heads.sort_unstable();
         let mut prev_end = 0u64;
-        let mut used = vec![0u64; t.caps.len()];
-        let mut spans = vec![0u64; t.caps.len()];
+        let mut used = vec![0u64; self.caps.len()];
+        let mut spans = vec![0u64; self.caps.len()];
         for &h in &heads {
-            let s = &inner.spans[&h];
+            let s = &self.spans[&h];
             assert!(h >= prev_end, "spans overlap at page {h}");
             prev_end = h + s.len();
             region_of(h, s.len());
             used[s.tier as usize] += s.len();
             spans[s.tier as usize] += 1;
         }
-        let mut bitmap_heads: Vec<u64> = inner
+        let mut bitmap_heads: Vec<u64> = self
             .heads
             .iter()
             .flat_map(|(&region, bits)| {
@@ -553,25 +428,29 @@ impl TieredStore {
             bitmap_heads, heads,
             "head bitmaps drifted from the span keys"
         );
-        for (tier, book) in inner.books.iter().enumerate() {
+        for (tier, book) in self.books.iter().enumerate() {
             assert_eq!(book.used_pages, used[tier], "tier {tier} page book drifted");
             assert_eq!(book.spans, spans[tier], "tier {tier} span book drifted");
-            let fifo = &inner.fifo[tier];
+            let fifo = &self.fifo[tier];
+            if self.caps[tier] == 0 {
+                assert!(fifo.is_empty(), "unbounded tier {tier} queued a span");
+                continue;
+            }
             assert!(
                 fifo.iter().zip(fifo.iter().skip(1)).all(|(a, b)| a.0 < b.0),
                 "tier {tier} FIFO out of stamp order"
             );
             let mut live = 0u64;
-            for &(seq, h) in fifo.iter().filter(|&&(seq, h)| inner.live(seq, h)) {
+            for &(seq, h) in fifo.iter().filter(|&&(seq, h)| self.live(seq, h)) {
                 assert_eq!(
-                    inner.spans[&h].tier as usize, tier,
+                    self.spans[&h].tier as usize, tier,
                     "span {h} (stamp {seq}) queued on the wrong tier's FIFO"
                 );
                 live += 1;
             }
             assert_eq!(live, spans[tier], "tier {tier} FIFO size drifted");
             assert!(
-                t.caps[tier] == 0 || book.used_pages <= t.caps[tier],
+                book.used_pages <= self.caps[tier],
                 "tier {tier} over capacity at a quiescent point"
             );
         }
@@ -584,47 +463,40 @@ mod tests {
     use cmcp_arch::FaultPlan;
 
     #[test]
-    fn first_touch_is_absent() {
-        let b = BackingStore::new();
-        assert!(!b.contains(VirtPage(1)));
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn store_then_contains() {
-        let b = BackingStore::new();
-        b.store(VirtPage(7));
-        assert!(b.contains(VirtPage(7)));
-        assert!(!b.contains(VirtPage(8)));
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn try_store_injects_enospc() {
-        let b = BackingStore::new();
-        assert!(b.try_store(VirtPage(1), None), "no injector: always ok");
+    fn the_flat_tier_records_whole_blocks() {
+        let mut s = TieredStore::new(&TierConfig::flat());
+        // A first touch is absent.
+        assert!(!s.contains(VirtPage(1), 1));
+        assert!(s.load(VirtPage(1), 1).is_none());
+        assert!(s.is_empty());
+        // A stored block is then found, on the one tier.
+        assert!(s.try_store(VirtPage(7), 1, 0, None).stored);
+        assert!(s.contains(VirtPage(7), 1));
+        assert!(!s.contains(VirtPage(8), 1));
+        let l = s.load(VirtPage(7), 1).unwrap();
+        assert_eq!((l.tier, l.promoted), (0, 0));
+        // Rewriting a block is idempotent.
+        assert_eq!(s.try_store(VirtPage(7), 1, 0, None).demoted, 0);
+        assert_eq!(s.len(), 1);
+        // An injected ENOSPC records nothing.
         let inj = FaultInjector::new(&FaultPlan::new(13).enospc(0.5));
         let mut failures = 0;
         for p in 0..64 {
-            if !b.try_store(VirtPage(100 + p), Some(&inj)) {
-                failures += 1;
-                assert!(
-                    !b.contains(VirtPage(100 + p)),
-                    "failed store records nothing"
-                );
-            } else {
-                assert!(b.contains(VirtPage(100 + p)));
-            }
+            let head = VirtPage(100 + p);
+            let stored = s.try_store(head, 1, 0, Some(&inj)).stored;
+            failures += u64::from(!stored);
+            assert_eq!(s.contains(head, 1), stored, "page {p}");
         }
         assert!(failures > 5, "50% over 64 stores: {failures}");
-    }
-
-    #[test]
-    fn store_is_idempotent() {
-        let b = BackingStore::new();
-        b.store(VirtPage(7));
-        b.store(VirtPage(7));
-        assert_eq!(b.len(), 1);
+        // A 1-page probe hits a 16-page span.
+        s.try_store(VirtPage(32), 16, 0, None);
+        assert!(s.contains(VirtPage(37), 1));
+        assert!(!s.contains(VirtPage(48), 1));
+        let books = s.tier_counters();
+        assert_eq!(books.len(), 1);
+        assert_eq!(books[0].spans, s.len() as u64);
+        assert_eq!(books[0].demoted_in + books[0].promoted_in, 0);
+        s.audit();
     }
 
     fn two_tier() -> TierConfig {
@@ -633,34 +505,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_config_uses_the_legacy_set() {
-        let s = TieredStore::new(&TierConfig::flat(), false);
-        assert!(matches!(s, TieredStore::Flat(_)));
-        s.try_store(VirtPage(3), 1, 0, None);
-        assert!(s.contains(VirtPage(3), 1));
-        assert_eq!(s.load(VirtPage(3), 1).unwrap().tier, 0);
-        assert!(s.tier_counters().is_none());
-        s.audit();
-    }
-
-    #[test]
-    fn adaptive_mode_forces_spans_even_when_flat() {
-        let s = TieredStore::new(&TierConfig::flat(), true);
-        assert!(matches!(s, TieredStore::Tiered(_)));
-        // A 16-page store must be hit by a 1-page lookup inside it.
-        s.try_store(VirtPage(32), 16, 0, None);
-        assert!(s.contains(VirtPage(37), 1));
-        assert!(!s.contains(VirtPage(48), 1));
-        s.audit();
-    }
-
-    #[test]
     fn store_lands_on_the_demotion_rank() {
-        let s = TieredStore::new(&two_tier(), false);
+        let mut s = TieredStore::new(&two_tier());
         let out = s.try_store(VirtPage(0), 4, 1, None);
         assert!(out.stored);
         assert_eq!(out.tier, 1);
-        let books = s.tier_counters().unwrap();
+        let books = s.tier_counters();
         assert_eq!(books[1].used_pages, 4);
         assert_eq!(books[1].stores, 1);
         assert_eq!(books[0].used_pages, 0);
@@ -671,14 +521,14 @@ mod tests {
 
     #[test]
     fn overflow_cascades_fifo_oldest_down() {
-        let s = TieredStore::new(&two_tier(), false);
+        let mut s = TieredStore::new(&two_tier());
         // Hot tier holds 8 pages: two 4-page spans fill it.
         s.try_store(VirtPage(0), 4, 0, None);
         s.try_store(VirtPage(10), 4, 0, None);
         // A third store overflows it: the OLDEST span (head 0) demotes.
         let out = s.try_store(VirtPage(20), 4, 0, None);
         assert_eq!(out.demoted, 1);
-        let books = s.tier_counters().unwrap();
+        let books = s.tier_counters();
         assert_eq!(books[0].used_pages, 8);
         assert_eq!(books[1].used_pages, 4);
         assert_eq!(books[1].demoted_in, 1);
@@ -688,7 +538,7 @@ mod tests {
 
     #[test]
     fn a_rewritten_span_queues_as_the_youngest() {
-        let s = TieredStore::new(&two_tier(), false);
+        let mut s = TieredStore::new(&two_tier());
         s.try_store(VirtPage(0), 4, 0, None);
         s.try_store(VirtPage(10), 4, 0, None);
         // Rewriting span 0 leaves its first FIFO entry stale behind
@@ -703,7 +553,7 @@ mod tests {
 
     #[test]
     fn load_promotes_into_slack_only() {
-        let s = TieredStore::new(&two_tier(), false);
+        let mut s = TieredStore::new(&two_tier());
         s.try_store(VirtPage(0), 4, 1, None);
         // Hot tier is empty: the load promotes.
         let l = s.load(VirtPage(0), 4).unwrap();
@@ -719,12 +569,12 @@ mod tests {
 
     #[test]
     fn partial_overwrite_keeps_remainders_on_their_tier() {
-        let s = TieredStore::new(&two_tier(), false);
+        let mut s = TieredStore::new(&two_tier());
         // A 16-page span on the cold tier...
         s.try_store(VirtPage(0), 16, 1, None);
         // ...partially overwritten in the middle at rank 0.
         s.try_store(VirtPage(4), 4, 0, None);
-        let books = s.tier_counters().unwrap();
+        let books = s.tier_counters();
         assert_eq!(books[0].used_pages, 4);
         assert_eq!(books[1].used_pages, 12, "remainders stay cold");
         assert_eq!(s.len(), 3, "left remainder + new span + right remainder");
@@ -735,7 +585,7 @@ mod tests {
 
     #[test]
     fn spans_on_either_side_of_a_region_boundary_stay_apart() {
-        let s = TieredStore::new(&two_tier(), true);
+        let mut s = TieredStore::new(&two_tier());
         s.try_store(VirtPage(508), 4, 1, None);
         s.try_store(VirtPage(512), 16, 1, None);
         assert!(s.contains(VirtPage(511), 1));
@@ -754,14 +604,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "tier store range [510, 514) crosses a 2 MB region")]
     fn a_range_crossing_a_2mb_boundary_panics() {
-        let s = TieredStore::new(&two_tier(), true);
+        let mut s = TieredStore::new(&two_tier());
         s.try_store(VirtPage(510), 4, 0, None);
     }
 
     #[test]
     fn tiered_enospc_rolls_the_target_tiers_sequence() {
         let inj = FaultInjector::new(&FaultPlan::new(13).enospc(0.5));
-        let s = TieredStore::new(&two_tier(), false);
+        let mut s = TieredStore::new(&two_tier());
         let mut failures = 0;
         for p in 0..64u64 {
             let out = s.try_store(VirtPage(p * 100), 1, (p % 2) as usize, Some(&inj));
@@ -779,7 +629,7 @@ mod tests {
 
     #[test]
     fn audit_catches_a_clean_store() {
-        let s = TieredStore::new(&two_tier(), true);
+        let mut s = TieredStore::new(&two_tier());
         for i in 0..32u64 {
             s.try_store(VirtPage(i * 16), 1 + i % 8, (i % 2) as usize, None);
         }

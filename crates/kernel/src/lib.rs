@@ -7,14 +7,14 @@
 //! * `frames` and `buddy` (crate-private) — the device RAM allocators:
 //!   block-sized (4 kB / 64 kB / 2 MB) aligned runs for fixed page
 //!   sizes, a three-level buddy for adaptive ones.
-//! * [`backing`] — the host-side backing store reached through the DMA
-//!   engine.
+//! * [`backing`] — the host-side backing hierarchy reached through the
+//!   DMA engine: a span store over N tiers, the flat config being its
+//!   one zero-cost tier.
 //! * [`stats`] — per-core counters matching the paper's Table 1 (page
 //!   faults, remote TLB invalidations) plus cycle breakdowns.
-//! * [`numa`] — per-node accounting for multi-node topologies: home-node
-//!   placement, page-table replica sets, and per-node frame budgets
-//!   (never constructed for single-node runs, which stay bit-identical
-//!   to the pre-NUMA kernel).
+//! * [`numa`] — per-node accounting: home-node placement, page-table
+//!   replica sets, and per-node frame budgets. A single-node run is its
+//!   one-node case, bit-identical to the pre-NUMA kernel.
 //! * [`offload`] — host-offloaded system calls over the IKC channel
 //!   (paper §2.1: "heavy system calls are shipped to and executed on
 //!   the host").
@@ -40,7 +40,7 @@ pub mod offload;
 pub mod stats;
 pub mod vmm;
 
-pub use backing::{BackingStore, TierCounters, TieredStore};
+pub use backing::{TierCounters, TieredStore};
 pub use config::{KernelConfig, SchemeChoice};
 pub use numa::{BlockNuma, NumaBooks};
 pub use offload::{OffloadEngine, Syscall};

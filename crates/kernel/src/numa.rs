@@ -1,5 +1,5 @@
-//! Per-node accounting for multi-node NUMA runs: home-node placement,
-//! page-table replica sets, and per-node frame budgets.
+//! Per-node accounting for NUMA runs: home-node placement, page-table
+//! replica sets, and per-node frame budgets.
 //!
 //! The books are **accounting-level** on purpose. Physical frames still
 //! come from the kernel's single device-wide frame allocator — which
@@ -7,8 +7,11 @@
 //! frame-opacity invariant the determinism story rests on) — and the
 //! NUMA layer only decides *which node's DRAM budget* the block is
 //! charged against and *which nodes hold a page-table replica* of its
-//! mapping. That keeps single-node runs bit-identical to the pre-NUMA
-//! kernel: a [`NumaBooks`] is simply never constructed for them.
+//! mapping. A single-node run is the one-node case of the same rules
+//! (replication degree 1, as Mitosis and numaPTE count a socket): every
+//! block homes on node 0 and is charged to its one budget, nothing
+//! spills, syncs or migrates, and no cycle is charged — which is what
+//! keeps those runs bit-identical to the pre-NUMA kernel.
 //!
 //! ## The replica-coherence model (Mitosis / numaPTE, scaled down)
 //!
@@ -43,7 +46,7 @@
 //! window, paired with exact-cost `ReplicaSync` / `Migration` trace
 //! events, so the validated breakdown stays exact.
 
-use cmcp_arch::NumaConfig;
+use cmcp_arch::{NumaConfig, MAX_NODES};
 
 /// Per-block NUMA state: the node whose DRAM budget holds the block and
 /// the bitmask of nodes holding a page-table replica of its mapping
@@ -58,12 +61,11 @@ pub struct BlockNuma {
     pub mask: u8,
 }
 
-/// The per-run NUMA topology and the rules over it. Constructed only
-/// for multi-node configs. It holds nothing mutable: each block's
-/// [`BlockNuma`] lives in its resident entry and the per-node used
-/// counts in the kernel's commit state, and the rules below update
-/// them in place. Only the sequential commit phase calls them, under
-/// the kernel's one state lock.
+/// The per-run NUMA topology and the rules over it. It holds nothing
+/// mutable: each block's [`BlockNuma`] lives in its resident entry and
+/// the per-node used counts in the kernel's commit state, and the rules
+/// below update them in place. Only the sequential commit phase calls
+/// them, under the kernel's one state lock.
 #[derive(Debug)]
 pub struct NumaBooks {
     /// Topology in force (validated at `Vmm` construction).
@@ -95,9 +97,8 @@ pub struct MapDecision {
 
 impl NumaBooks {
     /// Builds the ledger for `cores` cores over `device_blocks` device
-    /// blocks. `config` must be multi-node and already validated.
+    /// blocks. `config` must already be validated.
     pub fn new(config: NumaConfig, cores: usize, device_blocks: usize) -> NumaBooks {
-        debug_assert!(!config.is_single());
         NumaBooks {
             node_of_core: (0..cores)
                 .map(|c| config.node_of_core(c, cores) as u8)
@@ -153,14 +154,18 @@ impl NumaBooks {
 
     /// Minor-fault bookkeeping on the block's state `ent`: replica sync
     /// / remote walk, then the migration check against the block's
-    /// current mapping-node histogram (`node_counts[n]` = mapping cores
-    /// on node `n`, *including* the faulting core's fresh mapping).
+    /// current mapping-node histogram, which `node_counts` fills in
+    /// (`[n]` = mapping cores on node `n`, *including* the faulting
+    /// core's fresh mapping). With replication on, the mask holds the
+    /// node of every mapping core, so a block no foreign node maps —
+    /// every block of a one-node run — cannot migrate, and the
+    /// histogram is not taken.
     pub fn on_map(
         &self,
         core: usize,
         ent: &mut BlockNuma,
         used: &mut [u64],
-        node_counts: &[u32],
+        node_counts: impl FnOnce(&mut [u32]),
     ) -> MapDecision {
         let node = self.node_of(core);
         let mut d = MapDecision::default();
@@ -177,10 +182,16 @@ impl NumaBooks {
         }
         // Migration: strict majority of mapping cores on one foreign
         // node with budget headroom pulls the home over.
-        let total: u32 = node_counts.iter().sum();
         let home = ent.home as usize;
-        if let Some(best) = (0..node_counts.len())
-            .find(|&n| n != home && u64::from(node_counts[n]) * 2 > u64::from(total))
+        if self.config.replicate && ent.mask & !(1 << home) == 0 {
+            return d;
+        }
+        let mut counts = [0u32; MAX_NODES];
+        let counts = &mut counts[..self.config.len()];
+        node_counts(counts);
+        let total: u32 = counts.iter().sum();
+        if let Some(best) =
+            (0..counts.len()).find(|&n| n != home && u64::from(counts[n]) * 2 > u64::from(total))
         {
             if used[best] < self.capacity[best] {
                 used[home] -= 1;
@@ -230,11 +241,11 @@ mod tests {
         let mut used = vec![0; 2];
         let (mut ent, _) = b.on_insert(0, &mut used);
         // First fault from node 1: counted sync with home 0.
-        let d = b.on_map(2, &mut ent, &mut used, &[1, 1]);
+        let d = b.on_map(2, &mut ent, &mut used, |c| c.copy_from_slice(&[1, 1]));
         assert_eq!(d.sync_with, Some(0));
         assert!(d.counted_sync);
         // Second fault from the same node: replica already local.
-        let d = b.on_map(3, &mut ent, &mut used, &[1, 2]);
+        let d = b.on_map(3, &mut ent, &mut used, |c| c.copy_from_slice(&[1, 2]));
         assert_eq!(d.sync_with, None);
         assert_eq!(ent.mask, 0b11);
     }
@@ -247,7 +258,7 @@ mod tests {
         let mut used = vec![0; 2];
         let (mut ent, _) = b.on_insert(0, &mut used);
         for _ in 0..3 {
-            let d = b.on_map(2, &mut ent, &mut used, &[1, 1]);
+            let d = b.on_map(2, &mut ent, &mut used, |c| c.copy_from_slice(&[1, 1]));
             assert_eq!(d.sync_with, Some(0));
             assert!(!d.counted_sync);
         }
@@ -259,12 +270,12 @@ mod tests {
         let mut used = vec![0; 2];
         let (mut ent, _) = b.on_insert(0, &mut used);
         // 1 core on node 0, 2 on node 1: strict majority abroad.
-        let d = b.on_map(3, &mut ent, &mut used, &[1, 2]);
+        let d = b.on_map(3, &mut ent, &mut used, |c| c.copy_from_slice(&[1, 2]));
         assert_eq!(d.migrate, Some((0, 1)));
         assert_eq!(ent.home, 1);
         assert_eq!(used, vec![0, 1]);
         // An even split is not a strict majority: no flapping back.
-        let d = b.on_map(1, &mut ent, &mut used, &[2, 2]);
+        let d = b.on_map(1, &mut ent, &mut used, |c| c.copy_from_slice(&[2, 2]));
         assert_eq!(d.migrate, None);
     }
 
@@ -273,7 +284,7 @@ mod tests {
         let b = books("a:4@100/0;b:4@100/0", 4, 8);
         let mut used = vec![0; 2];
         let (mut ent, _) = b.on_insert(0, &mut used);
-        b.on_map(2, &mut ent, &mut used, &[1, 1]);
+        b.on_map(2, &mut ent, &mut used, |c| c.copy_from_slice(&[1, 1]));
         assert_eq!(ent.mask, 0b11);
         NumaBooks::on_evict(ent, &mut used);
         assert_eq!(used, vec![0, 0]);

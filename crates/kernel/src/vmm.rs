@@ -88,14 +88,18 @@ struct KernelState {
     /// region empties.
     regions: FxHashMap<u64, (PageSize, u32)>,
     frames: Frames,
-    /// Multi-node runs only: blocks charged to each node's budget
-    /// (empty on a single node). Sums to the resident block count.
+    /// The host-side backing hierarchy (one zero-cost tier on the flat
+    /// config).
+    backing: TieredStore,
+    /// Blocks charged to each node's budget, one entry per node. Sums
+    /// to the resident block count on fixed-size runs; adaptive runs
+    /// charge nothing (see [`Frames`]).
     numa_used: Vec<u64>,
 }
 
 /// One resident block: its device frame head, mapping granularity
-/// (always `cfg.block_size` outside adaptive mode) and, on multi-node
-/// runs, its home node and replica mask (8 bytes with or without them).
+/// (always `cfg.block_size` outside adaptive mode), home node and
+/// replica mask, in 8 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Resident {
     frame: PhysFrame,
@@ -107,6 +111,14 @@ const _: () = assert!(std::mem::size_of::<Resident>() == 8);
 
 /// Device-RAM allocator: the fixed-size pool for normal runs, the
 /// mixed-size buddy for adaptive page-size runs.
+///
+/// Fixed is not folded into adaptive as the buddy pinned to one size
+/// class. NUMA budgets count blocks of one size, so they cannot charge
+/// an adaptive run's mixed granularities (hence adaptive runs are
+/// refused on multi-node topologies and charge no budget). And a buddy
+/// serving fixed runs would need capacities that are not multiples of
+/// 2 MB, and would put its `BTreeSet` free lists on every eviction,
+/// where the pool hands the victim's frame straight over.
 enum Frames {
     Pool(FramePool),
     Buddy(BuddyPool),
@@ -171,7 +183,6 @@ pub struct Vmm<R: Recorder = NullTracer> {
     scheme: SchemeObj,
     /// The single-writer commit state (see [`KernelState`]).
     state: Mutex<KernelState>,
-    backing: TieredStore,
     dma: DmaModel,
     ring: RingModel,
     /// Regular tables: one address-space-wide lock.
@@ -184,10 +195,10 @@ pub struct Vmm<R: Recorder = NullTracer> {
     core_stats: Vec<CoreStats>,
     global: GlobalStats,
     offload: OffloadEngine,
-    /// NUMA ledger — home nodes, replica sets, per-node budgets. `None`
-    /// for single-node topologies, which leaves every NUMA branch cold
-    /// and the run bit-identical to the pre-NUMA kernel.
-    numa: Option<NumaBooks>,
+    /// NUMA topology and placement rules — home nodes, replica sets,
+    /// per-node budgets. A single-node run is its one-node case: every
+    /// block homes on node 0, and nothing crosses a link.
+    numa: NumaBooks,
     /// Compiled fault plan; `None` leaves every fault-injection branch
     /// cold and the run bit-identical to a plan-free build.
     injector: Option<FaultInjector>,
@@ -276,7 +287,7 @@ impl<R: Recorder> Vmm<R> {
         // One span per device block: a run under pressure writes back
         // about that many (lu.C at 66% memory holds 11.9K spans over
         // 11.4K blocks), so the span map rarely grows mid-run.
-        let backing = TieredStore::new(cfg.tiers(), cfg.adaptive);
+        let mut backing = TieredStore::new(cfg.tiers());
         backing.reserve_spans(cfg.device_blocks);
         Vmm {
             scheme,
@@ -301,13 +312,9 @@ impl<R: Recorder> Vmm<R> {
                 } else {
                     Frames::Pool(FramePool::new(cfg.block_size, cfg.device_blocks))
                 },
-                numa_used: if cfg.cost.numa.is_single() {
-                    Vec::new()
-                } else {
-                    vec![0; cfg.cost.numa.len()]
-                },
+                backing,
+                numa_used: vec![0; cfg.cost.numa.len()],
             }),
-            backing,
             dma: DmaModel::with_clients(&cfg.cost, cfg.cores),
             ring: RingModel::new(cfg.cores, &cfg.cost),
             pt_global_lock: VirtualResource::new(),
@@ -317,8 +324,7 @@ impl<R: Recorder> Vmm<R> {
             core_stats: (0..cfg.cores).map(|_| CoreStats::default()).collect(),
             global: GlobalStats::default(),
             offload: OffloadEngine::new(&cfg.cost, cfg.cores),
-            numa: (!cfg.cost.numa.is_single())
-                .then(|| NumaBooks::new(cfg.cost.numa.clone(), cfg.cores, cfg.device_blocks)),
+            numa: NumaBooks::new(cfg.cost.numa.clone(), cfg.cores, cfg.device_blocks),
             injector: cfg.fault_plan.as_ref().map(FaultInjector::new),
             offload_calls: AtomicU64::new(0),
             offload_dead: AtomicBool::new(false),
@@ -437,46 +443,37 @@ impl<R: Recorder> Vmm<R> {
     /// Whether the backing store holds a written-back copy of `page`.
     /// Quiescent-state query for the test oracles.
     pub fn backing_contains(&self, page: VirtPage) -> bool {
-        if self.cfg.adaptive {
-            self.backing.contains(page, 1)
-        } else {
-            self.backing.contains(self.block_of(page), 1)
-        }
+        self.state.lock().backing.contains(page, 1)
     }
 
-    /// Per-tier backing-store occupancy and traffic counters; `None` for
-    /// the flat single-tier store.
-    pub fn tier_counters(&self) -> Option<Vec<TierCounters>> {
-        self.backing.tier_counters()
+    /// Per-tier backing-store occupancy and traffic counters, fastest
+    /// tier first (one tier on the flat config).
+    pub fn tier_counters(&self) -> Vec<TierCounters> {
+        self.state.lock().backing.tier_counters().to_vec()
     }
 
-    /// The NUMA topology and placement rules; `None` for single-node
-    /// topologies.
-    pub fn numa_books(&self) -> Option<&NumaBooks> {
-        self.numa.as_ref()
+    /// The NUMA topology and placement rules.
+    pub fn numa_books(&self) -> &NumaBooks {
+        &self.numa
     }
 
-    /// Per-node used-block counts (exact at quiescence); empty on
-    /// single-node runs.
+    /// Per-node used-block counts (exact at quiescence), one per node.
     pub fn numa_used(&self) -> Vec<u64> {
         self.state.lock().numa_used.clone()
     }
 
-    /// The `(home node, replica mask)` of a resident block on a
-    /// multi-node run. Test-oracle hook.
+    /// The `(home node, replica mask)` of a resident block.
+    /// Test-oracle hook.
     pub fn numa_block_state(&self, head: VirtPage) -> Option<BlockNuma> {
-        self.numa.as_ref()?;
         self.state.lock().resident.get(&head.0).map(|ent| ent.numa)
     }
 
     /// Bitmask of nodes with at least one core currently mapping
-    /// `head`. Test-oracle hook for the replica-subset invariant;
-    /// always 0 on single-node runs.
+    /// `head`. Test-oracle hook for the replica-subset invariant.
     pub fn mapping_node_mask(&self, head: VirtPage) -> u8 {
-        let Some(books) = &self.numa else { return 0 };
         let mut mask = 0u8;
         for c in with_scheme!(self, s => s.mapping_cores(head)).iter() {
-            mask |= 1 << books.node_of(c.index());
+            mask |= 1 << self.numa.node_of(c.index());
         }
         mask
     }
@@ -484,7 +481,7 @@ impl<R: Recorder> Vmm<R> {
     /// Backing-store invariant audit: panics on span overlap, per-tier
     /// book drift, or a bounded tier over capacity. Test-oracle hook.
     pub fn backing_audit(&self) {
-        self.backing.audit();
+        self.state.lock().backing.audit();
     }
 
     /// Frame-conservation audit in 4 kB pages, valid for both allocator
@@ -654,7 +651,7 @@ impl<R: Recorder> Vmm<R> {
         for (&head, ent) in resident.iter_mut() {
             // The rebuild's global shootdown tears down every PTE, so
             // every node-local replica goes with it (homes and budgets
-            // stay: the frames never move). Single-node masks are 0.
+            // stay: the frames never move).
             dropped += u64::from(ent.numa.mask.count_ones());
             ent.numa.mask = 0;
             let head = VirtPage(head);
@@ -673,11 +670,9 @@ impl<R: Recorder> Vmm<R> {
         }
         // Count the dropped replicas (the maintenance hyperthreads' own
         // time is free, like the scan timer's).
-        if self.numa.is_some() {
-            self.global
-                .replica_invalidations
-                .fetch_add(dropped, Relaxed);
-        }
+        self.global
+            .replica_invalidations
+            .fetch_add(dropped, Relaxed);
         self.global.rebuilds.fetch_add(1, Relaxed);
         if R::ENABLED {
             self.tracer.record(
@@ -794,73 +789,6 @@ impl<R: Recorder> Vmm<R> {
         }
     }
 
-    /// Evicts one victim block and hands its frame to the caller.
-    /// Returns `None` when the policy tracks no block.
-    fn evict_one(&self, state: &mut KernelState, requester: CoreId) -> Option<PhysFrame> {
-        let KernelState {
-            policy,
-            resident,
-            pending_dirty,
-            numa_used,
-            ..
-        } = state;
-        let victim = policy.select_victim(&mut KernelOracle {
-            vmm: self,
-            resident,
-            requester: Some(requester),
-        })?;
-        if R::ENABLED {
-            let count = with_scheme!(self, s => s.mapping_cores(victim)).count() as u64;
-            let group = policy.victim_group(victim) as u64;
-            self.tracer.record(
-                requester.0,
-                self.clocks[requester.index()].now(),
-                EventKind::VictimSelect,
-                victim.0,
-                (count << 8) | group,
-            );
-        }
-        self.note_residency(requester, victim);
-        let ent = resident
-            .remove(&victim.0)
-            .expect("victim tracked in resident map");
-        // Write-back debt only exists after a PSPT rebuild; the length
-        // check spares the common eviction a pointless hash probe.
-        let mut dirty = !pending_dirty.is_empty() && pending_dirty.remove(&victim.0);
-        // A victim with no mappings is possible right after a PSPT
-        // rebuild: resident, but every PTE already torn down.
-        let out = with_scheme!(self, s => s.unmap_all(victim, self.cfg.block_size));
-        let clock = &self.clocks[requester.index()];
-        let mut map_count = 0u32;
-        if let Some(out) = &out {
-            clock.advance(self.cfg.cost.pte_update * out.ptes_removed as u64);
-            self.shootdown(
-                Some(requester),
-                victim,
-                self.cfg.block_size.pages_4k() as u32,
-                &out.mappers,
-            );
-            dirty |= out.dirty;
-            map_count = out.mappers.count() as u32;
-        }
-        if dirty {
-            // CMCP's priority signal also drives *how far down* the
-            // hierarchy a victim goes: widely shared blocks land in the
-            // fastest tier that can take them, private blocks sink.
-            let rank = self.cfg.tiers().demotion_rank(map_count);
-            self.write_back(
-                requester,
-                victim,
-                self.cfg.block_size.pages_4k() as u64,
-                rank,
-            );
-        }
-        self.numa_on_evict(requester, ent.numa, numa_used);
-        policy.on_evict(victim);
-        self.global.evictions.fetch_add(1, Relaxed);
-        Some(ent.frame)
-    }
-
     /// Charges `core` the extra virtual-time cost of touching backing
     /// tier `tier` with `bytes` of traffic, on top of the DMA link time.
     /// Tier 0 of the flat hierarchy has zero latency and unmetered
@@ -912,11 +840,9 @@ impl<R: Recorder> Vmm<R> {
     /// NUMA bookkeeping for a major fault: places the new block on a
     /// home node (spilling — one link crossing — when the faulting
     /// core's node is full) and returns its state for the resident
-    /// entry. The default state on single-node runs.
+    /// entry.
     fn numa_on_insert(&self, core: CoreId, used: &mut [u64]) -> BlockNuma {
-        let Some(books) = &self.numa else {
-            return BlockNuma::default();
-        };
+        let books = &self.numa;
         let (ent, spilled) = books.on_insert(core.index(), used);
         if let Some(home) = spilled {
             self.global.remote_spills.fetch_add(1, Relaxed);
@@ -933,17 +859,14 @@ impl<R: Recorder> Vmm<R> {
     /// (replication off, every remote fault), then the home-migration
     /// check against the block's current mapping-node histogram — the
     /// CMCP map-count-weighted access center. Updates the block's state
-    /// `ent` and the per-node `used` counts in place. No-op on
-    /// single-node runs.
+    /// `ent` and the per-node `used` counts in place.
     fn numa_on_map(&self, core: CoreId, head: VirtPage, ent: &mut BlockNuma, used: &mut [u64]) {
-        let Some(books) = &self.numa else { return };
-        let nodes = books.config.len();
-        let mut counts = [0u32; cmcp_arch::MAX_NODES];
-        let mappers = with_scheme!(self, s => s.mapping_cores(head));
-        for c in mappers.iter() {
-            counts[books.node_of(c.index()) as usize] += 1;
-        }
-        let d = books.on_map(core.index(), ent, used, &counts[..nodes]);
+        let books = &self.numa;
+        let d = books.on_map(core.index(), ent, used, |counts| {
+            for c in with_scheme!(self, s => s.mapping_cores(head)).iter() {
+                counts[books.node_of(c.index()) as usize] += 1;
+            }
+        });
         if let Some(home) = d.sync_with {
             if d.counted_sync {
                 self.global.replica_syncs.fetch_add(1, Relaxed);
@@ -986,9 +909,9 @@ impl<R: Recorder> Vmm<R> {
     /// nodes for a handler to clear; the evictor itself must write the
     /// single master table before handing the frame out, and when the
     /// home is remote that is one synchronous link crossing. `ent` is
-    /// the victim's final state. No-op on single-node runs.
+    /// the victim's final state.
     fn numa_on_evict(&self, requester: CoreId, ent: BlockNuma, used: &mut [u64]) {
-        let Some(books) = &self.numa else { return };
+        let books = &self.numa;
         NumaBooks::on_evict(ent, used);
         let req_node = books.node_of(requester.index());
         if books.config.replicate {
@@ -1020,7 +943,14 @@ impl<R: Recorder> Vmm<R> {
     /// synchronous path (`GlobalStats::sync_writebacks`). The victim's
     /// data is never dropped: this returns only once the host store
     /// accepted the block.
-    fn write_back(&self, requester: CoreId, victim: VirtPage, pages: u64, rank: usize) {
+    fn write_back(
+        &self,
+        backing: &mut TieredStore,
+        requester: CoreId,
+        victim: VirtPage,
+        pages: u64,
+        rank: usize,
+    ) {
         let clock = &self.clocks[requester.index()];
         let st = &self.core_stats[requester.index()];
         let inj = self.injector.as_ref();
@@ -1067,7 +997,7 @@ impl<R: Recorder> Vmm<R> {
         }
         let mut store_attempt = 0u32;
         loop {
-            let out = self.backing.try_store(victim, pages, rank, inj);
+            let out = backing.try_store(victim, pages, rank, inj);
             if out.stored {
                 self.charge_tier_penalty(requester, out.tier, bytes);
                 if out.demoted > 0 {
@@ -1183,7 +1113,7 @@ impl<R: Recorder> Vmm<R> {
         // here and the insert can make the block resident.
         let mut frame = self.alloc_block(state, core, size);
         self.note_residency(core, head);
-        if let Some(tin) = self.backing.load(head, size.pages_4k() as u64) {
+        if let Some(tin) = state.backing.load(head, size.pages_4k() as u64) {
             frame = self.page_in(state, core, head, size, frame, tin);
         }
         with_scheme!(self, s => s.map(core, head, frame, size, true))
@@ -1237,13 +1167,14 @@ impl<R: Recorder> Vmm<R> {
             "allocation changed the faulting region"
         );
         self.note_residency(core, head);
-        if let Some(tin) = self.backing.load(head, size.pages_4k() as u64) {
+        if let Some(tin) = state.backing.load(head, size.pages_4k() as u64) {
             frame = self.page_in(state, core, head, size, frame, tin);
         }
         with_scheme!(self, s => s.map(core, head, frame, size, true))
             .expect("fresh block maps cleanly");
         clock.advance(self.cfg.cost.pte_update * Self::subentries_of(size));
-        // Adaptive page sizes run on a single node only: no NUMA state.
+        // NUMA budgets count blocks of one size, so adaptive runs (one
+        // node only) charge none (see [`Frames`]).
         let numa = BlockNuma::default();
         state
             .resident
@@ -1338,59 +1269,61 @@ impl<R: Recorder> Vmm<R> {
     /// Acquires a free `size` block for `requester`, evicting while the
     /// allocator is dry. Fixed-size runs hand the victim's frame to the
     /// requester directly, so frames never return to the pool; adaptive
-    /// runs free the victim into the buddy pool (or split an oversized
-    /// one) and retry, since coalescing decides what the freed pages can
-    /// satisfy.
+    /// runs free the victim into the buddy pool and retry, since
+    /// coalescing decides what the freed pages can satisfy.
     fn alloc_block(&self, state: &mut KernelState, requester: CoreId, size: PageSize) -> PhysFrame {
         const DRY: &str = "device RAM exhausted but policy tracks no blocks";
         if !self.cfg.adaptive {
             if let Some(frame) = state.frames.pool().alloc() {
                 return frame;
             }
-            return self.evict_one(state, requester).expect(DRY);
+            let victim = self.evict_one(state, requester, size).expect(DRY);
+            self.numa_on_evict(requester, victim.numa, &mut state.numa_used);
+            return victim.frame;
         }
         loop {
             if let Some(frame) = state.frames.buddy().alloc(size) {
                 return frame;
             }
-            assert!(self.evict_one_adaptive(state, requester, size), "{DRY}");
+            let victim = self.evict_one(state, requester, size).expect(DRY);
+            state.frames.buddy().free(victim.frame, victim.size);
         }
     }
 
-    /// Evicts one victim (or splits an oversized one and retries) to
-    /// make progress toward a free block of `want` pages. Returns `false`
-    /// when the policy tracks no block.
+    /// Evicts one victim of at most `want` pages and returns its entry:
+    /// unmapped everywhere, mapping TLBs shot down, dirty data written
+    /// back. Returns `None` when the policy tracks no block. The caller
+    /// releases the frame and, on fixed-size runs, the NUMA budget.
     ///
     /// This is where page-size adaptation meets CMCP: when the policy
     /// picks a victim *larger* than the granularity pressure currently
-    /// wants, the victim is split in place — a radix-node rewrite, no
-    /// shootdown, no DMA — and its children re-enter the policy with the
-    /// parent's map count. Only blocks already at (or below) the wanted
-    /// size are actually evicted, so high pressure sheds small amounts
-    /// of data at a time.
-    fn evict_one_adaptive(
+    /// wants (adaptive runs only — every fixed-size block is `want`
+    /// pages), the victim is split in place — a radix-node rewrite, no
+    /// shootdown, no DMA — its children re-enter the policy with the
+    /// parent's map count, and the pick repeats. Only blocks already at
+    /// (or below) the wanted size are actually evicted, so high
+    /// pressure sheds small amounts of data at a time.
+    fn evict_one(
         &self,
         state: &mut KernelState,
         requester: CoreId,
         want: PageSize,
-    ) -> bool {
+    ) -> Option<Resident> {
         let KernelState {
             policy,
             resident,
             pending_dirty,
             regions,
-            frames,
+            backing,
             ..
         } = state;
         let clock = &self.clocks[requester.index()];
         loop {
-            let Some(victim) = policy.select_victim(&mut KernelOracle {
+            let victim = policy.select_victim(&mut KernelOracle {
                 vmm: self,
                 resident,
                 requester: Some(requester),
-            }) else {
-                return false;
-            };
+            })?;
             if R::ENABLED {
                 let count = with_scheme!(self, s => s.mapping_cores(victim)).count() as u64;
                 let group = policy.victim_group(victim) as u64;
@@ -1405,8 +1338,7 @@ impl<R: Recorder> Vmm<R> {
             self.note_residency(requester, victim);
             let m2 = victim.align_down(PageSize::M2);
             let ent = resident
-                .get(&victim.0)
-                .copied()
+                .remove(&victim.0)
                 .expect("victim tracked in resident map");
             if ent.size > want {
                 // Split instead of evicting: the policy re-decides over
@@ -1422,7 +1354,6 @@ impl<R: Recorder> Vmm<R> {
                     });
                 let cspan = child.pages_4k() as u64;
                 let children = ent.size.pages_4k() / child.pages_4k();
-                resident.remove(&victim.0);
                 let owed = pending_dirty.remove(&victim.0);
                 for k in 0..children as u64 {
                     let chead = VirtPage(victim.0 + k * cspan);
@@ -1455,20 +1386,20 @@ impl<R: Recorder> Vmm<R> {
                 }
                 continue;
             }
-            // Victim is at (or below) the wanted granularity: evict it.
-            resident.remove(&victim.0);
-            let region_empty = if let Some(r) = regions.get_mut(&m2.0) {
+            // The region map counts adaptive runs' blocks only.
+            if let Some(r) = regions.get_mut(&m2.0) {
                 r.1 -= 1;
-                r.1 == 0
-            } else {
-                false
-            };
-            if region_empty {
-                // The next fault in this region re-consults the pressure
-                // controller from scratch.
-                regions.remove(&m2.0);
+                if r.1 == 0 {
+                    // The next fault in this region re-consults the
+                    // pressure controller from scratch.
+                    regions.remove(&m2.0);
+                }
             }
+            // Write-back debt only exists after a PSPT rebuild; the length
+            // check spares the common eviction a pointless hash probe.
             let mut dirty = !pending_dirty.is_empty() && pending_dirty.remove(&victim.0);
+            // A victim with no mappings is possible right after a PSPT
+            // rebuild: resident, but every PTE already torn down.
             let out = with_scheme!(self, s => s.unmap_all(victim, ent.size));
             let mut map_count = 0u32;
             if let Some(out) = &out {
@@ -1483,13 +1414,16 @@ impl<R: Recorder> Vmm<R> {
                 map_count = out.mappers.count() as u32;
             }
             if dirty {
+                // CMCP's priority signal also drives *how far down* the
+                // hierarchy a victim goes: widely shared blocks land in
+                // the fastest tier that can take them, private blocks
+                // sink.
                 let rank = self.cfg.tiers().demotion_rank(map_count);
-                self.write_back(requester, victim, ent.size.pages_4k() as u64, rank);
+                self.write_back(backing, requester, victim, ent.size.pages_4k() as u64, rank);
             }
-            frames.buddy().free(ent.frame, ent.size);
             policy.on_evict(victim);
             self.global.evictions.fetch_add(1, Relaxed);
-            return true;
+            return Some(ent);
         }
     }
 

@@ -250,13 +250,6 @@ impl Pte {
         self.0 |= PteFlags::QUARANTINE.0 as u64;
     }
 
-    /// Sets the 64 kB hint bit (used when sixteen 4 kB entries are
-    /// merged into one 64 kB run).
-    #[inline]
-    pub fn set_hint_64k(&mut self) {
-        self.0 |= PteFlags::HINT_64K.0 as u64;
-    }
-
     /// Clears the 64 kB hint bit (used when a 64 kB run is split back
     /// into independent 4 kB mappings).
     #[inline]

@@ -556,105 +556,6 @@ impl PageTable {
         }
     }
 
-    /// Merges the aligned children covering `vpage` back into one block
-    /// of `target` size — the inverse of [`PageTable::split`], possible
-    /// only when every child is present at the child granularity, the
-    /// frames form one naturally aligned contiguous run, and writability
-    /// agrees. Accessed/dirty/quarantine bits are OR-aggregated (a dirty
-    /// child makes the merged block dirty); the head child's map count
-    /// is kept. Returns whether the merge happened.
-    pub fn merge(&mut self, vpage: VirtPage, target: PageSize) -> bool {
-        let head = vpage.align_down(target);
-        match target {
-            PageSize::K4 => false,
-            PageSize::K64 => {
-                let Some(li) = self.pt_for(head.0, false) else {
-                    return false;
-                };
-                let pt = &mut self.leaves[li];
-                let base = (head.0 & 0x1ff) as usize;
-                let n = target.pages_4k();
-                let slots = &pt.ptes[base..base + n];
-                let f0 = slots[0].frame();
-                let ok = f0.0.is_multiple_of(n as u32)
-                    && slots.iter().enumerate().all(|(k, p)| {
-                        p.present()
-                            && !p.hint_64k()
-                            && p.frame() == f0.add(k as u32)
-                            && p.writable() == slots[0].writable()
-                    });
-                if !ok {
-                    return false;
-                }
-                let count = slots[0].map_count();
-                for (k, slot) in pt.ptes[base..base + n].iter_mut().enumerate() {
-                    slot.set_hint_64k();
-                    slot.set_map_count(if k == 0 { count } else { 0 });
-                }
-                true
-            }
-            PageSize::M2 => {
-                let Some((di, i2)) = self.pd_slot(head.0, false) else {
-                    return false;
-                };
-                let h = self.dirs[di][i2];
-                if tag_of(h) != TAG_PT {
-                    return false;
-                }
-                let li = index_of(h);
-                let pt = &self.leaves[li];
-                if pt.live != FANOUT as u32 {
-                    return false;
-                }
-                let f0 = pt.ptes[0].frame();
-                let ok = f0.0.is_multiple_of(FANOUT as u32)
-                    && pt.ptes.iter().enumerate().all(|(k, p)| {
-                        p.present()
-                            && p.hint_64k()
-                            && p.frame() == f0.add(k as u32)
-                            && p.writable() == pt.ptes[0].writable()
-                    });
-                if !ok {
-                    return false;
-                }
-                let mut flags = pt.ptes[0]
-                    .flags()
-                    .difference(PteFlags::HINT_64K | PteFlags::ACCESSED | PteFlags::DIRTY)
-                    | PteFlags::LARGE;
-                for p in &pt.ptes {
-                    if p.accessed() {
-                        flags = flags | PteFlags::ACCESSED;
-                    }
-                    if p.dirty() {
-                        flags = flags | PteFlags::DIRTY;
-                    }
-                    if p.quarantined() {
-                        flags = flags | PteFlags::QUARANTINE;
-                    }
-                }
-                let count = pt.ptes[0].map_count();
-                let pt = &mut self.leaves[li];
-                pt.ptes = [Pte::EMPTY; FANOUT];
-                pt.live = 0;
-                self.free_pt.push(li as u32);
-                let mut pte = Pte::new(f0, flags);
-                pte.set_map_count(count);
-                let mi = match self.free_2m.pop() {
-                    Some(i) => {
-                        self.leaf2m[i as usize] = pte;
-                        i as usize
-                    }
-                    None => {
-                        self.leaf2m.push(pte);
-                        self.leaf2m.len() - 1
-                    }
-                };
-                self.dirs[di][i2] = handle(TAG_2M, mi);
-                true
-            }
-        }
-    }
-
     /// Unmaps the block of `size` at `vpage` (head-aligned). Returns the
     /// head PTE with accessed/dirty OR-ed across all sub-entries, or
     /// `None` if nothing was mapped.
@@ -1077,49 +978,6 @@ mod tests {
         t.map(VirtPage(0), PhysFrame(0), PageSize::K4, PteFlags::empty())
             .unwrap();
         assert!(!t.split(VirtPage(0), PageSize::K4));
-    }
-
-    #[test]
-    fn merge_is_the_inverse_of_split() {
-        let mut t = table();
-        t.map_counted(
-            VirtPage(0x200),
-            PhysFrame(0x400),
-            PageSize::M2,
-            PteFlags::WRITABLE,
-            5,
-        )
-        .unwrap();
-        t.mark_accessed(VirtPage(0x2aa), true);
-        assert!(t.split(VirtPage(0x200), PageSize::M2));
-        assert!(t.merge(VirtPage(0x200), PageSize::M2));
-        let tr = t.translate(VirtPage(0x2aa)).unwrap();
-        assert_eq!(tr.size, PageSize::M2);
-        assert_eq!(tr.frame, PhysFrame(0x400 + 0xaa));
-        assert!(
-            t.block_dirty(VirtPage(0x200), PageSize::M2),
-            "dirty survives"
-        );
-        assert_eq!(t.with_pte(VirtPage(0x200), |p| p.map_count()).unwrap(), 5);
-        assert_eq!(t.mapped_pages_4k(), 512);
-    }
-
-    #[test]
-    fn merge_refuses_discontiguous_frames() {
-        let mut t = table();
-        // Two 4 kB pages with non-adjacent frames cannot form a 64 kB run.
-        for k in 0..16u64 {
-            let frame = if k == 7 { 0x999 } else { 0x40 + k as u32 };
-            t.map(
-                VirtPage(0x40 + k),
-                PhysFrame(frame),
-                PageSize::K4,
-                PteFlags::empty(),
-            )
-            .unwrap();
-        }
-        assert!(!t.merge(VirtPage(0x40), PageSize::K64));
-        assert_eq!(t.translate(VirtPage(0x47)).unwrap().frame, PhysFrame(0x999));
     }
 
     #[test]

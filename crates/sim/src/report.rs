@@ -111,9 +111,11 @@ pub struct RunReport {
     /// traced. Validated against the kernel counters unless events were
     /// dropped (ring wraparound).
     pub breakdown: Option<Breakdown>,
-    /// Per-tier backing counters; `None` for the flat single-tier store.
+    /// Per-tier backing counters; `None` when the run's tier config is
+    /// the flat one (`TierConfig::is_flat`), whatever the page size.
     pub tiers: Option<TierReport>,
-    /// NUMA topology roll-up; `None` for single-node runs.
+    /// NUMA topology roll-up; `None` when the run's topology is a
+    /// single node (`NumaConfig::is_single`).
     pub numa: Option<NumaReport>,
     /// Deterministic phase-B decomposition counters (thread-invariant).
     pub scaling: EngineScaling,
@@ -189,7 +191,7 @@ impl RunReport {
             sharing_histogram: vmm.sharing_histogram(),
             breakdown,
             scaling: EngineScaling::default(),
-            tiers: vmm.tier_counters().map(|counters| TierReport {
+            tiers: (!vmm.config().tiers().is_flat()).then(|| TierReport {
                 names: vmm
                     .config()
                     .tiers()
@@ -197,9 +199,10 @@ impl RunReport {
                     .iter()
                     .map(|t| t.name.clone())
                     .collect(),
-                counters,
+                counters: vmm.tier_counters(),
             }),
-            numa: vmm.numa_books().map(|books| {
+            numa: (!vmm.cost().numa.is_single()).then(|| {
+                let books = vmm.numa_books();
                 let g = vmm.global_stats();
                 NumaReport {
                     nodes: books.config.nodes.iter().map(|n| n.name.clone()).collect(),

@@ -156,7 +156,10 @@ impl SimulationBuilder {
     /// Device RAM as a fraction of the workload footprint (the paper's
     /// "memory provided" percentage). 1.0 = no data movement.
     pub fn memory_ratio(mut self, r: f64) -> Self {
-        assert!(r > 0.0, "memory ratio must be positive");
+        assert!(
+            r.is_finite() && r > 0.0,
+            "memory ratio must be finite and positive, got {r}"
+        );
         self.memory = MemorySpec::Ratio(r);
         self
     }
@@ -331,5 +334,12 @@ mod tests {
     fn zero_ratio_rejected() {
         let t = synthetic::private_stream(1, 4, 1);
         SimulationBuilder::trace(t).memory_ratio(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn nan_ratio_rejected() {
+        let t = synthetic::private_stream(1, 4, 1);
+        SimulationBuilder::trace(t).memory_ratio(f64::NAN);
     }
 }

@@ -4,10 +4,12 @@
 //! Once every container on the path has grown to its working size, an
 //! evicting major fault with a write-back and a DMA refault must not
 //! touch the heap — under FIFO and under CMCP, whose priority group is a
-//! set of lazily pruned queues; on the flat single-node store, and on
-//! the 4-tier hierarchy over two NUMA nodes, whose write-backs also pass
-//! through the tier spans and the per-node books. This binary holds
-//! exactly one test, so nothing else allocates while it runs.
+//! set of lazily pruned queues; on the flat hierarchy's one tier over one
+//! NUMA node, and on the 4-tier hierarchy over two nodes, where
+//! write-backs also cascade between tiers and inserts may spill across
+//! node budgets. Both run the same span store and per-node books. This
+//! binary holds exactly one test, so nothing else allocates while it
+//! runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,8 +78,8 @@ fn steady_state(cores: usize, tiered: bool, policy: PolicyKind, warm_laps: u64) 
         "the store under test"
     );
     assert_eq!(
-        vmm.numa_books().is_some(),
-        tiered,
+        vmm.cost().numa.is_single(),
+        !tiered,
         "the topology under test"
     );
     let mut drained = Vec::with_capacity(4 * PAGES as usize);

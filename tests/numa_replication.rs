@@ -106,7 +106,7 @@ fn every_replica_drop_is_counted_exactly_once() {
     use std::sync::atomic::Ordering::Relaxed;
     let (trace, vmm) = pressured("4node", true, 0);
     cmcp::sim::run_parallel(&vmm, &trace, 1);
-    assert!(vmm.numa_books().is_some(), "multi-node run has books");
+    assert_eq!(vmm.numa_books().capacity().len(), 4, "one budget per node");
     let g = vmm.global_stats();
     let evictions = g.evictions.load(Relaxed);
     let syncs = g.replica_syncs.load(Relaxed);
@@ -139,7 +139,7 @@ fn node_budgets_are_never_overdrawn_and_sum_to_residency() {
     for replicate in [true, false] {
         let (trace, vmm) = pressured("4node", replicate, 0);
         cmcp::sim::run_parallel(&vmm, &trace, 1);
-        let books = vmm.numa_books().expect("multi-node run has books");
+        let books = vmm.numa_books();
         let used = vmm.numa_used();
         for (n, (&u, &cap)) in used.iter().zip(books.capacity()).enumerate() {
             assert!(u <= cap, "node {n} overdrawn: {u} > {cap}");
@@ -171,7 +171,7 @@ fn balanced_private_streams_neither_spill_nor_invalidate() {
         .filter_map(|&h| vmm.numa_block_state(h))
         .map(|st| u64::from(st.mask.count_ones()))
         .sum();
-    assert!(vmm.numa_books().is_some(), "multi-node run has books");
+    assert_eq!(vmm.numa_books().capacity().len(), 2, "one budget per node");
     let inserts: u64 = vmm.numa_used().iter().sum();
     let syncs = g.replica_syncs.load(Relaxed);
     assert_eq!(
@@ -202,15 +202,37 @@ fn multi_node_reports_are_thread_count_invariant() {
 }
 
 #[test]
-fn single_node_runs_never_construct_the_ledger() {
+fn single_node_books_balance_and_nothing_crosses_a_link() {
+    // A one-node run is the one-node case of the general books: every
+    // block is charged to node 0's budget, and with one node there is
+    // nowhere to spill, sync from or migrate to.
+    use std::sync::atomic::Ordering::Relaxed;
     let trace = synthetic::shared_hot(4, 16, 8, 2);
     let blocks = trace.declared_blocks(PageSize::K4) / 2;
     let vmm = numa_vmm(&trace, "1node", true, blocks, 0);
     let report = cmcp::sim::run_parallel(&vmm, &trace, 1);
+    let g = vmm.global_stats();
     assert!(
-        vmm.numa_books().is_none(),
-        "single-node runs take the legacy path"
+        g.evictions.load(Relaxed) > 0,
+        "half the footprint must evict"
     );
+    assert_eq!(vmm.numa_books().capacity(), [blocks as u64]);
+    let used = vmm.numa_used();
+    assert_eq!(used.len(), 1, "one budget for the one node");
+    assert_eq!(
+        used.iter().sum::<u64>(),
+        vmm.resident_blocks() as u64,
+        "node 0's used count must equal the resident block count"
+    );
+    assert_eq!(g.remote_spills.load(Relaxed), 0, "no spill");
+    assert_eq!(g.replica_syncs.load(Relaxed), 0, "no sync");
+    assert_eq!(g.page_migrations.load(Relaxed), 0, "no migration");
+    let crossings: u64 = vmm
+        .core_stats()
+        .iter()
+        .map(|c| c.replica_sync_cycles.load(Relaxed) + c.migration_cycles.load(Relaxed))
+        .sum();
+    assert_eq!(crossings, 0, "no link-crossing cycles");
     assert!(
         report.numa.is_none(),
         "no numa section on single-node reports"

@@ -86,9 +86,9 @@ fn kernel_config(
 }
 
 /// Runs the config and applies the full shadow-oracle audit battery
-/// before returning the report.
+/// before returning the report — on every leg, the flat hierarchy's
+/// one tier included.
 fn run_audited(cfg: KernelConfig, trace: &Trace, threads: usize) -> RunReport {
-    let tiered = !cfg.tiers().is_flat() || cfg.adaptive;
     let faulted = cfg.fault_plan.is_some();
     let vmm = Vmm::new(cfg);
     let report = run_parallel(&vmm, trace, threads);
@@ -104,40 +104,38 @@ fn run_audited(cfg: KernelConfig, trace: &Trace, threads: usize) -> RunReport {
     );
 
     // Layer 3: tier traffic rolls up to the kernel counters.
-    if tiered {
-        let counters = vmm.tier_counters().expect("tiered store reports counters");
-        let stores: u64 = counters.iter().map(|c| c.stores).sum();
-        let loads: u64 = counters.iter().map(|c| c.loads).sum();
-        let g = &report.global;
-        assert_eq!(
-            stores, g.writebacks,
-            "every successful write-back lands on exactly one tier"
+    let counters = vmm.tier_counters();
+    let stores: u64 = counters.iter().map(|c| c.stores).sum();
+    let loads: u64 = counters.iter().map(|c| c.loads).sum();
+    let g = &report.global;
+    assert_eq!(
+        stores, g.writebacks,
+        "every successful write-back lands on exactly one tier"
+    );
+    if faulted {
+        // A fault-retry restart re-probes the store before the
+        // refault completes, so loads can only over-count.
+        assert!(
+            loads >= g.refaults,
+            "loads {loads} must cover refaults {}",
+            g.refaults
         );
-        if faulted {
-            // A fault-retry restart re-probes the store before the
-            // refault completes, so loads can only over-count.
-            assert!(
-                loads >= g.refaults,
-                "loads {loads} must cover refaults {}",
-                g.refaults
-            );
-        } else {
-            assert_eq!(
-                loads, g.refaults,
-                "every refault is served by exactly one tier"
-            );
-        }
+    } else {
         assert_eq!(
-            g.tier_promotions,
-            counters.iter().map(|c| c.promoted_in).sum::<u64>(),
-            "promotion events match the per-tier books"
-        );
-        assert_eq!(
-            g.tier_demotions,
-            counters.iter().map(|c| c.demoted_in).sum::<u64>(),
-            "demotion cascades match the per-tier books"
+            loads, g.refaults,
+            "every refault is served by exactly one tier"
         );
     }
+    assert_eq!(
+        g.tier_promotions,
+        counters.iter().map(|c| c.promoted_in).sum::<u64>(),
+        "promotion events match the per-tier books"
+    );
+    assert_eq!(
+        g.tier_demotions,
+        counters.iter().map(|c| c.demoted_in).sum::<u64>(),
+        "demotion cascades match the per-tier books"
+    );
     report
 }
 
@@ -285,7 +283,7 @@ fn tier_penalties_surface_in_the_report_and_only_for_costly_tiers() {
     );
     assert!(
         flat.tiers.is_none(),
-        "flat runs keep the legacy report shape"
+        "flat runs omit the per-tier report section"
     );
 }
 
