@@ -21,7 +21,6 @@
 //! | 5     | `A`          | accessed (hardware-set)                     |
 //! | 6     | `D`          | dirty (hardware-set on write)               |
 //! | 7     | `PS`         | 2 MB PD-level leaf                          |
-//! | 9     | `Q`          | quarantined backing frame (software, ign.)  |
 //! | 11    | `H`          | Xeon Phi 64 kB hint                         |
 //! | 12–43 | frame        | physical 4 kB frame number (32 bits)        |
 //! | 44–52 | map count    | PSPT: cores mapping the block (≤ 256)       |
@@ -37,7 +36,7 @@ use cmcp_arch::PhysFrame;
 
 /// Software-visible PTE flag bits (bit positions follow x86 long mode;
 /// the 64 kB hint uses one of the ignored bits, as the real extension
-/// did, and the quarantine marker sits in the ignored bit 9).
+/// did).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PteFlags(u16);
 
@@ -52,9 +51,6 @@ impl PteFlags {
     pub const DIRTY: PteFlags = PteFlags(1 << 6);
     /// PS — this PD-level entry maps a 2 MB page.
     pub const LARGE: PteFlags = PteFlags(1 << 7);
-    /// Software marker (ignored bit 9): the backing frame was poisoned by
-    /// an unrecoverable page-in error and parked in the pool quarantine.
-    pub const QUARANTINE: PteFlags = PteFlags(1 << 9);
     /// The Xeon Phi 64 kB hint: cache this PTE as part of a 64 kB run.
     pub const HINT_64K: PteFlags = PteFlags(1 << 11);
 
@@ -71,7 +67,6 @@ impl PteFlags {
                 | PteFlags::ACCESSED.0
                 | PteFlags::DIRTY.0
                 | PteFlags::LARGE.0
-                | PteFlags::QUARANTINE.0
                 | PteFlags::HINT_64K.0,
         )
     }
@@ -119,7 +114,6 @@ impl fmt::Display for PteFlags {
             (PteFlags::ACCESSED, 'A'),
             (PteFlags::DIRTY, 'D'),
             (PteFlags::LARGE, 'L'),
-            (PteFlags::QUARANTINE, 'Q'),
             (PteFlags::HINT_64K, 'H'),
         ] {
             s.push(if self.contains(bit) { ch } else { '-' });
@@ -238,18 +232,6 @@ impl Pte {
         self.flag(PteFlags::LARGE)
     }
 
-    /// Whether the backing frame has been marked quarantined.
-    #[inline]
-    pub fn quarantined(&self) -> bool {
-        self.flag(PteFlags::QUARANTINE)
-    }
-
-    /// Sets the software quarantine marker.
-    #[inline]
-    pub fn set_quarantined(&mut self) {
-        self.0 |= PteFlags::QUARANTINE.0 as u64;
-    }
-
     /// Clears the 64 kB hint bit (used when a 64 kB run is split back
     /// into independent 4 kB mappings).
     #[inline]
@@ -351,7 +333,7 @@ mod tests {
     #[test]
     fn flags_display() {
         let p = Pte::new(PhysFrame(0), PteFlags::WRITABLE | PteFlags::HINT_64K);
-        assert_eq!(p.flags().to_string(), "PW----H");
+        assert_eq!(p.flags().to_string(), "PW---H");
     }
 
     #[test]
@@ -394,7 +376,6 @@ mod tests {
         assert_eq!(PteFlags::ACCESSED.bits(), 0x020);
         assert_eq!(PteFlags::DIRTY.bits(), 0x040);
         assert_eq!(PteFlags::LARGE.bits(), 0x080);
-        assert_eq!(PteFlags::QUARANTINE.bits(), 0x200);
         assert_eq!(PteFlags::HINT_64K.bits(), 0x800);
         // Field geometry.
         assert_eq!(FRAME_SHIFT, 12);
@@ -424,7 +405,6 @@ mod tests {
             accessed in any::<bool>(),
             dirty in any::<bool>(),
             large in any::<bool>(),
-            quarantine in any::<bool>(),
             hint in any::<bool>(),
             count in 0usize..512,
         ) {
@@ -434,7 +414,6 @@ mod tests {
                 (accessed, PteFlags::ACCESSED),
                 (dirty, PteFlags::DIRTY),
                 (large, PteFlags::LARGE),
-                (quarantine, PteFlags::QUARANTINE),
                 (hint, PteFlags::HINT_64K),
             ] {
                 if on {
@@ -450,7 +429,6 @@ mod tests {
             prop_assert_eq!(p.accessed(), accessed);
             prop_assert_eq!(p.dirty(), dirty);
             prop_assert_eq!(p.large(), large);
-            prop_assert_eq!(p.quarantined(), quarantine);
             prop_assert_eq!(p.hint_64k(), hint);
             let decoded = Pte::from_bits(p.to_bits());
             prop_assert_eq!(decoded, p);

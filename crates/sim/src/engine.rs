@@ -1208,6 +1208,66 @@ mod tests {
     }
 
     #[test]
+    fn a_replayed_run_reports_like_its_copy() {
+        // Two cores run three iterations of one body, the last two copied
+        // or replayed. The body opens with a compute of eight epoch
+        // windows: the barrier before it releases both cores at one
+        // stamp, so the ceiling is one window ahead and every pass pauses
+        // there. It then sweeps 300 pages twice into 64 blocks, so every
+        // pass faults, with a barrier between the sweeps (LU's shape).
+        let window = KernelConfig::new(2, 64).cost.min_cross_core_latency();
+        let trace = |iterations: usize, replay: bool| {
+            let mut t = Trace::new(2, "replay");
+            for (c, core) in t.cores.iter_mut().enumerate() {
+                let start = VirtPage(100 * c as u64);
+                core.ops.extend([Op::touch(start, true, 1), Op::Barrier]);
+                let body = core.ops.len()..core.ops.len() + 5;
+                core.ops.push(Op::Compute(8 * window));
+                for write in [true, false] {
+                    core.ops.push(Op::Stream {
+                        start,
+                        pages: 300,
+                        write,
+                        work_per_page: 3,
+                    });
+                    core.ops.push(Op::Barrier);
+                }
+                for _ in 1..iterations {
+                    if replay {
+                        core.ops.push(Op::Replay {
+                            start: body.start as u32,
+                            len: body.len() as u32,
+                        });
+                    } else {
+                        core.ops.extend_from_within(body.clone());
+                    }
+                }
+            }
+            t
+        };
+        let (copied, replayed) = (trace(3, false), trace(3, true));
+        assert_eq!(replayed.cores[0].ops.len(), 9);
+        assert_eq!(copied.total_touches(), replayed.total_touches());
+        let run = |t: &Trace, threads: usize| {
+            let vmm = Vmm::new(KernelConfig::new(2, 64).with_policy(PolicyKind::Cmcp { p: 0.5 }));
+            super::run(&vmm, t, threads)
+        };
+        let faults = |r: &RunReport| r.per_core.iter().map(|c| c.page_faults).sum::<u64>();
+        assert!(
+            faults(&run(&replayed, 1)) > faults(&run(&trace(1, true), 1)),
+            "the replays fault"
+        );
+        for threads in [1, 2] {
+            let report = |t: &Trace| {
+                let r = run(t, threads);
+                assert!(r.global.evictions > 0, "under eviction pressure");
+                format!("{r:?}")
+            };
+            assert_eq!(report(&copied), report(&replayed), "{threads} thread(s)");
+        }
+    }
+
+    #[test]
     fn scan_timer_fires_under_lru() {
         let mut t = Trace::new(1, "scan");
         // Enough compute to cross several 10 ms scan periods.

@@ -8,6 +8,13 @@
 //! sequentially in virtual-time stamp order and then resumes the core —
 //! so a single runner implementation serves every thread count, and all
 //! cross-core kernel effects happen at exact, reproducible stamps.
+//!
+//! An [`Op::Replay`] moves the op index back to the start of its range
+//! and keeps a return index; stepping past the range's last op (in
+//! `CoreRunner::next_op`, the one place the index advances) jumps back
+//! to the op after the replay. The jump touches neither the clock nor
+//! the TLB, and the ceiling is still checked between any two touches, so
+//! a replayed range runs exactly as a copy of it would.
 
 use cmcp_arch::{CoreId, Cycles, FxHashSet, LocalClock, PageSize, Tlb, TlbLookup, VirtPage};
 use cmcp_kernel::{Syscall, Vmm};
@@ -56,6 +63,11 @@ pub struct CoreRunner {
     tlb: Tlb,
     op_idx: usize,
     stream_pos: u16,
+    /// One past the last op of the replay being run, 0 outside a replay
+    /// (stepping never lands on index 0).
+    replay_end: usize,
+    /// Where to go on when the replay ends: the op after it.
+    replay_return: usize,
     /// A touch that faulted and awaits the kernel's handler.
     pending: Option<PendingFault>,
     /// Blocks this core has already marked dirty (dedupes the PTE dirty
@@ -79,6 +91,8 @@ impl CoreRunner {
             tlb: Tlb::knc(vmm.cost()),
             op_idx: 0,
             stream_pos: 0,
+            replay_end: 0,
+            replay_return: 0,
             pending: None,
             written: FxHashSet::default(),
             inval_buf: Vec::new(),
@@ -128,13 +142,23 @@ impl CoreRunner {
         }
     }
 
+    /// Steps past the current op: to the next one, or out of a replay
+    /// whose last op this was, to the op after the replay.
+    fn next_op(&mut self) {
+        self.op_idx += 1;
+        self.stream_pos = 0;
+        if self.op_idx == self.replay_end {
+            self.op_idx = self.replay_return;
+            self.replay_end = 0;
+        }
+    }
+
     /// Retires the stream position of a just-completed touch.
     fn retire_touch(&mut self, trace: &CoreTrace) {
         if let Some(Op::Stream { pages, .. }) = trace.ops.get(self.op_idx) {
             self.stream_pos += 1;
             if self.stream_pos == *pages {
-                self.op_idx += 1;
-                self.stream_pos = 0;
+                self.next_op();
             }
         }
     }
@@ -294,12 +318,11 @@ impl CoreRunner {
                         }
                         self.stream_pos += 1;
                     }
-                    self.op_idx += 1;
-                    self.stream_pos = 0;
+                    self.next_op();
                 }
                 Op::Compute(cycles) => {
                     clock.advance(cycles);
-                    self.op_idx += 1;
+                    self.next_op();
                 }
                 Op::Syscall { payload, write } => {
                     let call = if write {
@@ -307,12 +330,17 @@ impl CoreRunner {
                     } else {
                         Syscall::Read(payload)
                     };
-                    self.op_idx += 1;
+                    self.next_op();
                     return Pause::Syscall { call };
                 }
                 Op::Barrier => {
-                    self.op_idx += 1;
+                    self.next_op();
                     return Pause::Barrier;
+                }
+                Op::Replay { start, len } => {
+                    self.replay_return = self.op_idx + 1;
+                    self.replay_end = start as usize + len as usize;
+                    self.op_idx = start as usize;
                 }
             }
         }
@@ -417,6 +445,53 @@ mod tests {
         // ...and an unbounded drive finishes all 100 pages.
         assert_eq!(drive(&mut r, &v, &t), Pause::Done);
         assert_eq!(r.tlb_stats().accesses, 100);
+    }
+
+    #[test]
+    fn a_replay_pauses_and_returns_like_its_copy() {
+        // Pages 0–2, a compute and a barrier, run twice and then a store
+        // to page 7: once with the range copied, once replayed. Two
+        // blocks of memory make the second pass fault, and a ceiling
+        // 400 cycles ahead of the clock pauses it after the compute.
+        let body = [
+            Op::Stream {
+                start: VirtPage(0),
+                pages: 3,
+                write: false,
+                work_per_page: 1,
+            },
+            Op::Compute(1000),
+            Op::Barrier,
+        ];
+        let tail = Op::touch(VirtPage(7), true, 1);
+        let copied = [&body[..], &body, &[tail]].concat();
+        let replayed = [&body[..], &[Op::Replay { start: 0, len: 3 }, tail]].concat();
+        let pauses = |ops: Vec<Op>| {
+            let v = vmm(2);
+            let mut r = CoreRunner::new(CoreId(0), &v);
+            let t = trace_of(ops);
+            let mut seen = Vec::new();
+            loop {
+                let pause = r.advance(&v, &t, v.clocks()[0].now() + 400);
+                seen.push((pause, v.clocks()[0].now(), r.tlb_stats()));
+                match pause {
+                    Pause::Fault { page, write } => {
+                        v.handle_fault(r.core, page, write);
+                    }
+                    Pause::Done => return seen,
+                    _ => {}
+                }
+            }
+        };
+        let copy = pauses(copied);
+        assert_eq!(copy, pauses(replayed));
+        let first_barrier = copy.iter().position(|p| p.0 == Pause::Barrier).unwrap();
+        let second_pass = &copy[first_barrier + 1..];
+        assert!(second_pass
+            .iter()
+            .any(|p| matches!(p.0, Pause::Fault { .. })));
+        assert!(second_pass.iter().any(|p| p.0 == Pause::Ceiling));
+        assert_eq!(copy.last().unwrap().2.accesses, 7);
     }
 
     #[test]

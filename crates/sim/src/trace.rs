@@ -16,6 +16,15 @@
 //! Barriers are implicit rendezvous points: every core's `k`-th
 //! [`Op::Barrier`] matches every other core's `k`-th, mirroring the
 //! OpenMP barrier structure of the NPB kernels and SCALE.
+//!
+//! The NPB solvers repeat one iteration body, so a stream stores each
+//! body once: an [`Op::Replay`] runs an earlier range of the core's own
+//! ops once more. It refers only backwards and one level deep (the range
+//! holds no replay), which [`Trace::validate`] checks.
+//! [`CoreTrace::expanded`] is the stream a core executes, and every count
+//! below (touches, barriers, pages) is taken over it. The runner checks
+//! its ceiling between touches wherever they sit, so a replay cannot be
+//! told from a copy of its range.
 
 use std::collections::HashSet;
 
@@ -51,6 +60,15 @@ pub enum Op {
     },
     /// Rendezvous with every other core.
     Barrier,
+    /// Run this core's ops `[start, start + len)` once more, then go on
+    /// after the replay. The range lies wholly before the replay and
+    /// holds no replay itself.
+    Replay {
+        /// Index of the range's first op.
+        start: u32,
+        /// Number of ops in the range.
+        len: u32,
+    },
 }
 
 const _: () = assert!(std::mem::size_of::<Op>() == 16);
@@ -75,26 +93,51 @@ pub struct CoreTrace {
 }
 
 impl CoreTrace {
+    /// The ops the core executes, in order: each [`Op::Replay`] expanded
+    /// into the range it names. Panics on a replay out of range
+    /// ([`Trace::validate`] rejects those).
+    pub fn expanded(&self) -> impl Iterator<Item = &Op> + '_ {
+        self.ops.iter().flat_map(move |op| match *op {
+            Op::Replay { start, len } => {
+                let start = start as usize;
+                &self.ops[start..start + len as usize]
+            }
+            _ => std::slice::from_ref(op),
+        })
+    }
+
+    /// Sums `count` over [`CoreTrace::expanded`] without the iterator's
+    /// per-op overhead: a replay adds its range's sum once more.
+    fn sum_expanded(&self, count: impl Fn(&Op) -> u64) -> u64 {
+        self.ops
+            .iter()
+            .map(|op| match *op {
+                Op::Replay { start, len } => self.ops[start as usize..][..len as usize]
+                    .iter()
+                    .map(&count)
+                    .sum(),
+                _ => count(op),
+            })
+            .sum()
+    }
+
     /// Number of barriers in the stream.
     pub fn barriers(&self) -> usize {
-        self.ops.iter().filter(|o| matches!(o, Op::Barrier)).count()
+        self.sum_expanded(|o| u64::from(matches!(o, Op::Barrier))) as usize
     }
 
     /// Total page touches.
     pub fn touches(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|o| match o {
-                Op::Stream { pages, .. } => u64::from(*pages),
-                _ => 0,
-            })
-            .sum()
+        self.sum_expanded(|o| match o {
+            Op::Stream { pages, .. } => u64::from(*pages),
+            _ => 0,
+        })
     }
 
     /// Distinct 4 kB pages touched.
     pub fn page_set(&self) -> HashSet<u64> {
         let mut set = HashSet::new();
-        for op in &self.ops {
+        for op in self.expanded() {
             if let Op::Stream { start, pages, .. } = op {
                 for k in 0..u64::from(*pages) {
                     set.insert(start.0 + k);
@@ -102,6 +145,34 @@ impl CoreTrace {
             }
         }
         set
+    }
+
+    /// Checks every replay: non-empty, wholly before its own index, and
+    /// covering no other replay. The error names the op index.
+    fn check_replays(&self) -> Result<(), String> {
+        for (k, op) in self.ops.iter().enumerate() {
+            let Op::Replay { start, len } = *op else {
+                continue;
+            };
+            let (start, end) = (start as usize, start as usize + len as usize);
+            if len == 0 {
+                return Err(format!("op {k} replays no ops"));
+            }
+            if end > k {
+                return Err(format!(
+                    "op {k} replays ops {start}..{end}, which do not lie before it"
+                ));
+            }
+            if self.ops[start..end]
+                .iter()
+                .any(|o| matches!(o, Op::Replay { .. }))
+            {
+                return Err(format!(
+                    "op {k} replays ops {start}..{end}, which hold another replay"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -130,22 +201,24 @@ impl Trace {
         }
     }
 
-    /// Checks the cross-core barrier structure: every core must have the
-    /// same barrier count, or the rendezvous would deadlock.
+    /// Checks every core's replays ([`Op::Replay`]), then the cross-core
+    /// barrier structure: every core must have the same barrier count,
+    /// or the rendezvous would deadlock.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores.is_empty() {
             return Err("trace has no cores".into());
         }
-        let b0 = self.cores[0].barriers();
         for (i, c) in self.cores.iter().enumerate() {
-            if c.barriers() != b0 {
-                return Err(format!(
-                    "core {i} has {} barriers, core 0 has {b0}",
-                    c.barriers()
-                ));
-            }
+            c.check_replays().map_err(|e| format!("core {i}: {e}"))?;
         }
-        Ok(())
+        let barriers: Vec<usize> = self.cores.iter().map(CoreTrace::barriers).collect();
+        match barriers.iter().position(|&b| b != barriers[0]) {
+            Some(i) => Err(format!(
+                "core {i} has {} barriers, core 0 has {}",
+                barriers[i], barriers[0]
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Distinct 4 kB pages touched by any core — the application
@@ -155,7 +228,8 @@ impl Trace {
     }
 
     /// Footprint in mapping blocks of `size` (what the device RAM must
-    /// hold for a no-data-movement run).
+    /// hold for a no-data-movement run). Replays are skipped: their
+    /// pages are counted where their range was logged.
     pub fn footprint_blocks(&self, size: PageSize) -> usize {
         let span = size.pages_4k() as u64;
         let mut set = FxHashSet::default();
@@ -275,6 +349,76 @@ mod tests {
     #[test]
     fn empty_trace_is_invalid() {
         assert!(Trace::new(0, "empty").validate().is_err());
+    }
+
+    /// A two-core trace whose second iteration replays the first: a
+    /// 4-page read, a barrier and a touch of page 9, then
+    /// `Replay { start: 0, len: 3 }`.
+    fn replayed() -> Trace {
+        let mut t = Trace::new(2, "replayed");
+        for c in &mut t.cores {
+            c.ops.extend([
+                Op::Stream {
+                    start: VirtPage(0),
+                    pages: 4,
+                    write: false,
+                    work_per_page: 1,
+                },
+                Op::Barrier,
+                Op::touch(VirtPage(9), true, 1),
+                Op::Replay { start: 0, len: 3 },
+            ]);
+        }
+        t
+    }
+
+    #[test]
+    fn replayed_ops_count_again() {
+        let mut t = replayed();
+        assert!(t.validate().is_ok());
+        let c = &t.cores[0];
+        assert_eq!(c.expanded().count(), 6);
+        assert_eq!(c.touches(), 10);
+        assert_eq!(c.barriers(), 2);
+        assert_eq!(t.total_touches(), 20);
+        // The replay's pages were counted where they were logged.
+        assert_eq!(c.page_set().len(), 5);
+        assert_eq!(t.footprint_blocks(PageSize::K4), 5);
+        assert_eq!(t.footprint_blocks(PageSize::K64), 1);
+        // A barrier only one core replays unbalances the rendezvous.
+        t.cores[1].ops.pop();
+        assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_malformed_replays() {
+        for (replay, why) in [
+            (Op::Replay { start: 1, len: 0 }, "op 4 replays no ops"),
+            (
+                Op::Replay { start: 2, len: 3 },
+                "op 4 replays ops 2..5, which do not lie before it",
+            ),
+            (
+                Op::Replay { start: 3, len: 1 },
+                "op 4 replays ops 3..4, which hold another replay",
+            ),
+        ] {
+            let mut t = replayed();
+            for c in &mut t.cores {
+                c.ops.push(replay);
+            }
+            assert_eq!(t.validate(), Err(format!("core 0: {why}")), "{replay:?}");
+            t.cores[0].ops[4] = Op::Barrier;
+            t.cores[1].ops[4] = Op::Barrier;
+            assert!(t.validate().is_ok());
+        }
+        // The error names the core that holds the bad replay.
+        let mut t = replayed();
+        t.cores[1].ops[3] = Op::Replay { start: 0, len: 4 };
+        assert_eq!(
+            t.validate(),
+            Err("core 1: op 3 replays ops 0..4, which do not lie before it".into())
+        );
     }
 
     #[test]

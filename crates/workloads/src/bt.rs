@@ -92,7 +92,9 @@ pub fn bt_trace(cores: usize, cfg: &BtConfig) -> Trace {
     }
     log.barrier_all();
 
-    for _ in 0..cfg.iterations {
+    // Every iteration logs the same ops between the same barriers: log
+    // the first, and replay it for the others.
+    log.looped(cfg.iterations, |log| {
         // --- x-solve: lines along x; parallel over z-slabs. ---
         for c in 0..cores {
             let (klo, khi) = Grid3::partition(g.nz, cores, c);
@@ -165,7 +167,7 @@ pub fn bt_trace(cores: usize, cfg: &BtConfig) -> Trace {
             }
         }
         log.barrier_all();
-    }
+    });
     let mut trace = log.finish();
     trace.declared_pages = space.footprint_pages();
     trace
@@ -239,8 +241,30 @@ mod tests {
 
     #[test]
     fn deterministic_generation() {
-        let a = bt_trace(3, &small());
-        let b = bt_trace(3, &small());
-        assert_eq!(a.total_touches(), b.total_touches());
+        // The exact expanded op streams, pinned per (iterations, cores).
+        for (iterations, cores, want) in [
+            (0, 1, 0xffa6_ed7a_f990_138cu64),
+            (0, 3, 0xe13f_6e80_031f_a17c),
+            (0, 8, 0xf46e_536a_650a_2a3a),
+            (1, 1, 0x8d4d_2eeb_3726_0aeb),
+            (1, 3, 0x72d2_03ca_5070_8882),
+            (1, 8, 0x27f2_82d1_e7c3_b9ea),
+            (2, 1, 0x2c4b_db37_35d3_1e08),
+            (2, 3, 0x2b98_7bf5_4e3c_4c79),
+            (2, 8, 0x9b07_3367_8a50_0032),
+            (3, 1, 0x5bb5_c409_c416_730f),
+            (3, 3, 0x012c_8211_57d7_d76e),
+            (3, 8, 0x4c90_5179_7a60_72aa),
+        ] {
+            let cfg = BtConfig {
+                iterations,
+                ..small()
+            };
+            let got = crate::digest(&bt_trace(cores, &cfg));
+            assert_eq!(
+                got, want,
+                "bt_trace(iterations {iterations}, cores {cores})"
+            );
+        }
     }
 }

@@ -61,3 +61,48 @@ pub mod synthetic;
 pub use layout::{AddressSpace, Region};
 pub use logger::TraceLogger;
 pub use suite::{Workload, WorkloadClass};
+
+/// FNV-1a over a trace's declared pages and each core's expanded op
+/// stream (its length, then every op), fields little-endian: the digest
+/// the generators' `deterministic_generation` tests pin. It hashes what a
+/// core executes, so replaying a range and copying it hash alike.
+#[cfg(test)]
+pub(crate) fn digest(t: &cmcp_sim::Trace) -> u64 {
+    use cmcp_sim::Op;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(&t.declared_pages.to_le_bytes());
+    for core in &t.cores {
+        eat(&(core.expanded().count() as u64).to_le_bytes());
+        for op in core.expanded() {
+            match *op {
+                Op::Stream {
+                    start,
+                    pages,
+                    write,
+                    work_per_page,
+                } => {
+                    eat(&[0, write as u8]);
+                    eat(&start.0.to_le_bytes());
+                    eat(&u32::from(pages).to_le_bytes());
+                    eat(&work_per_page.to_le_bytes());
+                }
+                Op::Compute(cycles) => {
+                    eat(&[1]);
+                    eat(&cycles.to_le_bytes());
+                }
+                Op::Syscall { payload, write } => {
+                    eat(&[2, write as u8]);
+                    eat(&payload.to_le_bytes());
+                }
+                Op::Barrier => eat(&[3]),
+                Op::Replay { .. } => unreachable!("an expanded stream holds no replay"),
+            }
+        }
+    }
+    h
+}

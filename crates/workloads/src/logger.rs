@@ -12,6 +12,10 @@
 //!
 //! A run longer than an op can hold (`u16::MAX` pages) is emitted as
 //! back-to-back ops, each charging the whole run's per-page work.
+//!
+//! An iteration body is logged once: [`CoreLogger::repeat`] emits an
+//! [`Op::Replay`] of ops logged between two marks, and
+//! [`TraceLogger::looped`] logs a body on every core and replays it.
 
 use std::ops::Range;
 
@@ -134,12 +138,18 @@ impl CoreLogger {
         self.ops.len()
     }
 
-    /// Appends a copy of `run`, ops between two [`CoreLogger::mark`]s.
-    /// The coalescing window is flushed first, so nothing before the copy
-    /// merges into it.
+    /// Runs `run`, ops between two [`CoreLogger::mark`]s, once more: one
+    /// [`Op::Replay`], or nothing for an empty run. The coalescing window
+    /// is flushed first, so nothing before the replay merges into it.
     pub(crate) fn repeat(&mut self, run: Range<usize>) {
         self.flush();
-        self.ops.extend_from_within(run);
+        if !run.is_empty() {
+            let index = |i: usize| u32::try_from(i).expect("op index fits in u32");
+            self.ops.push(Op::Replay {
+                start: index(run.start),
+                len: index(run.len()),
+            });
+        }
     }
 
     /// Logs a barrier.
@@ -185,6 +195,24 @@ impl TraceLogger {
     pub fn barrier_all(&mut self) {
         for c in &mut self.cores {
             c.barrier();
+        }
+    }
+
+    /// Logs `times` iterations of `body`: the first as `body` logs it,
+    /// each later one as a replay of it on every core. The streams equal
+    /// `times` logged copies when a flush (a barrier) precedes the body
+    /// and ends it, so no op of it could merge with a neighbour.
+    pub(crate) fn looped(&mut self, times: usize, body: impl FnOnce(&mut TraceLogger)) {
+        if times == 0 {
+            return;
+        }
+        let starts: Vec<usize> = self.cores.iter_mut().map(CoreLogger::mark).collect();
+        body(self);
+        for (core, start) in self.cores.iter_mut().zip(starts) {
+            let run = start..core.mark();
+            for _ in 1..times {
+                core.repeat(run.clone());
+            }
         }
     }
 
@@ -324,11 +352,13 @@ mod tests {
         l.touch_page(VirtPage(7), false, 1);
         l.touch_page(VirtPage(5), false, 1);
         l.repeat(start..end);
+        l.repeat(end..end);
         l.touch_page(VirtPage(7), false, 1);
-        let starts: Vec<u64> = l
-            .finish()
-            .ops
-            .iter()
+        let t = l.finish();
+        let replays = t.ops.iter().filter(|op| matches!(op, Op::Replay { .. }));
+        assert_eq!(replays.count(), 1, "{:?}", t.ops);
+        let starts: Vec<u64> = t
+            .expanded()
             .map(|op| match *op {
                 Op::Stream {
                     start, pages: 1, ..
@@ -337,6 +367,38 @@ mod tests {
             })
             .collect();
         assert_eq!(starts, [5, 6, 7, 5, 6, 7]);
+    }
+
+    #[test]
+    fn a_looped_body_expands_to_its_copies() {
+        // A body between barriers, looped three times and logged three
+        // times: the same expanded streams, one body and two replays.
+        let log = |looped: bool| {
+            let mut tl = TraceLogger::new(2, "t");
+            tl.core(0).touch_page(VirtPage(1), true, 1);
+            tl.barrier_all();
+            let body = |tl: &mut TraceLogger| {
+                tl.core(0).touch_page(VirtPage(2), true, 1);
+                tl.core(1).touch_page(VirtPage(3), false, 1);
+                tl.barrier_all();
+                tl.core(1).touch_page(VirtPage(4), false, 1);
+                tl.barrier_all();
+            };
+            if looped {
+                tl.looped(3, body);
+            } else {
+                (0..3).for_each(|_| body(&mut tl));
+            }
+            tl.looped(0, |_| unreachable!("zero iterations log nothing"));
+            tl.finish()
+        };
+        let (looped, copied) = (log(true), log(false));
+        assert!(looped.validate().is_ok());
+        for (l, c) in looped.cores.iter().zip(&copied.cores) {
+            assert!(l.expanded().eq(c.ops.iter()));
+            let replays = l.ops.iter().filter(|op| matches!(op, Op::Replay { .. }));
+            assert_eq!(replays.count(), 2);
+        }
     }
 
     #[test]

@@ -85,7 +85,9 @@ pub fn lu_trace(cores: usize, cfg: &LuConfig) -> Trace {
     }
     log.barrier_all();
 
-    for _ in 0..cfg.sweeps {
+    // Every sweep logs the same ops between the same barriers: log the
+    // first, and replay it for the others.
+    log.looped(cfg.sweeps, |log| {
         for backward in [false, true] {
             // Pipelined wavefront over k-planes, one barrier per plane.
             let ks: Vec<usize> = if backward {
@@ -136,7 +138,7 @@ pub fn lu_trace(cores: usize, cfg: &LuConfig) -> Trace {
             }
         }
         log.barrier_all();
-    }
+    });
     let mut trace = log.finish();
     trace.declared_pages = space.footprint_pages();
     trace
@@ -216,6 +218,29 @@ mod tests {
             got >= expect && got <= expect + 4,
             "footprint {got} pages vs expected ~{expect}"
         );
+    }
+
+    #[test]
+    fn deterministic_generation() {
+        // The exact expanded op streams, pinned per (sweeps, cores).
+        for (sweeps, cores, want) in [
+            (0, 1, 0x432e_2414_1e12_5398u64),
+            (0, 3, 0xc769_c94b_4355_b084),
+            (0, 8, 0x5b7e_e9a1_3fbb_227a),
+            (1, 1, 0x2e23_7053_7f96_04cf),
+            (1, 3, 0x2466_8d78_4b65_ff53),
+            (1, 8, 0xb44a_93a2_6bfe_6282),
+            (2, 1, 0x873e_e53e_ba0a_1e53),
+            (2, 3, 0x58c5_595f_9d93_3d6f),
+            (2, 8, 0x00e5_b82f_ad4d_2f24),
+            (3, 1, 0xc7b4_8074_d15b_10d7),
+            (3, 3, 0x92ea_73c4_7939_d20a),
+            (3, 8, 0x54e1_83d1_2075_b862),
+        ] {
+            let cfg = LuConfig { sweeps, ..small() };
+            let got = crate::digest(&lu_trace(cores, &cfg));
+            assert_eq!(got, want, "lu_trace(sweeps {sweeps}, cores {cores})");
+        }
     }
 
     #[test]

@@ -36,6 +36,47 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
         })
 }
 
+/// One trace twice, as `(copied, folded)`: each core runs a prologue and
+/// then `reps` iterations of one body (streams, a compute and a barrier
+/// per phase). `copied` stores every iteration; `folded` stores the first
+/// and replays it for the others.
+fn looped_strategy() -> impl Strategy<Value = (Trace, Trace)> {
+    (
+        2usize..4, // cores
+        1usize..3, // phases per body
+        2usize..4, // iterations
+        prop::collection::vec((0u64..96, 1u16..24, any::<bool>()), 1..8),
+    )
+        .prop_map(|(cores, phases, reps, chunks)| {
+            let mut copied = Trace::new(cores, "looped");
+            let mut folded = Trace::new(cores, "looped");
+            for c in 0..cores {
+                let prologue = [Op::touch(VirtPage(c as u64), true, 1), Op::Barrier];
+                let mut body = Vec::new();
+                for phase in 0..phases {
+                    body.push(Op::Compute(500 * (c as u64 + 1)));
+                    for (i, &(start, pages, write)) in chunks.iter().enumerate() {
+                        let s = start + (c as u64 * 13 + phase as u64 * 7 + i as u64) % 64;
+                        body.push(Op::Stream {
+                            start: VirtPage(s),
+                            pages,
+                            write,
+                            work_per_page: 3,
+                        });
+                    }
+                    body.push(Op::Barrier);
+                }
+                let replay = Op::Replay {
+                    start: prologue.len() as u32,
+                    len: body.len() as u32,
+                };
+                copied.cores[c].ops = [&prologue[..], &body.repeat(reps)].concat();
+                folded.cores[c].ops = [&prologue[..], &body, &vec![replay; reps - 1]].concat();
+            }
+            (copied, folded)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -72,6 +113,34 @@ proptest! {
         prop_assert_eq!(r.dma_bytes.1 % 4096, 0);
         // Runtime is at least the per-core compute of the busiest core.
         prop_assert!(r.runtime_cycles > 0);
+    }
+
+    /// Folding a trace's repeated runs into replays changes no report
+    /// byte, under any policy, memory pressure and thread count.
+    #[test]
+    fn replays_report_like_their_copies(
+        traces in looped_strategy(),
+        policy in prop_oneof![
+            Just(PolicyKind::Fifo),
+            Just(PolicyKind::Lru),
+            Just(PolicyKind::Cmcp { p: 0.5 }),
+        ],
+        ratio in 0.3f64..1.2,
+        threads in 1usize..3,
+    ) {
+        let (copied, folded) = traces;
+        prop_assert!(folded.validate().is_ok());
+        prop_assert!(folded.cores[0].ops.len() < copied.cores[0].ops.len());
+        prop_assert_eq!(folded.total_touches(), copied.total_touches());
+        let report = |t: &Trace| {
+            let r = SimulationBuilder::trace(t.clone())
+                .policy(policy)
+                .memory_ratio(ratio)
+                .threads(threads)
+                .run();
+            format!("{r:?}")
+        };
+        prop_assert_eq!(report(&copied), report(&folded));
     }
 
     /// With memory ≥ footprint there are no evictions, no write-backs,

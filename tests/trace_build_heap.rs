@@ -1,6 +1,12 @@
 //! Heap high-water mark of a CG trace build, counted by a wrapping
 //! global allocator: deterministic, with no wall clock.
 //!
+//! The bound is in bytes. Phase 1 is stored once and replayed, so the
+//! finished trace is small next to the matrix pattern it is walked
+//! from, and the pattern sets the peak: the build gives the pattern back
+//! row block by row block while it logs phase 1, so the two never sit
+//! on the heap whole at once.
+//!
 //! This binary holds exactly one test, so nothing else allocates while it
 //! runs.
 
@@ -64,6 +70,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// The most live heap bytes cg.B's trace build may reach on 16 cores.
+const PEAK_BOUND: usize = 2_500_000;
+
 #[test]
 fn cg_trace_build_peaks_near_the_finished_trace() {
     let cfg = CgConfig::class_b();
@@ -73,10 +82,12 @@ fn cg_trace_build_peaks_near_the_finished_trace() {
     let live = LIVE.load(Ordering::Relaxed) - before;
     let peak = PEAK.load(Ordering::Relaxed) - before;
     let ratio = peak as f64 / live as f64;
-    eprintln!("cg.B trace build: peak {peak} B, finished trace {live} B, {ratio:.4}×");
+    eprintln!(
+        "cg.B trace build: peak {peak} B (bound {PEAK_BOUND} B), finished trace {live} B, {ratio:.4}×"
+    );
     assert!(
-        ratio <= 1.05,
-        "cg.B trace build peaked at {peak} heap bytes, {ratio:.2}× the finished trace's {live}"
+        peak <= PEAK_BOUND,
+        "cg.B trace build peaked at {peak} heap bytes, over {PEAK_BOUND}; the finished trace holds {live}"
     );
     for (c, core) in trace.cores.iter().enumerate() {
         assert_eq!(
