@@ -1,7 +1,7 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 # Everything runs offline: external crates are in-repo shims (shims/README.md).
 
-.PHONY: verify fmt lint test test-serial test-faults test-loom test-miri test-tsan stress determinism test-tiers test-numa bench-smoke bench-parallel bench-parallel-save bench-tiers-save bench-numa-save bench-e2e goldens goldens-check goldens-save mutants ci
+.PHONY: verify fmt lint test test-serial test-faults determinism test-tiers test-numa bench-smoke bench-tiers-save bench-numa-save bench-e2e goldens goldens-check goldens-save mutants ci
 
 # The canonical acceptance gate: release build + full test suite.
 verify:
@@ -32,51 +32,19 @@ test-faults:
 	cargo test -q --test trace_validation
 	cargo test -q --release --test parallel_stress stress_workers_survive_a_one_percent_dma_error_plan
 
-# Bounded model checking of the lock-free core (the trace ring): swaps
-# std atomics for the loom shim's model-checked ones and explores every
-# thread interleaving + release/acquire read choice up to the
-# preemption bound. LOOM_MAX_PREEMPTIONS=3 make test-loom to dig deeper.
-test-loom:
-	RUSTFLAGS="--cfg loom" cargo test -p cmcp-trace --lib loom_
-
-# Miri over the audited lock-free module (UB + ordering detector with a
-# randomized scheduler). Skips with a notice when the toolchain has no
-# miri component (it is nightly-only on some channels).
-test-miri:
-	@if cargo miri --version >/dev/null 2>&1; then \
-		cargo miri test -p cmcp-trace --lib; \
-	else \
-		echo "miri component not installed (rustup component add miri); skipping"; \
-	fi
-
-# ThreadSanitizer leg. Needs nightly AND rust-src: std must be rebuilt
-# instrumented (-Zbuild-std) or TSan reports false races inside
-# uninstrumented Arc/thread internals. Skips with a notice otherwise.
-test-tsan:
-	@if cargo +nightly --version >/dev/null 2>&1 && \
-	    rustup component list --toolchain nightly --installed 2>/dev/null | grep -q rust-src; then \
-		RUSTFLAGS="-Z sanitizer=thread" \
-		cargo +nightly test -Z build-std -p cmcp-trace --lib \
-			--target x86_64-unknown-linux-gnu; \
-	else \
-		echo "nightly + rust-src not installed (TSan needs an instrumented std via -Zbuild-std); skipping"; \
-	fi
-
-# Engine stress tests at 8 workers (release: the point is load).
-stress:
-	cargo test -q --release --test parallel_stress --test thread_determinism
-
-# The cross-thread-count determinism matrix on its own: every policy,
-# eviction pressure and fault plan, byte-equal reports at 1/2/4/8 threads.
+# The repeat-run determinism matrix on its own: every policy, eviction
+# pressure, fault plans, tiers and adaptive page sizes, byte-equal
+# reports from two fresh kernels; and perfbench's two engine entries,
+# byte-equal to a plain run at any thread count they are passed.
 determinism:
-	cargo test -q --release --test thread_determinism
+	cargo test -q --release --test determinism --test thread_determinism
 
 # The tier-subsystem acceptance suite: cross-tier shadow oracle,
 # tier/page-size proptests, and the multi-tier determinism leg.
 test-tiers:
 	cargo test -q --test tier_hierarchy
 	cargo test -q --test proptest_tiers
-	cargo test -q --release --test thread_determinism tiered_and_adaptive
+	cargo test -q --release --test determinism tiered_and_adaptive
 
 # The NUMA-subsystem acceptance suite: replica-coherence shadow oracle,
 # node-spec proptests, and the multi-node determinism leg.
@@ -87,16 +55,6 @@ test-numa:
 # One pass over the policies benchmark bodies (no measurement).
 bench-smoke:
 	cargo bench -p cmcp-bench --bench policies -- --test
-
-# Smoke pass over the scaling benchmark bodies (asserts cross-thread
-# byte-identity, no measurement, leaves the committed baseline alone).
-bench-parallel:
-	cargo bench -p cmcp-bench --bench parallel_scaling -- --test
-
-# Full measurement of host-parallelism scaling; rewrites the committed
-# results/BENCH_parallel.json baseline.
-bench-parallel-save:
-	cargo bench -p cmcp-bench --bench parallel_scaling -- --bench
 
 # Hot-path microbench vs the committed baseline (the CI perf gate);
 # `make bench-hotpath-save` rewrites the baseline after intentional
@@ -168,5 +126,5 @@ goldens-save:
 		--tiers 4tier --numa 2node --json \
 		> results/golden_tiered_numa_lu.json
 
-ci: fmt lint verify test-serial test-faults test-loom stress test-tiers \
+ci: fmt lint verify test-serial test-faults determinism test-tiers \
     test-numa bench-smoke bench-hotpath bench-e2e goldens-check mutants

@@ -27,11 +27,11 @@ pub type Cycles = u64;
 /// A core's virtual clock: an owner-advanced cycle counter plus an
 /// atomically chargeable interrupt debt.
 ///
-/// The clock is `Sync` so the parallel engine can charge remote cores
-/// while each core's worker thread advances its own clock. Each clock is
+/// The clock is `Sync` because the kernel shares it by `&self`; the
+/// engine itself advances every core on one thread. Each clock is
 /// 128-byte aligned (the adjacent-line prefetcher pairs 64-byte lines),
-/// so a write-back to one core's clock never invalidates the line
-/// another worker's clock lives on.
+/// a layout from when cores advanced on several host threads, kept
+/// until the kernel moves to `&mut self`.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct CoreClock {

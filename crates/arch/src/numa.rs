@@ -302,7 +302,7 @@ impl NumaConfig {
     /// Which node a core lives on: cores are partitioned contiguously —
     /// core `c` of `cores` lands on node `c * len / cores`. A pure
     /// function of the configuration, so identical runs place cores
-    /// identically at any thread count.
+    /// identically.
     pub fn node_of_core(&self, core: usize, cores: usize) -> usize {
         if self.is_single() || cores == 0 {
             return 0;

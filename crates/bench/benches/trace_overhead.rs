@@ -10,7 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cmcp::kernel::{KernelConfig, Vmm};
-use cmcp::sim::run_deterministic;
+use cmcp::sim::run;
 use cmcp::trace::RingTracer;
 use cmcp::workloads::synthetic;
 
@@ -30,13 +30,13 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.bench_function("untraced", |b| {
         b.iter(|| {
             let vmm = Vmm::new(config());
-            black_box(run_deterministic(&vmm, &trace).runtime_cycles)
+            black_box(run(&vmm, &trace).runtime_cycles)
         });
     });
     group.bench_function("ring_traced", |b| {
         b.iter(|| {
             let vmm = Vmm::with_tracer(config(), RingTracer::new(CORES, 1 << 16));
-            black_box(run_deterministic(&vmm, &trace).runtime_cycles)
+            black_box(run(&vmm, &trace).runtime_cycles)
         });
     });
     group.finish();

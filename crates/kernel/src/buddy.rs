@@ -12,7 +12,7 @@
 //! order is a pure function of the call sequence. The pool lives in the
 //! kernel's single-writer commit state (`vmm::KernelState`), and every
 //! call happens in the engine's sequential commit phase, which is what
-//! keeps adaptive runs byte-identical at any host thread count.
+//! keeps adaptive runs byte-identical from run to run.
 
 use std::collections::BTreeSet;
 

@@ -214,8 +214,9 @@ pub struct Vmm<R: Recorder = NullTracer> {
 /// runs always post the configured block span; adaptive runs post the
 /// victim's actual granularity. 128-byte aligned (the adjacent-line
 /// prefetcher pairs 64-byte lines): phase A reads the flag on every
-/// runner entry, from the worker that owns the core, and neighbouring
-/// cores belong to different workers.
+/// runner entry, and neighbouring cores once advanced on different host
+/// threads. The flag, lock and alignment stay until the kernel moves to
+/// `&mut self`.
 #[derive(Default)]
 #[repr(align(128))]
 struct Mailbox {
@@ -1652,10 +1653,17 @@ mod tests {
         assert_eq!(recv[1], 1);
         assert_eq!(recv[2], 0, "core2 does not map block 0");
         assert_eq!(recv[3..].iter().sum::<u64>(), 0);
-        // Their mailboxes hold the invalidation.
-        let mut out = Vec::new();
-        v.drain_invalidations(CoreId(0), &mut out);
-        assert_eq!(out, vec![(VirtPage(0), 1)]);
+        // Each target's mailbox holds the invalidation, and no other's.
+        for c in 0..8 {
+            let mut out = Vec::new();
+            v.drain_invalidations(CoreId(c), &mut out);
+            let want = if c < 2 {
+                vec![(VirtPage(0), 1)]
+            } else {
+                vec![]
+            };
+            assert_eq!(out, want, "core {c}'s mailbox");
+        }
     }
 
     #[test]

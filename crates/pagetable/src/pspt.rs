@@ -34,8 +34,9 @@ use crate::table::{MapError, PageTable};
 
 /// One core's private table. 128-byte aligned (the adjacent-line
 /// prefetcher pairs 64-byte lines): phase A takes its lock on every TLB
-/// miss and first store, from the worker that owns the core, and
-/// neighbouring cores belong to different workers.
+/// miss and first store, and neighbouring cores once advanced on
+/// different host threads. The lock and the alignment stay until the
+/// kernel moves to `&mut self`.
 #[repr(align(128))]
 struct CoreTable(RwLock<PageTable>);
 

@@ -8,13 +8,11 @@
 //! * [`runner`] — one core's execution state: its TLB, its position in
 //!   the trace, dirty-block tracking, invalidation draining; advances
 //!   freely to an epoch ceiling and *parks* at kernel entries.
-//! * [`engine`] — the **unified epoch-barrier discrete-event engine**:
-//!   cores partitioned over host workers, advancing in epoch windows
-//!   bounded by the minimum cross-core interaction latency. Kernel
-//!   effects commit in virtual-time stamp order, as one sequential fold
-//!   on worker 0. One code path for every thread count;
-//!   `(seed, config)` yields a byte-identical report whether run on 1
-//!   thread or 8.
+//! * [`engine`] — the **epoch discrete-event engine**: one loop on the
+//!   calling thread advances every core to an epoch ceiling bounded by
+//!   the minimum cross-core interaction latency, then commits the
+//!   parked kernel effects in virtual-time stamp order as one
+//!   sequential fold. `(seed, config)` yields a byte-identical report.
 //! * [`report`] — the merged run report: runtime, per-core Table-1
 //!   counters, DMA/lock occupancy, sharing histogram.
 
@@ -26,8 +24,9 @@ pub mod report;
 pub mod runner;
 pub mod trace;
 
-pub use engine::{
-    resolve_threads, run, run_deterministic, run_parallel, run_with_host_stats, HostScaling,
-};
+pub use engine::run;
+// perfbench's entry and counters, until the benchmark follow-up.
+#[doc(hidden)]
+pub use engine::{run_with_host_stats, HostScaling};
 pub use report::{EngineScaling, NumaReport, RunReport, TierReport};
 pub use trace::{CoreTrace, Op, Trace};

@@ -54,12 +54,8 @@ pub struct NumaReport {
 
 /// Deterministic engine-scaling counters: how phase B decomposed the
 /// run. Every field is a pure function of `(seed, config, tiers,
-/// fault-plan)` — classification runs at every thread count, including
-/// 1, so these are identical no matter how many workers executed the
-/// run (asserted by the byte-identity suite, since `RunReport` derives
-/// `Debug` over this struct). Host-dependent counters (barrier waits)
-/// live in the engine's `HostScaling` instead and never enter the
-/// report.
+/// fault-plan)` (asserted by the repeat-run suite, since `RunReport`
+/// derives `Debug` over this struct).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineScaling {
     /// Epochs the engine ran (phase-B invocations).

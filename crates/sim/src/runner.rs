@@ -6,8 +6,8 @@
 //! kernel entry point: a failed page walk (the fault trap), a syscall,
 //! or a rendezvous barrier. The engine executes the parked kernel work
 //! sequentially in virtual-time stamp order and then resumes the core —
-//! so a single runner implementation serves every thread count, and all
-//! cross-core kernel effects happen at exact, reproducible stamps.
+//! so all cross-core kernel effects happen at exact, reproducible
+//! stamps.
 //!
 //! An [`Op::Replay`] moves the op index back to the start of its range
 //! and keeps a return index; stepping past the range's last op (in
@@ -262,8 +262,8 @@ impl CoreRunner {
     /// Ops are atomic: a touch or compute op that *crosses* the ceiling
     /// completes (the clock may overshoot); the check happens between
     /// ops and between the touches of a stream. With `ceiling ==
-    /// u64::MAX` this runs until the next park, which is exactly the
-    /// single-threaded degenerate case.
+    /// u64::MAX` this runs until the next park, as a core with no epoch
+    /// window would.
     ///
     /// The core's clock is copied out on entry and written back once on
     /// return; every advance, settle and ceiling check in between runs
@@ -361,7 +361,7 @@ mod tests {
     }
 
     /// Drives a runner to its next non-fault pause, executing parked
-    /// kernel work inline (the single-threaded engine in miniature).
+    /// kernel work inline (the engine in miniature).
     fn drive(r: &mut CoreRunner, v: &Vmm, t: &CoreTrace) -> Pause {
         loop {
             match r.advance(v, t, u64::MAX) {

@@ -31,9 +31,6 @@ pub mod export;
 pub use breakdown::{Breakdown, CoreBreakdown, CoreTotals};
 pub use export::{to_chrome_trace, to_jsonl};
 
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, Ordering::Relaxed};
-#[cfg(not(loom))]
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Virtual time, in simulated core cycles (mirrors `cmcp_arch::Cycles`;
@@ -205,9 +202,9 @@ pub struct Event {
     pub b: u64,
 }
 
-/// A sink for trace events. Implementations must be callable from
-/// concurrently running simulation threads without locking the fault
-/// path.
+/// A sink for trace events. `record` takes `&self` because the kernel
+/// shares its tracer by reference, and the `Sync` bound stays while the
+/// kernel's own API is `&self`; the engine itself runs on one thread.
 pub trait Recorder: Sync {
     /// `false` means `record` is a no-op and call sites skip computing
     /// event arguments entirely (the zero-cost path).
@@ -241,32 +238,19 @@ impl Recorder for NullTracer {
 
 /// One core's fixed-capacity event ring.
 ///
-/// Writers claim a slot with a single `fetch_add` and then store the
-/// four event words with relaxed atomics. When the ring wraps, the
-/// oldest events are overwritten and counted as dropped. A slot being
-/// overwritten concurrently with a lapped writer can tear — that is
-/// acceptable because reads happen post-run, and any run that dropped
-/// events already has its breakdown validation disabled.
+/// A writer claims a slot by bumping `claimed` and then stores the four
+/// event words. When the ring wraps, the oldest events are overwritten
+/// and counted as dropped; any run that dropped events has its
+/// breakdown validation disabled.
 ///
 /// ## Memory-ordering contract
 ///
-/// Everything here is `Relaxed`, deliberately (model-checked by
-/// `loom_tests` below; per-field table in DESIGN.md §10):
-///
-/// * `claimed.fetch_add(1, Relaxed)` — only the RMW's *atomicity* is
-///   load-bearing: each writer gets a unique claim index, so two
-///   writers never target the same slot until the ring laps. No
-///   payload is published through `claimed`, so no Release is needed.
-/// * Slot word stores/loads are `Relaxed` because readers
-///   ([`EventRing::drain_into`], [`EventRing::dropped`]) run strictly
-///   post-quiesce: the engine joins its worker threads before draining,
-///   and the join edge is what makes every completed store visible.
-///   Mid-run the only concurrent readers are lapped *writers*, and the
-///   tearing they can produce is detected (not prevented) via
-///   [`EventKind::from_code`] returning `None` on a half-written meta
-///   word. Upgrading the stores to Release would not remove the tear —
-///   only a seqlock or claim/commit protocol would, at per-event cost
-///   the zero-drop fast path should not pay.
+/// Everything here is `Relaxed`, deliberately (DESIGN.md §10): the
+/// engine runs on one thread, so every ring has one writer, and the
+/// readers ([`EventRing::drain_into`], [`EventRing::dropped`]) run after
+/// the run returns, on the same thread. The words are atomics only
+/// because [`Recorder::record`] takes `&self`; they go with the
+/// kernel's move to `&mut self`.
 struct EventRing {
     /// Total slots ever claimed; `min(claimed, capacity)` slots hold data.
     claimed: AtomicU64,
@@ -319,9 +303,8 @@ impl EventRing {
             };
             let slot = &self.slots[idx];
             let meta = slot[1].load(Relaxed);
-            let Some(kind) = EventKind::from_code((meta & 0xff) as u8) else {
-                continue; // torn slot from a lapped writer
-            };
+            let kind = EventKind::from_code((meta & 0xff) as u8)
+                .expect("every live slot holds a whole event");
             out.push(Event {
                 ts: slot[0].load(Relaxed),
                 core: (meta >> 8) as u16,
@@ -400,10 +383,7 @@ impl<R: Recorder> Recorder for &R {
     }
 }
 
-// Gated `not(loom)`: under `--cfg loom` the ring's atomics only work
-// inside `loom::model`; the bounded-interleaving versions of these
-// scenarios live in `loom_tests` below.
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -455,23 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_lose_nothing_within_capacity() {
-        let t = RingTracer::new(4, 1024);
-        std::thread::scope(|s| {
-            for core in 0u16..4 {
-                let t = &t;
-                s.spawn(move || {
-                    for i in 0..500 {
-                        t.record(core, i, EventKind::FaultStart, i, 0);
-                    }
-                });
-            }
-        });
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.events().len(), 2000);
-    }
-
-    #[test]
     fn payload_round_trips() {
         let t = RingTracer::new(1, 4);
         t.record(0, 123, EventKind::VictimSelect, 456, (7 << 8) | 2);
@@ -495,93 +458,5 @@ mod tests {
         assert!(n.events().is_empty());
         assert_eq!(n.dropped(), 0);
         const { assert!(!NullTracer::ENABLED) };
-    }
-}
-
-/// Bounded model checks of the ring's all-Relaxed contract (see the
-/// [`EventRing`] docs). Run with `make test-loom`.
-#[cfg(all(loom, test))]
-mod loom_tests {
-    use super::*;
-    use loom::sync::Arc;
-    use loom::thread;
-
-    /// Claim uniqueness: two racing writers within capacity never
-    /// collide on a slot, so after the post-join edge both events are
-    /// intact and distinguishable — in every interleaving and for every
-    /// Relaxed-permitted read the drain could make.
-    #[test]
-    fn loom_racing_writers_claim_distinct_slots() {
-        loom::model(|| {
-            let t = Arc::new(RingTracer::new(1, 4));
-            let t2 = Arc::clone(&t);
-            let h = thread::spawn(move || {
-                t2.record(0, 10, EventKind::FaultStart, 1, 0);
-            });
-            t.record(0, 20, EventKind::FaultEnd, 2, 0);
-            h.join().unwrap();
-            assert_eq!(t.dropped(), 0);
-            let evs = t.events();
-            let mut payloads: Vec<u64> = evs.iter().map(|e| e.a).collect();
-            payloads.sort_unstable();
-            assert_eq!(payloads, vec![1, 2], "a claim was shared or lost");
-        });
-    }
-
-    /// Wraparound: two writers pushing two events each into a two-slot
-    /// ring always account exactly two drops, and the post-quiesce
-    /// drain never yields more than capacity events nor an undecodable
-    /// kind (torn slots are skipped, not surfaced).
-    #[test]
-    fn loom_wraparound_counts_drops_and_skips_torn_slots() {
-        loom::model(|| {
-            let t = Arc::new(RingTracer::new(1, 2));
-            let t2 = Arc::clone(&t);
-            let h = thread::spawn(move || {
-                t2.record(0, 1, EventKind::FaultStart, 11, 0);
-                t2.record(0, 2, EventKind::FaultEnd, 12, 0);
-            });
-            t.record(0, 3, EventKind::DmaEnqueue, 13, 0);
-            t.record(0, 4, EventKind::DmaComplete, 14, 0);
-            h.join().unwrap();
-            assert_eq!(t.dropped(), 2, "4 claims into 2 slots");
-            let evs = t.events();
-            assert!(evs.len() <= 2, "drain yielded more than capacity");
-            for e in &evs {
-                assert!((11..=14).contains(&e.a), "payload from nowhere: {}", e.a);
-            }
-        });
-    }
-
-    /// The checker itself, on raw atomics: a publishing CAS whose
-    /// success ordering is `Acquire` (no Release half) does not publish
-    /// the plain store before it, so a reader that acquires the flag can
-    /// still see the stale value. The model checker MUST find that
-    /// execution — the acceptance test that the harness catches a
-    /// missing Release, the bug class every model here guards against.
-    #[test]
-    fn loom_buggy_acquire_publish_is_caught() {
-        use loom::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-        let caught = std::panic::catch_unwind(|| {
-            loom::model(|| {
-                let head = Arc::new(AtomicU64::new(0));
-                let link = Arc::new(AtomicU32::new(0));
-                let (h2, l2) = (Arc::clone(&head), Arc::clone(&link));
-                let t = thread::spawn(move || {
-                    l2.store(7, Ordering::Relaxed);
-                    // BUG under test: success ordering lacks Release, so
-                    // the link store above is unpublished.
-                    let _ = h2.compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed);
-                });
-                if head.load(Ordering::Acquire) == 1 {
-                    assert_eq!(link.load(Ordering::Relaxed), 7, "stale link visible");
-                }
-                t.join().unwrap();
-            });
-        });
-        assert!(
-            caught.is_err(),
-            "the Acquire-publish ordering bug must be detected by the model checker"
-        );
     }
 }

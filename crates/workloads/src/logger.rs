@@ -30,6 +30,9 @@ pub struct CoreLogger {
     ops: Vec<Op>,
     /// Coalescing window for the op being built.
     pending: Option<Pending>,
+    /// Set by [`CoreLogger::reserve`]: the caller sized the rest of the
+    /// stream exactly, so it must end with no spare capacity.
+    sized: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -125,10 +128,12 @@ impl CoreLogger {
 
     /// Sets the op capacity to exactly `additional` more ops than are
     /// logged, so a stream that logs exactly that many more ends with no
-    /// spare capacity.
+    /// spare capacity (checked by [`CoreLogger::finish`] in debug
+    /// builds).
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.ops.reserve_exact(additional);
         self.ops.shrink_to(self.ops.len() + additional);
+        self.sized = true;
     }
 
     /// Closes the coalescing window and returns the number of ops logged:
@@ -158,9 +163,18 @@ impl CoreLogger {
         self.ops.push(Op::Barrier);
     }
 
-    /// Finalizes into a [`CoreTrace`].
+    /// Finalizes into a [`CoreTrace`] whose op vector holds no spare
+    /// capacity: a finished trace is only read, so the slack a growing
+    /// vector keeps would sit on the heap for the whole run.
     pub fn finish(mut self) -> CoreTrace {
         self.flush();
+        debug_assert!(
+            !self.sized || self.ops.capacity() == self.ops.len(),
+            "an exactly sized op vector ended with {} of {} slots used",
+            self.ops.len(),
+            self.ops.capacity()
+        );
+        self.ops.shrink_to_fit();
         CoreTrace { ops: self.ops }
     }
 }

@@ -40,7 +40,7 @@ repo=$(pwd)
 # by design and the identity check cannot apply.
 BINS=(table1 fig6 fig7 fig8 fig9 fig10 tier_sweep numa_sweep
       ablation_aging ablation_ipi ablation_policies ablation_rebuild)
-WALL_CLOCK="BENCH_hotpath.json BENCH_parallel.json"
+WALL_CLOCK="BENCH_hotpath.json"
 
 is_wall_clock() {
     local f

@@ -1,179 +1,8 @@
-//! # loom (offline stand-in)
+//! # loom (empty placeholder)
 //!
-//! Bounded model checking for the workspace's lock-free code, mirroring
-//! the API subset of the real [`loom`](https://docs.rs/loom) crate that
-//! this repository consumes: `loom::model`, `loom::thread`, and
-//! `loom::sync::atomic`. Code under test swaps `std::sync::atomic`
-//! imports for `loom::sync::atomic` behind `--cfg loom` and runs each
-//! scenario inside [`model`], which exhaustively explores bounded
-//! thread interleavings *and* weak-memory read choices (release/acquire
-//! vector clocks with release-sequence inheritance through RMWs). See
-//! `src/exec.rs` for the engine and shims/README.md for the documented
-//! deviations from real loom.
-//!
-//! Environment knobs: `LOOM_MAX_PREEMPTIONS` (default 2) bounds context
-//! switches away from a runnable thread per execution;
-//! `LOOM_MAX_ITERATIONS` (default 100 000) bounds explored executions.
-
-mod atomic;
-mod exec;
-pub mod thread;
-
-pub use exec::model;
-
-/// Mirrors `loom::sync`.
-pub mod sync {
-    pub use std::sync::Arc;
-
-    /// Mirrors `loom::sync::atomic`.
-    pub mod atomic {
-        pub use crate::atomic::{
-            AtomicBool, AtomicIsize, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-        };
-    }
-}
-
-/// Mirrors `loom::hint`.
-pub mod hint {
-    /// A scheduling point inside spin loops.
-    pub fn spin_loop() {
-        crate::thread::yield_now();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::sync::atomic::{AtomicU64, Ordering};
-    use super::sync::Arc;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// The canonical publish race: a relaxed flag store gives the
-    /// reader no happens-before edge, so the checker must find an
-    /// execution where the flag is visible but the payload is not.
-    #[test]
-    fn finds_relaxed_publish_race() {
-        let failed = catch_unwind(AssertUnwindSafe(|| {
-            super::model(|| {
-                let data = Arc::new(AtomicU64::new(0));
-                let flag = Arc::new(AtomicU64::new(0));
-                let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
-                let t = super::thread::spawn(move || {
-                    d2.store(42, Ordering::Relaxed);
-                    f2.store(1, Ordering::Relaxed); // BUG: should be Release
-                });
-                if flag.load(Ordering::Acquire) == 1 {
-                    assert_eq!(data.load(Ordering::Relaxed), 42, "stale payload");
-                }
-                t.join().unwrap();
-            });
-        }));
-        assert!(failed.is_err(), "the relaxed publish race must be caught");
-    }
-
-    /// The correct release/acquire publish never fails.
-    #[test]
-    fn release_acquire_publish_passes() {
-        super::model(|| {
-            let data = Arc::new(AtomicU64::new(0));
-            let flag = Arc::new(AtomicU64::new(0));
-            let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
-            let t = super::thread::spawn(move || {
-                d2.store(42, Ordering::Relaxed);
-                f2.store(1, Ordering::Release);
-            });
-            if flag.load(Ordering::Acquire) == 1 {
-                assert_eq!(data.load(Ordering::Relaxed), 42);
-            }
-            t.join().unwrap();
-        });
-    }
-
-    /// A relaxed RMW continues the release sequence: an acquire load
-    /// that reads the RMW still synchronizes with the earlier release
-    /// store. The frame-pool hand-off proof relies on this.
-    #[test]
-    fn release_sequence_survives_relaxed_rmw() {
-        super::model(|| {
-            let data = Arc::new(AtomicU64::new(0));
-            let flag = Arc::new(AtomicU64::new(0));
-            let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
-            let t1 = super::thread::spawn(move || {
-                d2.store(7, Ordering::Relaxed);
-                f2.store(1, Ordering::Release);
-            });
-            let f3 = Arc::clone(&flag);
-            let t2 = super::thread::spawn(move || {
-                f3.fetch_add(1, Ordering::Relaxed);
-            });
-            if flag.load(Ordering::Acquire) == 2 {
-                // Both the release store and the relaxed RMW happened;
-                // reading the RMW must still acquire the release.
-                assert_eq!(data.load(Ordering::Relaxed), 7);
-            }
-            t1.join().unwrap();
-            t2.join().unwrap();
-        });
-    }
-
-    /// The scheduler really interleaves: a load/store (non-RMW)
-    /// increment pair must lose an update in some execution.
-    #[test]
-    fn finds_lost_update_interleaving() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let finals: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-        let sink = Arc::clone(&finals);
-        super::model(move || {
-            let c = Arc::new(AtomicU64::new(0));
-            let c2 = Arc::clone(&c);
-            let t = super::thread::spawn(move || {
-                let v = c2.load(Ordering::SeqCst);
-                c2.store(v + 1, Ordering::SeqCst);
-            });
-            let v = c.load(Ordering::SeqCst);
-            c.store(v + 1, Ordering::SeqCst);
-            t.join().unwrap();
-            sink.lock().unwrap().insert(c.load(Ordering::SeqCst));
-        });
-        let seen = finals.lock().unwrap();
-        assert!(seen.contains(&1), "lost-update interleaving not explored");
-        assert!(seen.contains(&2), "serial interleaving not explored");
-    }
-
-    /// Contended CAS loops terminate and conserve: a two-thread Treiber
-    /// push pair leaves both values on the stack in every execution.
-    #[test]
-    fn cas_push_pair_conserves() {
-        super::model(|| {
-            let head = Arc::new(AtomicU64::new(0));
-            let next = Arc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]);
-            let push = |head: &AtomicU64, next: &[AtomicU64; 3], slot: u64| {
-                let mut observed = head.load(Ordering::Acquire);
-                loop {
-                    next[slot as usize].store(observed, Ordering::Relaxed);
-                    match head.compare_exchange_weak(
-                        observed,
-                        slot,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => return,
-                        Err(actual) => observed = actual,
-                    }
-                }
-            };
-            let (h2, n2) = (Arc::clone(&head), Arc::clone(&next));
-            let t = super::thread::spawn(move || push(&h2, &n2, 1));
-            push(&head, &next, 2);
-            t.join().unwrap();
-            // Walk the stack: exactly {1, 2} present, terminated by 0.
-            let top = head.load(Ordering::Acquire);
-            let below = next[top as usize].load(Ordering::Acquire);
-            let bottom = next[below as usize].load(Ordering::Acquire);
-            let mut seen = [top, below];
-            seen.sort_unstable();
-            assert_eq!(seen, [1, 2]);
-            assert_eq!(bottom, 0);
-        });
-    }
-}
+//! The workspace no longer model-checks anything: the engine runs on
+//! one thread, so no lock-free structure is shared between threads.
+//! This package stays, empty, because `perfbench/Cargo.lock` lists
+//! `loom` under `cmcp-kernel` and `cmcp-trace` (behind `cfg(loom)`), and
+//! perfbench is linted with `--locked`. It goes with those manifest
+//! lines in the benchmark follow-up.

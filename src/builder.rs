@@ -3,7 +3,7 @@
 use cmcp_arch::{CostModel, FaultPlan, NumaConfig, PageSize, TierConfig};
 use cmcp_core::PolicyKind;
 use cmcp_kernel::{KernelConfig, SchemeChoice, Vmm};
-use cmcp_sim::{HostScaling, RunReport, Trace};
+use cmcp_sim::{RunReport, Trace};
 use cmcp_trace::{Event, Recorder, RingTracer};
 use cmcp_workloads::Workload;
 
@@ -26,7 +26,6 @@ pub struct SimulationBuilder {
     page_size: PageSize,
     memory: MemorySpec,
     cost: CostModel,
-    threads: usize,
     scan_budget: usize,
     pspt_rebuild_period: u64,
     trace_capacity: usize,
@@ -81,7 +80,6 @@ impl SimulationBuilder {
             page_size: PageSize::K4,
             memory: MemorySpec::Ratio(1.0),
             cost: CostModel::default(),
-            threads: 1,
             scan_budget: 0,
             pspt_rebuild_period: 0,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
@@ -177,30 +175,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Number of host worker threads the engine distributes simulated
-    /// cores over (default: 1). The report is byte-identical for every
-    /// value — thread count is a wall-clock knob, not a semantic one.
-    /// `0` selects the available parallelism.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Use one engine worker per available host CPU — shorthand for
-    /// `.threads(0)`. The resolved count is reported by
-    /// [`SimulationBuilder::resolved_threads`] (and the CLI run header).
-    pub fn threads_auto(mut self) -> Self {
-        self.threads = 0;
-        self
-    }
-
-    /// The worker count this builder will actually run with: the
-    /// requested count, or the host's available parallelism when
-    /// auto-detection was selected.
-    pub fn resolved_threads(&self) -> usize {
-        cmcp_sim::resolve_threads(self.threads)
-    }
-
     /// Overrides the scan-tick budget (blocks per tick; 0 = auto).
     pub fn scan_budget(mut self, b: usize) -> Self {
         self.scan_budget = b;
@@ -259,26 +233,11 @@ impl SimulationBuilder {
         (trace, cfg)
     }
 
-    fn dispatch<R: Recorder>(&self, vmm: &Vmm<R>, trace: &Trace) -> RunReport {
-        cmcp_sim::run_parallel(vmm, trace, self.threads)
-    }
-
     /// Generates the trace, sizes the memory, runs the simulation.
     pub fn run(self) -> RunReport {
         let (trace, cfg) = self.materialize();
         let vmm = Vmm::new(cfg);
-        self.dispatch(&vmm, &trace)
-    }
-
-    /// Like [`SimulationBuilder::run`], additionally returning the
-    /// host-side scaling counters (barrier wait tiers). Those are
-    /// machine- and thread-count-dependent, which is why they ride
-    /// alongside the byte-stable report instead of inside it.
-    pub fn run_with_host_stats(self) -> (RunReport, HostScaling) {
-        let (trace, cfg) = self.materialize();
-        let vmm = Vmm::new(cfg);
-        let threads = cmcp_sim::resolve_threads(self.threads);
-        cmcp_sim::run_with_host_stats(&vmm, &trace, threads)
+        cmcp_sim::run(&vmm, &trace)
     }
 
     /// Like [`SimulationBuilder::run`], but records the fault-path event
@@ -289,7 +248,7 @@ impl SimulationBuilder {
         let (trace, cfg) = self.materialize();
         let cores = cfg.cores;
         let vmm = Vmm::with_tracer(cfg, RingTracer::new(cores, self.trace_capacity));
-        let report = self.dispatch(&vmm, &trace);
+        let report = cmcp_sim::run(&vmm, &trace);
         TracedRun {
             report,
             events: vmm.tracer().events(),

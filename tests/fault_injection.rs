@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use cmcp::arch::VirtPage;
-use cmcp::sim::{run_deterministic, Op, Trace};
+use cmcp::sim::{run, Op, Trace};
 use cmcp::trace::RingTracer;
 use cmcp::workloads::synthetic;
 use cmcp::{
@@ -79,7 +79,7 @@ fn seeded_plan_loses_no_dirty_writes_under_any_policy() {
             .with_policy(policy)
             .with_fault_plan(plan.clone());
         let vmm = Vmm::new(cfg);
-        let report = run_deterministic(&vmm, &t);
+        let report = run(&vmm, &t);
         assert!(
             report.global.evictions > 0,
             "{}: oracle needs eviction traffic",
@@ -110,7 +110,7 @@ fn quarantined_frames_stay_out_of_circulation() {
         .with_policy(PolicyKind::Cmcp { p: 0.5 })
         .with_fault_plan(FaultPlan::new(1).dma_errors(0.05));
     let vmm = Vmm::new(cfg);
-    let report = run_deterministic(&vmm, &t);
+    let report = run(&vmm, &t);
     let executed: u64 = report.per_core.iter().map(|c| c.dtlb_accesses).sum();
     assert_eq!(executed, touches);
     let (free, resident, quarantined, total) = vmm.frame_audit_pages();
@@ -175,7 +175,7 @@ fn cg_class_b_acceptance_run_is_reproducible_and_loses_nothing() {
             .with_policy(PolicyKind::Cmcp { p: 0.75 })
             .with_fault_plan(plan.clone());
         let vmm = Vmm::with_tracer(cfg, RingTracer::new(8, 1 << 16));
-        let report = run_deterministic(&vmm, &t);
+        let report = run(&vmm, &t);
         let events = vmm.tracer().events();
         (vmm, report, events)
     };
@@ -230,11 +230,11 @@ fn offload_death_degrades_syscalls_synchronously() {
     }
     let healthy = {
         let vmm = Vmm::new(KernelConfig::new(2, 16));
-        run_deterministic(&vmm, &t)
+        run(&vmm, &t)
     };
     let cfg = KernelConfig::new(2, 16).with_fault_plan(FaultPlan::new(3).offload_death_after(4));
     let vmm = Vmm::new(cfg);
-    let degraded = run_deterministic(&vmm, &t);
+    let degraded = run(&vmm, &t);
     assert!(vmm.offload_dead(), "engine must die after the 4th call");
     assert_eq!(degraded.global.sync_syscalls, 12 - 4);
     assert!(

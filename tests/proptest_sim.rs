@@ -116,7 +116,7 @@ proptest! {
     }
 
     /// Folding a trace's repeated runs into replays changes no report
-    /// byte, under any policy, memory pressure and thread count.
+    /// byte, under any policy and memory pressure.
     #[test]
     fn replays_report_like_their_copies(
         traces in looped_strategy(),
@@ -126,7 +126,6 @@ proptest! {
             Just(PolicyKind::Cmcp { p: 0.5 }),
         ],
         ratio in 0.3f64..1.2,
-        threads in 1usize..3,
     ) {
         let (copied, folded) = traces;
         prop_assert!(folded.validate().is_ok());
@@ -136,7 +135,6 @@ proptest! {
             let r = SimulationBuilder::trace(t.clone())
                 .policy(policy)
                 .memory_ratio(ratio)
-                .threads(threads)
                 .run();
             format!("{r:?}")
         };

@@ -22,7 +22,7 @@
 //! injection layer keys its sequences per tier, and a lost or doubly
 //! applied recovery would break the books or the conservation equality.
 
-use cmcp::sim::run_parallel;
+use cmcp::sim::run;
 use cmcp::workloads::synthetic;
 use cmcp::{
     CostModel, FaultPlan, KernelConfig, PageSize, PolicyKind, RunReport, SchemeChoice, TierConfig,
@@ -88,10 +88,10 @@ fn kernel_config(
 /// Runs the config and applies the full shadow-oracle audit battery
 /// before returning the report — on every leg, the flat hierarchy's
 /// one tier included.
-fn run_audited(cfg: KernelConfig, trace: &Trace, threads: usize) -> RunReport {
+fn run_audited(cfg: KernelConfig, trace: &Trace) -> RunReport {
     let faulted = cfg.fault_plan.is_some();
     let vmm = Vmm::new(cfg);
-    let report = run_parallel(&vmm, trace, threads);
+    let report = run(&vmm, trace);
 
     // Layer 2: span/book audit (panics on overlap, drift, or a bounded
     // tier over capacity) and device-frame conservation.
@@ -158,7 +158,6 @@ fn zero_cost_tiers_are_invisible_next_to_the_flat_reference() {
         let flat = run_audited(
             kernel_config(&t, policy, TierConfig::flat(), false, None, 0.5),
             &t,
-            1,
         );
         assert!(
             flat.global.evictions > 0 && flat.global.writebacks > 0,
@@ -168,7 +167,6 @@ fn zero_cost_tiers_are_invisible_next_to_the_flat_reference() {
         let tiered = run_audited(
             kernel_config(&t, policy, zero_cost_tiers(), false, None, 0.5),
             &t,
-            1,
         );
         assert_eq!(
             format!("{:?}", tiered.per_core),
@@ -214,7 +212,6 @@ fn tiered_books_balance_for_all_policies_with_and_without_faults() {
             let r = run_audited(
                 kernel_config(&t, policy, tight_tiers(), false, plan, 0.5),
                 &t,
-                4,
             );
             assert!(
                 r.global.evictions > 0,
@@ -250,7 +247,6 @@ fn tier_penalties_surface_in_the_report_and_only_for_costly_tiers() {
             0.5,
         ),
         &t,
-        1,
     );
     let penalty: u64 = costly.per_core.iter().map(|c| c.tier_penalty_cycles).sum();
     assert!(penalty > 0, "costly tiers must charge penalty cycles");
@@ -271,7 +267,6 @@ fn tier_penalties_surface_in_the_report_and_only_for_costly_tiers() {
             0.5,
         ),
         &t,
-        1,
     );
     assert_eq!(
         flat.per_core
@@ -298,7 +293,6 @@ fn map_count_ranking_sends_cold_spans_deeper() {
     let r = run_audited(
         kernel_config(&t, PolicyKind::Cmcp { p: 0.5 }, roomy, false, None, 0.5),
         &t,
-        1,
     );
     let tiers = r.tiers.as_ref().expect("tiered report");
     assert!(r.global.writebacks > 0, "pressure must write back");
@@ -333,7 +327,6 @@ fn adaptive_page_sizes_hold_the_same_books_under_tier_pressure() {
                     0.4,
                 ),
                 &t,
-                4,
             );
             assert!(
                 r.global.evictions > 0,
@@ -360,7 +353,6 @@ fn adaptive_splits_fire_under_pressure_and_books_still_balance() {
             0.35,
         ),
         &t,
-        2,
     );
     assert!(
         r.global.block_splits > 0,
@@ -371,10 +363,9 @@ fn adaptive_splits_fire_under_pressure_and_books_still_balance() {
 
 #[test]
 fn tiered_and_adaptive_runs_are_reproducible() {
-    // Same config, fresh kernel: byte-identical reports. The
-    // determinism matrix across thread counts lives in
-    // `thread_determinism.rs`; this pins run-to-run stability of the
-    // tier and adaptive state machines themselves.
+    // Same config, fresh kernel: byte-identical reports. The wider
+    // repeat-run matrix lives in `determinism.rs`; this pins run-to-run
+    // stability of the tier and adaptive state machines themselves.
     let t = pressure_trace();
     for adaptive in [false, true] {
         let run = || {
@@ -388,7 +379,6 @@ fn tiered_and_adaptive_runs_are_reproducible() {
                     0.5,
                 ),
                 &t,
-                4,
             )
         };
         assert_eq!(

@@ -5,7 +5,9 @@
 //! finished trace is small next to the matrix pattern it is walked
 //! from, and the pattern sets the peak: the build gives the pattern back
 //! row block by row block while it logs phase 1, so the two never sit
-//! on the heap whole at once.
+//! on the heap whole at once. Every finished trace, CG's and those of
+//! the workloads that log without sizing their vectors (LU, BT, SCALE),
+//! holds its ops with no spare capacity.
 //!
 //! This binary holds exactly one test, so nothing else allocates while it
 //! runs.
@@ -14,6 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cmcp::workloads::cg::{cg_trace, CgConfig};
+use cmcp::{Workload, WorkloadClass};
 
 /// Counts live heap bytes and their high-water mark. The counters
 /// publish no other data, so `Relaxed` suffices. `alloc_zeroed` keeps
@@ -95,5 +98,27 @@ fn cg_trace_build_peaks_near_the_finished_trace() {
             core.ops.len(),
             "core {c}'s op vector holds spare capacity"
         );
+    }
+    drop(trace);
+    for w in [
+        Workload::Lu(WorkloadClass::B),
+        Workload::Bt(WorkloadClass::B),
+        Workload::Scale(WorkloadClass::B),
+    ] {
+        let trace = w.trace(16);
+        let ops: usize = trace.cores.iter().map(|c| c.ops.len()).sum();
+        eprintln!(
+            "{}: {} B of ops",
+            w.label(),
+            ops * std::mem::size_of::<cmcp::sim::Op>()
+        );
+        for (c, core) in trace.cores.iter().enumerate() {
+            assert_eq!(
+                core.ops.capacity(),
+                core.ops.len(),
+                "{} core {c}'s op vector holds spare capacity",
+                w.label()
+            );
+        }
     }
 }
