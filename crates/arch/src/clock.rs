@@ -27,13 +27,11 @@ pub type Cycles = u64;
 /// A core's virtual clock: an owner-advanced cycle counter plus an
 /// atomically chargeable interrupt debt.
 ///
-/// The clock is `Sync` because the kernel shares it by `&self`; the
-/// engine itself advances every core on one thread. Each clock is
-/// 128-byte aligned (the adjacent-line prefetcher pairs 64-byte lines),
-/// a layout from when cores advanced on several host threads, kept
-/// until the kernel moves to `&mut self`.
+/// The words are `Relaxed` atomics because the kernel keeps the clocks
+/// outside its single-writer state and advances them through `&self`;
+/// the engine and the kernel run every core on one thread, so each word
+/// has one writer and program order orders every read.
 #[derive(Debug, Default)]
-#[repr(align(128))]
 pub struct CoreClock {
     /// Cycles the core has executed, advanced only by the owning context.
     cycles: AtomicU64,

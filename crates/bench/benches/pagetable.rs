@@ -61,7 +61,7 @@ fn bench_pspt_fault_path(c: &mut Criterion) {
     // The PSPT minor-fault path: consult directory, map into own table.
     let cores = 56;
     c.bench_function("pspt_map_copy_unmap_all", |b| {
-        let pspt = Pspt::new(cores);
+        let mut pspt = Pspt::new(cores);
         let mut slot = 0u64;
         b.iter(|| {
             let head = VirtPage(slot % 4096);
@@ -84,8 +84,8 @@ fn bench_invalidation_target_sets(c: &mut Criterion) {
     // PSPT returns the precise mapping set; regular tables must assume
     // every core. The *size* of these sets is what drives shootdowns.
     let cores = 56;
-    let pspt = Pspt::new(cores);
-    let reg = RegularTables::new(cores);
+    let mut pspt = Pspt::new(cores);
+    let mut reg = RegularTables::new(cores);
     for b in 0..1024u64 {
         pspt.map(
             CoreId((b % 3) as u16),

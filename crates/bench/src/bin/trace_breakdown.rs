@@ -4,7 +4,7 @@
 //! PSPT + CMCP at the paper's memory constraint.
 //!
 //! Every breakdown is validated event-by-event against the kernel's
-//! `CoreStats` counters before being reported — the run aborts if the
+//! `CoreStatsSnapshot` counters before being reported — the run aborts if the
 //! decomposition does not sum exactly.
 
 use serde::Serialize;

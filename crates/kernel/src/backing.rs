@@ -21,7 +21,7 @@
 //! adaptive page-size mode too, where a 2 MB write-back may later be
 //! refaulted — or partially overwritten — at 64 kB granularity.
 //!
-//! The store lives in the kernel's single-writer commit state
+//! The store lives in the kernel's single-writer state
 //! (`vmm::KernelState`), so it needs no synchronization of its own.
 
 use std::collections::VecDeque;

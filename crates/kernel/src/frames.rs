@@ -13,7 +13,7 @@
 //! is the whole allocator. Frame numbers are opaque to the simulation —
 //! no counter or report depends on *which* block a page lands in.
 //!
-//! The pool lives in the kernel's single-writer commit state
+//! The pool lives in the kernel's single-writer state
 //! (`vmm::KernelState`), so it needs no synchronization of its own.
 
 use cmcp_arch::{PageSize, PhysFrame};

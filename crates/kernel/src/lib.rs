@@ -44,5 +44,5 @@ pub use backing::{TierCounters, TieredStore};
 pub use config::{KernelConfig, SchemeChoice};
 pub use numa::{BlockNuma, NumaBooks};
 pub use offload::{OffloadEngine, Syscall};
-pub use stats::{CoreStats, CoreStatsSnapshot, GlobalStats, GlobalStatsSnapshot};
+pub use stats::{CoreStatsSnapshot, GlobalStatsSnapshot, NumaStats};
 pub use vmm::{FaultKind, Vmm};

@@ -63,9 +63,8 @@ pub struct BlockNuma {
 
 /// The per-run NUMA topology and the rules over it. It holds nothing
 /// mutable: each block's [`BlockNuma`] lives in its resident entry and
-/// the per-node used counts in the kernel's commit state, and the rules
-/// below update them in place. Only the sequential commit phase calls
-/// them, under the kernel's one state lock.
+/// the per-node used counts in the kernel's single-writer state, and the
+/// rules below update them in place.
 #[derive(Debug)]
 pub struct NumaBooks {
     /// Topology in force (validated at `Vmm` construction).

@@ -9,8 +9,8 @@
 //! the engine charges the round trip (queueing included) to the calling
 //! core's clock, so offload-heavy phases serialize visibly, which is
 //! precisely why the kernel design keeps them off the paging fast path.
-
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+//! The kernel holds the engine in its single-writer state, so the counts
+//! are plain integers behind `&mut self`.
 
 use cmcp_arch::{CoreClock, CoreId, Cycles, FaultInjector, IkcChannel, IkcMessage};
 
@@ -53,8 +53,8 @@ impl Syscall {
 #[derive(Debug)]
 pub struct OffloadEngine {
     channel: IkcChannel,
-    calls: Vec<AtomicU64>,
-    wait_cycles: Vec<AtomicU64>,
+    calls: Vec<u64>,
+    wait_cycles: Vec<u64>,
 }
 
 impl OffloadEngine {
@@ -63,28 +63,33 @@ impl OffloadEngine {
     pub fn new(cost: &CostModel, cores: usize) -> OffloadEngine {
         OffloadEngine {
             channel: IkcChannel::new(cost),
-            calls: (0..cores).map(|_| AtomicU64::new(0)).collect(),
-            wait_cycles: (0..cores).map(|_| AtomicU64::new(0)).collect(),
+            calls: vec![0; cores],
+            wait_cycles: vec![0; cores],
         }
     }
 
     /// Executes `call` on behalf of `core`, blocking its clock for the
     /// full round trip.
-    pub fn syscall(&self, core: CoreId, clock: &CoreClock, call: Syscall) -> Cycles {
+    pub fn syscall(&mut self, core: CoreId, clock: &CoreClock, call: Syscall) -> Cycles {
         let now = clock.now();
         let done = self.channel.round_trip(now, call.message());
         let wait = done.done_at.saturating_sub(now);
         clock.advance(wait);
-        self.calls[core.index()].fetch_add(1, Relaxed);
-        self.wait_cycles[core.index()].fetch_add(wait, Relaxed);
+        self.count(core, wait);
         wait
+    }
+
+    /// Counts one call by `core` that blocked it for `wait` cycles.
+    fn count(&mut self, core: CoreId, wait: Cycles) {
+        self.calls[core.index()] += 1;
+        self.wait_cycles[core.index()] += wait;
     }
 
     /// [`OffloadEngine::syscall`] with IKC fault injection: each dropped
     /// message costs the caller a resend timeout (folded into the
     /// returned wait). Returns the wait and the number of drops.
     pub fn syscall_with_faults(
-        &self,
+        &mut self,
         core: CoreId,
         clock: &CoreClock,
         call: Syscall,
@@ -94,8 +99,7 @@ impl OffloadEngine {
         let (done, drops) = self.channel.round_trip_checked(now, call.message(), inj);
         let wait = done.done_at.saturating_sub(now);
         clock.advance(wait);
-        self.calls[core.index()].fetch_add(1, Relaxed);
-        self.wait_cycles[core.index()].fetch_add(wait, Relaxed);
+        self.count(core, wait);
         (wait, drops)
     }
 
@@ -104,23 +108,22 @@ impl OffloadEngine {
     /// the message's service time both ways plus the doorbell hops it
     /// would have pipelined — strictly slower than a healthy offload,
     /// which is the degradation the run reports surface.
-    pub fn sync_syscall(&self, core: CoreId, clock: &CoreClock, call: Syscall) -> Cycles {
+    pub fn sync_syscall(&mut self, core: CoreId, clock: &CoreClock, call: Syscall) -> Cycles {
         let msg = call.message();
         let wait = 2 * self.channel.service_time(msg) + 4 * self.channel.latency();
         clock.advance(wait);
-        self.calls[core.index()].fetch_add(1, Relaxed);
-        self.wait_cycles[core.index()].fetch_add(wait, Relaxed);
+        self.count(core, wait);
         wait
     }
 
     /// Offloaded calls issued by `core`.
     pub fn calls(&self, core: CoreId) -> u64 {
-        self.calls[core.index()].load(Relaxed)
+        self.calls[core.index()]
     }
 
     /// Cycles `core` spent blocked on offloads.
     pub fn wait_cycles(&self, core: CoreId) -> u64 {
-        self.wait_cycles[core.index()].load(Relaxed)
+        self.wait_cycles[core.index()]
     }
 
     /// Total round trips across cores.
@@ -144,7 +147,7 @@ mod tests {
 
     #[test]
     fn syscall_blocks_the_caller() {
-        let e = engine(2);
+        let mut e = engine(2);
         let clock = CoreClock::new();
         let wait = e.syscall(CoreId(0), &clock, Syscall::Metadata);
         assert!(wait > 8_000, "at least the host service time: {wait}");
@@ -155,7 +158,7 @@ mod tests {
 
     #[test]
     fn writes_cost_more_with_more_bytes() {
-        let e = engine(1);
+        let mut e = engine(1);
         let clock = CoreClock::new();
         let small = e.syscall(CoreId(0), &clock, Syscall::Write(4 << 10));
         // Leave a gap so the channel is idle again.
@@ -170,10 +173,10 @@ mod tests {
 
     #[test]
     fn faulted_syscall_without_plan_matches_plain() {
-        let e = engine(1);
+        let mut e = engine(1);
         let clock = CoreClock::new();
         let plain = e.syscall(CoreId(0), &clock, Syscall::Metadata);
-        let e2 = engine(1);
+        let mut e2 = engine(1);
         let clock2 = CoreClock::new();
         let (wait, drops) = e2.syscall_with_faults(CoreId(0), &clock2, Syscall::Metadata, None);
         assert_eq!(drops, 0);
@@ -182,7 +185,7 @@ mod tests {
 
     #[test]
     fn sync_fallback_is_slower_than_healthy_offload() {
-        let e = engine(1);
+        let mut e = engine(1);
         let clock = CoreClock::new();
         let offloaded = e.syscall(CoreId(0), &clock, Syscall::Write(64 << 10));
         clock.advance(10_000_000);
@@ -196,7 +199,7 @@ mod tests {
 
     #[test]
     fn concurrent_callers_serialize_on_the_channel() {
-        let e = engine(4);
+        let mut e = engine(4);
         let clocks: Vec<CoreClock> = (0..4).map(|_| CoreClock::new()).collect();
         let waits: Vec<u64> = (0..4)
             .map(|c| e.syscall(CoreId(c as u16), &clocks[c], Syscall::Read(1 << 20)))

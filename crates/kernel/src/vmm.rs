@@ -25,10 +25,7 @@
 //! implementation, which performs real PTE scans and pays for the remote
 //! TLB invalidations x86 requires.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::{Ref, RefCell};
 
 use cmcp_arch::{
     dma::DmaDirection, CoreClock, CoreId, CoreSet, CostModel, Cycles, DmaModel, FaultInjector,
@@ -44,7 +41,7 @@ use crate::config::{KernelConfig, SchemeChoice};
 use crate::frames::FramePool;
 use crate::numa::{BlockNuma, NumaBooks};
 use crate::offload::{OffloadEngine, Syscall};
-use crate::stats::{owner_add, CoreStats, GlobalStats};
+use crate::stats::{CoreStatsSnapshot, GlobalStatsSnapshot, KernelStats, NumaStats};
 
 const LOCK_SHARDS: usize = 64;
 
@@ -63,12 +60,15 @@ const BACKOFF_CAP_SHIFT: u32 = 6;
 /// not unlucky, and the run aborts loudly instead of livelocking.
 const MAX_RECOVERY_ATTEMPTS: u32 = 64;
 
-/// Everything only the engine's sequential commit phase (phase B)
-/// mutates, behind the one lock in [`Vmm`]. Each kernel entry — a fault,
-/// a scan tick, a rebuild, a query — takes it once, and the phase
-/// barrier already orders phase B against phase A, so the lock is never
-/// contended; it exists so `Vmm` keeps its `&self` API and stays `Sync`.
-/// Phase A reads only page tables, mailboxes and clocks, never this.
+/// Everything the kernel mutates, behind the one [`RefCell`] in [`Vmm`].
+/// Each public entry — a fault, a walk, an accessed-bit update, a
+/// mailbox drain, a scan tick, a rebuild, a query — borrows the cell
+/// once, and its helpers take the borrowed parts, split by
+/// destructuring. The cell makes `Vmm` `!Sync`, so one thread makes
+/// every kernel call and no borrow can race another; a nested borrow is
+/// a bug that panics. The per-core clocks, the virtual-time resources,
+/// the DMA and ring models, the fault injector and the tracer stay
+/// outside: they keep `&self` APIs of their own.
 struct KernelState {
     /// The replacement policy. The kernel calls it directly, in commit
     /// order, so every decision sees every earlier residency event.
@@ -95,6 +95,21 @@ struct KernelState {
     /// to the resident block count on fixed-size runs; adaptive runs
     /// charge nothing (see [`Frames`]).
     numa_used: Vec<u64>,
+    /// The page tables: PSPT's per-core tables and core-map directory,
+    /// or the one shared table.
+    scheme: SchemeObj,
+    /// Each core's pending TLB invalidations, `(head, span_4k)` pairs,
+    /// applied by its runner: flat runs always post the configured block
+    /// span, adaptive runs the victim's actual granularity.
+    mailboxes: Vec<Vec<(VirtPage, u32)>>,
+    /// Every live counter.
+    stats: KernelStats,
+    offload: OffloadEngine,
+    /// Offloaded syscalls issued so far (drives the offload-death rule).
+    offload_calls: u64,
+    /// Latched once the offload engine dies; all later syscalls take the
+    /// synchronous fallback.
+    offload_dead: bool,
 }
 
 /// One resident block: its device frame head, mapping granularity
@@ -178,23 +193,34 @@ pub enum FaultKind {
 /// constant `false`), so untraced runs pay no cost for the
 /// instrumentation. Build a traced instance with
 /// [`Vmm::with_tracer`].
+///
+/// The API takes `&self`, and everything the kernel mutates sits in one
+/// non-thread-safe cell, a [`RefCell`]. So a `Vmm` can move to
+/// another thread (it is `Send`), but cannot be shared between threads:
+/// the compiler, not a lock, keeps each kernel on one thread.
+///
+/// ```compile_fail,E0277
+/// use cmcp_kernel::{KernelConfig, Vmm};
+///
+/// let vmm = Vmm::new(KernelConfig::new(2, 4));
+/// std::thread::scope(|s| {
+///     s.spawn(|| vmm.resident_blocks());
+/// });
+/// ```
+///
+/// Accessors that return a [`Ref`] hold a shared borrow of the state:
+/// drop it before the next kernel entry, which would otherwise panic.
 pub struct Vmm<R: Recorder = NullTracer> {
     cfg: KernelConfig,
-    scheme: SchemeObj,
-    /// The single-writer commit state (see [`KernelState`]).
-    state: Mutex<KernelState>,
+    /// The single-writer kernel state (see [`KernelState`]).
+    state: RefCell<KernelState>,
     dma: DmaModel,
     ring: RingModel,
     /// Regular tables: one address-space-wide lock.
     pt_global_lock: VirtualResource,
     /// PSPT: sharded fine-grained locks.
     pt_shard_locks: Vec<VirtualResource>,
-    clocks: Arc<Vec<CoreClock>>,
-    /// Pending TLB invalidations per core, applied by the owning core.
-    mailboxes: Vec<Mailbox>,
-    core_stats: Vec<CoreStats>,
-    global: GlobalStats,
-    offload: OffloadEngine,
+    clocks: Vec<CoreClock>,
     /// NUMA topology and placement rules — home nodes, replica sets,
     /// per-node budgets. A single-node run is its one-node case: every
     /// block homes on node 0, and nothing crosses a link.
@@ -202,35 +228,15 @@ pub struct Vmm<R: Recorder = NullTracer> {
     /// Compiled fault plan; `None` leaves every fault-injection branch
     /// cold and the run bit-identical to a plan-free build.
     injector: Option<FaultInjector>,
-    /// Offloaded syscalls issued so far (drives the offload-death rule).
-    offload_calls: AtomicU64,
-    /// Latched once the offload engine dies; all later syscalls take the
-    /// synchronous fallback.
-    offload_dead: AtomicBool,
     tracer: R,
 }
 
-/// One core's pending TLB invalidations: `(head, span_4k)` pairs — flat
-/// runs always post the configured block span; adaptive runs post the
-/// victim's actual granularity. 128-byte aligned (the adjacent-line
-/// prefetcher pairs 64-byte lines): phase A reads the flag on every
-/// runner entry, and neighbouring cores once advanced on different host
-/// threads. The flag, lock and alignment stay until the kernel moves to
-/// `&mut self`.
-#[derive(Default)]
-#[repr(align(128))]
-struct Mailbox {
-    /// Hint that `posted` is non-empty, read without the lock.
-    pending: AtomicBool,
-    posted: Mutex<Vec<(VirtPage, u32)>>,
-}
-
-impl Mailbox {
-    fn post(&self, page: VirtPage, span: u32) {
-        self.posted.lock().push((page, span));
-        self.pending.store(true, Relaxed);
-    }
-}
+// A kernel moves to the thread that runs it (independent runs build one
+// per worker); the doctest above shows it cannot be shared.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Vmm<NullTracer>>();
+};
 
 /// Static dispatch over the two schemes (keeps the fault path free of a
 /// per-call vtable and lets `sharing_histogram` stay PSPT-specific).
@@ -239,13 +245,14 @@ enum SchemeObj {
     Pspt(Pspt),
 }
 
-/// Monomorphized scheme call: expands the two-armed match at the call
-/// site so each arm invokes the concrete scheme's method directly — no
-/// `&dyn TableScheme` indirection, so the per-fault `translate`/`map`
-/// calls inline across the crate boundary under LTO.
+/// Monomorphized scheme call on a `&SchemeObj` or `&mut SchemeObj`:
+/// expands the two-armed match at the call site so each arm invokes the
+/// concrete scheme's method directly — no `&dyn TableScheme`
+/// indirection, so the per-fault `translate`/`map` calls inline across
+/// the crate boundary under LTO.
 macro_rules! with_scheme {
-    ($vmm:expr, $s:ident => $call:expr) => {
-        match &$vmm.scheme {
+    ($scheme:expr, $s:ident => $call:expr) => {
+        match $scheme {
             SchemeObj::Regular($s) => $call,
             SchemeObj::Pspt($s) => $call,
         }
@@ -281,18 +288,13 @@ impl<R: Recorder> Vmm<R> {
             cfg.cost.numa.is_single() || !cfg.adaptive,
             "adaptive page sizes are not supported on multi-node NUMA topologies"
         );
-        let scheme = match cfg.scheme {
-            SchemeChoice::Regular => SchemeObj::Regular(RegularTables::new(cfg.cores)),
-            SchemeChoice::Pspt => SchemeObj::Pspt(Pspt::new(cfg.cores)),
-        };
         // One span per device block: a run under pressure writes back
         // about that many (lu.C at 66% memory holds 11.9K spans over
         // 11.4K blocks), so the span map rarely grows mid-run.
         let mut backing = TieredStore::new(cfg.tiers());
         backing.reserve_spans(cfg.device_blocks);
         Vmm {
-            scheme,
-            state: Mutex::new(KernelState {
+            state: RefCell::new(KernelState {
                 policy: cfg.policy.build(cfg.device_blocks),
                 // Twice the device's blocks: a hashbrown table rehashes
                 // its tombstones in place only while at most half full,
@@ -315,20 +317,23 @@ impl<R: Recorder> Vmm<R> {
                 },
                 backing,
                 numa_used: vec![0; cfg.cost.numa.len()],
+                scheme: match cfg.scheme {
+                    SchemeChoice::Regular => SchemeObj::Regular(RegularTables::new(cfg.cores)),
+                    SchemeChoice::Pspt => SchemeObj::Pspt(Pspt::new(cfg.cores)),
+                },
+                mailboxes: vec![Vec::new(); cfg.cores],
+                stats: KernelStats::new(cfg.cores),
+                offload: OffloadEngine::new(&cfg.cost, cfg.cores),
+                offload_calls: 0,
+                offload_dead: false,
             }),
             dma: DmaModel::with_clients(&cfg.cost, cfg.cores),
             ring: RingModel::new(cfg.cores, &cfg.cost),
             pt_global_lock: VirtualResource::new(),
             pt_shard_locks: (0..LOCK_SHARDS).map(|_| VirtualResource::new()).collect(),
-            clocks: Arc::new((0..cfg.cores).map(|_| CoreClock::new()).collect()),
-            mailboxes: (0..cfg.cores).map(|_| Mailbox::default()).collect(),
-            core_stats: (0..cfg.cores).map(|_| CoreStats::default()).collect(),
-            global: GlobalStats::default(),
-            offload: OffloadEngine::new(&cfg.cost, cfg.cores),
+            clocks: (0..cfg.cores).map(|_| CoreClock::new()).collect(),
             numa: NumaBooks::new(cfg.cost.numa.clone(), cfg.cores, cfg.device_blocks),
             injector: cfg.fault_plan.as_ref().map(FaultInjector::new),
-            offload_calls: AtomicU64::new(0),
-            offload_dead: AtomicBool::new(false),
             tracer,
             cfg,
         }
@@ -347,7 +352,7 @@ impl<R: Recorder> Vmm<R> {
     }
 
     /// The per-core virtual clocks (shared with the engine).
-    pub fn clocks(&self) -> &Arc<Vec<CoreClock>> {
+    pub fn clocks(&self) -> &[CoreClock] {
         &self.clocks
     }
 
@@ -361,14 +366,20 @@ impl<R: Recorder> Vmm<R> {
         &self.cfg.cost
     }
 
-    /// Per-core statistics.
-    pub fn core_stats(&self) -> &[CoreStats] {
-        &self.core_stats
+    /// Per-core statistics. The engine's TLB counts and clocks are not
+    /// in them: the report fills `dtlb_*` and `cycles` in its copy.
+    pub fn core_stats(&self) -> Ref<'_, [CoreStatsSnapshot]> {
+        Ref::map(self.state.borrow(), |s| s.stats.per_core.as_slice())
     }
 
     /// Kernel-global statistics.
-    pub fn global_stats(&self) -> &GlobalStats {
-        &self.global
+    pub fn global_stats(&self) -> GlobalStatsSnapshot {
+        self.state.borrow().stats.global
+    }
+
+    /// The NUMA counters kept out of the serialized statistics.
+    pub fn numa_stats(&self) -> Ref<'_, NumaStats> {
+        Ref::map(self.state.borrow(), |s| &s.stats.numa)
     }
 
     /// The DMA engine (for occupancy reporting).
@@ -388,7 +399,7 @@ impl<R: Recorder> Vmm<R> {
 
     /// Currently resident blocks.
     pub fn resident_blocks(&self) -> usize {
-        self.state.lock().resident.len()
+        self.state.borrow().resident.len()
     }
 
     /// Free blocks in the fixed-size frame pool; `None` for adaptive
@@ -396,7 +407,7 @@ impl<R: Recorder> Vmm<R> {
     /// at most this many fresh majors commit before any frame is freed,
     /// no allocation can fail and no eviction can fire.
     pub fn pool_free_blocks(&self) -> Option<usize> {
-        match &self.state.lock().frames {
+        match &self.state.borrow().frames {
             Frames::Pool(p) => Some(p.free_blocks()),
             Frames::Buddy(_) => None,
         }
@@ -407,8 +418,8 @@ impl<R: Recorder> Vmm<R> {
     /// retry — and emits its `ShardLock` event with the block head.
     /// Zero virtual cycles: it is host-side bookkeeping, kept exact
     /// because `shard_lock_acquires` is in the report.
-    fn note_residency(&self, core: CoreId, head: VirtPage) {
-        owner_add(&self.core_stats[core.index()].shard_lock_acquires, 1);
+    fn note_residency(&self, stats: &mut KernelStats, core: CoreId, head: VirtPage) {
+        stats.per_core[core.index()].shard_lock_acquires += 1;
         if R::ENABLED {
             self.tracer.record(
                 core.0,
@@ -427,13 +438,13 @@ impl<R: Recorder> Vmm<R> {
 
     /// Whether the offload engine has died under the fault plan.
     pub fn offload_dead(&self) -> bool {
-        self.offload_dead.load(Relaxed)
+        self.state.borrow().offload_dead
     }
 
     /// Whether `page` is currently resident in device RAM (any block
     /// granularity). Quiescent-state query for the test oracles.
     pub fn block_resident(&self, page: VirtPage) -> bool {
-        let state = self.state.lock();
+        let state = self.state.borrow();
         if self.cfg.adaptive {
             covering_entry(&state.resident, page).is_some()
         } else {
@@ -444,13 +455,13 @@ impl<R: Recorder> Vmm<R> {
     /// Whether the backing store holds a written-back copy of `page`.
     /// Quiescent-state query for the test oracles.
     pub fn backing_contains(&self, page: VirtPage) -> bool {
-        self.state.lock().backing.contains(page, 1)
+        self.state.borrow_mut().backing.contains(page, 1)
     }
 
     /// Per-tier backing-store occupancy and traffic counters, fastest
     /// tier first (one tier on the flat config).
     pub fn tier_counters(&self) -> Vec<TierCounters> {
-        self.state.lock().backing.tier_counters().to_vec()
+        self.state.borrow().backing.tier_counters().to_vec()
     }
 
     /// The NUMA topology and placement rules.
@@ -460,20 +471,24 @@ impl<R: Recorder> Vmm<R> {
 
     /// Per-node used-block counts (exact at quiescence), one per node.
     pub fn numa_used(&self) -> Vec<u64> {
-        self.state.lock().numa_used.clone()
+        self.state.borrow().numa_used.clone()
     }
 
     /// The `(home node, replica mask)` of a resident block.
     /// Test-oracle hook.
     pub fn numa_block_state(&self, head: VirtPage) -> Option<BlockNuma> {
-        self.state.lock().resident.get(&head.0).map(|ent| ent.numa)
+        self.state
+            .borrow()
+            .resident
+            .get(&head.0)
+            .map(|ent| ent.numa)
     }
 
     /// Bitmask of nodes with at least one core currently mapping
     /// `head`. Test-oracle hook for the replica-subset invariant.
     pub fn mapping_node_mask(&self, head: VirtPage) -> u8 {
         let mut mask = 0u8;
-        for c in with_scheme!(self, s => s.mapping_cores(head)).iter() {
+        for c in with_scheme!(&self.state.borrow().scheme, s => s.mapping_cores(head)).iter() {
             mask |= 1 << self.numa.node_of(c.index());
         }
         mask
@@ -482,7 +497,7 @@ impl<R: Recorder> Vmm<R> {
     /// Backing-store invariant audit: panics on span overlap, per-tier
     /// book drift, or a bounded tier over capacity. Test-oracle hook.
     pub fn backing_audit(&self) {
-        self.state.lock().backing.audit();
+        self.state.borrow().backing.audit();
     }
 
     /// Frame-conservation audit in 4 kB pages, valid for both allocator
@@ -490,7 +505,7 @@ impl<R: Recorder> Vmm<R> {
     /// point `free + resident + quarantined == total` — a lost or doubly
     /// freed frame breaks the equality.
     pub fn frame_audit_pages(&self) -> (u64, u64, u64, u64) {
-        let state = self.state.lock();
+        let state = self.state.borrow();
         let resident: u64 = state
             .resident
             .values()
@@ -518,8 +533,8 @@ impl<R: Recorder> Vmm<R> {
     /// Records one injected fault against `core`: bumps the per-core
     /// counter and emits the paired `FaultInjected` event (zero cycles —
     /// the recovery events carry the time).
-    fn note_injected(&self, core: CoreId, site: FaultSite, attempt: u64) {
-        owner_add(&self.core_stats[core.index()].faults_injected, 1);
+    fn note_injected(&self, stats: &mut KernelStats, core: CoreId, site: FaultSite, attempt: u64) {
+        stats.per_core[core.index()].faults_injected += 1;
         if R::ENABLED {
             self.tracer.record(
                 core.0,
@@ -535,13 +550,13 @@ impl<R: Recorder> Vmm<R> {
     /// retries a failed operation at `site`. Only called inside a fault
     /// window, so the delay is a `fault_cycles` component — the emitted
     /// `Retry` event carries the exact increment for the breakdown.
-    fn charge_backoff(&self, core: CoreId, attempt: u32, site: FaultSite) {
+    fn charge_backoff(&self, stats: &mut KernelStats, core: CoreId, attempt: u32, site: FaultSite) {
         let delay = BACKOFF_BASE << attempt.min(BACKOFF_CAP_SHIFT);
         let clock = &self.clocks[core.index()];
         clock.advance(delay);
-        let st = &self.core_stats[core.index()];
-        owner_add(&st.fault_retries, 1);
-        owner_add(&st.retry_backoff_cycles, delay);
+        let st = &mut stats.per_core[core.index()];
+        st.fault_retries += 1;
+        st.retry_backoff_cycles += delay;
         if R::ENABLED {
             self.tracer
                 .record(core.0, clock.now(), EventKind::Retry, delay, site.code());
@@ -550,7 +565,7 @@ impl<R: Recorder> Vmm<R> {
 
     /// Figure 6's histogram (PSPT only): blocks by mapping-core count.
     pub fn sharing_histogram(&self) -> Option<Vec<usize>> {
-        match &self.scheme {
+        match &self.state.borrow().scheme {
             SchemeObj::Pspt(p) => Some(p.sharing_histogram()),
             SchemeObj::Regular(_) => None,
         }
@@ -558,31 +573,26 @@ impl<R: Recorder> Vmm<R> {
 
     /// Hardware page walk on behalf of `core`.
     pub fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation> {
-        with_scheme!(self, s => s.translate(core, page))
+        with_scheme!(&self.state.borrow().scheme, s => s.translate(core, page))
     }
 
     /// Hardware accessed/dirty-bit update after a successful walk or a
     /// first write to a clean TLB entry.
     pub fn mark_accessed(&self, core: CoreId, page: VirtPage, write: bool) {
-        with_scheme!(self, s => s.mark_accessed(core, page, write));
+        with_scheme!(&mut self.state.borrow_mut().scheme, s => s.mark_accessed(core, page, write));
     }
 
-    /// Whether `core` has pending TLB invalidations (lock-free check).
+    /// Whether `core` has pending TLB invalidations.
     #[inline]
     pub fn has_pending_invalidations(&self, core: CoreId) -> bool {
-        self.mailboxes[core.index()].pending.load(Relaxed)
+        !self.state.borrow().mailboxes[core.index()].is_empty()
     }
 
     /// Drains `core`'s pending invalidations — `(head, span_4k)` pairs —
     /// into `out` (the engine applies them to the core's TLB; the
     /// interrupt cost was already charged by the shootdown).
     pub fn drain_invalidations(&self, core: CoreId, out: &mut Vec<(VirtPage, u32)>) {
-        if !self.has_pending_invalidations(core) {
-            return;
-        }
-        let mb = &self.mailboxes[core.index()];
-        out.append(&mut mb.posted.lock());
-        mb.pending.store(false, Relaxed);
+        out.append(&mut self.state.borrow_mut().mailboxes[core.index()]);
     }
 
     /// Virtual-time period of the statistics scan timer.
@@ -591,8 +601,8 @@ impl<R: Recorder> Vmm<R> {
     }
 
     /// The syscall-offload engine (IKC to the host).
-    pub fn offload(&self) -> &OffloadEngine {
-        &self.offload
+    pub fn offload(&self) -> Ref<'_, OffloadEngine> {
+        Ref::map(self.state.borrow(), |s| &s.offload)
     }
 
     /// Executes a host-offloaded system call on behalf of `core`.
@@ -604,26 +614,36 @@ impl<R: Recorder> Vmm<R> {
     pub fn offload_syscall(&self, core: CoreId, call: Syscall) -> Cycles {
         let clock = &self.clocks[core.index()];
         let inj = self.injector.as_ref();
+        let mut state = self.state.borrow_mut();
+        let KernelState {
+            stats,
+            offload,
+            offload_calls,
+            offload_dead,
+            ..
+        } = &mut *state;
         if let Some(threshold) = inj.and_then(|i| i.offload_death_after()) {
-            let n = self.offload_calls.fetch_add(1, Relaxed);
-            if n >= threshold && !self.offload_dead.swap(true, Relaxed) {
-                self.note_injected(core, FaultSite::Offload, n);
+            let n = *offload_calls;
+            *offload_calls += 1;
+            if n >= threshold && !*offload_dead {
+                *offload_dead = true;
+                self.note_injected(stats, core, FaultSite::Offload, n);
             }
         }
-        if self.offload_dead.load(Relaxed) {
-            let wait = self.offload.sync_syscall(core, clock, call);
-            self.global.sync_syscalls.fetch_add(1, Relaxed);
+        if *offload_dead {
+            let wait = offload.sync_syscall(core, clock, call);
+            stats.global.sync_syscalls += 1;
             return wait;
         }
-        let (wait, drops) = self.offload.syscall_with_faults(core, clock, call, inj);
+        let (wait, drops) = offload.syscall_with_faults(core, clock, call, inj);
         if drops > 0 {
             // Drop timeouts happen outside fault windows, so they are
             // *not* retry-backoff cycles — each drop is surfaced as an
             // injected fault only, and the timeout itself is already in
             // the offload wait.
-            self.global.ikc_drops.fetch_add(drops as u64, Relaxed);
+            stats.global.ikc_drops += drops as u64;
             for k in 0..drops as u64 {
-                self.note_injected(core, FaultSite::Ikc, k);
+                self.note_injected(stats, core, FaultSite::Ikc, k);
             }
         }
         wait
@@ -643,10 +663,13 @@ impl<R: Recorder> Vmm<R> {
         }
         let mut torn = 0;
         let mut dropped = 0u64;
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let KernelState {
             resident,
             pending_dirty,
+            scheme,
+            mailboxes,
+            stats,
             ..
         } = &mut *state;
         for (&head, ent) in resident.iter_mut() {
@@ -656,12 +679,13 @@ impl<R: Recorder> Vmm<R> {
             dropped += u64::from(ent.numa.mask.count_ones());
             ent.numa.mask = 0;
             let head = VirtPage(head);
-            if let Some(out) = with_scheme!(self, s => s.unmap_all(head, ent.size)) {
+            if let Some(out) = with_scheme!(&mut *scheme, s => s.unmap_all(head, ent.size)) {
                 torn += 1;
                 // The rebuild runs on the dedicated maintenance
                 // hyperthreads (like the scan timer); targets still pay
                 // their interrupt cost.
-                self.shootdown(None, head, ent.size.pages_4k() as u32, &out.mappers);
+                let span = ent.size.pages_4k() as u32;
+                self.shootdown(stats, mailboxes, None, head, span, &out.mappers);
                 // Unmapping discards the PTE dirty bits; remember the
                 // write-back debt for the eventual eviction.
                 if out.dirty {
@@ -671,10 +695,8 @@ impl<R: Recorder> Vmm<R> {
         }
         // Count the dropped replicas (the maintenance hyperthreads' own
         // time is free, like the scan timer's).
-        self.global
-            .replica_invalidations
-            .fetch_add(dropped, Relaxed);
-        self.global.rebuilds.fetch_add(1, Relaxed);
+        stats.numa.replica_invalidations += dropped;
+        stats.global.rebuilds += 1;
         if R::ENABLED {
             self.tracer.record(
                 MAINTENANCE_CORE,
@@ -694,7 +716,7 @@ impl<R: Recorder> Vmm<R> {
 
     /// Whether the configured policy uses the scan timer at all.
     pub fn wants_periodic_scan(&self) -> bool {
-        self.state.lock().policy.wants_periodic_scan()
+        self.state.borrow().policy.wants_periodic_scan()
     }
 
     #[inline]
@@ -742,15 +764,23 @@ impl<R: Recorder> Vmm<R> {
     /// wait to that core (and counts it as sender); `None` models the
     /// dedicated statistics hyperthreads, whose own time is free but whose
     /// IPIs still interrupt every target.
-    fn shootdown(&self, requester: Option<CoreId>, page: VirtPage, span: u32, targets: &CoreSet) {
+    fn shootdown(
+        &self,
+        stats: &mut KernelStats,
+        mailboxes: &mut [Vec<(VirtPage, u32)>],
+        requester: Option<CoreId>,
+        page: VirtPage,
+        span: u32,
+        targets: &CoreSet,
+    ) {
         let source = requester.unwrap_or(CoreId(0));
         let cost = self.ring.shootdown(source, targets);
         if cost.targets > 0 {
             if let Some(req) = requester {
                 self.clocks[req.index()].advance(cost.requester);
-                let st = &self.core_stats[req.index()];
-                owner_add(&st.shootdown_cycles, cost.requester);
-                owner_add(&st.remote_inv_sent, cost.targets as u64);
+                let st = &mut stats.per_core[req.index()];
+                st.shootdown_cycles += cost.requester;
+                st.remote_inv_sent += cost.targets as u64;
                 if R::ENABLED {
                     self.tracer.record(
                         req.0,
@@ -766,10 +796,8 @@ impl<R: Recorder> Vmm<R> {
                     continue;
                 }
                 self.clocks[t.index()].charge_remote(cost.per_target);
-                self.core_stats[t.index()]
-                    .remote_inv_received
-                    .fetch_add(1, Relaxed);
-                self.mailboxes[t.index()].post(page, span);
+                stats.per_core[t.index()].remote_inv_received += 1;
+                mailboxes[t.index()].push((page, span));
                 if R::ENABLED {
                     self.tracer.record(
                         t.0,
@@ -785,7 +813,7 @@ impl<R: Recorder> Vmm<R> {
         if let Some(req) = requester {
             if targets.contains(req) {
                 self.clocks[req.index()].advance(self.cfg.cost.tlb_invlpg);
-                self.mailboxes[req.index()].post(page, span);
+                mailboxes[req.index()].push((page, span));
             }
         }
     }
@@ -796,14 +824,14 @@ impl<R: Recorder> Vmm<R> {
     /// bandwidth, so flat runs take the early return and stay
     /// byte-identical to the pre-tier code (no clock advance, no
     /// counter, no event).
-    fn charge_tier_penalty(&self, core: CoreId, tier: usize, bytes: u64) {
+    fn charge_tier_penalty(&self, stats: &mut KernelStats, core: CoreId, tier: usize, bytes: u64) {
         let pen = self.cfg.tiers().tiers[tier].penalty(bytes);
         if pen == 0 {
             return;
         }
         let clock = &self.clocks[core.index()];
         clock.advance(pen);
-        owner_add(&self.core_stats[core.index()].tier_penalty_cycles, pen);
+        stats.per_core[core.index()].tier_penalty_cycles += pen;
         if R::ENABLED {
             self.tracer.record(
                 core.0,
@@ -820,13 +848,20 @@ impl<R: Recorder> Vmm<R> {
     /// invalidation (`op` 1) reaching `node` — with the paired
     /// exact-cost event. Zero charges are silent, like every other
     /// conditional cost layer.
-    fn charge_replica(&self, core: CoreId, cycles: Cycles, op: u64, node: u8) {
+    fn charge_replica(
+        &self,
+        stats: &mut KernelStats,
+        core: CoreId,
+        cycles: Cycles,
+        op: u64,
+        node: u8,
+    ) {
         if cycles == 0 {
             return;
         }
         let clock = &self.clocks[core.index()];
         clock.advance(cycles);
-        owner_add(&self.core_stats[core.index()].replica_sync_cycles, cycles);
+        stats.numa.replica_sync_cycles[core.index()] += cycles;
         if R::ENABLED {
             self.tracer.record(
                 core.0,
@@ -842,15 +877,15 @@ impl<R: Recorder> Vmm<R> {
     /// home node (spilling — one link crossing — when the faulting
     /// core's node is full) and returns its state for the resident
     /// entry.
-    fn numa_on_insert(&self, core: CoreId, used: &mut [u64]) -> BlockNuma {
+    fn numa_on_insert(&self, stats: &mut KernelStats, core: CoreId, used: &mut [u64]) -> BlockNuma {
         let books = &self.numa;
         let (ent, spilled) = books.on_insert(core.index(), used);
         if let Some(home) = spilled {
-            self.global.remote_spills.fetch_add(1, Relaxed);
+            stats.numa.remote_spills += 1;
             let cost = books
                 .config
                 .cross_latency(books.node_of(core.index()) as usize, home as usize);
-            self.charge_replica(core, cost, 0, home);
+            self.charge_replica(stats, core, cost, 0, home);
         }
         ent
     }
@@ -861,31 +896,39 @@ impl<R: Recorder> Vmm<R> {
     /// check against the block's current mapping-node histogram — the
     /// CMCP map-count-weighted access center. Updates the block's state
     /// `ent` and the per-node `used` counts in place.
-    fn numa_on_map(&self, core: CoreId, head: VirtPage, ent: &mut BlockNuma, used: &mut [u64]) {
+    fn numa_on_map(
+        &self,
+        scheme: &SchemeObj,
+        stats: &mut KernelStats,
+        core: CoreId,
+        head: VirtPage,
+        ent: &mut BlockNuma,
+        used: &mut [u64],
+    ) {
         let books = &self.numa;
         let d = books.on_map(core.index(), ent, used, |counts| {
-            for c in with_scheme!(self, s => s.mapping_cores(head)).iter() {
+            for c in with_scheme!(scheme, s => s.mapping_cores(head)).iter() {
                 counts[books.node_of(c.index()) as usize] += 1;
             }
         });
         if let Some(home) = d.sync_with {
             if d.counted_sync {
-                self.global.replica_syncs.fetch_add(1, Relaxed);
+                stats.numa.replica_syncs += 1;
             }
             let cost = books
                 .config
                 .cross_latency(books.node_of(core.index()) as usize, home as usize);
-            self.charge_replica(core, cost, 0, home);
+            self.charge_replica(stats, core, cost, 0, home);
         }
         if let Some((from, to)) = d.migrate {
-            self.global.page_migrations.fetch_add(1, Relaxed);
+            stats.numa.page_migrations += 1;
             let pen = books
                 .config
                 .xfer_penalty(from as usize, to as usize, self.block_bytes());
             if pen > 0 {
                 let clock = &self.clocks[core.index()];
                 clock.advance(pen);
-                owner_add(&self.core_stats[core.index()].migration_cycles, pen);
+                stats.numa.migration_cycles[core.index()] += pen;
                 if R::ENABLED {
                     self.tracer.record(
                         core.0,
@@ -911,21 +954,24 @@ impl<R: Recorder> Vmm<R> {
     /// single master table before handing the frame out, and when the
     /// home is remote that is one synchronous link crossing. `ent` is
     /// the victim's final state.
-    fn numa_on_evict(&self, requester: CoreId, ent: BlockNuma, used: &mut [u64]) {
+    fn numa_on_evict(
+        &self,
+        stats: &mut KernelStats,
+        requester: CoreId,
+        ent: BlockNuma,
+        used: &mut [u64],
+    ) {
         let books = &self.numa;
         NumaBooks::on_evict(ent, used);
         let req_node = books.node_of(requester.index());
         if books.config.replicate {
-            let dropped = u64::from(ent.mask.count_ones());
-            self.global
-                .replica_invalidations
-                .fetch_add(dropped, Relaxed);
+            stats.numa.replica_invalidations += u64::from(ent.mask.count_ones());
         } else if ent.home != req_node {
-            self.global.replica_invalidations.fetch_add(1, Relaxed);
+            stats.numa.replica_invalidations += 1;
             let cost = books
                 .config
                 .cross_latency(req_node as usize, ent.home as usize);
-            self.charge_replica(requester, cost, 1, ent.home);
+            self.charge_replica(stats, requester, cost, 1, ent.home);
         }
     }
 
@@ -938,22 +984,21 @@ impl<R: Recorder> Vmm<R> {
     /// code. Each injected DMA error burns a real engine slot (the data
     /// crossed the link before the abort), charges the full wait, then
     /// backs off exponentially and retries; each injected ENOSPC backs
-    /// off and re-submits the store. A write-back that needed any
-    /// retry — or that ran after offload-engine death — has lost the
-    /// async offload pipeline and is counted as degraded to the
-    /// synchronous path (`GlobalStats::sync_writebacks`). The victim's
-    /// data is never dropped: this returns only once the host store
-    /// accepted the block.
+    /// off and re-submits the store. Returns whether any retry was
+    /// needed: such a write-back has lost the async offload pipeline
+    /// (the caller counts it in `sync_writebacks`). The victim's data
+    /// is never dropped: this returns only once the host store accepted
+    /// the block.
     fn write_back(
         &self,
         backing: &mut TieredStore,
+        stats: &mut KernelStats,
         requester: CoreId,
         victim: VirtPage,
         pages: u64,
         rank: usize,
-    ) {
+    ) -> bool {
         let clock = &self.clocks[requester.index()];
-        let st = &self.core_stats[requester.index()];
         let inj = self.injector.as_ref();
         let bytes = pages * PageSize::K4.bytes();
         let tier = rank.min(self.cfg.tiers().tiers.len() - 1);
@@ -970,7 +1015,7 @@ impl<R: Recorder> Vmm<R> {
             );
             let wait = c.reservation.end.saturating_sub(clock.now());
             clock.advance(wait);
-            owner_add(&st.dma_wait_cycles, wait);
+            stats.per_core[requester.index()].dma_wait_cycles += wait;
             if R::ENABLED {
                 self.tracer.record(
                     requester.0,
@@ -981,15 +1026,15 @@ impl<R: Recorder> Vmm<R> {
                 );
             }
             if c.spike_cycles > 0 {
-                self.global.latency_spikes.fetch_add(1, Relaxed);
-                self.note_injected(requester, FaultSite::DmaLatency, attempt as u64);
+                stats.global.latency_spikes += 1;
+                self.note_injected(stats, requester, FaultSite::DmaLatency, attempt as u64);
             }
             if !c.failed {
                 break;
             }
-            self.global.dma_errors.fetch_add(1, Relaxed);
-            self.note_injected(requester, FaultSite::DmaOut, attempt as u64);
-            self.charge_backoff(requester, attempt, FaultSite::DmaOut);
+            stats.global.dma_errors += 1;
+            self.note_injected(stats, requester, FaultSite::DmaOut, attempt as u64);
+            self.charge_backoff(stats, requester, attempt, FaultSite::DmaOut);
             attempt += 1;
             assert!(
                 attempt < MAX_RECOVERY_ATTEMPTS,
@@ -1000,32 +1045,28 @@ impl<R: Recorder> Vmm<R> {
         loop {
             let out = backing.try_store(victim, pages, rank, inj);
             if out.stored {
-                self.charge_tier_penalty(requester, out.tier, bytes);
-                if out.demoted > 0 {
-                    self.global.tier_demotions.fetch_add(out.demoted, Relaxed);
-                }
+                self.charge_tier_penalty(stats, requester, out.tier, bytes);
+                stats.global.tier_demotions += out.demoted;
                 break;
             }
-            self.global.enospc_events.fetch_add(1, Relaxed);
-            self.note_injected(requester, FaultSite::Backing, store_attempt as u64);
-            self.charge_backoff(requester, store_attempt, FaultSite::Backing);
+            stats.global.enospc_events += 1;
+            self.note_injected(stats, requester, FaultSite::Backing, store_attempt as u64);
+            self.charge_backoff(stats, requester, store_attempt, FaultSite::Backing);
             store_attempt += 1;
             assert!(
                 store_attempt < MAX_RECOVERY_ATTEMPTS,
                 "{MAX_RECOVERY_ATTEMPTS} consecutive ENOSPC failures storing {victim}"
             );
         }
-        if attempt > 0 || store_attempt > 0 || self.offload_dead.load(Relaxed) {
-            self.global.sync_writebacks.fetch_add(1, Relaxed);
-        }
-        self.global.writebacks.fetch_add(1, Relaxed);
+        attempt > 0 || store_attempt > 0
     }
 
     /// Handles a page fault raised by `core` on the 4 kB page `page`.
     pub fn handle_fault(&self, core: CoreId, page: VirtPage, _write: bool) -> FaultKind {
         let clock = &self.clocks[core.index()];
-        let st = &self.core_stats[core.index()];
-        owner_add(&st.page_faults, 1);
+        let mut state = self.state.borrow_mut();
+        let state = &mut *state;
+        state.stats.per_core[core.index()].page_faults += 1;
         let t0 = clock.now();
         if R::ENABLED {
             self.tracer
@@ -1046,9 +1087,7 @@ impl<R: Recorder> Vmm<R> {
         let (lock, hold) = self.lock_for(key);
         let t_req = clock.now();
         let res = lock.acquire_bounded(t_req, hold, 4 * self.cfg.cores as u64 * hold);
-        if res.queue_delay > 0 {
-            owner_add(&st.lock_wait_cycles, res.queue_delay);
-        }
+        state.stats.per_core[core.index()].lock_wait_cycles += res.queue_delay;
         clock.advance_to(res.end);
         if R::ENABLED {
             self.tracer
@@ -1057,15 +1096,14 @@ impl<R: Recorder> Vmm<R> {
                 .record(core.0, res.end, EventKind::LockRelease, key.0, 0);
         }
 
-        let mut state = self.state.lock();
-        self.note_residency(core, key);
+        self.note_residency(&mut state.stats, core, key);
         let kind = if self.cfg.adaptive {
-            self.fault_adaptive(&mut state, core, page)
+            self.fault_adaptive(state, core, page)
         } else {
-            self.fault_fixed(&mut state, core, key)
+            self.fault_fixed(state, core, key)
         };
         let spent = clock.now() - t0;
-        owner_add(&st.fault_cycles, spent);
+        state.stats.per_core[core.index()].fault_cycles += spent;
         if R::ENABLED {
             let resolution = match kind {
                 FaultKind::Major => 0,
@@ -1086,14 +1124,16 @@ impl<R: Recorder> Vmm<R> {
             policy,
             resident,
             numa_used,
+            scheme,
+            stats,
             ..
         } = &mut *state;
         if let Some(ent) = resident.get_mut(&head.0) {
             // Resident: PSPT minor fault (copy a sibling's PTE).
             // The new core-map count rides in the outcome (read from the
-            // directory entry `map` already locked), so the minor path
-            // never takes the directory lock a second time.
-            let outcome = with_scheme!(self, s => s.map(core, head, ent.frame, size, true));
+            // directory entry `map` already updated), so the minor path
+            // never probes the directory a second time.
+            let outcome = with_scheme!(&mut *scheme, s => s.map(core, head, ent.frame, size, true));
             let (probes, map_count) = match outcome {
                 Ok(MapOutcome::Copied { probes, map_count }) => (probes, map_count),
                 // Resident but unmapped everywhere: the PTEs were torn
@@ -1107,20 +1147,20 @@ impl<R: Recorder> Vmm<R> {
                     + self.cfg.cost.pte_update * self.subentries(),
             );
             policy.on_map_count_change(head, map_count);
-            self.numa_on_map(core, head, &mut ent.numa, numa_used);
+            self.numa_on_map(scheme, stats, core, head, &mut ent.numa, numa_used);
             return FaultKind::MinorCopy;
         }
         // Not resident: allocate (evicting when dry). Nothing between
         // here and the insert can make the block resident.
         let mut frame = self.alloc_block(state, core, size);
-        self.note_residency(core, head);
+        self.note_residency(&mut state.stats, core, head);
         if let Some(tin) = state.backing.load(head, size.pages_4k() as u64) {
             frame = self.page_in(state, core, head, size, frame, tin);
         }
-        with_scheme!(self, s => s.map(core, head, frame, size, true))
+        with_scheme!(&mut state.scheme, s => s.map(core, head, frame, size, true))
             .expect("fresh block maps cleanly");
         clock.advance(self.cfg.cost.pte_update * self.subentries());
-        let numa = self.numa_on_insert(core, &mut state.numa_used);
+        let numa = self.numa_on_insert(&mut state.stats, core, &mut state.numa_used);
         state
             .resident
             .insert(head.0, Resident { frame, size, numa });
@@ -1137,7 +1177,8 @@ impl<R: Recorder> Vmm<R> {
         let m2 = page.align_down(PageSize::M2);
         if let Some((head, ent)) = covering_entry(&state.resident, page) {
             // Resident at some granularity: PSPT minor fault.
-            let outcome = with_scheme!(self, s => s.map(core, head, ent.frame, ent.size, true));
+            let outcome =
+                with_scheme!(&mut state.scheme, s => s.map(core, head, ent.frame, ent.size, true));
             let (probes, map_count) = match outcome {
                 Ok(MapOutcome::Copied { probes, map_count }) => (probes, map_count),
                 Ok(MapOutcome::Fresh) => (0, 1),
@@ -1167,11 +1208,11 @@ impl<R: Recorder> Vmm<R> {
                 && state.regions.get(&m2.0).map_or(size, |r| r.0) == size,
             "allocation changed the faulting region"
         );
-        self.note_residency(core, head);
+        self.note_residency(&mut state.stats, core, head);
         if let Some(tin) = state.backing.load(head, size.pages_4k() as u64) {
             frame = self.page_in(state, core, head, size, frame, tin);
         }
-        with_scheme!(self, s => s.map(core, head, frame, size, true))
+        with_scheme!(&mut state.scheme, s => s.map(core, head, frame, size, true))
             .expect("fresh block maps cleanly");
         clock.advance(self.cfg.cost.pte_update * Self::subentries_of(size));
         // NUMA budgets count blocks of one size, so adaptive runs (one
@@ -1202,7 +1243,6 @@ impl<R: Recorder> Vmm<R> {
         tin: LoadOutcome,
     ) -> PhysFrame {
         let clock = &self.clocks[core.index()];
-        let st = &self.core_stats[core.index()];
         let inj = self.injector.as_ref();
         let mut attempt = 0u32;
         loop {
@@ -1217,7 +1257,7 @@ impl<R: Recorder> Vmm<R> {
             );
             let wait = c.reservation.end.saturating_sub(clock.now());
             clock.advance(wait);
-            owner_add(&st.dma_wait_cycles, wait);
+            state.stats.per_core[core.index()].dma_wait_cycles += wait;
             if R::ENABLED {
                 self.tracer.record(
                     core.0,
@@ -1227,16 +1267,17 @@ impl<R: Recorder> Vmm<R> {
                     DmaDirection::HostToDevice.code(),
                 );
             }
+            let stats = &mut state.stats;
             if c.spike_cycles > 0 {
-                self.global.latency_spikes.fetch_add(1, Relaxed);
-                self.note_injected(core, FaultSite::DmaLatency, attempt as u64);
+                stats.global.latency_spikes += 1;
+                self.note_injected(stats, core, FaultSite::DmaLatency, attempt as u64);
             }
             if !c.failed {
                 break;
             }
-            self.global.dma_errors.fetch_add(1, Relaxed);
-            self.note_injected(core, FaultSite::DmaIn, attempt as u64);
-            self.charge_backoff(core, attempt, FaultSite::DmaIn);
+            stats.global.dma_errors += 1;
+            self.note_injected(stats, core, FaultSite::DmaIn, attempt as u64);
+            self.charge_backoff(stats, core, attempt, FaultSite::DmaIn);
             attempt += 1;
             assert!(
                 attempt < MAX_RECOVERY_ATTEMPTS,
@@ -1244,8 +1285,8 @@ impl<R: Recorder> Vmm<R> {
             );
             if state.frames.usable_pages() > (self.cfg.cores * size.pages_4k()) as u64 {
                 state.frames.quarantine(frame, size);
-                owner_add(&st.quarantines, 1);
-                self.global.quarantined_frames.fetch_add(1, Relaxed);
+                state.stats.per_core[core.index()].quarantines += 1;
+                state.stats.global.quarantined_frames += 1;
                 if R::ENABLED {
                     self.tracer.record(
                         core.0,
@@ -1256,14 +1297,12 @@ impl<R: Recorder> Vmm<R> {
                     );
                 }
                 frame = self.alloc_block(state, core, size);
-                self.note_residency(core, head);
+                self.note_residency(&mut state.stats, core, head);
             }
         }
-        self.charge_tier_penalty(core, tin.tier, size.bytes());
-        if tin.promoted > 0 {
-            self.global.tier_promotions.fetch_add(tin.promoted, Relaxed);
-        }
-        self.global.refaults.fetch_add(1, Relaxed);
+        self.charge_tier_penalty(&mut state.stats, core, tin.tier, size.bytes());
+        state.stats.global.tier_promotions += tin.promoted;
+        state.stats.global.refaults += 1;
         frame
     }
 
@@ -1279,7 +1318,12 @@ impl<R: Recorder> Vmm<R> {
                 return frame;
             }
             let victim = self.evict_one(state, requester, size).expect(DRY);
-            self.numa_on_evict(requester, victim.numa, &mut state.numa_used);
+            self.numa_on_evict(
+                &mut state.stats,
+                requester,
+                victim.numa,
+                &mut state.numa_used,
+            );
             return victim.frame;
         }
         loop {
@@ -1316,6 +1360,10 @@ impl<R: Recorder> Vmm<R> {
             pending_dirty,
             regions,
             backing,
+            scheme,
+            mailboxes,
+            stats,
+            offload_dead,
             ..
         } = state;
         let clock = &self.clocks[requester.index()];
@@ -1323,10 +1371,13 @@ impl<R: Recorder> Vmm<R> {
             let victim = policy.select_victim(&mut KernelOracle {
                 vmm: self,
                 resident,
+                scheme,
+                mailboxes,
+                stats,
                 requester: Some(requester),
             })?;
             if R::ENABLED {
-                let count = with_scheme!(self, s => s.mapping_cores(victim)).count() as u64;
+                let count = with_scheme!(&*scheme, s => s.mapping_cores(victim)).count() as u64;
                 let group = policy.victim_group(victim) as u64;
                 self.tracer.record(
                     requester.0,
@@ -1336,7 +1387,7 @@ impl<R: Recorder> Vmm<R> {
                     (count << 8) | group,
                 );
             }
-            self.note_residency(requester, victim);
+            self.note_residency(stats, requester, victim);
             let m2 = victim.align_down(PageSize::M2);
             let ent = resident
                 .remove(&victim.0)
@@ -1345,8 +1396,8 @@ impl<R: Recorder> Vmm<R> {
                 // Split instead of evicting: the policy re-decides over
                 // the children, each inheriting the parent's map count
                 // (the CMCP signal survives the granularity change).
-                let mc = with_scheme!(self, s => s.mapping_cores(victim)).count();
-                let child = with_scheme!(self, s => s.split_block(victim, ent.size))
+                let mc = with_scheme!(&*scheme, s => s.mapping_cores(victim)).count();
+                let child = with_scheme!(&mut *scheme, s => s.split_block(victim, ent.size))
                     .unwrap_or_else(|| {
                         // Resident but unmapped everywhere (post-rebuild):
                         // nothing to rewrite in the tables, the residency
@@ -1379,7 +1430,7 @@ impl<R: Recorder> Vmm<R> {
                 // every sub-entry, but those writes displace the unmap +
                 // remap a whole-block eviction would have cost).
                 clock.advance(self.cfg.cost.pte_update * children as u64);
-                self.global.block_splits.fetch_add(1, Relaxed);
+                stats.global.block_splits += 1;
                 // The parent leaves, the children enter with its count.
                 policy.on_evict(victim);
                 for k in 0..children as u64 {
@@ -1401,14 +1452,17 @@ impl<R: Recorder> Vmm<R> {
             let mut dirty = !pending_dirty.is_empty() && pending_dirty.remove(&victim.0);
             // A victim with no mappings is possible right after a PSPT
             // rebuild: resident, but every PTE already torn down.
-            let out = with_scheme!(self, s => s.unmap_all(victim, ent.size));
+            let out = with_scheme!(&mut *scheme, s => s.unmap_all(victim, ent.size));
             let mut map_count = 0u32;
             if let Some(out) = &out {
                 clock.advance(self.cfg.cost.pte_update * out.ptes_removed as u64);
+                let span = ent.size.pages_4k() as u32;
                 self.shootdown(
+                    stats,
+                    mailboxes,
                     Some(requester),
                     victim,
-                    ent.size.pages_4k() as u32,
+                    span,
                     &out.mappers,
                 );
                 dirty |= out.dirty;
@@ -1420,10 +1474,17 @@ impl<R: Recorder> Vmm<R> {
                 // the fastest tier that can take them, private blocks
                 // sink.
                 let rank = self.cfg.tiers().demotion_rank(map_count);
-                self.write_back(backing, requester, victim, ent.size.pages_4k() as u64, rank);
+                let pages = ent.size.pages_4k() as u64;
+                let retried = self.write_back(backing, stats, requester, victim, pages, rank);
+                // A write-back that needed a retry, or that ran after
+                // offload-engine death, lost the async offload pipeline.
+                if retried || *offload_dead {
+                    stats.global.sync_writebacks += 1;
+                }
+                stats.global.writebacks += 1;
             }
             policy.on_evict(victim);
-            self.global.evictions.fetch_add(1, Relaxed);
+            stats.global.evictions += 1;
             return Some(ent);
         }
     }
@@ -1431,9 +1492,14 @@ impl<R: Recorder> Vmm<R> {
     /// One statistics-scan timer tick (every `scan_period` cycles of
     /// virtual time, run by dedicated hyperthreads in the paper's setup).
     pub fn scan_tick(&self) {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let KernelState {
-            policy, resident, ..
+            policy,
+            resident,
+            scheme,
+            mailboxes,
+            stats,
+            ..
         } = &mut *state;
         if !policy.wants_periodic_scan() {
             return;
@@ -1448,10 +1514,13 @@ impl<R: Recorder> Vmm<R> {
             &mut KernelOracle {
                 vmm: self,
                 resident,
+                scheme,
+                mailboxes,
+                stats,
                 requester: None,
             },
         );
-        self.global.scan_ticks.fetch_add(1, Relaxed);
+        stats.global.scan_ticks += 1;
     }
 }
 
@@ -1489,9 +1558,12 @@ fn covering_entry(
 /// a real PTE scan with real shootdowns.
 struct KernelOracle<'a, R: Recorder> {
     vmm: &'a Vmm<R>,
-    /// The resident map, borrowed from the commit-state guard the caller
-    /// already holds: re-locking the state here would self-deadlock.
+    /// The parts of the kernel state a scan touches, borrowed from the
+    /// state its caller holds: borrowing the cell again would panic.
     resident: &'a FxHashMap<u64, Resident>,
+    scheme: &'a mut SchemeObj,
+    mailboxes: &'a mut [Vec<(VirtPage, u32)>],
+    stats: &'a mut KernelStats,
     /// `Some(core)`: reclaim path, costs charged to the faulting core.
     /// `None`: the scan timer's dedicated hyperthreads.
     requester: Option<CoreId>,
@@ -1509,11 +1581,8 @@ impl<R: Recorder> AccessBitOracle for KernelOracle<'_, R> {
         } else {
             self.vmm.cfg.block_size
         };
-        let scan = with_scheme!(self.vmm, s => s.test_and_clear_accessed(block, size));
-        self.vmm
-            .global
-            .scan_ptes
-            .fetch_add(scan.ptes_examined as u64, Relaxed);
+        let scan = with_scheme!(&mut *self.scheme, s => s.test_and_clear_accessed(block, size));
+        self.stats.global.scan_ptes += scan.ptes_examined as u64;
         if let Some(core) = self.requester {
             self.vmm.clocks[core.index()]
                 .advance(self.vmm.cfg.cost.scan_pte * scan.ptes_examined as u64);
@@ -1539,6 +1608,8 @@ impl<R: Recorder> AccessBitOracle for KernelOracle<'_, R> {
             // x86 requirement: a cleared accessed bit forces the cached
             // translation out of every affected TLB (paper §3).
             self.vmm.shootdown(
+                self.stats,
+                self.mailboxes,
                 self.requester,
                 block,
                 size.pages_4k() as u32,
@@ -1553,7 +1624,6 @@ impl<R: Recorder> AccessBitOracle for KernelOracle<'_, R> {
 mod tests {
     use super::*;
     use cmcp_core::PolicyKind;
-    use std::sync::atomic::Ordering::Relaxed;
 
     fn vmm(cores: usize, blocks: usize) -> Vmm {
         Vmm::new(KernelConfig::new(cores, blocks))
@@ -1561,7 +1631,7 @@ mod tests {
 
     /// Residency transactions counted against `core` so far.
     fn transactions(v: &Vmm, core: usize) -> u64 {
-        v.core_stats()[core].shard_lock_acquires.load(Relaxed)
+        v.core_stats()[core].shard_lock_acquires
     }
 
     #[test]
@@ -1571,10 +1641,10 @@ mod tests {
         assert_eq!(k, FaultKind::Major);
         assert!(v.translate(CoreId(0), VirtPage(100)).is_some());
         assert_eq!(v.resident_blocks(), 1);
-        assert_eq!(v.core_stats()[0].page_faults.load(Relaxed), 1);
+        assert_eq!(v.core_stats()[0].page_faults, 1);
         // First touch: no DMA (zero-fill), no eviction.
         assert_eq!(v.dma().bytes_in(), 0);
-        assert_eq!(v.global_stats().snapshot().evictions, 0);
+        assert_eq!(v.global_stats().evictions, 0);
         // A fresh major: the lookup and the insert.
         assert_eq!(transactions(&v, 0), 2);
     }
@@ -1604,7 +1674,7 @@ mod tests {
         // An evicting major: the lookup, the victim and the insert.
         assert_eq!(transactions(&v, 0), before + 3);
         assert_eq!(v.resident_blocks(), 2);
-        assert_eq!(v.global_stats().snapshot().evictions, 1);
+        assert_eq!(v.global_stats().evictions, 1);
         // FIFO: block 0 was evicted.
         assert!(v.translate(CoreId(0), VirtPage(0)).is_none());
         assert!(v.translate(CoreId(0), VirtPage(2)).is_some());
@@ -1615,12 +1685,12 @@ mod tests {
         let v = vmm(1, 1);
         v.handle_fault(CoreId(0), VirtPage(0), false); // read only
         v.handle_fault(CoreId(0), VirtPage(1), false); // evicts clean block 0
-        assert_eq!(v.global_stats().snapshot().writebacks, 0);
+        assert_eq!(v.global_stats().writebacks, 0);
         assert_eq!(v.dma().bytes_out(), 0);
         // Dirty the resident block, then evict it.
         v.mark_accessed(CoreId(0), VirtPage(1), true);
         v.handle_fault(CoreId(0), VirtPage(2), false);
-        assert_eq!(v.global_stats().snapshot().writebacks, 1);
+        assert_eq!(v.global_stats().writebacks, 1);
         assert_eq!(v.dma().bytes_out(), 4096);
     }
 
@@ -1633,7 +1703,7 @@ mod tests {
         assert_eq!(v.dma().bytes_in(), 0);
         v.handle_fault(CoreId(0), VirtPage(0), false); // refault 0 from host
         assert_eq!(v.dma().bytes_in(), 4096);
-        assert_eq!(v.global_stats().snapshot().refaults, 1);
+        assert_eq!(v.global_stats().refaults, 1);
     }
 
     #[test]
@@ -1647,7 +1717,7 @@ mod tests {
         // cores 0 and 1 only.
         v.handle_fault(CoreId(3), VirtPage(2), false);
         let recv: Vec<u64> = (0..8)
-            .map(|c| v.core_stats()[c].remote_inv_received.load(Relaxed))
+            .map(|c| v.core_stats()[c].remote_inv_received)
             .collect();
         assert_eq!(recv[0], 1);
         assert_eq!(recv[1], 1);
@@ -1672,11 +1742,9 @@ mod tests {
         v.handle_fault(CoreId(0), VirtPage(0), false);
         v.handle_fault(CoreId(0), VirtPage(1), false);
         v.handle_fault(CoreId(0), VirtPage(2), false); // evicts block 0
-        let recv: u64 = (1..8)
-            .map(|c| v.core_stats()[c].remote_inv_received.load(Relaxed))
-            .sum();
+        let recv: u64 = (1..8).map(|c| v.core_stats()[c].remote_inv_received).sum();
         assert_eq!(recv, 7, "all other cores interrupted");
-        assert!(v.core_stats()[0].remote_inv_sent.load(Relaxed) >= 7);
+        assert!(v.core_stats()[0].remote_inv_sent >= 7);
     }
 
     /// A 4-core PSPT + FIFO kernel over `blocks` device blocks on the
@@ -1696,9 +1764,9 @@ mod tests {
         v.handle_fault(CoreId(2), VirtPage(0), false);
         v.handle_fault(CoreId(2), VirtPage(64), false);
         assert_eq!(v.numa_block_state(VirtPage(0)).unwrap().mask, 0b11);
-        let before = v.global_stats().replica_invalidations.load(Relaxed);
+        let before = v.numa_stats().replica_invalidations;
         assert_eq!(v.rebuild_pspt(), Some(2));
-        let dropped = v.global_stats().replica_invalidations.load(Relaxed) - before;
+        let dropped = v.numa_stats().replica_invalidations - before;
         assert_eq!(dropped, 3);
         assert_eq!(v.numa_block_state(VirtPage(0)).unwrap().mask, 0);
         assert_eq!(v.numa_block_state(VirtPage(64)).unwrap().mask, 0);
@@ -1718,29 +1786,13 @@ mod tests {
         assert_eq!(v.numa_used(), vec![1, 1]);
         v.handle_fault(CoreId(0), VirtPage(2), false); // FIFO evicts block 0
         assert!(v.numa_block_state(VirtPage(0)).is_none());
-        let g = v.global_stats();
         assert_eq!(
-            g.replica_invalidations.load(Relaxed),
+            v.numa_stats().replica_invalidations,
             2,
             "both replicas dropped"
         );
         assert_eq!(v.numa_block_state(VirtPage(2)).unwrap().home, 0);
         assert_eq!(v.numa_used(), vec![1, 1]);
-    }
-
-    #[test]
-    fn per_core_clocks_and_mailboxes_do_not_share_a_cache_line_pair() {
-        // Elements 0 and 1 start on 128-byte boundaries, 128+ bytes apart.
-        fn check<T>(what: &str, v: &[T]) {
-            let (a, b) = (&v[0] as *const T as usize, &v[1] as *const T as usize);
-            assert!(
-                a.is_multiple_of(128) && b.is_multiple_of(128) && b >= a + 128,
-                "{what} at {a:#x}, {b:#x}"
-            );
-        }
-        let v = Vmm::new(KernelConfig::new(2, 1));
-        check("clocks", v.clocks());
-        check("mailboxes", &v.mailboxes);
     }
 
     #[test]
@@ -1767,9 +1819,7 @@ mod tests {
                 v.mark_accessed(CoreId(1), VirtPage(b), false);
             }
             v.scan_tick();
-            (0..4)
-                .map(|c| v.core_stats()[c].remote_inv_received.load(Relaxed))
-                .sum()
+            (0..4).map(|c| v.core_stats()[c].remote_inv_received).sum()
         };
         assert!(
             run(PolicyKind::Lru) > 0,

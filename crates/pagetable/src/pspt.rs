@@ -19,12 +19,12 @@
 //! directory* from block head page to [`CoreSet`]. The paper derives the
 //! same information by walking per-core tables; the directory is the
 //! constant-time equivalent and is kept strictly consistent with the
-//! tables (asserted in tests and by `debug_assert`s here). Only the
-//! kernel's sequential commit phase and post-run reports touch it, so
-//! one lock covers it; the per-core tables keep their own locks because
-//! phase A walks them.
-
-use parking_lot::{Mutex, RwLock};
+//! tables (asserted in tests and by `debug_assert`s here).
+//!
+//! Both are plain owned data, mutated through `&mut self`: the kernel
+//! keeps the scheme in its single-writer state, so no host lock guards
+//! a table. The paper's per-core locks are a virtual-time cost the
+//! kernel charges from its cost model, not host synchronisation.
 
 use cmcp_arch::{CoreId, CoreSet, FxHashMap, PageSize, PhysFrame, VirtPage};
 
@@ -32,44 +32,28 @@ use crate::pte::PteFlags;
 use crate::scheme::{MapOutcome, ScanOutcome, SchemeKind, TableScheme, Translation, UnmapOutcome};
 use crate::table::{MapError, PageTable};
 
-/// One core's private table. 128-byte aligned (the adjacent-line
-/// prefetcher pairs 64-byte lines): phase A takes its lock on every TLB
-/// miss and first store, and neighbouring cores once advanced on
-/// different host threads. The lock and the alignment stay until the
-/// kernel moves to `&mut self`.
-#[repr(align(128))]
-struct CoreTable(RwLock<PageTable>);
-
 /// The per-core partially separated table scheme.
 pub struct Pspt {
-    /// One private table per core, individually locked — the fine
-    /// granularity is the point.
-    tables: Vec<CoreTable>,
+    /// One private table per core, indexed by core.
+    tables: Vec<PageTable>,
     cores: CoreSet,
     /// Directory: block head page → cores mapping it.
-    directory: Mutex<FxHashMap<u64, CoreSet>>,
+    directory: FxHashMap<u64, CoreSet>,
 }
 
 impl Pspt {
     /// PSPT for an address space spanning cores `0..n_cores`.
     pub fn new(n_cores: usize) -> Pspt {
         Pspt {
-            tables: (0..n_cores)
-                .map(|_| CoreTable(RwLock::new(PageTable::new())))
-                .collect(),
+            tables: (0..n_cores).map(|_| PageTable::new()).collect(),
             cores: CoreSet::first_n(n_cores),
-            directory: Mutex::new(FxHashMap::default()),
+            directory: FxHashMap::default(),
         }
-    }
-
-    #[inline]
-    fn table(&self, core: CoreId) -> &RwLock<PageTable> {
-        &self.tables[core.index()].0
     }
 
     /// Number of distinct resident blocks.
     pub fn resident_blocks(&self) -> usize {
-        self.directory.lock().len()
+        self.directory.len()
     }
 
     /// Histogram of blocks by number of mapping cores: index `k` counts
@@ -77,7 +61,7 @@ impl Pspt {
     /// Figure 6 directly from PSPT bookkeeping.
     pub fn sharing_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.tables.len()];
-        for set in self.directory.lock().values() {
+        for set in self.directory.values() {
             let c = set.count();
             if c > 0 {
                 hist[c - 1] += 1;
@@ -97,8 +81,7 @@ impl TableScheme for Pspt {
     }
 
     fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation> {
-        self.table(core)
-            .read()
+        self.tables[core.index()]
             .translate(page)
             .map(|t| Translation {
                 frame: t.frame,
@@ -107,12 +90,12 @@ impl TableScheme for Pspt {
             })
     }
 
-    fn mark_accessed(&self, core: CoreId, page: VirtPage, write: bool) {
-        self.table(core).write().mark_accessed(page, write);
+    fn mark_accessed(&mut self, core: CoreId, page: VirtPage, write: bool) {
+        self.tables[core.index()].mark_accessed(page, write);
     }
 
     fn map(
-        &self,
+        &mut self,
         core: CoreId,
         head: VirtPage,
         frame: PhysFrame,
@@ -124,10 +107,7 @@ impl TableScheme for Pspt {
         } else {
             PteFlags::empty()
         };
-        // Hold the directory across the table update so that an
-        // unmap_all of the same block cannot interleave.
-        let mut dir = self.directory.lock();
-        let entry = dir.entry(head.0).or_insert_with(CoreSet::empty);
+        let entry = self.directory.entry(head.0).or_insert_with(CoreSet::empty);
         let existing = *entry;
         debug_assert!(
             !existing.contains(core),
@@ -139,9 +119,7 @@ impl TableScheme for Pspt {
         // statistics" live in the entry the walk already touched, so
         // CMCP's signal costs no extra lookup (head entry only;
         // sub-entries keep count 0).
-        self.table(core)
-            .write()
-            .map_counted(head, frame, size, flags, count)?;
+        self.tables[core.index()].map_counted(head, frame, size, flags, count)?;
         entry.insert(core);
         if existing.is_empty() {
             Ok(MapOutcome::Fresh)
@@ -156,14 +134,13 @@ impl TableScheme for Pspt {
         }
     }
 
-    fn unmap_all(&self, head: VirtPage, size: PageSize) -> Option<UnmapOutcome> {
-        let mut dir = self.directory.lock();
-        let mappers = dir.remove(&head.0)?;
+    fn unmap_all(&mut self, head: VirtPage, size: PageSize) -> Option<UnmapOutcome> {
+        let mappers = self.directory.remove(&head.0)?;
         let mut dirty = false;
         let mut accessed = false;
         let mut removed = 0;
         for core in mappers.iter() {
-            if let Some(pte) = self.table(core).write().unmap(head, size) {
+            if let Some(pte) = self.tables[core.index()].unmap(head, size) {
                 dirty |= pte.dirty();
                 accessed |= pte.accessed();
                 removed += match size {
@@ -187,46 +164,40 @@ impl TableScheme for Pspt {
 
     fn mapping_cores(&self, head: VirtPage) -> CoreSet {
         self.directory
-            .lock()
             .get(&head.0)
             .copied()
             .unwrap_or_else(CoreSet::empty)
     }
 
-    fn split_block(&self, head: VirtPage, size: PageSize) -> Option<PageSize> {
+    fn split_block(&mut self, head: VirtPage, size: PageSize) -> Option<PageSize> {
         let child = size.split_child()?;
-        // Take the block out of the directory (held throughout, so no
-        // map/unmap of the block interleaves), rewrite every mapper's
+        // Take the block out of the directory, rewrite every mapper's
         // table, then register the children under the same core set.
-        let mut dir = self.directory.lock();
-        let mappers = *dir.get(&head.0)?;
+        let mappers = *self.directory.get(&head.0)?;
         if mappers.is_empty() {
             return None;
         }
-        dir.remove(&head.0);
+        self.directory.remove(&head.0);
         for core in mappers.iter() {
-            let done = self.table(core).write().split(head, size);
+            let done = self.tables[core.index()].split(head, size);
             debug_assert!(done, "directory said {core} maps {head} but split failed");
         }
         let step = child.pages_4k() as u64;
         let children = size.pages_4k() / child.pages_4k();
         for k in 0..children as u64 {
             let ch = head.add(k * step);
-            dir.insert(ch.0, mappers);
+            self.directory.insert(ch.0, mappers);
         }
         Some(child)
     }
 
-    fn test_and_clear_accessed(&self, head: VirtPage, size: PageSize) -> ScanOutcome {
+    fn test_and_clear_accessed(&mut self, head: VirtPage, size: PageSize) -> ScanOutcome {
         let mappers = self.mapping_cores(head);
         let mut any = false;
         let mut examined = 0;
         let mut invalidate = CoreSet::empty();
         for core in mappers.iter() {
-            let (acc, n) = self
-                .table(core)
-                .write()
-                .test_and_clear_accessed_block(head, size);
+            let (acc, n) = self.tables[core.index()].test_and_clear_accessed_block(head, size);
             examined += n;
             if acc {
                 any = true;
@@ -242,10 +213,10 @@ impl TableScheme for Pspt {
         }
     }
 
-    fn block_dirty(&self, head: VirtPage, size: PageSize) -> bool {
+    fn block_dirty(&mut self, head: VirtPage, size: PageSize) -> bool {
         self.mapping_cores(head)
             .iter()
-            .any(|core| self.table(core).write().block_dirty(head, size))
+            .any(|core| self.tables[core.index()].block_dirty(head, size))
     }
 }
 
@@ -254,20 +225,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn per_core_tables_do_not_share_a_cache_line_pair() {
-        // Tables 0 and 1 start on 128-byte boundaries, 128+ bytes apart.
-        let p = Pspt::new(2);
-        let a = p.table(CoreId(0)) as *const _ as usize;
-        let b = p.table(CoreId(1)) as *const _ as usize;
-        assert!(
-            a.is_multiple_of(128) && b.is_multiple_of(128) && b >= a + 128,
-            "tables at {a:#x}, {b:#x}"
-        );
-    }
-
-    #[test]
     fn private_tables_are_really_private() {
-        let p = Pspt::new(4);
+        let mut p = Pspt::new(4);
         p.map(CoreId(0), VirtPage(10), PhysFrame(3), PageSize::K4, true)
             .unwrap();
         assert!(p.translate(CoreId(0), VirtPage(10)).is_some());
@@ -279,7 +238,7 @@ mod tests {
 
     #[test]
     fn second_mapper_copies_and_probes() {
-        let p = Pspt::new(4);
+        let mut p = Pspt::new(4);
         assert_eq!(
             p.map(CoreId(0), VirtPage(10), PhysFrame(3), PageSize::K4, true)
                 .unwrap(),
@@ -298,7 +257,7 @@ mod tests {
 
     #[test]
     fn map_count_is_stamped_into_the_head_pte() {
-        let p = Pspt::new(4);
+        let mut p = Pspt::new(4);
         for (i, c) in [0u16, 1, 3].iter().enumerate() {
             p.map(
                 CoreId(*c),
@@ -310,13 +269,9 @@ mod tests {
             .unwrap();
             // The freshly faulting core's head PTE carries the count at
             // map time; sub-entries stay at 0.
-            let (head_count, sub_count) = {
-                let mut t = p.table(CoreId(*c)).write();
-                (
-                    t.with_pte(VirtPage(0x40), |pte| pte.map_count()).unwrap(),
-                    t.with_pte(VirtPage(0x41), |pte| pte.map_count()).unwrap(),
-                )
-            };
+            let t = &mut p.tables[usize::from(*c)];
+            let head_count = t.with_pte(VirtPage(0x40), |pte| pte.map_count()).unwrap();
+            let sub_count = t.with_pte(VirtPage(0x41), |pte| pte.map_count()).unwrap();
             assert_eq!(head_count, i + 1);
             assert_eq!(sub_count, 0);
         }
@@ -324,7 +279,7 @@ mod tests {
 
     #[test]
     fn mapping_cores_is_precise() {
-        let p = Pspt::new(8);
+        let mut p = Pspt::new(8);
         for c in [0u16, 3, 7] {
             p.map(CoreId(c), VirtPage(42), PhysFrame(9), PageSize::K4, true)
                 .unwrap();
@@ -337,7 +292,7 @@ mod tests {
 
     #[test]
     fn unmap_all_visits_only_mappers_and_aggregates_dirty() {
-        let p = Pspt::new(8);
+        let mut p = Pspt::new(8);
         p.map(CoreId(1), VirtPage(42), PhysFrame(9), PageSize::K4, true)
             .unwrap();
         p.map(CoreId(5), VirtPage(42), PhysFrame(9), PageSize::K4, true)
@@ -354,13 +309,13 @@ mod tests {
 
     #[test]
     fn unmap_missing_returns_none() {
-        let p = Pspt::new(2);
+        let mut p = Pspt::new(2);
         assert!(p.unmap_all(VirtPage(1), PageSize::K4).is_none());
     }
 
     #[test]
     fn scan_invalidates_only_cores_with_set_bit() {
-        let p = Pspt::new(4);
+        let mut p = Pspt::new(4);
         for c in 0..3u16 {
             p.map(CoreId(c), VirtPage(7), PhysFrame(1), PageSize::K4, true)
                 .unwrap();
@@ -384,7 +339,7 @@ mod tests {
 
     #[test]
     fn sharing_histogram_matches_figure6_semantics() {
-        let p = Pspt::new(4);
+        let mut p = Pspt::new(4);
         // Two private blocks, one shared by two cores, one by all four.
         p.map(CoreId(0), VirtPage(0), PhysFrame(0), PageSize::K4, true)
             .unwrap();
@@ -403,7 +358,7 @@ mod tests {
 
     #[test]
     fn works_with_64k_blocks() {
-        let p = Pspt::new(2);
+        let mut p = Pspt::new(2);
         p.map(
             CoreId(0),
             VirtPage(0x40),
@@ -428,28 +383,19 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_mappers_stay_consistent() {
-        use std::sync::Arc;
-        let p = Arc::new(Pspt::new(8));
-        let handles: Vec<_> = (0..8u16)
-            .map(|c| {
-                let p = Arc::clone(&p);
-                std::thread::spawn(move || {
-                    for b in 0..64u64 {
-                        p.map(
-                            CoreId(c),
-                            VirtPage(b),
-                            PhysFrame(b as u32),
-                            PageSize::K4,
-                            true,
-                        )
-                        .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn eight_mappers_per_block_stay_consistent() {
+        let mut p = Pspt::new(8);
+        for c in 0..8u16 {
+            for b in 0..64u64 {
+                p.map(
+                    CoreId(c),
+                    VirtPage(b),
+                    PhysFrame(b as u32),
+                    PageSize::K4,
+                    true,
+                )
+                .unwrap();
+            }
         }
         for b in 0..64u64 {
             assert_eq!(p.mapping_cores(VirtPage(b)).count(), 8, "block {b}");

@@ -6,11 +6,10 @@
 //! 1. When a mapping is torn down, the kernel has no idea which cores
 //!    cached the translation, so it must broadcast shootdown IPIs to
 //!    *every* core running the application.
-//! 2. Every table mutation funnels through an address-space-wide lock
-//!    (modeled in virtual time by the kernel; the `RwLock` here only
-//!    keeps the simulation itself memory-safe).
-
-use parking_lot::RwLock;
+//! 2. Every table mutation funnels through an address-space-wide lock,
+//!    modeled in virtual time by the kernel. On the host the table is
+//!    plain owned data, mutated through `&mut self` from the kernel's
+//!    single-writer state.
 
 use cmcp_arch::{CoreId, CoreSet, PageSize, PhysFrame, VirtPage};
 
@@ -20,7 +19,7 @@ use crate::table::{MapError, PageTable};
 
 /// The shared-table scheme.
 pub struct RegularTables {
-    table: RwLock<PageTable>,
+    table: PageTable,
     cores: CoreSet,
 }
 
@@ -28,14 +27,14 @@ impl RegularTables {
     /// A shared table for an address space spanning cores `0..n_cores`.
     pub fn new(n_cores: usize) -> RegularTables {
         RegularTables {
-            table: RwLock::new(PageTable::new()),
+            table: PageTable::new(),
             cores: CoreSet::first_n(n_cores),
         }
     }
 
     /// Total mapped 4 kB pages.
     pub fn mapped_pages_4k(&self) -> usize {
-        self.table.read().mapped_pages_4k()
+        self.table.mapped_pages_4k()
     }
 }
 
@@ -49,19 +48,19 @@ impl TableScheme for RegularTables {
     }
 
     fn translate(&self, _core: CoreId, page: VirtPage) -> Option<Translation> {
-        self.table.read().translate(page).map(|t| Translation {
+        self.table.translate(page).map(|t| Translation {
             frame: t.frame,
             size: t.size,
             writable: t.writable,
         })
     }
 
-    fn mark_accessed(&self, _core: CoreId, page: VirtPage, write: bool) {
-        self.table.write().mark_accessed(page, write);
+    fn mark_accessed(&mut self, _core: CoreId, page: VirtPage, write: bool) {
+        self.table.mark_accessed(page, write);
     }
 
     fn map(
-        &self,
+        &mut self,
         _core: CoreId,
         head: VirtPage,
         frame: PhysFrame,
@@ -73,12 +72,12 @@ impl TableScheme for RegularTables {
         } else {
             PteFlags::empty()
         };
-        self.table.write().map(head, frame, size, flags)?;
+        self.table.map(head, frame, size, flags)?;
         Ok(MapOutcome::Fresh)
     }
 
-    fn unmap_all(&self, head: VirtPage, size: PageSize) -> Option<UnmapOutcome> {
-        let pte = self.table.write().unmap(head, size)?;
+    fn unmap_all(&mut self, head: VirtPage, size: PageSize) -> Option<UnmapOutcome> {
+        let pte = self.table.unmap(head, size)?;
         Some(UnmapOutcome {
             // Centralized bookkeeping: every core may have cached it.
             mappers: self.cores,
@@ -95,17 +94,17 @@ impl TableScheme for RegularTables {
         self.cores
     }
 
-    fn split_block(&self, head: VirtPage, size: PageSize) -> Option<PageSize> {
+    fn split_block(&mut self, head: VirtPage, size: PageSize) -> Option<PageSize> {
         let child = size.split_child()?;
-        if self.table.write().split(head, size) {
+        if self.table.split(head, size) {
             Some(child)
         } else {
             None
         }
     }
 
-    fn test_and_clear_accessed(&self, head: VirtPage, size: PageSize) -> ScanOutcome {
-        let (accessed, examined) = self.table.write().test_and_clear_accessed_block(head, size);
+    fn test_and_clear_accessed(&mut self, head: VirtPage, size: PageSize) -> ScanOutcome {
+        let (accessed, examined) = self.table.test_and_clear_accessed_block(head, size);
         ScanOutcome {
             accessed,
             // A cleared bit must be followed by a broadcast shootdown.
@@ -118,8 +117,8 @@ impl TableScheme for RegularTables {
         }
     }
 
-    fn block_dirty(&self, head: VirtPage, size: PageSize) -> bool {
-        self.table.write().block_dirty(head, size)
+    fn block_dirty(&mut self, head: VirtPage, size: PageSize) -> bool {
+        self.table.block_dirty(head, size)
     }
 }
 
@@ -129,7 +128,7 @@ mod tests {
 
     #[test]
     fn translate_is_core_independent() {
-        let t = RegularTables::new(4);
+        let mut t = RegularTables::new(4);
         t.map(CoreId(0), VirtPage(10), PhysFrame(3), PageSize::K4, true)
             .unwrap();
         for c in 0..4 {
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn unmap_reports_all_cores_as_mappers() {
-        let t = RegularTables::new(8);
+        let mut t = RegularTables::new(8);
         t.map(CoreId(2), VirtPage(10), PhysFrame(3), PageSize::K4, true)
             .unwrap();
         let out = t.unmap_all(VirtPage(10), PageSize::K4).unwrap();
@@ -150,7 +149,7 @@ mod tests {
 
     #[test]
     fn dirty_tracking_via_mark_accessed() {
-        let t = RegularTables::new(2);
+        let mut t = RegularTables::new(2);
         t.map(CoreId(0), VirtPage(5), PhysFrame(1), PageSize::K4, true)
             .unwrap();
         t.mark_accessed(CoreId(1), VirtPage(5), true);
@@ -162,7 +161,7 @@ mod tests {
 
     #[test]
     fn scan_broadcasts_only_when_bit_was_set() {
-        let t = RegularTables::new(4);
+        let mut t = RegularTables::new(4);
         t.map(CoreId(0), VirtPage(5), PhysFrame(1), PageSize::K4, true)
             .unwrap();
         let s = t.test_and_clear_accessed(VirtPage(5), PageSize::K4);
@@ -176,7 +175,7 @@ mod tests {
 
     #[test]
     fn double_map_is_rejected() {
-        let t = RegularTables::new(2);
+        let mut t = RegularTables::new(2);
         t.map(CoreId(0), VirtPage(5), PhysFrame(1), PageSize::K4, true)
             .unwrap();
         assert_eq!(

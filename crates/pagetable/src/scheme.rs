@@ -38,10 +38,10 @@ pub enum MapOutcome {
         /// Number of other cores' page tables consulted.
         probes: usize,
         /// Number of cores mapping the block *including* the faulting
-        /// core, read from the directory entry the map already locked —
+        /// core, read from the directory entry the map already updated —
         /// CMCP's priority signal, folded into the outcome (and the head
-        /// PTE's packed map-count field) so the fault path does not take
-        /// the directory lock a second time.
+        /// PTE's packed map-count field) so the fault path does not probe
+        /// the directory a second time.
         map_count: usize,
     },
 }
@@ -94,10 +94,12 @@ impl std::fmt::Display for SchemeKind {
     }
 }
 
-/// Address-translation operations the kernel performs, with interior
-/// synchronization (the virtual-time *cost* of that synchronization is
-/// charged separately by the kernel from the cost model).
-pub trait TableScheme: Send + Sync {
+/// Address-translation operations the kernel performs. Walks and
+/// queries take `&self`, everything that writes a PTE or the PSPT
+/// directory takes `&mut self`; the virtual-time cost of the paper's
+/// page-table locks is charged separately by the kernel from the cost
+/// model.
+pub trait TableScheme {
     /// Which scheme this is.
     fn kind(&self) -> SchemeKind;
 
@@ -108,14 +110,14 @@ pub trait TableScheme: Send + Sync {
     fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation>;
 
     /// Hardware accessed/dirty update on a translated access by `core`.
-    fn mark_accessed(&self, core: CoreId, page: VirtPage, write: bool);
+    fn mark_accessed(&mut self, core: CoreId, page: VirtPage, write: bool);
 
     /// Installs a mapping of the `size`-aligned block at `head` for
     /// `core`. Regular tables install once for everybody; PSPT installs
     /// into the faulting core's private table, copying from siblings when
     /// the block is already resident.
     fn map(
-        &self,
+        &mut self,
         core: CoreId,
         head: VirtPage,
         frame: PhysFrame,
@@ -124,7 +126,7 @@ pub trait TableScheme: Send + Sync {
     ) -> Result<MapOutcome, MapError>;
 
     /// Removes the block at `head` from every table that maps it.
-    fn unmap_all(&self, head: VirtPage, size: PageSize) -> Option<UnmapOutcome>;
+    fn unmap_all(&mut self, head: VirtPage, size: PageSize) -> Option<UnmapOutcome>;
 
     /// The cores whose TLBs may cache translations for this block: the
     /// shootdown target set for a remap. Regular tables cannot narrow
@@ -139,11 +141,11 @@ pub trait TableScheme: Send + Sync {
     /// evicted whole — a radix-node rewrite, so no TLB shootdown is
     /// required because no translation changes). Returns the child size,
     /// or `None` when the block is unmapped or already 4 kB.
-    fn split_block(&self, head: VirtPage, size: PageSize) -> Option<PageSize>;
+    fn split_block(&mut self, head: VirtPage, size: PageSize) -> Option<PageSize>;
 
     /// OS statistics pass: read-and-clear accessed bits over the block.
-    fn test_and_clear_accessed(&self, head: VirtPage, size: PageSize) -> ScanOutcome;
+    fn test_and_clear_accessed(&mut self, head: VirtPage, size: PageSize) -> ScanOutcome;
 
     /// Whether the block needs write-back (any dirty sub-entry anywhere).
-    fn block_dirty(&self, head: VirtPage, size: PageSize) -> bool;
+    fn block_dirty(&mut self, head: VirtPage, size: PageSize) -> bool;
 }

@@ -1,7 +1,5 @@
 //! The merged run report: everything the experiment harness prints.
 
-use std::sync::atomic::Ordering::Relaxed;
-
 use cmcp_arch::{Cycles, TlbStats};
 use cmcp_kernel::{CoreStatsSnapshot, GlobalStatsSnapshot, TierCounters, Vmm};
 use cmcp_trace::{Breakdown, CoreTotals, Recorder};
@@ -20,8 +18,8 @@ pub struct TierReport {
 
 /// Multi-node NUMA roll-up: the topology in force, per-node DRAM
 /// budgets and occupancy, and the replica-coherence counters. The
-/// underlying counters live in dedicated atomics — **not** in the
-/// serialized snapshot structs — so single-node reports (and the
+/// underlying counters live in the kernel's `NumaStats` — **not** in
+/// the serialized snapshot structs — so single-node reports (and the
 /// committed goldens built from them) are byte-identical to the
 /// pre-NUMA code; this struct exists only when the topology is
 /// multi-node.
@@ -125,15 +123,15 @@ impl RunReport {
         label: &str,
         config: &str,
     ) -> RunReport {
-        let clocks = vmm.clocks();
+        let numa = vmm.numa_stats();
         let per_core: Vec<CoreStatsSnapshot> = vmm
             .core_stats()
             .iter()
             .zip(runners.iter())
-            .zip(clocks.iter())
+            .zip(vmm.clocks())
             .map(|((st, runner), clock)| {
                 let tlb: TlbStats = runner.tlb_stats();
-                let mut snap = st.snapshot();
+                let mut snap = *st;
                 snap.dtlb_misses = tlb.misses;
                 snap.dtlb_accesses = tlb.accesses;
                 snap.cycles = clock.now();
@@ -144,20 +142,19 @@ impl RunReport {
         let breakdown = if R::ENABLED {
             let events = vmm.tracer().events();
             let dropped = vmm.tracer().dropped();
-            // The NUMA cycle counters live in dedicated atomics rather
-            // than the serialized snapshots (golden-stability), so the
-            // totals read them off the live stats alongside the
-            // snapshot fields.
+            // The NUMA cycle counters live outside the serialized
+            // snapshots (golden-stability), so the totals read them from
+            // the kernel's NUMA counters alongside the snapshot fields.
             let totals: Vec<CoreTotals> = per_core
                 .iter()
-                .zip(vmm.core_stats())
-                .map(|(c, live)| CoreTotals {
+                .enumerate()
+                .map(|(i, c)| CoreTotals {
                     page_faults: c.page_faults,
                     fault_cycles: c.fault_cycles,
                     dma_wait_cycles: c.dma_wait_cycles,
                     tier_penalty_cycles: c.tier_penalty_cycles,
-                    replica_sync_cycles: live.replica_sync_cycles.load(Relaxed),
-                    migration_cycles: live.migration_cycles.load(Relaxed),
+                    replica_sync_cycles: numa.replica_sync_cycles[i],
+                    migration_cycles: numa.migration_cycles[i],
                     shootdown_cycles: c.shootdown_cycles,
                     lock_wait_cycles: c.lock_wait_cycles,
                     shard_lock_acquires: c.shard_lock_acquires,
@@ -179,7 +176,7 @@ impl RunReport {
             config: config.to_string(),
             runtime_cycles,
             runtime_secs: vmm.cost().cycles_to_secs(runtime_cycles),
-            global: vmm.global_stats().snapshot(),
+            global: vmm.global_stats(),
             dma_busy_cycles: vmm.dma().busy_cycles(),
             dma_queued_cycles: vmm.dma().queued_cycles(),
             lock_queued_cycles: vmm.lock_queue_cycles(),
@@ -199,26 +196,17 @@ impl RunReport {
             }),
             numa: (!vmm.cost().numa.is_single()).then(|| {
                 let books = vmm.numa_books();
-                let g = vmm.global_stats();
                 NumaReport {
                     nodes: books.config.nodes.iter().map(|n| n.name.clone()).collect(),
                     replicate: books.config.replicate,
                     capacity_blocks: books.capacity().to_vec(),
                     used_blocks: vmm.numa_used(),
-                    replica_syncs: g.replica_syncs.load(Relaxed),
-                    replica_invalidations: g.replica_invalidations.load(Relaxed),
-                    page_migrations: g.page_migrations.load(Relaxed),
-                    remote_spills: g.remote_spills.load(Relaxed),
-                    replica_sync_cycles: vmm
-                        .core_stats()
-                        .iter()
-                        .map(|c| c.replica_sync_cycles.load(Relaxed))
-                        .sum(),
-                    migration_cycles: vmm
-                        .core_stats()
-                        .iter()
-                        .map(|c| c.migration_cycles.load(Relaxed))
-                        .sum(),
+                    replica_syncs: numa.replica_syncs,
+                    replica_invalidations: numa.replica_invalidations,
+                    page_migrations: numa.page_migrations,
+                    remote_spills: numa.remote_spills,
+                    replica_sync_cycles: numa.replica_sync_cycles.iter().sum(),
+                    migration_cycles: numa.migration_cycles.iter().sum(),
                 }
             }),
             per_core,

@@ -1,6 +1,6 @@
 //! Span aggregation: fold a raw event stream into a per-core cycle
 //! decomposition of the fault path, and validate it against the
-//! kernel's own `CoreStats` counters.
+//! kernel's own `CoreStatsSnapshot` counters.
 //!
 //! The decomposition is **exact by construction**: every component
 //! event carries the same cycle amount the kernel added to the

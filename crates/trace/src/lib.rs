@@ -16,7 +16,7 @@
 //!
 //! Post-run, [`Breakdown`](breakdown::Breakdown) folds a trace into a
 //! per-core cycle decomposition of the fault path and **validates it
-//! against the kernel's own counters** (`CoreStats`): the traced spans
+//! against the kernel's own counters** (`CoreStatsSnapshot`): the traced spans
 //! must sum exactly to `fault_cycles`, `lock_wait_cycles`,
 //! `shootdown_cycles` and `dma_wait_cycles`, and the traced fault count
 //! must equal `page_faults`. [`export`] renders traces as JSONL or
@@ -51,7 +51,7 @@ pub enum EventKind {
     FaultStart = 0,
     /// A page fault completed. `ts` = fault exit, `a` = resolution
     /// (0 major, 1 minor copy, 2 spurious), `b` = cycles the fault
-    /// took — the exact amount added to `CoreStats.fault_cycles`.
+    /// took — the exact amount added to `CoreStatsSnapshot::fault_cycles`.
     FaultEnd = 1,
     /// The page-table lock was acquired. `ts` = request time,
     /// `a` = queueing delay (the `lock_wait_cycles` increment),
@@ -94,12 +94,12 @@ pub enum EventKind {
     /// insert, a victim taken, or a quarantine retry. `a` = block head
     /// page (the 2 MB region head for an adaptive lookup), `b` = 0 —
     /// host-side bookkeeping adds **zero** virtual cycles; the count
-    /// matches `CoreStats.shard_lock_acquires` exactly.
+    /// matches `CoreStatsSnapshot::shard_lock_acquires` exactly.
     ShardLock = 13,
     /// The fault-injection layer fired at some site. `a` = site code
     /// (see `cmcp_arch::FaultSite`), `b` = attempt index at which the
     /// fault hit (0 = first try). Counted against
-    /// `CoreStats.faults_injected`; charges no cycles itself — the
+    /// `CoreStatsSnapshot::faults_injected`; charges no cycles itself — the
     /// paired `Retry`/`DmaComplete` events carry the time.
     FaultInjected = 14,
     /// A recovery retry backed off in virtual time. `a` = backoff
@@ -110,7 +110,7 @@ pub enum EventKind {
     Retry = 15,
     /// A frame was quarantined after an unrecoverable page-in DMA
     /// error. `a` = frame head page, `b` = faulting block head page.
-    /// Counted against `CoreStats.quarantines`; zero cycles.
+    /// Counted against `CoreStatsSnapshot::quarantines`; zero cycles.
     Quarantine = 16,
     /// A backing-tier access charged its latency/bandwidth penalty on
     /// top of the DMA link time. `a` = penalty cycles charged (the exact
@@ -203,9 +203,9 @@ pub struct Event {
 }
 
 /// A sink for trace events. `record` takes `&self` because the kernel
-/// shares its tracer by reference, and the `Sync` bound stays while the
-/// kernel's own API is `&self`; the engine itself runs on one thread.
-pub trait Recorder: Sync {
+/// keeps its tracer outside its single-writer state and records through
+/// a shared reference; the kernel and the engine run on one thread.
+pub trait Recorder {
     /// `false` means `record` is a no-op and call sites skip computing
     /// event arguments entirely (the zero-cost path).
     const ENABLED: bool;

@@ -1,479 +1,9 @@
-//! Offline stand-in for the `parking_lot` crate.
+//! # parking_lot (empty placeholder)
 //!
-//! This workspace builds in sandboxes with no registry access, so the
-//! handful of external crates it uses are replaced by in-repo shims that
-//! expose the *exact API subset* the workspace consumes (see
-//! `shims/README.md`). Like the real crate, locks here are not poisoned
-//! by panics: a panicking holder simply unlocks during unwind.
-//!
-//! Implementation: test-and-test-and-set spin locks with a yielding
-//! backoff, not wrappers around `std::sync`. The simulator's fault hot
-//! path crosses roughly a dozen uncontended lock pairs per fault
-//! (page-table `RwLock`s, residency stripes, policy and batch mutexes),
-//! and the `std` futex path's stronger orderings plus poison checks made
-//! those pairs the single largest cost on the path. Critical sections in
-//! this codebase are tens of nanoseconds, held with no blocking calls
-//! inside, so spinning (briefly, then yielding to stay fair on
-//! oversubscribed runners) is the right trade — the same one the real
-//! `parking_lot` makes with its userspace fast path.
-//!
-//! This is the only shim that needs `unsafe`: a lock hands out `&mut T`
-//! from `&self`, which fundamentally requires `UnsafeCell`. The unsafe
-//! surface is confined to the guard `Deref` impls and the `Send`/`Sync`
-//! bounds, each annotated with its invariant.
-
-use std::cell::UnsafeCell;
-use std::fmt;
-use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{
-    AtomicBool, AtomicU32,
-    Ordering::{Acquire, Relaxed, Release},
-};
-
-/// Spins this many times with a pause hint before starting to yield the
-/// timeslice. Uncontended acquires never reach the backoff at all; short
-/// contention resolves within the pause window; anything longer means
-/// the holder was preempted, and yielding lets it run.
-const SPINS_BEFORE_YIELD: u32 = 64;
-
-#[inline]
-fn backoff(spins: &mut u32) {
-    if *spins < SPINS_BEFORE_YIELD {
-        *spins += 1;
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
-
-/// Marker making guards `!Send`, like the `std` and `parking_lot`
-/// guards: a guard unlocks on the thread that acquired it.
-type NotSend = PhantomData<*const ()>;
-
-/// A mutual-exclusion spin lock that is not poisoned by panics.
-pub struct Mutex<T> {
-    locked: AtomicBool,
-    value: UnsafeCell<T>,
-}
-
-// SAFETY: the lock protocol guarantees at most one thread observes the
-// inner value at a time (guards borrow the lock, `lock` hands out one
-// guard per acquire), so sharing the lock across threads only requires
-// that the value itself may move between threads: `T: Send`.
-unsafe impl<T: Send> Sync for Mutex<T> {}
-
-impl<T> Mutex<T> {
-    /// Creates a new mutex protecting `value`.
-    pub const fn new(value: T) -> Mutex<T> {
-        Mutex {
-            locked: AtomicBool::new(false),
-            value: UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquires the lock, blocking (spinning, then yielding) until it is
-    /// available.
-    #[inline]
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        if self
-            .locked
-            .compare_exchange(false, true, Acquire, Relaxed)
-            .is_err()
-        {
-            self.lock_slow();
-        }
-        MutexGuard {
-            lock: self,
-            _not_send: PhantomData,
-        }
-    }
-
-    #[cold]
-    fn lock_slow(&self) {
-        let mut spins = 0;
-        loop {
-            // Test-and-test-and-set: spin on a plain load so waiters do
-            // not bounce the cache line with failed RMWs.
-            while self.locked.load(Relaxed) {
-                backoff(&mut spins);
-            }
-            if self
-                .locked
-                .compare_exchange(false, true, Acquire, Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    #[inline]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        if self
-            .locked
-            .compare_exchange(false, true, Acquire, Relaxed)
-            .is_ok()
-        {
-            Some(MutexGuard {
-                lock: self,
-                _not_send: PhantomData,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
-    }
-
-    /// Mutable access without locking (requires exclusive access).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.value.get_mut()
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Mutex<T> {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
-        }
-    }
-}
-
-/// RAII guard for [`Mutex::lock`]; unlocks on drop.
-pub struct MutexGuard<'a, T> {
-    lock: &'a Mutex<T>,
-    _not_send: NotSend,
-}
-
-// SAFETY: a shared guard only hands out `&T`, so sharing it across
-// threads requires exactly `T: Sync` (same bound as the std guard).
-unsafe impl<T: Sync> Sync for MutexGuard<'_, T> {}
-
-impl<T> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: the guard exists only while the lock is held, which
-        // excludes every other reference to the value.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T> DerefMut for MutexGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: as above, plus `&mut self` makes this the only path
-        // to the value even through this guard.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T> Drop for MutexGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Release);
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-/// Writer-held bit of the [`RwLock`] state word; the low bits count
-/// active readers.
-const WRITER: u32 = 1 << 31;
-
-/// A reader-writer spin lock that is not poisoned by panics.
-pub struct RwLock<T> {
-    /// `WRITER` when write-locked, otherwise the number of readers.
-    state: AtomicU32,
-    value: UnsafeCell<T>,
-}
-
-// SAFETY: concurrent readers on distinct threads observe `&T`
-// (requires `T: Sync`); the value is handed between threads through
-// write guards (requires `T: Send`). Same bounds as `std::sync::RwLock`.
-unsafe impl<T: Send + Sync> Sync for RwLock<T> {}
-
-impl<T> RwLock<T> {
-    /// Creates a new lock protecting `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            state: AtomicU32::new(0),
-            value: UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquires shared read access.
-    #[inline]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let mut spins = 0;
-        loop {
-            let s = self.state.load(Relaxed);
-            if s & WRITER == 0 {
-                debug_assert!(s < WRITER - 1, "reader count overflow");
-                if self
-                    .state
-                    .compare_exchange_weak(s, s + 1, Acquire, Relaxed)
-                    .is_ok()
-                {
-                    return RwLockReadGuard {
-                        lock: self,
-                        _not_send: PhantomData,
-                    };
-                }
-            } else {
-                backoff(&mut spins);
-            }
-        }
-    }
-
-    /// Acquires exclusive write access.
-    #[inline]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        if self
-            .state
-            .compare_exchange(0, WRITER, Acquire, Relaxed)
-            .is_err()
-        {
-            self.write_slow();
-        }
-        RwLockWriteGuard {
-            lock: self,
-            _not_send: PhantomData,
-        }
-    }
-
-    #[cold]
-    fn write_slow(&self) {
-        let mut spins = 0;
-        loop {
-            while self.state.load(Relaxed) != 0 {
-                backoff(&mut spins);
-            }
-            if self
-                .state
-                .compare_exchange(0, WRITER, Acquire, Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
-    }
-
-    /// Mutable access without locking (requires exclusive access).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.value.get_mut()
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.state.load(Relaxed) & WRITER == 0 {
-            let g = self.read();
-            f.debug_struct("RwLock").field("data", &*g).finish()
-        } else {
-            f.debug_struct("RwLock").field("data", &"<locked>").finish()
-        }
-    }
-}
-
-/// RAII guard for [`RwLock::read`]; releases the reader count on drop.
-pub struct RwLockReadGuard<'a, T> {
-    lock: &'a RwLock<T>,
-    _not_send: NotSend,
-}
-
-// SAFETY: the guard only exposes `&T`; see `MutexGuard`.
-unsafe impl<T: Sync> Sync for RwLockReadGuard<'_, T> {}
-
-impl<T> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: a nonzero reader count excludes writers, and readers
-        // only ever take shared references.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.lock.state.fetch_sub(1, Release);
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLockReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-/// RAII guard for [`RwLock::write`]; unlocks on drop.
-pub struct RwLockWriteGuard<'a, T> {
-    lock: &'a RwLock<T>,
-    _not_send: NotSend,
-}
-
-// SAFETY: the guard only exposes `&T` through a shared reference; see
-// `MutexGuard`.
-unsafe impl<T: Sync> Sync for RwLockWriteGuard<'_, T> {}
-
-impl<T> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: the WRITER bit excludes all other guards.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T> DerefMut for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: as above, plus `&mut self` — this is the only live
-        // reference to the value.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.lock.state.store(0, Release);
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mutex_round_trip() {
-        let m = Mutex::new(41);
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn try_lock_respects_holder() {
-        let m = Mutex::new(0);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 4);
-        }
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
-        assert_eq!(l.into_inner().len(), 3);
-    }
-
-    #[test]
-    fn panicked_holder_does_not_poison() {
-        let m = std::sync::Arc::new(Mutex::new(0));
-        let m2 = m.clone();
-        let _ = std::thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("poison attempt");
-        })
-        .join();
-        assert_eq!(*m.lock(), 0, "lock stays usable after a panic");
-    }
-
-    #[test]
-    fn mutex_excludes_concurrent_increments() {
-        use std::sync::Arc;
-        let m = Arc::new(Mutex::new(0u64));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        *m.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*m.lock(), 80_000);
-    }
-
-    #[test]
-    fn rwlock_excludes_writers_from_readers() {
-        use std::sync::Arc;
-        // Writers append pairs; readers must never observe a torn pair.
-        let l = Arc::new(RwLock::new((0u64, 0u64)));
-        let writers: Vec<_> = (0..4)
-            .map(|_| {
-                let l = Arc::clone(&l);
-                std::thread::spawn(move || {
-                    for _ in 0..5_000 {
-                        let mut g = l.write();
-                        g.0 += 1;
-                        g.1 += 1;
-                    }
-                })
-            })
-            .collect();
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let l = Arc::clone(&l);
-                std::thread::spawn(move || {
-                    for _ in 0..5_000 {
-                        let g = l.read();
-                        assert_eq!(g.0, g.1, "torn read under writer");
-                    }
-                })
-            })
-            .collect();
-        for h in writers.into_iter().chain(readers) {
-            h.join().unwrap();
-        }
-        let g = l.read();
-        assert_eq!((g.0, g.1), (20_000, 20_000));
-    }
-}
+//! Nothing in the workspace takes a host lock any more: the kernel keeps
+//! everything it mutates in one single-writer cell, and the engine runs
+//! on one thread. This package stays, empty, because
+//! `perfbench/Cargo.lock` lists `parking_lot` under `cmcp-kernel`,
+//! `cmcp-pagetable` and `cmcp-sim`, and perfbench is linted with
+//! `--locked`. It goes with those manifest lines in the benchmark
+//! follow-up.

@@ -102,7 +102,7 @@ fn steady_state(cores: usize, tiered: bool, policy: PolicyKind, warm_laps: u64) 
     for i in 0..warm {
         touch(i);
     }
-    let evictions = vmm.global_stats().snapshot().evictions;
+    let evictions = vmm.global_stats().evictions;
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut i = warm;
     let mut faults = 0;
@@ -112,7 +112,7 @@ fn steady_state(cores: usize, tiered: bool, policy: PolicyKind, warm_laps: u64) 
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(
-        vmm.global_stats().snapshot().evictions - evictions,
+        vmm.global_stats().evictions - evictions,
         MEASURED_FAULTS,
         "every measured fault must evict"
     );

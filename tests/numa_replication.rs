@@ -103,15 +103,13 @@ fn replica_sets_are_subsets_of_pspt_mapping_node_sets() {
 
 #[test]
 fn every_replica_drop_is_counted_exactly_once() {
-    use std::sync::atomic::Ordering::Relaxed;
     let (trace, vmm) = pressured("4node", true, 0);
     cmcp::sim::run(&vmm, &trace);
     assert_eq!(vmm.numa_books().capacity().len(), 4, "one budget per node");
-    let g = vmm.global_stats();
-    let evictions = g.evictions.load(Relaxed);
-    let syncs = g.replica_syncs.load(Relaxed);
-    let invalidations = g.replica_invalidations.load(Relaxed);
-    let spills = g.remote_spills.load(Relaxed);
+    let evictions = vmm.global_stats().evictions;
+    let n = vmm.numa_stats().clone();
+    let (syncs, invalidations, spills) =
+        (n.replica_syncs, n.replica_invalidations, n.remote_spills);
     let resident_entries: u64 = vmm.numa_used().iter().sum();
     let resident_replicas: u64 = touched_pages(&trace)
         .iter()
@@ -157,15 +155,14 @@ fn balanced_private_streams_neither_spill_nor_invalidate() {
     // Symmetric private working sets on a symmetric topology at ratio
     // 1.0: no evictions, no spills — so the conservation law collapses
     // to equality with zero invalidations.
-    use std::sync::atomic::Ordering::Relaxed;
     let trace = synthetic::private_stream(8, 16, 3);
     let blocks = trace.declared_blocks(PageSize::K4);
     let vmm = numa_vmm(&trace, "2node", true, blocks, 0);
     cmcp::sim::run(&vmm, &trace);
-    let g = vmm.global_stats();
-    assert_eq!(g.evictions.load(Relaxed), 0);
-    assert_eq!(g.remote_spills.load(Relaxed), 0);
-    assert_eq!(g.replica_invalidations.load(Relaxed), 0);
+    let n = vmm.numa_stats().clone();
+    assert_eq!(vmm.global_stats().evictions, 0);
+    assert_eq!(n.remote_spills, 0);
+    assert_eq!(n.replica_invalidations, 0);
     let resident_replicas: u64 = touched_pages(&trace)
         .iter()
         .filter_map(|&h| vmm.numa_block_state(h))
@@ -173,10 +170,9 @@ fn balanced_private_streams_neither_spill_nor_invalidate() {
         .sum();
     assert_eq!(vmm.numa_books().capacity().len(), 2, "one budget per node");
     let inserts: u64 = vmm.numa_used().iter().sum();
-    let syncs = g.replica_syncs.load(Relaxed);
     assert_eq!(
         resident_replicas,
-        inserts + syncs,
+        inserts + n.replica_syncs,
         "with no drops, every created replica is still resident"
     );
 }
@@ -205,14 +201,12 @@ fn single_node_books_balance_and_nothing_crosses_a_link() {
     // A one-node run is the one-node case of the general books: every
     // block is charged to node 0's budget, and with one node there is
     // nowhere to spill, sync from or migrate to.
-    use std::sync::atomic::Ordering::Relaxed;
     let trace = synthetic::shared_hot(4, 16, 8, 2);
     let blocks = trace.declared_blocks(PageSize::K4) / 2;
     let vmm = numa_vmm(&trace, "1node", true, blocks, 0);
     let report = cmcp::sim::run(&vmm, &trace);
-    let g = vmm.global_stats();
     assert!(
-        g.evictions.load(Relaxed) > 0,
+        vmm.global_stats().evictions > 0,
         "half the footprint must evict"
     );
     assert_eq!(vmm.numa_books().capacity(), [blocks as u64]);
@@ -223,14 +217,12 @@ fn single_node_books_balance_and_nothing_crosses_a_link() {
         vmm.resident_blocks() as u64,
         "node 0's used count must equal the resident block count"
     );
-    assert_eq!(g.remote_spills.load(Relaxed), 0, "no spill");
-    assert_eq!(g.replica_syncs.load(Relaxed), 0, "no sync");
-    assert_eq!(g.page_migrations.load(Relaxed), 0, "no migration");
-    let crossings: u64 = vmm
-        .core_stats()
-        .iter()
-        .map(|c| c.replica_sync_cycles.load(Relaxed) + c.migration_cycles.load(Relaxed))
-        .sum();
+    let n = vmm.numa_stats().clone();
+    assert_eq!(n.remote_spills, 0, "no spill");
+    assert_eq!(n.replica_syncs, 0, "no sync");
+    assert_eq!(n.page_migrations, 0, "no migration");
+    let crossings: u64 =
+        n.replica_sync_cycles.iter().sum::<u64>() + n.migration_cycles.iter().sum::<u64>();
     assert_eq!(crossings, 0, "no link-crossing cycles");
     assert!(
         report.numa.is_none(),

@@ -118,7 +118,7 @@ fn rebuild_resets_core_map_counts() {
     v.handle_fault(CoreId(2), VirtPage(0), false);
     assert_eq!(v.sharing_histogram().unwrap()[0], 1);
     assert_eq!(v.dma().bytes_in(), 0);
-    assert_eq!(v.global_stats().snapshot().evictions, 0);
+    assert_eq!(v.global_stats().evictions, 0);
 }
 
 /// A rebuild must not lose write-back debts, and evicting a rebuilt
@@ -135,7 +135,7 @@ fn rebuild_preserves_dirty_writeback_debt() {
     // Evict the rebuilt dirty block (FIFO head = block 0): the write-back
     // must still happen even though its PTEs are gone.
     v.handle_fault(CoreId(0), VirtPage(2), false);
-    assert_eq!(v.global_stats().snapshot().writebacks, 1);
+    assert_eq!(v.global_stats().writebacks, 1);
     assert_eq!(v.dma().bytes_out(), 4096);
 }
 

@@ -144,7 +144,7 @@ proptest! {
         ),
     ) {
         let cores = 6usize;
-        let pspt = Pspt::new(cores);
+        let mut pspt = Pspt::new(cores);
         for (core, slot, unmap) in ops {
             let head = VirtPage(slot);
             if unmap {
@@ -227,7 +227,7 @@ proptest! {
         size in prop_oneof![Just(PageSize::K64), Just(PageSize::M2)],
         write in any::<bool>(),
     ) {
-        let pspt = Pspt::new(2);
+        let mut pspt = Pspt::new(2);
         let span = size.pages_4k() as u64;
         let sub = sub % span;
         pspt.map(CoreId(0), VirtPage(0), PhysFrame(0), size, true).unwrap();
