@@ -52,9 +52,13 @@ test-numa:
 	cargo test -q --test numa_replication
 	cargo test -q --test proptest_tiers numa
 
-# One pass over the policies benchmark bodies (no measurement).
+# One pass over the policies, tracing, TLB and page-table benchmark
+# bodies (no measurement), as CI's bench-smoke job runs them.
 bench-smoke:
 	cargo bench -p cmcp-bench --bench policies -- --test
+	cargo bench -p cmcp-bench --bench trace_overhead -- --test
+	cargo bench -p cmcp-bench --bench tlb -- --test
+	cargo bench -p cmcp-bench --bench pagetable -- --test
 
 # Hot-path microbench vs the committed baseline (the CI perf gate);
 # `make bench-hotpath-save` rewrites the baseline after intentional

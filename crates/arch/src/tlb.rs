@@ -13,27 +13,29 @@
 use crate::clock::Cycles;
 use crate::types::{PageSize, VirtPage};
 
-/// Geometry of one core's TLB hierarchy.
+/// Entry counts of one core's TLB arrays. Each array's associativity
+/// is its type parameter, fixed at Knights Corner's: the 4 kB and 64 kB
+/// L1 arrays and the unified L2 are 4-way, the 2 MB L1 array 8-way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
-    /// (entries, associativity) of the L1 4 kB array.
-    pub l1_4k: (usize, usize),
-    /// (entries, associativity) of the L1 64 kB array.
-    pub l1_64k: (usize, usize),
-    /// (entries, associativity) of the L1 2 MB array.
-    pub l1_2m: (usize, usize),
-    /// (entries, associativity) of the unified L2.
-    pub l2: (usize, usize),
+    /// Entries of the 4-way L1 4 kB array.
+    pub l1_4k: usize,
+    /// Entries of the 4-way L1 64 kB array.
+    pub l1_64k: usize,
+    /// Entries of the 8-way L1 2 MB array.
+    pub l1_2m: usize,
+    /// Entries of the 4-way unified L2.
+    pub l2: usize,
 }
 
 impl Default for TlbConfig {
     /// Knights Corner data-TLB geometry.
     fn default() -> TlbConfig {
         TlbConfig {
-            l1_4k: (64, 4),
-            l1_64k: (32, 4),
-            l1_2m: (8, 8),
-            l2: (64, 4),
+            l1_4k: 64,
+            l1_64k: 32,
+            l1_2m: 8,
+            l2: 64,
         }
     }
 }
@@ -66,61 +68,93 @@ pub struct TlbStats {
     pub flushes: u64,
 }
 
-/// One set-associative array, stored flat and row-major by set: slot
-/// `i` holds `tags[i]` with LRU stamp `stamps[i]`. A stamp of 0 marks an
-/// empty slot — the TLB bumps its stamp before every use, so live stamps
-/// start at 1.
+/// Tag of an empty way. A 4 kB page number is at most 36 bits (a larger
+/// one can never be mapped) and an L2 tag ends in a class code of 0–2,
+/// so no live tag is all ones.
+const EMPTY_TAG: u64 = u64::MAX;
+
+/// One `W`-way set: its tags and their LRU stamps side by side. An empty
+/// way holds [`EMPTY_TAG`] and stamp 0; the TLB bumps its stamp
+/// before every use, so live stamps start at 1.
+#[derive(Debug, Clone, Copy)]
+struct Set<const W: usize> {
+    tags: [u64; W],
+    stamps: [u64; W],
+}
+
+impl<const W: usize> Set<W> {
+    const EMPTY: Set<W> = Set {
+        tags: [EMPTY_TAG; W],
+        stamps: [0; W],
+    };
+
+    /// The way holding `tag`, if any: every way is compared, with no
+    /// early exit. A tag sits in at most one way of its set.
+    #[inline]
+    fn find(&self, tag: u64) -> Option<usize> {
+        let mut hits = 0u32;
+        for w in 0..W {
+            hits |= u32::from(self.tags[w] == tag) << w;
+        }
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
+    /// The first way with the smallest stamp: the first empty way if
+    /// there is one, else the LRU way.
+    #[inline]
+    fn victim(&self) -> usize {
+        let mut v = 0;
+        for w in 1..W {
+            if self.stamps[w] < self.stamps[v] {
+                v = w;
+            }
+        }
+        v
+    }
+}
+
+/// One set-associative array of `W`-way sets. `W` is a type parameter
+/// so every per-way loop is unrolled at its fixed width (DESIGN.md §12).
 #[derive(Debug)]
-struct SetAssocArray {
+struct SetAssocArray<const W: usize> {
     /// `sets - 1`: the set count is a power of two, so a mask indexes it.
     set_mask: usize,
-    ways: usize,
     /// Bits of the tag to drop before set indexing. The unified L2 keys
     /// entries by `(vpn << 2) | class` for uniqueness but indexes sets by
     /// the vpn alone, so class bits don't shrink its effective capacity.
     index_shift: u32,
-    /// Page number of each slot, in units of the array's size class.
-    tags: Vec<u64>,
-    stamps: Vec<u64>,
+    /// The sets in index order. A tag is a page number in units of the
+    /// array's size class.
+    sets: Box<[Set<W>]>,
 }
 
-impl SetAssocArray {
-    fn new((entries, ways): (usize, usize), index_shift: u32) -> SetAssocArray {
+impl<const W: usize> SetAssocArray<W> {
+    fn new(entries: usize, index_shift: u32) -> SetAssocArray<W> {
         assert!(
-            entries > 0 && ways > 0 && entries % ways == 0 && (entries / ways).is_power_of_two(),
+            entries > 0 && entries.is_multiple_of(W) && (entries / W).is_power_of_two(),
             "bad TLB geometry"
         );
         SetAssocArray {
-            set_mask: entries / ways - 1,
-            ways,
+            set_mask: entries / W - 1,
             index_shift,
-            tags: vec![0; entries],
-            stamps: vec![0; entries],
+            sets: vec![Set::EMPTY; entries / W].into_boxed_slice(),
         }
     }
 
-    /// First slot of `tag`'s set.
+    /// `tag`'s set.
     #[inline]
-    fn set_base(&self, tag: u64) -> usize {
-        ((tag >> self.index_shift) as usize & self.set_mask) * self.ways
-    }
-
-    /// The slot holding `tag`, if any.
-    #[inline]
-    fn find(&self, base: usize, tag: u64) -> Option<usize> {
-        let ways = base..base + self.ways;
-        let (tags, stamps) = (&self.tags[ways.clone()], &self.stamps[ways]);
-        (0..tags.len())
-            .find(|&w| tags[w] == tag && stamps[w] != 0)
-            .map(|w| base + w)
+    fn set(&mut self, tag: u64) -> &mut Set<W> {
+        debug_assert_ne!(tag, EMPTY_TAG, "a TLB tag collides with the empty tag");
+        &mut self.sets[(tag >> self.index_shift) as usize & self.set_mask]
     }
 
     /// Finds `tag`, refreshing its LRU stamp.
     #[inline]
     fn lookup(&mut self, tag: u64, stamp: u64) -> bool {
-        match self.find(self.set_base(tag), tag) {
-            Some(i) => {
-                self.stamps[i] = stamp;
+        let set = self.set(tag);
+        match set.find(tag) {
+            Some(w) => {
+                set.stamps[w] = stamp;
                 true
             }
             None => false,
@@ -128,26 +162,22 @@ impl SetAssocArray {
     }
 
     /// Inserts `tag`, evicting the LRU way of its set if full.
+    #[inline]
     fn insert(&mut self, tag: u64, stamp: u64) {
-        let base = self.set_base(tag);
+        let set = self.set(tag);
         // Already present: refresh.
-        if let Some(i) = self.find(base, tag) {
-            self.stamps[i] = stamp;
-            return;
-        }
-        // One min-stamp scan picks the victim: the first minimum is the
-        // first empty way (stamp 0) if there is one, else the LRU way.
-        let stamps = &self.stamps[base..base + self.ways];
-        let victim = base + (0..self.ways).min_by_key(|&w| stamps[w]).expect("ways > 0");
-        self.tags[victim] = tag;
-        self.stamps[victim] = stamp;
+        let w = set.find(tag).unwrap_or_else(|| set.victim());
+        set.tags[w] = tag;
+        set.stamps[w] = stamp;
     }
 
     /// Removes `tag` if present; returns whether it was.
     fn invalidate(&mut self, tag: u64) -> bool {
-        match self.find(self.set_base(tag), tag) {
-            Some(i) => {
-                self.stamps[i] = 0;
+        let set = self.set(tag);
+        match set.find(tag) {
+            Some(w) => {
+                set.tags[w] = EMPTY_TAG;
+                set.stamps[w] = 0;
                 true
             }
             None => false,
@@ -155,12 +185,37 @@ impl SetAssocArray {
     }
 
     fn clear(&mut self) {
-        self.stamps.fill(0);
+        self.sets.fill(Set::EMPTY);
     }
 
     fn occupancy(&self) -> usize {
-        self.stamps.iter().filter(|&&s| s != 0).count()
+        self.sets
+            .iter()
+            .flat_map(|s| s.tags)
+            .filter(|&t| t != EMPTY_TAG)
+            .count()
     }
+}
+
+/// Runs `$call` with `$a` bound to the L1 array of `$size`'s class. The
+/// arrays differ in width, so in type, and cannot share a reference.
+macro_rules! with_l1 {
+    ($tlb:expr, $size:expr, $a:ident => $call:expr) => {
+        match $size {
+            PageSize::K4 => {
+                let $a = &mut $tlb.l1_4k;
+                $call
+            }
+            PageSize::K64 => {
+                let $a = &mut $tlb.l1_64k;
+                $call
+            }
+            PageSize::M2 => {
+                let $a = &mut $tlb.l1_2m;
+                $call
+            }
+        }
+    };
 }
 
 /// One core's data TLB.
@@ -171,12 +226,12 @@ impl SetAssocArray {
 /// runs on the target core itself.
 #[derive(Debug)]
 pub struct Tlb {
-    l1_4k: SetAssocArray,
-    l1_64k: SetAssocArray,
-    l1_2m: SetAssocArray,
+    l1_4k: SetAssocArray<4>,
+    l1_64k: SetAssocArray<4>,
+    l1_2m: SetAssocArray<8>,
     /// Unified second level. Tags are (vpn_in_class << 2) | class so that
     /// identical numeric pages of different sizes never alias.
-    l2: SetAssocArray,
+    l2: SetAssocArray<4>,
     stamp: u64,
     stats: TlbStats,
     /// Extra cycles of translation cost accumulated since last drain
@@ -219,15 +274,6 @@ impl Tlb {
             }
     }
 
-    #[inline]
-    fn l1_for(&mut self, size: PageSize) -> &mut SetAssocArray {
-        match size {
-            PageSize::K4 => &mut self.l1_4k,
-            PageSize::K64 => &mut self.l1_64k,
-            PageSize::M2 => &mut self.l1_2m,
-        }
-    }
-
     /// Translates an access to the 4 kB page `page`, which the page tables
     /// map with a `size`-sized entry. Returns where the translation hit.
     ///
@@ -238,7 +284,7 @@ impl Tlb {
         self.stats.accesses += 1;
         let vpn_in_class = page.0 >> (size.shift() - 12);
         let stamp = self.stamp;
-        if self.l1_for(size).lookup(vpn_in_class, stamp) {
+        if with_l1!(self, size, a => a.lookup(vpn_in_class, stamp)) {
             self.stats.l1_hits += 1;
             return TlbLookup::L1;
         }
@@ -247,7 +293,7 @@ impl Tlb {
             self.stats.l2_hits += 1;
             self.pending_cycles += self.l2_hit_cost;
             // Promote back into L1.
-            self.l1_for(size).insert(vpn_in_class, stamp);
+            with_l1!(self, size, a => a.insert(vpn_in_class, stamp));
             return TlbLookup::L2;
         }
         self.stats.misses += 1;
@@ -269,7 +315,7 @@ impl Tlb {
         let stamp = self.stamp;
         for size in PageSize::ALL {
             let vpn_in_class = page.0 >> (size.shift() - 12);
-            if self.l1_for(size).lookup(vpn_in_class, stamp) {
+            if with_l1!(self, size, a => a.lookup(vpn_in_class, stamp)) {
                 self.stats.l1_hits += 1;
                 return TlbLookup::L1;
             }
@@ -279,7 +325,7 @@ impl Tlb {
                 self.stats.l2_hits += 1;
                 self.pending_cycles += self.l2_hit_cost;
                 let vpn_in_class = page.0 >> (size.shift() - 12);
-                self.l1_for(size).insert(vpn_in_class, stamp);
+                with_l1!(self, size, a => a.insert(vpn_in_class, stamp));
                 return TlbLookup::L2;
             }
         }
@@ -305,7 +351,7 @@ impl Tlb {
         self.stamp += 1;
         let vpn_in_class = page.0 >> (size.shift() - 12);
         let stamp = self.stamp;
-        self.l1_for(size).insert(vpn_in_class, stamp);
+        with_l1!(self, size, a => a.insert(vpn_in_class, stamp));
         self.l2.insert(Self::class_tag(page, size), stamp);
     }
 
@@ -315,7 +361,7 @@ impl Tlb {
         let mut any = false;
         for size in PageSize::ALL {
             let vpn_in_class = page.0 >> (size.shift() - 12);
-            any |= self.l1_for(size).invalidate(vpn_in_class);
+            any |= with_l1!(self, size, a => a.invalidate(vpn_in_class));
             any |= self.l2.invalidate(Self::class_tag(page, size));
         }
         if any {
@@ -627,7 +673,7 @@ mod tests {
     #[should_panic(expected = "bad TLB geometry")]
     fn non_power_of_two_set_count_is_rejected() {
         let config = TlbConfig {
-            l1_4k: (48, 4),
+            l1_4k: 48,
             ..TlbConfig::default()
         };
         Tlb::new(config, 1, 1);

@@ -34,6 +34,15 @@ fn bench_radix_walk(c: &mut Criterion) {
             black_box(table.translate(VirtPage(1 << 30 | i)))
         });
     });
+    // The TLB-miss walk: finds the translation and sets A (D on odd
+    // pages) in one pass.
+    c.bench_function("radix_mark_accessed_hit", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 4097) % 16_384;
+            black_box(table.mark_accessed(VirtPage(i), i & 1 == 1))
+        });
+    });
 }
 
 fn bench_map_unmap(c: &mut Criterion) {

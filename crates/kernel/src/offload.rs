@@ -5,14 +5,14 @@
 //! host" (§2.1) over the IKC channel. File I/O — SCALE writes history
 //! and restart files — is the prime example.
 //!
-//! The offload engine wraps an [`IkcChannel`] and keeps per-core counts;
-//! the engine charges the round trip (queueing included) to the calling
-//! core's clock, so offload-heavy phases serialize visibly, which is
-//! precisely why the kernel design keeps them off the paging fast path.
-//! The kernel holds the engine in its single-writer state, so the counts
-//! are plain integers behind `&mut self`.
+//! The offload engine wraps an [`IkcChannel`] and charges the round trip
+//! (queueing included) to the calling core's clock, so offload-heavy
+//! phases serialize visibly, which is precisely why the kernel design
+//! keeps them off the paging fast path. The channel counts round trips
+//! and payload bytes; the kernel counts synchronous fallbacks
+//! (`sync_syscalls`) and the calls its offload-death rule reads.
 
-use cmcp_arch::{CoreClock, CoreId, Cycles, FaultInjector, IkcChannel, IkcMessage};
+use cmcp_arch::{CoreClock, Cycles, FaultInjector, IkcChannel, IkcMessage};
 
 use cmcp_arch::CostModel;
 
@@ -53,36 +53,24 @@ impl Syscall {
 #[derive(Debug)]
 pub struct OffloadEngine {
     channel: IkcChannel,
-    calls: Vec<u64>,
-    wait_cycles: Vec<u64>,
 }
 
 impl OffloadEngine {
-    /// An engine for `cores` cores over a channel with `cost`'s link
-    /// characteristics.
-    pub fn new(cost: &CostModel, cores: usize) -> OffloadEngine {
+    /// An engine over a channel with `cost`'s link characteristics.
+    pub fn new(cost: &CostModel) -> OffloadEngine {
         OffloadEngine {
             channel: IkcChannel::new(cost),
-            calls: vec![0; cores],
-            wait_cycles: vec![0; cores],
         }
     }
 
-    /// Executes `call` on behalf of `core`, blocking its clock for the
-    /// full round trip.
-    pub fn syscall(&mut self, core: CoreId, clock: &CoreClock, call: Syscall) -> Cycles {
+    /// Executes `call` on behalf of the core whose clock is `clock`,
+    /// blocking it for the full round trip.
+    pub fn syscall(&mut self, clock: &CoreClock, call: Syscall) -> Cycles {
         let now = clock.now();
         let done = self.channel.round_trip(now, call.message());
         let wait = done.done_at.saturating_sub(now);
         clock.advance(wait);
-        self.count(core, wait);
         wait
-    }
-
-    /// Counts one call by `core` that blocked it for `wait` cycles.
-    fn count(&mut self, core: CoreId, wait: Cycles) {
-        self.calls[core.index()] += 1;
-        self.wait_cycles[core.index()] += wait;
     }
 
     /// [`OffloadEngine::syscall`] with IKC fault injection: each dropped
@@ -90,7 +78,6 @@ impl OffloadEngine {
     /// returned wait). Returns the wait and the number of drops.
     pub fn syscall_with_faults(
         &mut self,
-        core: CoreId,
         clock: &CoreClock,
         call: Syscall,
         inj: Option<&FaultInjector>,
@@ -99,7 +86,6 @@ impl OffloadEngine {
         let (done, drops) = self.channel.round_trip_checked(now, call.message(), inj);
         let wait = done.done_at.saturating_sub(now);
         clock.advance(wait);
-        self.count(core, wait);
         (wait, drops)
     }
 
@@ -108,25 +94,15 @@ impl OffloadEngine {
     /// the message's service time both ways plus the doorbell hops it
     /// would have pipelined — strictly slower than a healthy offload,
     /// which is the degradation the run reports surface.
-    pub fn sync_syscall(&mut self, core: CoreId, clock: &CoreClock, call: Syscall) -> Cycles {
+    pub fn sync_syscall(&mut self, clock: &CoreClock, call: Syscall) -> Cycles {
         let msg = call.message();
         let wait = 2 * self.channel.service_time(msg) + 4 * self.channel.latency();
         clock.advance(wait);
-        self.count(core, wait);
         wait
     }
 
-    /// Offloaded calls issued by `core`.
-    pub fn calls(&self, core: CoreId) -> u64 {
-        self.calls[core.index()]
-    }
-
-    /// Cycles `core` spent blocked on offloads.
-    pub fn wait_cycles(&self, core: CoreId) -> u64 {
-        self.wait_cycles[core.index()]
-    }
-
-    /// Total round trips across cores.
+    /// Total round trips across cores (the synchronous fallback makes
+    /// none).
     pub fn total_calls(&self) -> u64 {
         self.channel.requests()
     }
@@ -141,29 +117,29 @@ impl OffloadEngine {
 mod tests {
     use super::*;
 
-    fn engine(cores: usize) -> OffloadEngine {
-        OffloadEngine::new(&CostModel::default(), cores)
+    fn engine() -> OffloadEngine {
+        OffloadEngine::new(&CostModel::default())
     }
 
     #[test]
     fn syscall_blocks_the_caller() {
-        let mut e = engine(2);
+        let mut e = engine();
         let clock = CoreClock::new();
-        let wait = e.syscall(CoreId(0), &clock, Syscall::Metadata);
+        let wait = e.syscall(&clock, Syscall::Metadata);
         assert!(wait > 8_000, "at least the host service time: {wait}");
         assert_eq!(clock.now(), wait);
-        assert_eq!(e.calls(CoreId(0)), 1);
-        assert_eq!(e.calls(CoreId(1)), 0);
+        assert_eq!(e.total_calls(), 1);
+        assert_eq!(e.total_payload(), 256);
     }
 
     #[test]
     fn writes_cost_more_with_more_bytes() {
-        let mut e = engine(1);
+        let mut e = engine();
         let clock = CoreClock::new();
-        let small = e.syscall(CoreId(0), &clock, Syscall::Write(4 << 10));
+        let small = e.syscall(&clock, Syscall::Write(4 << 10));
         // Leave a gap so the channel is idle again.
         clock.advance(10_000_000);
-        let big = e.syscall(CoreId(0), &clock, Syscall::Write(4 << 20));
+        let big = e.syscall(&clock, Syscall::Write(4 << 20));
         assert!(
             big > 5 * small,
             "4MB write must dwarf 4kB: {small} vs {big}"
@@ -173,36 +149,40 @@ mod tests {
 
     #[test]
     fn faulted_syscall_without_plan_matches_plain() {
-        let mut e = engine(1);
+        let mut e = engine();
         let clock = CoreClock::new();
-        let plain = e.syscall(CoreId(0), &clock, Syscall::Metadata);
-        let mut e2 = engine(1);
+        let plain = e.syscall(&clock, Syscall::Metadata);
+        let mut e2 = engine();
         let clock2 = CoreClock::new();
-        let (wait, drops) = e2.syscall_with_faults(CoreId(0), &clock2, Syscall::Metadata, None);
+        let (wait, drops) = e2.syscall_with_faults(&clock2, Syscall::Metadata, None);
         assert_eq!(drops, 0);
         assert_eq!(wait, plain);
     }
 
     #[test]
     fn sync_fallback_is_slower_than_healthy_offload() {
-        let mut e = engine(1);
+        let mut e = engine();
         let clock = CoreClock::new();
-        let offloaded = e.syscall(CoreId(0), &clock, Syscall::Write(64 << 10));
+        let offloaded = e.syscall(&clock, Syscall::Write(64 << 10));
         clock.advance(10_000_000);
-        let sync = e.sync_syscall(CoreId(0), &clock, Syscall::Write(64 << 10));
+        let sync = e.sync_syscall(&clock, Syscall::Write(64 << 10));
         assert!(
             sync > offloaded,
             "degraded mode must cost more: {offloaded} vs {sync}"
         );
-        assert_eq!(e.calls(CoreId(0)), 2, "sync calls still count");
+        assert_eq!(clock.now(), offloaded + 10_000_000 + sync);
+        // The fallback leaves the dead channel alone; the kernel counts
+        // it as a `sync_syscalls` instead.
+        assert_eq!(e.total_calls(), 1);
+        assert_eq!(e.total_payload(), 64 << 10);
     }
 
     #[test]
     fn concurrent_callers_serialize_on_the_channel() {
-        let mut e = engine(4);
+        let mut e = engine();
         let clocks: Vec<CoreClock> = (0..4).map(|_| CoreClock::new()).collect();
         let waits: Vec<u64> = (0..4)
-            .map(|c| e.syscall(CoreId(c as u16), &clocks[c], Syscall::Read(1 << 20)))
+            .map(|c| e.syscall(&clocks[c], Syscall::Read(1 << 20)))
             .collect();
         assert!(
             waits[3] > waits[0] * 2,

@@ -323,7 +323,7 @@ impl<R: Recorder> Vmm<R> {
                 },
                 mailboxes: vec![Vec::new(); cfg.cores],
                 stats: KernelStats::new(cfg.cores),
-                offload: OffloadEngine::new(&cfg.cost, cfg.cores),
+                offload: OffloadEngine::new(&cfg.cost),
                 offload_calls: 0,
                 offload_dead: false,
             }),
@@ -571,15 +571,18 @@ impl<R: Recorder> Vmm<R> {
         }
     }
 
-    /// Hardware page walk on behalf of `core`.
+    /// Hardware page walk on behalf of `core`. Read-only: the engine's
+    /// pre-commit re-probe uses it, and must not set an accessed bit.
     pub fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation> {
         with_scheme!(&self.state.borrow().scheme, s => s.translate(core, page))
     }
 
-    /// Hardware accessed/dirty-bit update after a successful walk or a
-    /// first write to a clean TLB entry.
-    pub fn mark_accessed(&self, core: CoreId, page: VirtPage, write: bool) {
-        with_scheme!(&mut self.state.borrow_mut().scheme, s => s.mark_accessed(core, page, write));
+    /// Hardware page walk on a TLB miss or a first write to a clean TLB
+    /// entry: one walk that sets the touched PTE's accessed bit (and
+    /// dirty bit, for a write) and returns the translation it marked, or
+    /// `None`, marking nothing, if `core` does not map `page`.
+    pub fn mark_accessed(&self, core: CoreId, page: VirtPage, write: bool) -> Option<Translation> {
+        with_scheme!(&mut self.state.borrow_mut().scheme, s => s.mark_accessed(core, page, write))
     }
 
     /// Whether `core` has pending TLB invalidations.
@@ -631,11 +634,11 @@ impl<R: Recorder> Vmm<R> {
             }
         }
         if *offload_dead {
-            let wait = offload.sync_syscall(core, clock, call);
+            let wait = offload.sync_syscall(clock, call);
             stats.global.sync_syscalls += 1;
             return wait;
         }
-        let (wait, drops) = offload.syscall_with_faults(core, clock, call, inj);
+        let (wait, drops) = offload.syscall_with_faults(clock, call, inj);
         if drops > 0 {
             // Drop timeouts happen outside fault windows, so they are
             // *not* retry-backoff cycles — each drop is surfaced as an

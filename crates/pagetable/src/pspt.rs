@@ -81,17 +81,11 @@ impl TableScheme for Pspt {
     }
 
     fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation> {
-        self.tables[core.index()]
-            .translate(page)
-            .map(|t| Translation {
-                frame: t.frame,
-                size: t.size,
-                writable: t.writable,
-            })
+        self.tables[core.index()].translate(page)
     }
 
-    fn mark_accessed(&mut self, core: CoreId, page: VirtPage, write: bool) {
-        self.tables[core.index()].mark_accessed(page, write);
+    fn mark_accessed(&mut self, core: CoreId, page: VirtPage, write: bool) -> Option<Translation> {
+        self.tables[core.index()].mark_accessed(page, write)
     }
 
     fn map(
@@ -297,7 +291,20 @@ mod tests {
             .unwrap();
         p.map(CoreId(5), VirtPage(42), PhysFrame(9), PageSize::K4, true)
             .unwrap();
-        p.mark_accessed(CoreId(5), VirtPage(42), true); // dirty on core5 only
+        // The marking walk reads and marks the walking core's own table
+        // only: nothing for a core that maps nothing, and core 5's entry
+        // (dirty on core 5 only) for core 5.
+        assert_eq!(p.mark_accessed(CoreId(3), VirtPage(42), true), None);
+        let want = p.translate(CoreId(5), VirtPage(42));
+        assert!(want.is_some());
+        assert_eq!(p.mark_accessed(CoreId(5), VirtPage(42), true), want);
+        let bits = |p: &mut Pspt, c: usize| {
+            p.tables[c]
+                .with_pte(VirtPage(42), |pte| (pte.accessed(), pte.dirty()))
+                .unwrap()
+        };
+        assert_eq!(bits(&mut p, 1), (false, false));
+        assert_eq!(bits(&mut p, 5), (true, true));
         let out = p.unmap_all(VirtPage(42), PageSize::K4).unwrap();
         assert_eq!(out.mappers.count(), 2);
         assert!(out.dirty, "dirty on any core's PTE forces write-back");

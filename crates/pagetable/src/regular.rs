@@ -48,15 +48,11 @@ impl TableScheme for RegularTables {
     }
 
     fn translate(&self, _core: CoreId, page: VirtPage) -> Option<Translation> {
-        self.table.translate(page).map(|t| Translation {
-            frame: t.frame,
-            size: t.size,
-            writable: t.writable,
-        })
+        self.table.translate(page)
     }
 
-    fn mark_accessed(&mut self, _core: CoreId, page: VirtPage, write: bool) {
-        self.table.mark_accessed(page, write);
+    fn mark_accessed(&mut self, _core: CoreId, page: VirtPage, write: bool) -> Option<Translation> {
+        self.table.mark_accessed(page, write)
     }
 
     fn map(

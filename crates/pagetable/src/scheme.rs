@@ -106,11 +106,17 @@ pub trait TableScheme {
     /// Cores sharing this address space.
     fn active_cores(&self) -> CoreSet;
 
-    /// Hardware page walk as seen by `core`.
+    /// Hardware page walk as seen by `core`. Read-only: it sets no
+    /// accessed bit.
     fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation>;
 
-    /// Hardware accessed/dirty update on a translated access by `core`.
-    fn mark_accessed(&mut self, core: CoreId, page: VirtPage, write: bool);
+    /// Hardware page walk on a TLB miss by `core`, or a first store
+    /// through a clean cached entry: in the same walk, sets the accessed
+    /// bit (and, for a write, the dirty bit) of the touched sub-entry,
+    /// and returns the translation it marked — what
+    /// [`TableScheme::translate`] returns. An unmapped page marks nothing
+    /// and returns `None`.
+    fn mark_accessed(&mut self, core: CoreId, page: VirtPage, write: bool) -> Option<Translation>;
 
     /// Installs a mapping of the `size`-aligned block at `head` for
     /// `core`. Regular tables install once for everybody; PSPT installs

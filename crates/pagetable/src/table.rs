@@ -43,6 +43,7 @@ use std::fmt;
 use cmcp_arch::{PageSize, PhysFrame, VirtPage};
 
 use crate::pte::{Pte, PteFlags};
+use crate::scheme::Translation;
 
 const FANOUT: usize = 512;
 /// Virtual page numbers are 36 bits (48-bit virtual addresses).
@@ -98,18 +99,6 @@ impl fmt::Display for MapError {
 }
 
 impl std::error::Error for MapError {}
-
-/// Result of a translation: the 4 kB frame backing the queried page and
-/// the size class of the mapping it came from (what the TLB caches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableTranslation {
-    /// Frame backing the queried 4 kB page.
-    pub frame: PhysFrame,
-    /// Size class of the enclosing mapping.
-    pub size: PageSize,
-    /// Whether the mapping permits writes.
-    pub writable: bool,
-}
 
 /// Bottom-level page table: 512 packed PTE words plus a live-entry
 /// count, stored inline so the leaf arena is one contiguous run.
@@ -351,69 +340,90 @@ impl PageTable {
         }
     }
 
-    /// Hardware page walk for the 4 kB page `vpage`.
-    pub fn translate(&self, vpage: VirtPage) -> Option<TableTranslation> {
+    /// Hardware page walk for the 4 kB page `vpage`. Read-only: it sets
+    /// no accessed bit.
+    pub fn translate(&self, vpage: VirtPage) -> Option<Translation> {
         if vpage.0 >> VPN_BITS != 0 {
             return None;
         }
         let h = self.pd_handle(vpage.0);
-        match tag_of(h) {
-            TAG_2M => {
-                let pte = self.leaf2m[index_of(h)];
-                let offset = (vpage.0 % PageSize::M2.pages_4k() as u64) as u32;
-                Some(TableTranslation {
-                    frame: pte.frame().add(offset),
-                    size: PageSize::M2,
-                    writable: pte.writable(),
-                })
-            }
+        let (pte, size) = match tag_of(h) {
+            TAG_2M => (self.leaf2m[index_of(h)], PageSize::M2),
             TAG_PT => {
                 let pte = self.leaves[index_of(h)].ptes[(vpage.0 & 0x1ff) as usize];
                 if !pte.present() {
                     return None;
                 }
-                Some(TableTranslation {
-                    frame: pte.frame(),
-                    size: if pte.hint_64k() {
-                        PageSize::K64
-                    } else {
-                        PageSize::K4
-                    },
-                    writable: pte.writable(),
-                })
+                (pte, Self::leaf_size(pte))
             }
-            _ => None,
+            _ => return None,
+        };
+        Some(Self::translation(pte, size, vpage))
+    }
+
+    /// The size class of a present PT-level entry's mapping.
+    #[inline]
+    fn leaf_size(pte: Pte) -> PageSize {
+        if pte.hint_64k() {
+            PageSize::K64
+        } else {
+            PageSize::K4
         }
     }
 
-    /// Applies `f` to the PTE covering the 4 kB page `vpage`, if mapped.
-    /// For a 2 MB mapping this is the single PD leaf; for 4 kB/64 kB it is
-    /// the exact sub-entry — which is how the Phi hardware sets A/D bits
-    /// on 64 kB pages.
-    pub fn with_pte<R>(&mut self, vpage: VirtPage, f: impl FnOnce(&mut Pte) -> R) -> Option<R> {
+    /// What a walk that reached `pte`, the entry of a `size` mapping
+    /// covering `vpage`, hands the TLB.
+    #[inline]
+    fn translation(pte: Pte, size: PageSize, vpage: VirtPage) -> Translation {
+        let frame = match size {
+            // One PD leaf covers the block: offset into its frames.
+            PageSize::M2 => pte
+                .frame()
+                .add((vpage.0 % PageSize::M2.pages_4k() as u64) as u32),
+            PageSize::K4 | PageSize::K64 => pte.frame(),
+        };
+        Translation {
+            frame,
+            size,
+            writable: pte.writable(),
+        }
+    }
+
+    /// The PTE covering the 4 kB page `vpage`, if mapped, with its
+    /// mapping's size class. For a 2 MB mapping this is the single PD
+    /// leaf; for 4 kB/64 kB it is the exact sub-entry — which is how the
+    /// Phi hardware sets A/D bits on 64 kB pages.
+    #[inline]
+    fn leaf_mut(&mut self, vpage: VirtPage) -> Option<(&mut Pte, PageSize)> {
         if vpage.0 >> VPN_BITS != 0 {
             return None;
         }
         let h = self.pd_handle(vpage.0);
         match tag_of(h) {
-            TAG_2M => Some(f(&mut self.leaf2m[index_of(h)])),
+            TAG_2M => Some((&mut self.leaf2m[index_of(h)], PageSize::M2)),
             TAG_PT => {
                 let pte = &mut self.leaves[index_of(h)].ptes[(vpage.0 & 0x1ff) as usize];
-                if pte.present() {
-                    Some(f(pte))
-                } else {
-                    None
-                }
+                let size = Self::leaf_size(*pte);
+                pte.present().then_some((pte, size))
             }
             _ => None,
         }
     }
 
-    /// Hardware behaviour on a translated access: set the accessed (and,
-    /// for writes, dirty) bit in the touched sub-entry.
-    pub fn mark_accessed(&mut self, vpage: VirtPage, write: bool) -> bool {
-        self.with_pte(vpage, |pte| pte.mark_accessed(write))
-            .is_some()
+    /// Applies `f` to the PTE covering the 4 kB page `vpage`, if mapped
+    /// (the entry [`PageTable::leaf_mut`] finds).
+    pub fn with_pte<R>(&mut self, vpage: VirtPage, f: impl FnOnce(&mut Pte) -> R) -> Option<R> {
+        self.leaf_mut(vpage).map(|(pte, _)| f(pte))
+    }
+
+    /// Hardware behaviour on a TLB miss: one walk that sets the accessed
+    /// (and, for writes, dirty) bit in the touched sub-entry and returns
+    /// the translation it marked — what [`PageTable::translate`] returns.
+    /// An unmapped page marks nothing and returns `None`.
+    pub fn mark_accessed(&mut self, vpage: VirtPage, write: bool) -> Option<Translation> {
+        let (pte, size) = self.leaf_mut(vpage)?;
+        pte.mark_accessed(write);
+        Some(Self::translation(*pte, size, vpage))
     }
 
     /// OS statistics scan over one mapping block: read-and-clear the
@@ -747,18 +757,71 @@ mod tests {
     #[test]
     fn accessed_bit_lands_in_touched_subentry() {
         // The Phi quirk from paper §4: touching the (k+1)-th 4 kB region
-        // of a 64 kB page sets A/D in that sub-entry only.
+        // of a 64 kB page sets A/D in that sub-entry only. The marking
+        // walk returns what `translate` returns, at every size, and
+        // marks nothing when the page is unmapped.
         let mut t = table();
         t.map(VirtPage(0), PhysFrame(0), PageSize::K64, PteFlags::WRITABLE)
             .unwrap();
-        t.mark_accessed(VirtPage(5), true);
-        // Only sub-entry 5 carries the bits.
-        for k in 0..16u64 {
-            let (acc, dirty) = t
-                .with_pte(VirtPage(k), |pte| (pte.accessed(), pte.dirty()))
-                .unwrap();
-            assert_eq!(acc, k == 5, "accessed of sub-entry {k}");
-            assert_eq!(dirty, k == 5, "dirty of sub-entry {k}");
+        // A read-only 4 kB page (read below) and a writable 2 MB one.
+        t.map(
+            VirtPage(0x11),
+            PhysFrame(0x31),
+            PageSize::K4,
+            PteFlags::empty(),
+        )
+        .unwrap();
+        t.map(
+            VirtPage(0x200),
+            PhysFrame(0x400),
+            PageSize::M2,
+            PteFlags::WRITABLE,
+        )
+        .unwrap();
+        // (page, accessed, dirty) of every mapped PTE: the 64 kB block's
+        // sixteen sub-entries, the 4 kB page and the 2 MB leaf.
+        let bits = |t: &mut PageTable| -> Vec<(u64, bool, bool)> {
+            (0..16u64)
+                .chain([0x11, 0x200])
+                .map(|p| {
+                    let (a, d) = t
+                        .with_pte(VirtPage(p), |pte| (pte.accessed(), pte.dirty()))
+                        .unwrap();
+                    (p, a, d)
+                })
+                .collect()
+        };
+        let clean = bits(&mut t);
+        // An empty slot in a live leaf, a page with no leaf, and one past
+        // the 36-bit range.
+        for p in [0x10, 0x1000, 1 << 36] {
+            assert_eq!(t.mark_accessed(VirtPage(p), true), None, "page {p:#x}");
+        }
+        assert_eq!(bits(&mut t), clean, "an unmapped page marks nothing");
+        for (page, write, size) in [
+            (0x5, true, PageSize::K64),
+            (0x11, false, PageSize::K4),
+            (0x277, true, PageSize::M2),
+        ] {
+            let want = t.translate(VirtPage(page));
+            assert_eq!(want.map(|tr| tr.size), Some(size));
+            assert_eq!(
+                t.mark_accessed(VirtPage(page), write),
+                want,
+                "page {page:#x}"
+            );
+        }
+        assert_eq!(
+            t.translate(VirtPage(0x277)).unwrap().frame,
+            PhysFrame(0x400 + 0x77)
+        );
+        assert!(!t.translate(VirtPage(0x11)).unwrap().writable);
+        // Only the touched sub-entry of the 64 kB block, the 4 kB page
+        // (read: no D) and the 2 MB leaf carry bits.
+        for (p, a, d) in bits(&mut t) {
+            let touched = matches!(p, 0x5 | 0x11 | 0x200);
+            assert_eq!(a, touched, "accessed of page {p:#x}");
+            assert_eq!(d, touched && p != 0x11, "dirty of page {p:#x}");
         }
     }
 

@@ -676,23 +676,31 @@ mod tests {
     #[test]
     fn memory_pressure_causes_evictions_and_refaults() {
         // One core sweeps 64 pages repeatedly with only 32 resident.
-        let mut t = Trace::new(1, "thrash");
-        for _ in 0..4 {
-            t.cores[0].ops.push(Op::Stream {
-                start: VirtPage(0),
-                pages: 64,
-                write: true,
-                work_per_page: 2,
-            });
-        }
-        let vmm = Vmm::new(KernelConfig::new(1, 32));
-        let r = run(&vmm, &t);
+        let sweep = |write: bool| {
+            let mut t = Trace::new(1, "thrash");
+            for _ in 0..4 {
+                t.cores[0].ops.push(Op::Stream {
+                    start: VirtPage(0),
+                    pages: 64,
+                    write,
+                    work_per_page: 2,
+                });
+            }
+            run(&Vmm::new(KernelConfig::new(1, 32)), &t)
+        };
+        let r = sweep(true);
         assert!(r.global.evictions > 64, "sweep must thrash");
         assert!(r.per_core[0].page_faults > 64);
         assert!(r.dma_bytes.1 > 0, "dirty sweeps write back");
         assert!(r.global.refaults > 0);
         // Refaults DMA backing copies in: never shardable.
         assert!(r.scaling.reconciled > 0, "{:?}", r.scaling);
+        // The same pressure read-only: every walk marks A and never D,
+        // so no victim is dirty and nothing goes back to the host.
+        let r = sweep(false);
+        assert!(r.global.evictions > 64, "read sweep must thrash too");
+        assert_eq!(r.global.writebacks, 0);
+        assert_eq!(r.dma_bytes.1, 0, "clean sweeps write nothing back");
     }
 
     #[test]

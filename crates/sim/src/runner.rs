@@ -175,10 +175,9 @@ impl CoreRunner {
         clock: &mut LocalClock,
     ) -> Option<Pause> {
         let pf = self.pending?;
-        match vmm.translate(self.core, pf.page) {
+        match vmm.mark_accessed(self.core, pf.page, pf.write) {
             Some(tr) => {
                 self.tlb.fill(pf.page, tr.size);
-                vmm.mark_accessed(self.core, pf.page, pf.write);
                 if pf.write {
                     let key = self.dirty_key(pf.page, vmm.config().block_size);
                     self.written.insert(key);
@@ -232,10 +231,10 @@ impl CoreRunner {
                     }
                 }
             }
-            TlbLookup::Miss => match vmm.translate(self.core, page) {
+            // One walk finds the translation and sets its A (and D) bit.
+            TlbLookup::Miss => match vmm.mark_accessed(self.core, page, write) {
                 Some(tr) => {
                     self.tlb.fill(page, tr.size);
-                    vmm.mark_accessed(self.core, page, write);
                     if write {
                         self.written.insert(self.dirty_key(page, size));
                     }

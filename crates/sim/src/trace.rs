@@ -147,32 +147,57 @@ impl CoreTrace {
         set
     }
 
-    /// Checks every replay: non-empty, wholly before its own index, and
-    /// covering no other replay. The error names the op index.
-    fn check_replays(&self) -> Result<(), String> {
+    /// Checks every replay — non-empty, wholly before its own index, and
+    /// covering no other replay — and returns the barrier count, in one
+    /// pass with no heap allocation (an error message aside). Each
+    /// replayed range is scanned once for barriers and replays together,
+    /// and a replay of the same range as the previous replay reuses that
+    /// scan, as a looped body's replays all do. The error names the op
+    /// index.
+    fn check_replays(&self) -> Result<usize, String> {
+        let mut barriers = 0;
+        // The last scanned range, `(start, len)`, and its barrier count.
+        let mut last: Option<((u32, u32), usize)> = None;
         for (k, op) in self.ops.iter().enumerate() {
-            let Op::Replay { start, len } = *op else {
-                continue;
+            let (start, len) = match *op {
+                Op::Barrier => {
+                    barriers += 1;
+                    continue;
+                }
+                Op::Replay { start, len } => (start, len),
+                _ => continue,
             };
-            let (start, end) = (start as usize, start as usize + len as usize);
+            let (first, end) = (start as usize, start as usize + len as usize);
             if len == 0 {
                 return Err(format!("op {k} replays no ops"));
             }
             if end > k {
                 return Err(format!(
-                    "op {k} replays ops {start}..{end}, which do not lie before it"
+                    "op {k} replays ops {first}..{end}, which do not lie before it"
                 ));
             }
-            if self.ops[start..end]
-                .iter()
-                .any(|o| matches!(o, Op::Replay { .. }))
-            {
-                return Err(format!(
-                    "op {k} replays ops {start}..{end}, which hold another replay"
-                ));
-            }
+            let in_range = match last {
+                Some((range, n)) if range == (start, len) => n,
+                _ => {
+                    let mut n = 0;
+                    for o in &self.ops[first..end] {
+                        match o {
+                            Op::Barrier => n += 1,
+                            Op::Replay { .. } => {
+                                return Err(format!(
+                                    "op {k} replays ops {first}..{end}, which hold another replay"
+                                ))
+                            }
+                            _ => {}
+                        }
+                    }
+                    last = Some(((start, len), n));
+                    n
+                }
+            };
+            barriers += in_range;
         }
-        Ok(())
+        Ok(barriers)
     }
 }
 
@@ -203,19 +228,27 @@ impl Trace {
 
     /// Checks every core's replays ([`Op::Replay`]), then the cross-core
     /// barrier structure: every core must have the same barrier count,
-    /// or the rendezvous would deadlock.
+    /// or the rendezvous would deadlock. One pass over each core's ops
+    /// does both, and allocates nothing unless it fails; a replay error
+    /// in any core is reported before a barrier mismatch.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores.is_empty() {
             return Err("trace has no cores".into());
         }
+        let mut core0 = 0;
+        // The first core whose barrier count differs from core 0's.
+        let mut mismatch = None;
         for (i, c) in self.cores.iter().enumerate() {
-            c.check_replays().map_err(|e| format!("core {i}: {e}"))?;
+            let barriers = c.check_replays().map_err(|e| format!("core {i}: {e}"))?;
+            if i == 0 {
+                core0 = barriers;
+            } else if barriers != core0 && mismatch.is_none() {
+                mismatch = Some((i, barriers));
+            }
         }
-        let barriers: Vec<usize> = self.cores.iter().map(CoreTrace::barriers).collect();
-        match barriers.iter().position(|&b| b != barriers[0]) {
-            Some(i) => Err(format!(
-                "core {i} has {} barriers, core 0 has {}",
-                barriers[i], barriers[0]
+        match mismatch {
+            Some((i, barriers)) => Err(format!(
+                "core {i} has {barriers} barriers, core 0 has {core0}"
             )),
             None => Ok(()),
         }
@@ -344,6 +377,19 @@ mod tests {
         assert!(t.validate().is_err());
         t.cores[1].ops.push(Op::Barrier);
         assert!(t.validate().is_ok());
+        // A bad replay in any core is reported before a barrier mismatch
+        // in an earlier one.
+        let mut t = Trace::new(3, "test");
+        t.cores[0].ops.push(Op::Barrier);
+        t.cores[2]
+            .ops
+            .extend([Op::Barrier, Op::Replay { start: 0, len: 0 }]);
+        assert_eq!(t.validate(), Err("core 2: op 1 replays no ops".into()));
+        t.cores[2].ops.pop();
+        assert_eq!(
+            t.validate(),
+            Err("core 1 has 0 barriers, core 0 has 1".into())
+        );
     }
 
     #[test]
@@ -385,9 +431,18 @@ mod tests {
         assert_eq!(c.page_set().len(), 5);
         assert_eq!(t.footprint_blocks(PageSize::K4), 5);
         assert_eq!(t.footprint_blocks(PageSize::K64), 1);
+        // A shorter replay from the same start holds no barrier: it
+        // leaves the rendezvous balanced when only core 0 runs it.
+        t.cores[0].ops.push(Op::Replay { start: 0, len: 1 });
+        assert_eq!(t.cores[0].barriers(), 2);
+        assert_eq!(t.validate(), Ok(()));
+        t.cores[0].ops.pop();
         // A barrier only one core replays unbalances the rendezvous.
         t.cores[1].ops.pop();
-        assert!(t.validate().is_err());
+        assert_eq!(
+            t.validate(),
+            Err("core 1 has 1 barriers, core 0 has 2".into())
+        );
     }
 
     #[test]
@@ -401,6 +456,12 @@ mod tests {
             (
                 Op::Replay { start: 3, len: 1 },
                 "op 4 replays ops 3..4, which hold another replay",
+            ),
+            // The previous replay's range (0..3) plus that replay: a
+            // shared start must not reuse the shorter range's scan.
+            (
+                Op::Replay { start: 0, len: 4 },
+                "op 4 replays ops 0..4, which hold another replay",
             ),
         ] {
             let mut t = replayed();

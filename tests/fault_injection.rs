@@ -237,6 +237,11 @@ fn offload_death_degrades_syscalls_synchronously() {
     let degraded = run(&vmm, &t);
     assert!(vmm.offload_dead(), "engine must die after the 4th call");
     assert_eq!(degraded.global.sync_syscalls, 12 - 4);
+    assert_eq!(
+        vmm.offload().total_calls(),
+        4,
+        "only the calls before the death reach the channel"
+    );
     assert!(
         degraded.runtime_cycles > healthy.runtime_cycles,
         "synchronous fallback must cost virtual time: {} vs {}",

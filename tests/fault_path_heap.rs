@@ -87,11 +87,11 @@ fn steady_state(cores: usize, tiered: bool, policy: PolicyKind, warm_laps: u64) 
     let mut touch = |i: u64| {
         let core = CoreId((i % cores as u64) as u16);
         let page = VirtPage(i % PAGES);
-        let faulted = vmm.translate(core, page).is_none();
+        let faulted = vmm.mark_accessed(core, page, true).is_none();
         if faulted {
             vmm.handle_fault(core, page, true);
+            vmm.mark_accessed(core, page, true);
         }
-        vmm.mark_accessed(core, page, true);
         for c in 0..cores {
             vmm.drain_invalidations(CoreId(c as u16), &mut drained);
             drained.clear();

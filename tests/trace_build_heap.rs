@@ -7,7 +7,8 @@
 //! row block by row block while it logs phase 1, so the two never sit
 //! on the heap whole at once. Every finished trace, CG's and those of
 //! the workloads that log without sizing their vectors (LU, BT, SCALE),
-//! holds its ops with no spare capacity.
+//! holds its ops with no spare capacity, and passes `Trace::validate`,
+//! which every run starts with, without a single heap allocation.
 //!
 //! This binary holds exactly one test, so nothing else allocates while it
 //! runs.
@@ -15,6 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use cmcp::sim::Trace;
 use cmcp::workloads::cg::{cg_trace, CgConfig};
 use cmcp::{Workload, WorkloadClass};
 
@@ -76,6 +78,19 @@ static ALLOC: Counting = Counting;
 /// The most live heap bytes cg.B's trace build may reach on 16 cores.
 const PEAK_BOUND: usize = 2_500_000;
 
+/// Asserts that `trace` validates without touching the heap: the live
+/// bytes' high-water mark does not rise during the check.
+fn validates_in_place(label: &str, trace: &Trace) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    assert_eq!(trace.validate(), Ok(()), "{label}");
+    assert_eq!(
+        PEAK.load(Ordering::Relaxed),
+        before,
+        "{label}: Trace::validate allocated"
+    );
+}
+
 #[test]
 fn cg_trace_build_peaks_near_the_finished_trace() {
     let cfg = CgConfig::class_b();
@@ -99,6 +114,7 @@ fn cg_trace_build_peaks_near_the_finished_trace() {
             "core {c}'s op vector holds spare capacity"
         );
     }
+    validates_in_place("cg.B", &trace);
     drop(trace);
     for w in [
         Workload::Lu(WorkloadClass::B),
@@ -120,5 +136,6 @@ fn cg_trace_build_peaks_near_the_finished_trace() {
                 w.label()
             );
         }
+        validates_in_place(w.label(), &trace);
     }
 }
