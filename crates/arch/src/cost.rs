@@ -189,7 +189,7 @@ impl CostModel {
 
     /// The minimum virtual-time latency by which one core's kernel
     /// activity can perturb another core's *locally observable* state —
-    /// the epoch window of the sharded engine.
+    /// the window of the epoch engine.
     ///
     /// Every kernel entry (fault, syscall, timer) is executed at an
     /// exact virtual-time stamp by the engine's sequential commit phase,

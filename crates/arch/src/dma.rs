@@ -18,7 +18,6 @@ use crate::clock::Cycles;
 use crate::cost::CostModel;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::resource::{Reservation, VirtualResource};
-use crate::types::PageSize;
 
 /// Direction of a transfer, for statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +35,16 @@ impl DmaDirection {
         match self {
             DmaDirection::HostToDevice => 0,
             DmaDirection::DeviceToHost => 1,
+        }
+    }
+
+    /// The fault site whose injected errors fail a transfer in this
+    /// direction.
+    #[inline]
+    pub fn error_site(self) -> FaultSite {
+        match self {
+            DmaDirection::HostToDevice => FaultSite::DmaIn,
+            DmaDirection::DeviceToHost => FaultSite::DmaOut,
         }
     }
 }
@@ -62,25 +71,20 @@ pub struct DmaModel {
     /// Cores that can have transfers outstanding — bounds genuine queue
     /// depth (each core blocks on its fault, which issues ≤2 transfers).
     clients: u64,
-    bytes_in: std::sync::atomic::AtomicU64,
-    bytes_out: std::sync::atomic::AtomicU64,
+    bytes_in: u64,
+    bytes_out: u64,
 }
 
 impl DmaModel {
     /// Builds the engine from the cost table, serving `clients` cores.
-    pub fn new(cost: &CostModel) -> DmaModel {
-        DmaModel::with_clients(cost, 64)
-    }
-
-    /// Builds the engine with an explicit client bound.
     pub fn with_clients(cost: &CostModel, clients: usize) -> DmaModel {
         DmaModel {
             latency: cost.dma_latency,
             bytes_per_kcycle: cost.dma_bytes_per_kcycle,
             engine: VirtualResource::new(),
             clients: clients.max(1) as u64,
-            bytes_in: Default::default(),
-            bytes_out: Default::default(),
+            bytes_in: 0,
+            bytes_out: 0,
         }
     }
 
@@ -90,13 +94,6 @@ impl DmaModel {
         self.latency + bytes * 1024 / self.bytes_per_kcycle
     }
 
-    /// Reserves the engine at virtual time `now` for a transfer of one
-    /// page of `size`; returns the reservation (the caller advances its
-    /// clock to `end`).
-    pub fn transfer_page(&self, now: Cycles, size: PageSize, dir: DmaDirection) -> Reservation {
-        self.transfer(now, size.bytes(), dir)
-    }
-
     /// Reserves the engine for an arbitrary-size transfer.
     ///
     /// The engine's *occupancy* is the streaming time only — descriptor
@@ -104,17 +101,17 @@ impl DmaModel {
     /// the KNC's multi-channel DMA engine — while the caller additionally
     /// waits out the fixed latency. The returned reservation's `end` is
     /// the caller-visible completion time.
-    pub fn transfer(&self, now: Cycles, bytes: u64, dir: DmaDirection) -> Reservation {
-        use std::sync::atomic::Ordering::Relaxed;
+    pub fn transfer(&mut self, now: Cycles, bytes: u64, dir: DmaDirection) -> Reservation {
         match dir {
-            DmaDirection::HostToDevice => self.bytes_in.fetch_add(bytes, Relaxed),
-            DmaDirection::DeviceToHost => self.bytes_out.fetch_add(bytes, Relaxed),
-        };
+            DmaDirection::HostToDevice => self.bytes_in += bytes,
+            DmaDirection::DeviceToHost => self.bytes_out += bytes,
+        }
         let streaming = bytes * 1024 / self.bytes_per_kcycle;
         // Each core blocks on its own fault and a fault issues at most
         // two transfers (write-back + page-in), so a genuine queue never
-        // exceeds ~2 transfers per client; the 4× cap only clamps
-        // parallel-engine clock-skew artifacts.
+        // exceeds ~2 transfers per client; the 4× cap only clamps the
+        // out-of-order arrivals of cores whose clocks skew between
+        // barriers (`VirtualResource::acquire_bounded`).
         let r = self
             .engine
             .acquire_bounded(now, streaming, 4 * self.clients * streaming.max(64));
@@ -130,7 +127,7 @@ impl DmaModel {
     /// The matching `DmaComplete` is recorded by the caller, which alone
     /// knows how many cycles of the wait its clock actually absorbed.
     pub fn transfer_traced<R: cmcp_trace::Recorder>(
-        &self,
+        &mut self,
         now: Cycles,
         bytes: u64,
         dir: DmaDirection,
@@ -163,11 +160,11 @@ impl DmaModel {
     /// [`DmaModel::transfer_traced`].
     #[allow(clippy::too_many_arguments)]
     pub fn transfer_checked_tiered<R: cmcp_trace::Recorder>(
-        &self,
+        &mut self,
         now: Cycles,
         bytes: u64,
         dir: DmaDirection,
-        inj: Option<&FaultInjector>,
+        inj: Option<&mut FaultInjector>,
         tracer: &R,
         core: u16,
         tier: usize,
@@ -184,23 +181,19 @@ impl DmaModel {
                 out.spike_cycles = mult * streaming.max(1);
                 out.reservation.end += out.spike_cycles;
             }
-            let err_site = match dir {
-                DmaDirection::HostToDevice => FaultSite::DmaIn,
-                DmaDirection::DeviceToHost => FaultSite::DmaOut,
-            };
-            out.failed = inj.roll_tiered(err_site, tier);
+            out.failed = inj.roll_tiered(dir.error_site(), tier);
         }
         out
     }
 
     /// Total bytes moved host → device.
     pub fn bytes_in(&self) -> u64 {
-        self.bytes_in.load(std::sync::atomic::Ordering::Relaxed)
+        self.bytes_in
     }
 
     /// Total bytes moved device → host.
     pub fn bytes_out(&self) -> u64 {
-        self.bytes_out.load(std::sync::atomic::Ordering::Relaxed)
+        self.bytes_out
     }
 
     /// Total cycles the engine was busy.
@@ -218,10 +211,15 @@ impl DmaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::PageSize;
+
+    fn engine() -> DmaModel {
+        DmaModel::with_clients(&CostModel::default(), 64)
+    }
 
     #[test]
     fn service_time_scales_with_size() {
-        let d = DmaModel::new(&CostModel::default());
+        let d = engine();
         let t4 = d.service_time(PageSize::K4.bytes());
         let t2m = d.service_time(PageSize::M2.bytes());
         assert!(t2m > 100 * t4, "2MB must cost vastly more than 4kB");
@@ -230,9 +228,9 @@ mod tests {
 
     #[test]
     fn concurrent_transfers_queue_on_streaming_time_only() {
-        let d = DmaModel::new(&CostModel::default());
-        let a = d.transfer_page(0, PageSize::K4, DmaDirection::HostToDevice);
-        let b = d.transfer_page(0, PageSize::K4, DmaDirection::HostToDevice);
+        let mut d = engine();
+        let a = d.transfer(0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
+        let b = d.transfer(0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
         assert_eq!(a.queue_delay, 0);
         // The second transfer queues behind the first's *streaming* time
         // (latency pipelines), so it starts before the first's visible end.
@@ -243,19 +241,19 @@ mod tests {
 
     #[test]
     fn byte_accounting_by_direction() {
-        let d = DmaModel::new(&CostModel::default());
-        d.transfer_page(0, PageSize::K4, DmaDirection::HostToDevice);
-        d.transfer_page(0, PageSize::K64, DmaDirection::DeviceToHost);
-        d.transfer_page(0, PageSize::K4, DmaDirection::HostToDevice);
+        let mut d = engine();
+        d.transfer(0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
+        d.transfer(0, PageSize::K64.bytes(), DmaDirection::DeviceToHost);
+        d.transfer(0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
         assert_eq!(d.bytes_in(), 8192);
         assert_eq!(d.bytes_out(), 65536);
     }
 
     #[test]
     fn checked_transfer_without_injector_matches_plain() {
-        let d = DmaModel::new(&CostModel::default());
+        let mut d = engine();
         let plain = d.transfer(0, 4096, DmaDirection::HostToDevice);
-        let d2 = DmaModel::new(&CostModel::default());
+        let mut d2 = engine();
         let checked = d2.transfer_checked_tiered(
             0,
             4096,
@@ -273,8 +271,8 @@ mod tests {
     #[test]
     fn spikes_stretch_completion_not_occupancy() {
         use crate::fault::FaultPlan;
-        let d = DmaModel::new(&CostModel::default());
-        let inj = crate::fault::FaultInjector::new(&FaultPlan::new(5).latency_spikes(0.5, 8));
+        let mut d = engine();
+        let mut inj = crate::fault::FaultInjector::new(&FaultPlan::new(5).latency_spikes(0.5, 8));
         let mut spiked = 0;
         let mut now = 0;
         for _ in 0..64 {
@@ -282,7 +280,7 @@ mod tests {
                 now,
                 4096,
                 DmaDirection::HostToDevice,
-                Some(&inj),
+                Some(&mut inj),
                 &cmcp_trace::NullTracer,
                 0,
                 0,
@@ -303,15 +301,15 @@ mod tests {
     #[test]
     fn failed_transfers_still_carry_bytes() {
         use crate::fault::FaultPlan;
-        let d = DmaModel::new(&CostModel::default());
-        let inj = crate::fault::FaultInjector::new(&FaultPlan::new(6).dma_errors(0.5));
+        let mut d = engine();
+        let mut inj = crate::fault::FaultInjector::new(&FaultPlan::new(6).dma_errors(0.5));
         let mut failures = 0;
         for _ in 0..64 {
             let c = d.transfer_checked_tiered(
                 0,
                 4096,
                 DmaDirection::DeviceToHost,
-                Some(&inj),
+                Some(&mut inj),
                 &cmcp_trace::NullTracer,
                 0,
                 0,
@@ -326,7 +324,7 @@ mod tests {
 
     #[test]
     fn busy_and_queued_statistics() {
-        let d = DmaModel::new(&CostModel::default());
+        let mut d = engine();
         let stream = d.service_time(4096) - CostModel::default().dma_latency;
         d.transfer(0, 4096, DmaDirection::HostToDevice);
         d.transfer(0, 4096, DmaDirection::HostToDevice);

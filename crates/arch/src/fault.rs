@@ -7,8 +7,8 @@
 //! *deterministically* whether each individual operation fails: the
 //! decision hashes the plan seed, a per-site salt, and a per-site
 //! monotone sequence number, so the same plan over the same workload
-//! produces bit-identical failure schedules regardless of host thread
-//! interleaving within a site.
+//! produces bit-identical failure schedules, and traffic at one site
+//! never shifts another site's schedule.
 //!
 //! Rates are capped at 50 % so recovery retry loops terminate with
 //! overwhelming probability (the kernel still enforces a hard attempt
@@ -21,7 +21,6 @@
 //! computed values and expect saturation semantics.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use serde::{Deserialize, Serialize};
 
@@ -314,10 +313,9 @@ const TIER_SALT: [u64; MAX_TIERS] = [
     0x5d23_e791_b0c8_46fe,
 ];
 
-/// The compiled, shared-state form of a [`FaultPlan`]: per-site rates
-/// plus per-(site, tier) atomic sequence counters that make each
-/// injection decision a pure function of
-/// `(seed, site, tier, sequence_number)`.
+/// The compiled form of a [`FaultPlan`]: per-site rates plus
+/// per-(site, tier) sequence counters that make each injection decision
+/// a pure function of `(seed, site, tier, sequence_number)`.
 #[derive(Debug)]
 pub struct FaultInjector {
     seed: u64,
@@ -326,7 +324,7 @@ pub struct FaultInjector {
     /// Sequence counters, one per (site, tier), flattened as
     /// `site * MAX_TIERS + tier`. Sites that never see a tier (IKC,
     /// offload) only ever touch their tier-0 counter.
-    seq: [AtomicU64; FAULT_SITES * MAX_TIERS],
+    seq: [u64; FAULT_SITES * MAX_TIERS],
 }
 
 impl FaultInjector {
@@ -342,18 +340,13 @@ impl FaultInjector {
             seed: plan.seed,
             rate_ppm,
             param,
-            seq: std::array::from_fn(|_| AtomicU64::new(0)),
+            seq: [0; FAULT_SITES * MAX_TIERS],
         }
     }
 
     /// Whether any rule is active at all.
     pub fn armed(&self) -> bool {
         self.rate_ppm.iter().any(|&r| r > 0)
-    }
-
-    /// The site-specific parameter (spike multiplier, death threshold).
-    pub fn param(&self, site: FaultSite) -> u64 {
-        self.param[site as usize]
     }
 
     /// The offload-death call threshold, if an offload rule is set.
@@ -368,7 +361,7 @@ impl FaultInjector {
     /// site never perturbs another site's schedule). Operations with no
     /// tier affinity roll against tier 0, whose salt is zero — this is
     /// bit-for-bit the pre-tier injector.
-    pub fn roll(&self, site: FaultSite) -> bool {
+    pub fn roll(&mut self, site: FaultSite) -> bool {
         self.roll_tiered(site, 0)
     }
 
@@ -376,11 +369,13 @@ impl FaultInjector {
     /// pair owns an independent sequence counter and folds its own salt
     /// into the hash, so per-tier failure schedules neither shift nor
     /// correlate when another tier's traffic changes.
-    pub fn roll_tiered(&self, site: FaultSite, tier: usize) -> bool {
+    pub fn roll_tiered(&mut self, site: FaultSite, tier: usize) -> bool {
         debug_assert!(tier < MAX_TIERS, "tier {tier} out of range");
         let i = site as usize;
         let tier = tier.min(MAX_TIERS - 1);
-        let n = self.seq[i * MAX_TIERS + tier].fetch_add(1, Relaxed);
+        let seq = &mut self.seq[i * MAX_TIERS + tier];
+        let n = *seq;
+        *seq += 1;
         if self.rate_ppm[i] == 0 {
             return false;
         }
@@ -390,7 +385,7 @@ impl FaultInjector {
 
     /// [`FaultInjector::roll_tiered`], returning the site parameter on
     /// a hit.
-    pub fn roll_param_tiered(&self, site: FaultSite, tier: usize) -> Option<u64> {
+    pub fn roll_param_tiered(&mut self, site: FaultSite, tier: usize) -> Option<u64> {
         self.roll_tiered(site, tier)
             .then(|| self.param[site as usize])
     }
@@ -399,14 +394,12 @@ impl FaultInjector {
     /// reports/tests).
     pub fn rolls(&self, site: FaultSite) -> u64 {
         let i = site as usize;
-        (0..MAX_TIERS)
-            .map(|t| self.seq[i * MAX_TIERS + t].load(Relaxed))
-            .sum()
+        self.seq[i * MAX_TIERS..(i + 1) * MAX_TIERS].iter().sum()
     }
 
     /// Number of rolls taken at `(site, tier)` so far.
     pub fn rolls_tiered(&self, site: FaultSite, tier: usize) -> u64 {
-        self.seq[site as usize * MAX_TIERS + tier.min(MAX_TIERS - 1)].load(Relaxed)
+        self.seq[site as usize * MAX_TIERS + tier.min(MAX_TIERS - 1)]
     }
 }
 
@@ -466,8 +459,8 @@ mod tests {
     #[test]
     fn injection_is_deterministic_and_site_independent() {
         let plan = FaultPlan::new(7).dma_errors(0.2).enospc(0.1);
-        let a = FaultInjector::new(&plan);
-        let b = FaultInjector::new(&plan);
+        let mut a = FaultInjector::new(&plan);
+        let mut b = FaultInjector::new(&plan);
         let seq_a: Vec<bool> = (0..1000).map(|_| a.roll(FaultSite::DmaIn)).collect();
         // Interleave another site's rolls on `b`: DmaIn's schedule must
         // not shift.
@@ -483,7 +476,7 @@ mod tests {
 
     #[test]
     fn hit_rate_tracks_the_rule() {
-        let inj = FaultInjector::new(&FaultPlan::new(3).dma_errors(0.1));
+        let mut inj = FaultInjector::new(&FaultPlan::new(3).dma_errors(0.1));
         let hits = (0..20_000).filter(|_| inj.roll(FaultSite::DmaOut)).count();
         let rate = hits as f64 / 20_000.0;
         assert!((0.08..0.12).contains(&rate), "observed rate {rate}");
@@ -491,7 +484,7 @@ mod tests {
 
     #[test]
     fn zero_rate_never_fires_but_still_sequences() {
-        let inj = FaultInjector::new(&FaultPlan::new(9));
+        let mut inj = FaultInjector::new(&FaultPlan::new(9));
         assert!(!inj.armed());
         for _ in 0..100 {
             assert!(!inj.roll(FaultSite::Ikc));
@@ -514,8 +507,8 @@ mod tests {
         // same schedule, because TIER_SALT[0] == 0 reduces the hash to
         // the pre-tier formula.
         let plan = FaultPlan::new(42).dma_errors(0.2);
-        let a = FaultInjector::new(&plan);
-        let b = FaultInjector::new(&plan);
+        let mut a = FaultInjector::new(&plan);
+        let mut b = FaultInjector::new(&plan);
         let legacy: Vec<bool> = (0..500).map(|_| a.roll(FaultSite::DmaIn)).collect();
         let tier0: Vec<bool> = (0..500)
             .map(|_| b.roll_tiered(FaultSite::DmaIn, 0))
@@ -526,8 +519,8 @@ mod tests {
     #[test]
     fn tiers_draw_independent_sequences() {
         let plan = FaultPlan::new(7).dma_errors(0.2);
-        let a = FaultInjector::new(&plan);
-        let b = FaultInjector::new(&plan);
+        let mut a = FaultInjector::new(&plan);
+        let mut b = FaultInjector::new(&plan);
         let t0: Vec<bool> = (0..1000)
             .map(|_| a.roll_tiered(FaultSite::DmaIn, 0))
             .collect();
@@ -555,8 +548,8 @@ mod tests {
         // rate, site, tier). If the hash, a salt, or the sequence
         // layout changes, committed faulted goldens silently shift —
         // this test makes that loud instead.
-        let inj = FaultInjector::new(&FaultPlan::new(42).dma_errors(0.1));
-        let hits = |tier: usize| -> Vec<u64> {
+        let mut inj = FaultInjector::new(&FaultPlan::new(42).dma_errors(0.1));
+        let mut hits = |tier: usize| -> Vec<u64> {
             (0u64..200)
                 .filter(|_| inj.roll_tiered(FaultSite::DmaOut, tier))
                 .collect()

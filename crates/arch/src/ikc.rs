@@ -13,8 +13,6 @@
 //! serialize on the channel, which is what makes offloaded syscalls a
 //! scalability hazard the lightweight kernel avoids on its fast paths.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
 use crate::clock::Cycles;
 use crate::cost::CostModel;
 use crate::fault::{FaultInjector, FaultSite};
@@ -54,8 +52,8 @@ pub struct IkcChannel {
     /// Payload copy throughput, bytes per 1024 cycles (shares the PCIe
     /// link speed with the DMA engine).
     bytes_per_kcycle: u64,
-    requests: AtomicU64,
-    payload_bytes: AtomicU64,
+    requests: u64,
+    payload_bytes: u64,
 }
 
 impl IkcChannel {
@@ -65,8 +63,8 @@ impl IkcChannel {
             channel: VirtualResource::new(),
             latency: cost.dma_latency,
             bytes_per_kcycle: cost.dma_bytes_per_kcycle,
-            requests: AtomicU64::new(0),
-            payload_bytes: AtomicU64::new(0),
+            requests: 0,
+            payload_bytes: 0,
         }
     }
 
@@ -81,13 +79,15 @@ impl IkcChannel {
     }
 
     /// Performs a round trip starting at device time `now`.
-    pub fn round_trip(&self, now: Cycles, msg: IkcMessage) -> IkcCompletion {
-        self.requests.fetch_add(1, Relaxed);
+    pub fn round_trip(&mut self, now: Cycles, msg: IkcMessage) -> IkcCompletion {
+        self.requests += 1;
         if let IkcMessage::Syscall { payload, .. } = msg {
-            self.payload_bytes.fetch_add(payload, Relaxed);
+            self.payload_bytes += payload;
         }
         let service = self.service_time(msg);
-        // Bounded like the DMA engine: a core has one offload outstanding.
+        // Bounded like the DMA engine: a core has one offload
+        // outstanding, so the cap only clamps the out-of-order arrivals
+        // of cores whose clocks skew between barriers.
         let r = self
             .channel
             .acquire_bounded(now, service, 256 * service.max(64));
@@ -111,10 +111,10 @@ impl IkcChannel {
     /// the channel (they died on the wire), so only the final trip
     /// reserves it. With `inj == None` this is exactly `round_trip`.
     pub fn round_trip_checked(
-        &self,
+        &mut self,
         now: Cycles,
         msg: IkcMessage,
-        inj: Option<&FaultInjector>,
+        inj: Option<&mut FaultInjector>,
     ) -> (IkcCompletion, u32) {
         let mut drops = 0u32;
         let mut start = now;
@@ -135,12 +135,12 @@ impl IkcChannel {
 
     /// Total round trips.
     pub fn requests(&self) -> u64 {
-        self.requests.load(Relaxed)
+        self.requests
     }
 
     /// Total payload bytes copied.
     pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes.load(Relaxed)
+        self.payload_bytes
     }
 
     /// Total queueing delay imposed on callers.
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn notify_is_cheap() {
-        let c = channel();
+        let mut c = channel();
         let done = c.round_trip(0, IkcMessage::Notify);
         assert!(
             done.done_at < 10_000,
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn syscall_cost_scales_with_payload() {
-        let c = channel();
+        let mut c = channel();
         let small = c
             .round_trip(
                 0,
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn concurrent_offloads_serialize() {
-        let c = channel();
+        let mut c = channel();
         let a = c.round_trip(
             0,
             IkcMessage::Syscall {
@@ -222,24 +222,24 @@ mod tests {
     #[test]
     fn checked_round_trip_pays_timeouts_on_drops() {
         use crate::fault::{FaultInjector, FaultPlan};
-        let c = channel();
+        let mut c = channel();
         let msg = IkcMessage::Syscall {
             service: 1_000,
             payload: 256,
         };
         // No injector: identical to the plain path.
         let plain = c.round_trip(0, msg);
-        let c2 = channel();
+        let mut c2 = channel();
         let (checked, drops) = c2.round_trip_checked(0, msg, None);
         assert_eq!(drops, 0);
         assert_eq!(checked, plain);
         // Heavy drops: completions get pushed out by timeout penalties.
-        let inj = FaultInjector::new(&FaultPlan::new(11).ikc_drops(0.5));
+        let mut inj = FaultInjector::new(&FaultPlan::new(11).ikc_drops(0.5));
         let mut total_drops = 0;
         let mut penalized = 0;
         for _ in 0..64 {
             let base = channel().round_trip(0, msg).done_at;
-            let (done, d) = channel().round_trip_checked(0, msg, Some(&inj));
+            let (done, d) = channel().round_trip_checked(0, msg, Some(&mut inj));
             total_drops += d;
             if d > 0 {
                 penalized += 1;
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn round_trip_includes_both_hops() {
-        let c = channel();
+        let mut c = channel();
         let done = c.round_trip(500, IkcMessage::Notify);
         let cost = CostModel::default();
         assert!(done.done_at >= 500 + 64 + 2 * cost.dma_latency);

@@ -59,7 +59,7 @@ pub mod tier;
 pub mod tlb;
 pub mod types;
 
-pub use clock::{CoreClock, Cycles, LocalClock};
+pub use clock::{CoreClock, Cycles};
 pub use cost::CostModel;
 pub use dma::{CheckedTransfer, DmaModel};
 pub use fault::{FaultInjector, FaultPlan, FaultRule, FaultSite};

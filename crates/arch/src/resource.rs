@@ -15,22 +15,16 @@
 //! collapsing past ~24 cores (every fault funnels through one lock) and
 //! 2 MB pages losing under memory pressure (the DMA engine saturates).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::clock::Cycles;
 
 /// A serialized resource with a virtual-time reservation clock.
-///
-/// Thread-safe: reservations from the parallel engine race on a single
-/// compare-exchange loop, which keeps the *total* occupancy exact even
-/// when the arrival order is nondeterministic.
 #[derive(Debug, Default)]
 pub struct VirtualResource {
-    free_at: AtomicU64,
+    free_at: Cycles,
     /// Total service cycles ever reserved (occupancy accounting).
-    busy: AtomicU64,
+    busy: Cycles,
     /// Total queueing delay observed by callers.
-    queued: AtomicU64,
+    queued: Cycles,
 }
 
 /// Outcome of a reservation: when service started and ended, and how much
@@ -55,32 +49,17 @@ impl VirtualResource {
     /// Reserves `service` cycles of exclusive use starting no earlier than
     /// `now`. Returns when service starts/ends; the caller is expected to
     /// advance its own clock by `end - now`.
-    pub fn acquire(&self, now: Cycles, service: Cycles) -> Reservation {
-        let mut cur = self.free_at.load(Ordering::Relaxed);
-        loop {
-            let start = cur.max(now);
-            let end = start + service;
-            match self
-                .free_at
-                .compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    self.busy.fetch_add(service, Ordering::Relaxed);
-                    let queue_delay = start - now;
-                    if queue_delay > 0 {
-                        // Skip the RMW for the common uncontended grab —
-                        // adding zero is a no-op, but the locked add is
-                        // not free on the fault hot path.
-                        self.queued.fetch_add(queue_delay, Ordering::Relaxed);
-                    }
-                    return Reservation {
-                        start,
-                        end,
-                        queue_delay,
-                    };
-                }
-                Err(actual) => cur = actual,
-            }
+    pub fn acquire(&mut self, now: Cycles, service: Cycles) -> Reservation {
+        let start = self.free_at.max(now);
+        let end = start + service;
+        let queue_delay = start - now;
+        self.free_at = end;
+        self.busy += service;
+        self.queued += queue_delay;
+        Reservation {
+            start,
+            end,
+            queue_delay,
         }
     }
 
@@ -90,12 +69,18 @@ impl VirtualResource {
     /// Physically, a resource's genuine queue depth is bounded by the
     /// number of clients that can have requests outstanding (each
     /// simulated core blocks on its own fault), so any delay beyond
-    /// `clients × service` is an artifact of out-of-order arrivals — the
-    /// parallel engine lets core clocks skew within a window, and a
-    /// latecomer must not be charged for reservations made "in its
-    /// future". Callers pass a cap comfortably above the genuine bound so
-    /// the deterministic engine is unaffected.
-    pub fn acquire_bounded(&self, now: Cycles, service: Cycles, max_queue: Cycles) -> Reservation {
+    /// `clients × service` is an artifact of out-of-order arrivals: the
+    /// epoch engine commits each core's kernel entries at that core's
+    /// own clock, and clocks skew between barriers, so a core can reach
+    /// a resource after reservations made "in its future" by cores that
+    /// ran ahead, and must not be charged for them. Callers pass a cap
+    /// comfortably above the genuine bound.
+    pub fn acquire_bounded(
+        &mut self,
+        now: Cycles,
+        service: Cycles,
+        max_queue: Cycles,
+    ) -> Reservation {
         let r = self.acquire(now, service);
         if r.queue_delay <= max_queue {
             return r;
@@ -113,13 +98,13 @@ impl VirtualResource {
     /// Virtual time at which the resource next becomes idle.
     #[inline]
     pub fn free_at(&self) -> Cycles {
-        self.free_at.load(Ordering::Relaxed)
+        self.free_at
     }
 
     /// Total cycles of service ever reserved.
     #[inline]
     pub fn total_busy(&self) -> Cycles {
-        self.busy.load(Ordering::Relaxed)
+        self.busy
     }
 
     /// Total queueing delay ever imposed on callers. The ratio
@@ -127,7 +112,7 @@ impl VirtualResource {
     /// the experiment reports.
     #[inline]
     pub fn total_queued(&self) -> Cycles {
-        self.queued.load(Ordering::Relaxed)
+        self.queued
     }
 }
 
@@ -137,7 +122,7 @@ mod tests {
 
     #[test]
     fn idle_resource_serves_immediately() {
-        let r = VirtualResource::new();
+        let mut r = VirtualResource::new();
         let res = r.acquire(1000, 50);
         assert_eq!(
             res,
@@ -152,7 +137,7 @@ mod tests {
 
     #[test]
     fn busy_resource_queues() {
-        let r = VirtualResource::new();
+        let mut r = VirtualResource::new();
         r.acquire(0, 100);
         let res = r.acquire(30, 10);
         assert_eq!(res.start, 100);
@@ -164,7 +149,7 @@ mod tests {
 
     #[test]
     fn late_arrival_after_idle_gap_does_not_queue() {
-        let r = VirtualResource::new();
+        let mut r = VirtualResource::new();
         r.acquire(0, 100);
         let res = r.acquire(500, 10);
         assert_eq!(res.start, 500);
@@ -172,21 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_is_exact_under_concurrency() {
-        use std::sync::Arc;
-        let r = Arc::new(VirtualResource::new());
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for k in 0..1000u64 {
-                        r.acquire(i * 1000 + k, 7);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn occupancy_is_exact_for_interleaved_arrivals() {
+        // Eight clients' arrival streams, interleaved out of stamp order.
+        let mut r = VirtualResource::new();
+        for k in 0..1000u64 {
+            for i in 0..8 {
+                r.acquire(i * 1000 + k, 7);
+            }
         }
         assert_eq!(r.total_busy(), 8 * 1000 * 7);
         // All 8000 reservations must fit back-to-back at minimum.
@@ -195,13 +172,14 @@ mod tests {
 
     #[test]
     fn bounded_acquire_clamps_only_excess() {
-        let r = VirtualResource::new();
+        let mut r = VirtualResource::new();
         r.acquire(0, 1000);
         // Genuine small queue: below the cap, unchanged.
         let a = r.acquire_bounded(500, 10, 5000);
         assert_eq!(a.start, 1000);
         assert_eq!(a.queue_delay, 500);
-        // Pathological skew: delay capped.
+        // A latecomer far behind reservations made ahead of its clock:
+        // delay capped.
         r.acquire(0, 1_000_000);
         let b = r.acquire_bounded(100, 10, 2000);
         assert_eq!(b.queue_delay, 2000);
@@ -212,7 +190,7 @@ mod tests {
     fn reservations_never_overlap() {
         // Sequential sanity: ends are monotone and starts respect the
         // previous end.
-        let r = VirtualResource::new();
+        let mut r = VirtualResource::new();
         let mut prev_end = 0;
         for now in [0u64, 10, 5, 200, 190, 191] {
             let res = r.acquire(now, 13);

@@ -340,7 +340,7 @@ impl Tlb {
     /// the instruction walks — and misses — again. Counts a miss and the
     /// walk penalty but not a new access (the touch itself is retired
     /// once), keeping both `faults <= misses` and access conservation
-    /// exact under the parallel engine.
+    /// exact under the epoch engine.
     pub fn rewalk(&mut self) {
         self.stats.misses += 1;
         self.pending_cycles += self.walk_cost;

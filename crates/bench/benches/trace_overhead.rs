@@ -29,14 +29,14 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_overhead");
     group.bench_function("untraced", |b| {
         b.iter(|| {
-            let vmm = Vmm::new(config());
-            black_box(run(&vmm, &trace).runtime_cycles)
+            let mut vmm = Vmm::new(config());
+            black_box(run(&mut vmm, &trace).runtime_cycles)
         });
     });
     group.bench_function("ring_traced", |b| {
         b.iter(|| {
-            let vmm = Vmm::with_tracer(config(), RingTracer::new(CORES, 1 << 16));
-            black_box(run(&vmm, &trace).runtime_cycles)
+            let mut vmm = Vmm::with_tracer(config(), RingTracer::new(CORES, 1 << 16));
+            black_box(run(&mut vmm, &trace).runtime_cycles)
         });
     });
     group.finish();

@@ -334,7 +334,7 @@ impl TieredStore {
         head: VirtPage,
         pages: u64,
         rank: usize,
-        inj: Option<&FaultInjector>,
+        inj: Option<&mut FaultInjector>,
     ) -> StoreOutcome {
         let tier = rank.min(self.caps.len() - 1);
         if inj.is_some_and(|inj| inj.roll_tiered(FaultSite::Backing, tier)) {
@@ -479,11 +479,11 @@ mod tests {
         assert_eq!(s.try_store(VirtPage(7), 1, 0, None).demoted, 0);
         assert_eq!(s.len(), 1);
         // An injected ENOSPC records nothing.
-        let inj = FaultInjector::new(&FaultPlan::new(13).enospc(0.5));
+        let mut inj = FaultInjector::new(&FaultPlan::new(13).enospc(0.5));
         let mut failures = 0;
         for p in 0..64 {
             let head = VirtPage(100 + p);
-            let stored = s.try_store(head, 1, 0, Some(&inj)).stored;
+            let stored = s.try_store(head, 1, 0, Some(&mut inj)).stored;
             failures += u64::from(!stored);
             assert_eq!(s.contains(head, 1), stored, "page {p}");
         }
@@ -610,11 +610,11 @@ mod tests {
 
     #[test]
     fn tiered_enospc_rolls_the_target_tiers_sequence() {
-        let inj = FaultInjector::new(&FaultPlan::new(13).enospc(0.5));
+        let mut inj = FaultInjector::new(&FaultPlan::new(13).enospc(0.5));
         let mut s = TieredStore::new(&two_tier());
         let mut failures = 0;
         for p in 0..64u64 {
-            let out = s.try_store(VirtPage(p * 100), 1, (p % 2) as usize, Some(&inj));
+            let out = s.try_store(VirtPage(p * 100), 1, (p % 2) as usize, Some(&mut inj));
             if !out.stored {
                 failures += 1;
                 assert!(

@@ -65,7 +65,7 @@ impl OffloadEngine {
 
     /// Executes `call` on behalf of the core whose clock is `clock`,
     /// blocking it for the full round trip.
-    pub fn syscall(&mut self, clock: &CoreClock, call: Syscall) -> Cycles {
+    pub fn syscall(&mut self, clock: &mut CoreClock, call: Syscall) -> Cycles {
         let now = clock.now();
         let done = self.channel.round_trip(now, call.message());
         let wait = done.done_at.saturating_sub(now);
@@ -78,9 +78,9 @@ impl OffloadEngine {
     /// returned wait). Returns the wait and the number of drops.
     pub fn syscall_with_faults(
         &mut self,
-        clock: &CoreClock,
+        clock: &mut CoreClock,
         call: Syscall,
-        inj: Option<&FaultInjector>,
+        inj: Option<&mut FaultInjector>,
     ) -> (Cycles, u32) {
         let now = clock.now();
         let (done, drops) = self.channel.round_trip_checked(now, call.message(), inj);
@@ -94,7 +94,7 @@ impl OffloadEngine {
     /// the message's service time both ways plus the doorbell hops it
     /// would have pipelined — strictly slower than a healthy offload,
     /// which is the degradation the run reports surface.
-    pub fn sync_syscall(&mut self, clock: &CoreClock, call: Syscall) -> Cycles {
+    pub fn sync_syscall(&mut self, clock: &mut CoreClock, call: Syscall) -> Cycles {
         let msg = call.message();
         let wait = 2 * self.channel.service_time(msg) + 4 * self.channel.latency();
         clock.advance(wait);
@@ -124,8 +124,8 @@ mod tests {
     #[test]
     fn syscall_blocks_the_caller() {
         let mut e = engine();
-        let clock = CoreClock::new();
-        let wait = e.syscall(&clock, Syscall::Metadata);
+        let mut clock = CoreClock::new();
+        let wait = e.syscall(&mut clock, Syscall::Metadata);
         assert!(wait > 8_000, "at least the host service time: {wait}");
         assert_eq!(clock.now(), wait);
         assert_eq!(e.total_calls(), 1);
@@ -135,11 +135,11 @@ mod tests {
     #[test]
     fn writes_cost_more_with_more_bytes() {
         let mut e = engine();
-        let clock = CoreClock::new();
-        let small = e.syscall(&clock, Syscall::Write(4 << 10));
+        let mut clock = CoreClock::new();
+        let small = e.syscall(&mut clock, Syscall::Write(4 << 10));
         // Leave a gap so the channel is idle again.
         clock.advance(10_000_000);
-        let big = e.syscall(&clock, Syscall::Write(4 << 20));
+        let big = e.syscall(&mut clock, Syscall::Write(4 << 20));
         assert!(
             big > 5 * small,
             "4MB write must dwarf 4kB: {small} vs {big}"
@@ -150,11 +150,11 @@ mod tests {
     #[test]
     fn faulted_syscall_without_plan_matches_plain() {
         let mut e = engine();
-        let clock = CoreClock::new();
-        let plain = e.syscall(&clock, Syscall::Metadata);
+        let mut clock = CoreClock::new();
+        let plain = e.syscall(&mut clock, Syscall::Metadata);
         let mut e2 = engine();
-        let clock2 = CoreClock::new();
-        let (wait, drops) = e2.syscall_with_faults(&clock2, Syscall::Metadata, None);
+        let mut clock2 = CoreClock::new();
+        let (wait, drops) = e2.syscall_with_faults(&mut clock2, Syscall::Metadata, None);
         assert_eq!(drops, 0);
         assert_eq!(wait, plain);
     }
@@ -162,10 +162,10 @@ mod tests {
     #[test]
     fn sync_fallback_is_slower_than_healthy_offload() {
         let mut e = engine();
-        let clock = CoreClock::new();
-        let offloaded = e.syscall(&clock, Syscall::Write(64 << 10));
+        let mut clock = CoreClock::new();
+        let offloaded = e.syscall(&mut clock, Syscall::Write(64 << 10));
         clock.advance(10_000_000);
-        let sync = e.sync_syscall(&clock, Syscall::Write(64 << 10));
+        let sync = e.sync_syscall(&mut clock, Syscall::Write(64 << 10));
         assert!(
             sync > offloaded,
             "degraded mode must cost more: {offloaded} vs {sync}"
@@ -180,9 +180,8 @@ mod tests {
     #[test]
     fn concurrent_callers_serialize_on_the_channel() {
         let mut e = engine();
-        let clocks: Vec<CoreClock> = (0..4).map(|_| CoreClock::new()).collect();
         let waits: Vec<u64> = (0..4)
-            .map(|c| e.syscall(&clocks[c], Syscall::Read(1 << 20)))
+            .map(|_| e.syscall(&mut CoreClock::new(), Syscall::Read(1 << 20)))
             .collect();
         assert!(
             waits[3] > waits[0] * 2,

@@ -3,8 +3,11 @@
 //! The kernel's live counters are plain integers in its single-writer
 //! state: one [`CoreStatsSnapshot`] per core and one
 //! [`GlobalStatsSnapshot`] — the same structs the run report serializes
-//! — plus [`NumaStats`], the multi-node counters kept out of them.
+//! — plus [`NumaStats`], the multi-node counters kept out of them. The
+//! per-core clocks sit beside them: the fault path charges a counter
+//! with every clock advance.
 
+use cmcp_arch::{CoreClock, Cycles};
 use serde::{Deserialize, Serialize};
 
 /// Per-core statistics: the kernel's live counters, and the report's
@@ -118,9 +121,11 @@ pub struct NumaStats {
     pub migration_cycles: Vec<u64>,
 }
 
-/// Every live kernel counter, zeroed for `cores` cores.
+/// Every live kernel counter and every core's virtual clock, zeroed for
+/// `cores` cores.
 #[derive(Debug)]
 pub(crate) struct KernelStats {
+    pub(crate) clocks: Vec<CoreClock>,
     pub(crate) per_core: Vec<CoreStatsSnapshot>,
     pub(crate) global: GlobalStatsSnapshot,
     pub(crate) numa: NumaStats,
@@ -129,6 +134,7 @@ pub(crate) struct KernelStats {
 impl KernelStats {
     pub(crate) fn new(cores: usize) -> KernelStats {
         KernelStats {
+            clocks: vec![CoreClock::new(); cores],
             per_core: vec![CoreStatsSnapshot::default(); cores],
             global: GlobalStatsSnapshot::default(),
             numa: NumaStats {
@@ -137,6 +143,12 @@ impl KernelStats {
                 ..NumaStats::default()
             },
         }
+    }
+
+    /// Virtual "now" of the maintenance hyperthreads (scan timer, PSPT
+    /// rebuilds): they react to the frontier of the application cores.
+    pub(crate) fn maintenance_now(&self) -> Cycles {
+        self.clocks.iter().map(CoreClock::now).max().unwrap_or(0)
     }
 }
 

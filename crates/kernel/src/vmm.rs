@@ -25,7 +25,7 @@
 //! implementation, which performs real PTE scans and pays for the remote
 //! TLB invalidations x86 requires.
 
-use std::cell::{Ref, RefCell};
+use std::cell::{Ref, RefCell, RefMut};
 
 use cmcp_arch::{
     dma::DmaDirection, CoreClock, CoreId, CoreSet, CostModel, Cycles, DmaModel, FaultInjector,
@@ -60,15 +60,17 @@ const BACKOFF_CAP_SHIFT: u32 = 6;
 /// not unlucky, and the run aborts loudly instead of livelocking.
 const MAX_RECOVERY_ATTEMPTS: u32 = 64;
 
-/// Everything the kernel mutates, behind the one [`RefCell`] in [`Vmm`].
+/// Everything the kernel mutates, behind the one [`RefCell`] in [`Vmm`]:
+/// the residency books, the page tables, the per-core clocks and
+/// counters, and the virtual-time models (page-table locks, DMA engine,
+/// fault injector, offload engine) as plain `&mut self` structures.
 /// Each public entry — a fault, a walk, an accessed-bit update, a
 /// mailbox drain, a scan tick, a rebuild, a query — borrows the cell
 /// once, and its helpers take the borrowed parts, split by
 /// destructuring. The cell makes `Vmm` `!Sync`, so one thread makes
 /// every kernel call and no borrow can race another; a nested borrow is
-/// a bug that panics. The per-core clocks, the virtual-time resources,
-/// the DMA and ring models, the fault injector and the tracer stay
-/// outside: they keep `&self` APIs of their own.
+/// a bug that panics. Only the immutable ring and NUMA models and the
+/// tracer (whose `record` takes `&self`) stay outside.
 struct KernelState {
     /// The replacement policy. The kernel calls it directly, in commit
     /// order, so every decision sees every earlier residency event.
@@ -102,8 +104,15 @@ struct KernelState {
     /// applied by its runner: flat runs always post the configured block
     /// span, adaptive runs the victim's actual granularity.
     mailboxes: Vec<Vec<(VirtPage, u32)>>,
-    /// Every live counter.
+    /// Every live counter, and the per-core clocks charged beside them.
     stats: KernelStats,
+    /// The page-table lock resources: the one address-space-wide lock
+    /// of regular tables, or PSPT's `LOCK_SHARDS` fine-grained ones.
+    pt_locks: Vec<VirtualResource>,
+    dma: DmaModel,
+    /// Compiled fault plan; `None` leaves every fault-injection branch
+    /// cold and the run bit-identical to a plan-free build.
+    injector: Option<FaultInjector>,
     offload: OffloadEngine,
     /// Offloaded syscalls issued so far (drives the offload-death rule).
     offload_calls: u64,
@@ -214,20 +223,11 @@ pub struct Vmm<R: Recorder = NullTracer> {
     cfg: KernelConfig,
     /// The single-writer kernel state (see [`KernelState`]).
     state: RefCell<KernelState>,
-    dma: DmaModel,
     ring: RingModel,
-    /// Regular tables: one address-space-wide lock.
-    pt_global_lock: VirtualResource,
-    /// PSPT: sharded fine-grained locks.
-    pt_shard_locks: Vec<VirtualResource>,
-    clocks: Vec<CoreClock>,
     /// NUMA topology and placement rules — home nodes, replica sets,
     /// per-node budgets. A single-node run is its one-node case: every
     /// block homes on node 0, and nothing crosses a link.
     numa: NumaBooks,
-    /// Compiled fault plan; `None` leaves every fault-injection branch
-    /// cold and the run bit-identical to a plan-free build.
-    injector: Option<FaultInjector>,
     tracer: R,
 }
 
@@ -323,17 +323,20 @@ impl<R: Recorder> Vmm<R> {
                 },
                 mailboxes: vec![Vec::new(); cfg.cores],
                 stats: KernelStats::new(cfg.cores),
+                pt_locks: std::iter::repeat_with(VirtualResource::new)
+                    .take(match cfg.scheme {
+                        SchemeChoice::Regular => 1,
+                        SchemeChoice::Pspt => LOCK_SHARDS,
+                    })
+                    .collect(),
+                dma: DmaModel::with_clients(&cfg.cost, cfg.cores),
+                injector: cfg.fault_plan.as_ref().map(FaultInjector::new),
                 offload: OffloadEngine::new(&cfg.cost),
                 offload_calls: 0,
                 offload_dead: false,
             }),
-            dma: DmaModel::with_clients(&cfg.cost, cfg.cores),
             ring: RingModel::new(cfg.cores, &cfg.cost),
-            pt_global_lock: VirtualResource::new(),
-            pt_shard_locks: (0..LOCK_SHARDS).map(|_| VirtualResource::new()).collect(),
-            clocks: (0..cfg.cores).map(|_| CoreClock::new()).collect(),
             numa: NumaBooks::new(cfg.cost.numa.clone(), cfg.cores, cfg.device_blocks),
-            injector: cfg.fault_plan.as_ref().map(FaultInjector::new),
             tracer,
             cfg,
         }
@@ -345,15 +348,15 @@ impl<R: Recorder> Vmm<R> {
         &self.tracer
     }
 
-    /// Virtual "now" of the maintenance hyperthreads (scan timer, PSPT
-    /// rebuilds): they react to the frontier of the application cores.
-    fn maintenance_now(&self) -> Cycles {
-        self.clocks.iter().map(CoreClock::now).max().unwrap_or(0)
+    /// The per-core virtual clocks.
+    pub fn clocks(&self) -> Ref<'_, [CoreClock]> {
+        Ref::map(self.state.borrow(), |s| s.stats.clocks.as_slice())
     }
 
-    /// The per-core virtual clocks (shared with the engine).
-    pub fn clocks(&self) -> &[CoreClock] {
-        &self.clocks
+    /// The per-core virtual clocks, for the engine's barrier release and
+    /// its runners' phase-A write-backs.
+    pub fn clocks_mut(&self) -> RefMut<'_, [CoreClock]> {
+        RefMut::map(self.state.borrow_mut(), |s| s.stats.clocks.as_mut_slice())
     }
 
     /// This run's configuration.
@@ -383,18 +386,14 @@ impl<R: Recorder> Vmm<R> {
     }
 
     /// The DMA engine (for occupancy reporting).
-    pub fn dma(&self) -> &DmaModel {
-        &self.dma
+    pub fn dma(&self) -> Ref<'_, DmaModel> {
+        Ref::map(self.state.borrow(), |s| &s.dma)
     }
 
     /// Total queueing delay observed on page-table locks.
     pub fn lock_queue_cycles(&self) -> Cycles {
-        self.pt_global_lock.total_queued()
-            + self
-                .pt_shard_locks
-                .iter()
-                .map(|l| l.total_queued())
-                .sum::<Cycles>()
+        let locks = &self.state.borrow().pt_locks;
+        locks.iter().map(VirtualResource::total_queued).sum()
     }
 
     /// Currently resident blocks.
@@ -423,17 +422,12 @@ impl<R: Recorder> Vmm<R> {
         if R::ENABLED {
             self.tracer.record(
                 core.0,
-                self.clocks[core.index()].now(),
+                stats.clocks[core.index()].now(),
                 EventKind::ShardLock,
                 head.0,
                 0,
             );
         }
-    }
-
-    /// The compiled fault injector, if a plan is active.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
     }
 
     /// Whether the offload engine has died under the fault plan.
@@ -538,7 +532,7 @@ impl<R: Recorder> Vmm<R> {
         if R::ENABLED {
             self.tracer.record(
                 core.0,
-                self.clocks[core.index()].now(),
+                stats.clocks[core.index()].now(),
                 EventKind::FaultInjected,
                 site.code(),
                 attempt,
@@ -552,7 +546,7 @@ impl<R: Recorder> Vmm<R> {
     /// `Retry` event carries the exact increment for the breakdown.
     fn charge_backoff(&self, stats: &mut KernelStats, core: CoreId, attempt: u32, site: FaultSite) {
         let delay = BACKOFF_BASE << attempt.min(BACKOFF_CAP_SHIFT);
-        let clock = &self.clocks[core.index()];
+        let clock = &mut stats.clocks[core.index()];
         clock.advance(delay);
         let st = &mut stats.per_core[core.index()];
         st.fault_retries += 1;
@@ -615,17 +609,19 @@ impl<R: Recorder> Vmm<R> {
     /// the engine may die outright after the plan's call threshold —
     /// from then on every syscall degrades to the synchronous fallback.
     pub fn offload_syscall(&self, core: CoreId, call: Syscall) -> Cycles {
-        let clock = &self.clocks[core.index()];
-        let inj = self.injector.as_ref();
         let mut state = self.state.borrow_mut();
         let KernelState {
             stats,
+            injector,
             offload,
             offload_calls,
             offload_dead,
             ..
         } = &mut *state;
-        if let Some(threshold) = inj.and_then(|i| i.offload_death_after()) {
+        if let Some(threshold) = injector
+            .as_ref()
+            .and_then(FaultInjector::offload_death_after)
+        {
             let n = *offload_calls;
             *offload_calls += 1;
             if n >= threshold && !*offload_dead {
@@ -633,12 +629,13 @@ impl<R: Recorder> Vmm<R> {
                 self.note_injected(stats, core, FaultSite::Offload, n);
             }
         }
+        let clock = &mut stats.clocks[core.index()];
         if *offload_dead {
             let wait = offload.sync_syscall(clock, call);
             stats.global.sync_syscalls += 1;
             return wait;
         }
-        let (wait, drops) = offload.syscall_with_faults(clock, call, inj);
+        let (wait, drops) = offload.syscall_with_faults(clock, call, injector.as_mut());
         if drops > 0 {
             // Drop timeouts happen outside fault windows, so they are
             // *not* retry-backoff cycles — each drop is surfaced as an
@@ -703,7 +700,7 @@ impl<R: Recorder> Vmm<R> {
         if R::ENABLED {
             self.tracer.record(
                 MAINTENANCE_CORE,
-                self.maintenance_now(),
+                stats.maintenance_now(),
                 EventKind::Rebuild,
                 torn as u64,
                 0,
@@ -747,17 +744,20 @@ impl<R: Recorder> Vmm<R> {
         Self::subentries_of(self.cfg.block_size)
     }
 
-    fn lock_for(&self, head: VirtPage) -> (&VirtualResource, Cycles) {
-        match self.cfg.scheme {
-            SchemeChoice::Regular => (&self.pt_global_lock, self.cfg.cost.regular_pt_lock),
-            SchemeChoice::Pspt => {
-                let h = (head.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize;
-                (
-                    &self.pt_shard_locks[h % LOCK_SHARDS],
-                    self.cfg.cost.pspt_lock,
-                )
-            }
-        }
+    /// The page-table lock serializing faults on `head` among `locks`
+    /// (the one lock of regular tables, or a hashed PSPT shard), and its
+    /// hold time.
+    fn lock_for<'a>(
+        &self,
+        locks: &'a mut [VirtualResource],
+        head: VirtPage,
+    ) -> (&'a mut VirtualResource, Cycles) {
+        let h = (head.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize;
+        let hold = match self.cfg.scheme {
+            SchemeChoice::Regular => self.cfg.cost.regular_pt_lock,
+            SchemeChoice::Pspt => self.cfg.cost.pspt_lock,
+        };
+        (&mut locks[h % locks.len()], hold)
     }
 
     /// Sends TLB shootdowns for the `span` 4 kB pages at `page` to
@@ -780,14 +780,14 @@ impl<R: Recorder> Vmm<R> {
         let cost = self.ring.shootdown(source, targets);
         if cost.targets > 0 {
             if let Some(req) = requester {
-                self.clocks[req.index()].advance(cost.requester);
+                stats.clocks[req.index()].advance(cost.requester);
                 let st = &mut stats.per_core[req.index()];
                 st.shootdown_cycles += cost.requester;
                 st.remote_inv_sent += cost.targets as u64;
                 if R::ENABLED {
                     self.tracer.record(
                         req.0,
-                        self.clocks[req.index()].now(),
+                        stats.clocks[req.index()].now(),
                         EventKind::ShootdownSend,
                         cost.requester,
                         cost.targets as u64,
@@ -798,13 +798,13 @@ impl<R: Recorder> Vmm<R> {
                 if Some(t) == requester {
                     continue;
                 }
-                self.clocks[t.index()].charge_remote(cost.per_target);
+                stats.clocks[t.index()].charge_remote(cost.per_target);
                 stats.per_core[t.index()].remote_inv_received += 1;
                 mailboxes[t.index()].push((page, span));
                 if R::ENABLED {
                     self.tracer.record(
                         t.0,
-                        self.clocks[t.index()].now(),
+                        stats.clocks[t.index()].now(),
                         EventKind::ShootdownAck,
                         page.0,
                         cost.per_target,
@@ -815,7 +815,7 @@ impl<R: Recorder> Vmm<R> {
         // Local invalidation on the requester, if it maps the page too.
         if let Some(req) = requester {
             if targets.contains(req) {
-                self.clocks[req.index()].advance(self.cfg.cost.tlb_invlpg);
+                stats.clocks[req.index()].advance(self.cfg.cost.tlb_invlpg);
                 mailboxes[req.index()].push((page, span));
             }
         }
@@ -832,7 +832,7 @@ impl<R: Recorder> Vmm<R> {
         if pen == 0 {
             return;
         }
-        let clock = &self.clocks[core.index()];
+        let clock = &mut stats.clocks[core.index()];
         clock.advance(pen);
         stats.per_core[core.index()].tier_penalty_cycles += pen;
         if R::ENABLED {
@@ -862,7 +862,7 @@ impl<R: Recorder> Vmm<R> {
         if cycles == 0 {
             return;
         }
-        let clock = &self.clocks[core.index()];
+        let clock = &mut stats.clocks[core.index()];
         clock.advance(cycles);
         stats.numa.replica_sync_cycles[core.index()] += cycles;
         if R::ENABLED {
@@ -929,7 +929,7 @@ impl<R: Recorder> Vmm<R> {
                 .config
                 .xfer_penalty(from as usize, to as usize, self.block_bytes());
             if pen > 0 {
-                let clock = &self.clocks[core.index()];
+                let clock = &mut stats.clocks[core.index()];
                 clock.advance(pen);
                 stats.numa.migration_cycles[core.index()] += pen;
                 if R::ENABLED {
@@ -978,66 +978,90 @@ impl<R: Recorder> Vmm<R> {
         }
     }
 
+    /// One DMA attempt of `bytes` for `core`, to or from backing tier
+    /// `tier`: reserves the engine, charges the caller's wait (latency
+    /// spike included) as DMA wait, and counts an injected spike. An
+    /// injected transfer error also burned its engine slot (the data
+    /// crossed the link before the abort): it is counted and backed off
+    /// exponentially, and this returns `true` so the caller retries.
+    fn dma_attempt(
+        &self,
+        state: &mut KernelState,
+        core: CoreId,
+        bytes: u64,
+        dir: DmaDirection,
+        tier: usize,
+        attempt: u32,
+    ) -> bool {
+        let stats = &mut state.stats;
+        let now = stats.clocks[core.index()].now();
+        let c = state.dma.transfer_checked_tiered(
+            now,
+            bytes,
+            dir,
+            state.injector.as_mut(),
+            &self.tracer,
+            core.0,
+            tier,
+        );
+        let wait = c.reservation.end.saturating_sub(now);
+        let clock = &mut stats.clocks[core.index()];
+        clock.advance(wait);
+        stats.per_core[core.index()].dma_wait_cycles += wait;
+        if R::ENABLED {
+            self.tracer.record(
+                core.0,
+                clock.now(),
+                EventKind::DmaComplete,
+                wait,
+                dir.code(),
+            );
+        }
+        if c.spike_cycles > 0 {
+            stats.global.latency_spikes += 1;
+            self.note_injected(stats, core, FaultSite::DmaLatency, attempt as u64);
+        }
+        if !c.failed {
+            return false;
+        }
+        stats.global.dma_errors += 1;
+        self.note_injected(stats, core, dir.error_site(), attempt as u64);
+        self.charge_backoff(stats, core, attempt, dir.error_site());
+        true
+    }
+
     /// Writes a dirty victim of `pages` 4 kB pages back to the tier the
     /// demotion `rank` selects, riding out injected DMA errors and
     /// backing-store write failures.
     ///
     /// The happy path (no injector, or no fault rolled) is a single
     /// transfer plus the store — byte-identical to the pre-fault-layer
-    /// code. Each injected DMA error burns a real engine slot (the data
-    /// crossed the link before the abort), charges the full wait, then
-    /// backs off exponentially and retries; each injected ENOSPC backs
-    /// off and re-submits the store. Returns whether any retry was
-    /// needed: such a write-back has lost the async offload pipeline
-    /// (the caller counts it in `sync_writebacks`). The victim's data
-    /// is never dropped: this returns only once the host store accepted
-    /// the block.
+    /// code. Each injected DMA error retries the transfer
+    /// ([`Vmm::dma_attempt`]); each injected ENOSPC backs off and
+    /// re-submits the store. Returns whether any retry was needed: such
+    /// a write-back has lost the async offload pipeline (the caller
+    /// counts it in `sync_writebacks`). The victim's data is never
+    /// dropped: this returns only once the host store accepted the
+    /// block.
     fn write_back(
         &self,
-        backing: &mut TieredStore,
-        stats: &mut KernelStats,
+        state: &mut KernelState,
         requester: CoreId,
         victim: VirtPage,
         pages: u64,
         rank: usize,
     ) -> bool {
-        let clock = &self.clocks[requester.index()];
-        let inj = self.injector.as_ref();
         let bytes = pages * PageSize::K4.bytes();
         let tier = rank.min(self.cfg.tiers().tiers.len() - 1);
         let mut attempt = 0u32;
-        loop {
-            let c = self.dma.transfer_checked_tiered(
-                clock.now(),
-                bytes,
-                DmaDirection::DeviceToHost,
-                inj,
-                &self.tracer,
-                requester.0,
-                tier,
-            );
-            let wait = c.reservation.end.saturating_sub(clock.now());
-            clock.advance(wait);
-            stats.per_core[requester.index()].dma_wait_cycles += wait;
-            if R::ENABLED {
-                self.tracer.record(
-                    requester.0,
-                    clock.now(),
-                    EventKind::DmaComplete,
-                    wait,
-                    DmaDirection::DeviceToHost.code(),
-                );
-            }
-            if c.spike_cycles > 0 {
-                stats.global.latency_spikes += 1;
-                self.note_injected(stats, requester, FaultSite::DmaLatency, attempt as u64);
-            }
-            if !c.failed {
-                break;
-            }
-            stats.global.dma_errors += 1;
-            self.note_injected(stats, requester, FaultSite::DmaOut, attempt as u64);
-            self.charge_backoff(stats, requester, attempt, FaultSite::DmaOut);
+        while self.dma_attempt(
+            state,
+            requester,
+            bytes,
+            DmaDirection::DeviceToHost,
+            tier,
+            attempt,
+        ) {
             attempt += 1;
             assert!(
                 attempt < MAX_RECOVERY_ATTEMPTS,
@@ -1046,7 +1070,10 @@ impl<R: Recorder> Vmm<R> {
         }
         let mut store_attempt = 0u32;
         loop {
-            let out = backing.try_store(victim, pages, rank, inj);
+            let out = state
+                .backing
+                .try_store(victim, pages, rank, state.injector.as_mut());
+            let stats = &mut state.stats;
             if out.stored {
                 self.charge_tier_penalty(stats, requester, out.tier, bytes);
                 stats.global.tier_demotions += out.demoted;
@@ -1066,16 +1093,15 @@ impl<R: Recorder> Vmm<R> {
 
     /// Handles a page fault raised by `core` on the 4 kB page `page`.
     pub fn handle_fault(&self, core: CoreId, page: VirtPage, _write: bool) -> FaultKind {
-        let clock = &self.clocks[core.index()];
         let mut state = self.state.borrow_mut();
         let state = &mut *state;
         state.stats.per_core[core.index()].page_faults += 1;
-        let t0 = clock.now();
+        let t0 = state.stats.clocks[core.index()].now();
         if R::ENABLED {
             self.tracer
                 .record(core.0, t0, EventKind::FaultStart, page.0, 0);
         }
-        clock.advance(self.cfg.cost.fault_base);
+        state.stats.clocks[core.index()].advance(self.cfg.cost.fault_base);
 
         // Page-table lock (virtual-time serialization), keyed by the
         // block head — by the 2 MB region head in adaptive mode, so every
@@ -1087,11 +1113,11 @@ impl<R: Recorder> Vmm<R> {
         } else {
             self.block_of(page)
         };
-        let (lock, hold) = self.lock_for(key);
-        let t_req = clock.now();
+        let (lock, hold) = self.lock_for(&mut state.pt_locks, key);
+        let t_req = state.stats.clocks[core.index()].now();
         let res = lock.acquire_bounded(t_req, hold, 4 * self.cfg.cores as u64 * hold);
         state.stats.per_core[core.index()].lock_wait_cycles += res.queue_delay;
-        clock.advance_to(res.end);
+        state.stats.clocks[core.index()].advance_to(res.end);
         if R::ENABLED {
             self.tracer
                 .record(core.0, t_req, EventKind::LockAcquire, res.queue_delay, hold);
@@ -1105,7 +1131,8 @@ impl<R: Recorder> Vmm<R> {
         } else {
             self.fault_fixed(state, core, key)
         };
-        let spent = clock.now() - t0;
+        let now = state.stats.clocks[core.index()].now();
+        let spent = now - t0;
         state.stats.per_core[core.index()].fault_cycles += spent;
         if R::ENABLED {
             let resolution = match kind {
@@ -1114,14 +1141,13 @@ impl<R: Recorder> Vmm<R> {
                 FaultKind::Spurious => 2,
             };
             self.tracer
-                .record(core.0, clock.now(), EventKind::FaultEnd, resolution, spent);
+                .record(core.0, now, EventKind::FaultEnd, resolution, spent);
         }
         kind
     }
 
     /// The fixed-size fault path for the block at `head`.
     fn fault_fixed(&self, state: &mut KernelState, core: CoreId, head: VirtPage) -> FaultKind {
-        let clock = &self.clocks[core.index()];
         let size = self.cfg.block_size;
         let KernelState {
             policy,
@@ -1145,7 +1171,7 @@ impl<R: Recorder> Vmm<R> {
                 Ok(MapOutcome::Fresh) => (0, 1),
                 Err(_) => return FaultKind::Spurious,
             };
-            clock.advance(
+            stats.clocks[core.index()].advance(
                 self.cfg.cost.pspt_probe * probes as u64
                     + self.cfg.cost.pte_update * self.subentries(),
             );
@@ -1162,7 +1188,7 @@ impl<R: Recorder> Vmm<R> {
         }
         with_scheme!(&mut state.scheme, s => s.map(core, head, frame, size, true))
             .expect("fresh block maps cleanly");
-        clock.advance(self.cfg.cost.pte_update * self.subentries());
+        state.stats.clocks[core.index()].advance(self.cfg.cost.pte_update * self.subentries());
         let numa = self.numa_on_insert(&mut state.stats, core, &mut state.numa_used);
         state
             .resident
@@ -1176,7 +1202,6 @@ impl<R: Recorder> Vmm<R> {
     /// controller instead of fixed by the configuration, and device RAM
     /// comes from the buddy pool.
     fn fault_adaptive(&self, state: &mut KernelState, core: CoreId, page: VirtPage) -> FaultKind {
-        let clock = &self.clocks[core.index()];
         let m2 = page.align_down(PageSize::M2);
         if let Some((head, ent)) = covering_entry(&state.resident, page) {
             // Resident at some granularity: PSPT minor fault.
@@ -1187,7 +1212,7 @@ impl<R: Recorder> Vmm<R> {
                 Ok(MapOutcome::Fresh) => (0, 1),
                 Err(_) => return FaultKind::Spurious,
             };
-            clock.advance(
+            state.stats.clocks[core.index()].advance(
                 self.cfg.cost.pspt_probe * probes as u64
                     + self.cfg.cost.pte_update * Self::subentries_of(ent.size),
             );
@@ -1217,7 +1242,8 @@ impl<R: Recorder> Vmm<R> {
         }
         with_scheme!(&mut state.scheme, s => s.map(core, head, frame, size, true))
             .expect("fresh block maps cleanly");
-        clock.advance(self.cfg.cost.pte_update * Self::subentries_of(size));
+        state.stats.clocks[core.index()]
+            .advance(self.cfg.cost.pte_update * Self::subentries_of(size));
         // NUMA budgets count blocks of one size, so adaptive runs (one
         // node only) charge none (see [`Frames`]).
         let numa = BlockNuma::default();
@@ -1245,42 +1271,15 @@ impl<R: Recorder> Vmm<R> {
         mut frame: PhysFrame,
         tin: LoadOutcome,
     ) -> PhysFrame {
-        let clock = &self.clocks[core.index()];
-        let inj = self.injector.as_ref();
         let mut attempt = 0u32;
-        loop {
-            let c = self.dma.transfer_checked_tiered(
-                clock.now(),
-                size.bytes(),
-                DmaDirection::HostToDevice,
-                inj,
-                &self.tracer,
-                core.0,
-                tin.tier,
-            );
-            let wait = c.reservation.end.saturating_sub(clock.now());
-            clock.advance(wait);
-            state.stats.per_core[core.index()].dma_wait_cycles += wait;
-            if R::ENABLED {
-                self.tracer.record(
-                    core.0,
-                    clock.now(),
-                    EventKind::DmaComplete,
-                    wait,
-                    DmaDirection::HostToDevice.code(),
-                );
-            }
-            let stats = &mut state.stats;
-            if c.spike_cycles > 0 {
-                stats.global.latency_spikes += 1;
-                self.note_injected(stats, core, FaultSite::DmaLatency, attempt as u64);
-            }
-            if !c.failed {
-                break;
-            }
-            stats.global.dma_errors += 1;
-            self.note_injected(stats, core, FaultSite::DmaIn, attempt as u64);
-            self.charge_backoff(stats, core, attempt, FaultSite::DmaIn);
+        while self.dma_attempt(
+            state,
+            core,
+            size.bytes(),
+            DmaDirection::HostToDevice,
+            tin.tier,
+            attempt,
+        ) {
             attempt += 1;
             assert!(
                 attempt < MAX_RECOVERY_ATTEMPTS,
@@ -1293,7 +1292,7 @@ impl<R: Recorder> Vmm<R> {
                 if R::ENABLED {
                     self.tracer.record(
                         core.0,
-                        clock.now(),
+                        state.stats.clocks[core.index()].now(),
                         EventKind::Quarantine,
                         frame.0 as u64,
                         head.0,
@@ -1362,15 +1361,12 @@ impl<R: Recorder> Vmm<R> {
             resident,
             pending_dirty,
             regions,
-            backing,
             scheme,
             mailboxes,
             stats,
-            offload_dead,
             ..
-        } = state;
-        let clock = &self.clocks[requester.index()];
-        loop {
+        } = &mut *state;
+        let (victim, ent, dirty, map_count) = loop {
             let victim = policy.select_victim(&mut KernelOracle {
                 vmm: self,
                 resident,
@@ -1384,7 +1380,7 @@ impl<R: Recorder> Vmm<R> {
                 let group = policy.victim_group(victim) as u64;
                 self.tracer.record(
                     requester.0,
-                    clock.now(),
+                    stats.clocks[requester.index()].now(),
                     EventKind::VictimSelect,
                     victim.0,
                     (count << 8) | group,
@@ -1432,7 +1428,7 @@ impl<R: Recorder> Vmm<R> {
                 // One PTE rewrite per new head (the radix rewrite touched
                 // every sub-entry, but those writes displace the unmap +
                 // remap a whole-block eviction would have cost).
-                clock.advance(self.cfg.cost.pte_update * children as u64);
+                stats.clocks[requester.index()].advance(self.cfg.cost.pte_update * children as u64);
                 stats.global.block_splits += 1;
                 // The parent leaves, the children enter with its count.
                 policy.on_evict(victim);
@@ -1458,7 +1454,8 @@ impl<R: Recorder> Vmm<R> {
             let out = with_scheme!(&mut *scheme, s => s.unmap_all(victim, ent.size));
             let mut map_count = 0u32;
             if let Some(out) = &out {
-                clock.advance(self.cfg.cost.pte_update * out.ptes_removed as u64);
+                stats.clocks[requester.index()]
+                    .advance(self.cfg.cost.pte_update * out.ptes_removed as u64);
                 let span = ent.size.pages_4k() as u32;
                 self.shootdown(
                     stats,
@@ -1471,25 +1468,26 @@ impl<R: Recorder> Vmm<R> {
                 dirty |= out.dirty;
                 map_count = out.mappers.count() as u32;
             }
-            if dirty {
-                // CMCP's priority signal also drives *how far down* the
-                // hierarchy a victim goes: widely shared blocks land in
-                // the fastest tier that can take them, private blocks
-                // sink.
-                let rank = self.cfg.tiers().demotion_rank(map_count);
-                let pages = ent.size.pages_4k() as u64;
-                let retried = self.write_back(backing, stats, requester, victim, pages, rank);
-                // A write-back that needed a retry, or that ran after
-                // offload-engine death, lost the async offload pipeline.
-                if retried || *offload_dead {
-                    stats.global.sync_writebacks += 1;
-                }
-                stats.global.writebacks += 1;
+            break (victim, ent, dirty, map_count);
+        };
+        if dirty {
+            // CMCP's priority signal also drives *how far down* the
+            // hierarchy a victim goes: widely shared blocks land in
+            // the fastest tier that can take them, private blocks
+            // sink.
+            let rank = self.cfg.tiers().demotion_rank(map_count);
+            let pages = ent.size.pages_4k() as u64;
+            let retried = self.write_back(state, requester, victim, pages, rank);
+            // A write-back that needed a retry, or that ran after
+            // offload-engine death, lost the async offload pipeline.
+            if retried || state.offload_dead {
+                state.stats.global.sync_writebacks += 1;
             }
-            policy.on_evict(victim);
-            stats.global.evictions += 1;
-            return Some(ent);
+            state.stats.global.writebacks += 1;
         }
+        state.policy.on_evict(victim);
+        state.stats.global.evictions += 1;
+        Some(ent)
     }
 
     /// One statistics-scan timer tick (every `scan_period` cycles of
@@ -1587,17 +1585,17 @@ impl<R: Recorder> AccessBitOracle for KernelOracle<'_, R> {
         let scan = with_scheme!(&mut *self.scheme, s => s.test_and_clear_accessed(block, size));
         self.stats.global.scan_ptes += scan.ptes_examined as u64;
         if let Some(core) = self.requester {
-            self.vmm.clocks[core.index()]
+            self.stats.clocks[core.index()]
                 .advance(self.vmm.cfg.cost.scan_pte * scan.ptes_examined as u64);
         }
         if R::ENABLED {
             let (core, ts, charged) = match self.requester {
                 Some(c) => (
                     c.0,
-                    self.vmm.clocks[c.index()].now(),
+                    self.stats.clocks[c.index()].now(),
                     self.vmm.cfg.cost.scan_pte * scan.ptes_examined as u64,
                 ),
-                None => (MAINTENANCE_CORE, self.vmm.maintenance_now(), 0),
+                None => (MAINTENANCE_CORE, self.stats.maintenance_now(), 0),
             };
             self.vmm.tracer.record(
                 core,

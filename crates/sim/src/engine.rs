@@ -173,14 +173,15 @@ impl Engine {
             if slot.status != Status::Running {
                 continue;
             }
-            slot.status = match runner.advance(vmm, &trace.cores[i], self.ceiling) {
+            let (pause, stamp) = runner.advance(vmm, &trace.cores[i], self.ceiling);
+            slot.status = match pause {
                 Pause::Ceiling => Status::Running,
                 Pause::Fault { page, write } => Status::Fault { page, write },
                 Pause::Syscall { call } => Status::Syscall { call },
                 Pause::Barrier => Status::Arrived,
                 Pause::Done => Status::Done,
             };
-            slot.stamp = vmm.clocks()[i].now();
+            slot.stamp = stamp;
         }
     }
 
@@ -348,27 +349,27 @@ impl Engine {
         // This happens *before* the ceiling recomputation so waiting
         // cores rejoin the min().
         if waiting == live {
+            let mut clocks = vmm.clocks_mut();
             let release = self
                 .slots
                 .iter()
-                .enumerate()
-                .filter(|(_, s)| s.status == Status::Waiting)
-                .map(|(i, _)| vmm.clocks()[i].now())
+                .zip(clocks.iter())
+                .filter(|(s, _)| s.status == Status::Waiting)
+                .map(|(_, clock)| clock.now())
                 .max()
                 .unwrap_or(0);
-            for (i, slot) in self.slots.iter_mut().enumerate() {
+            for (i, (slot, clock)) in self.slots.iter_mut().zip(clocks.iter_mut()).enumerate() {
                 if slot.status == Status::Waiting {
                     if R::ENABLED {
-                        let arrived = vmm.clocks()[i].now();
                         vmm.tracer().record(
                             i as u16,
                             release,
                             EventKind::BarrierArrive,
                             self.barrier_seq,
-                            release - arrived,
+                            release - clock.now(),
                         );
                     }
-                    vmm.clocks()[i].advance_to(release);
+                    clock.advance_to(release);
                     slot.status = Status::Running;
                 }
             }
@@ -389,9 +390,9 @@ impl Engine {
         // move a byte (§14).
         let mut m1 = u64::MAX;
         let mut m2 = u64::MAX;
-        for (i, slot) in self.slots.iter().enumerate() {
+        for (slot, clock) in self.slots.iter().zip(vmm.clocks().iter()) {
             let bound = match slot.status {
-                Status::Running => vmm.clocks()[i].now(),
+                Status::Running => clock.now(),
                 Status::Fault { .. } | Status::Syscall { .. } => slot.stamp,
                 Status::Waiting | Status::Done => continue,
                 Status::Arrived => unreachable!("arrivals were folded above"),
@@ -419,7 +420,7 @@ impl Engine {
 ///
 /// Panics if the trace shape is invalid (mismatched barrier counts), or
 /// if the trace's core count differs from the kernel's.
-pub fn run<R: Recorder>(vmm: &Vmm<R>, trace: &Trace) -> RunReport {
+pub fn run<R: Recorder>(vmm: &mut Vmm<R>, trace: &Trace) -> RunReport {
     run_epochs(vmm, trace, || {})
 }
 
@@ -431,7 +432,7 @@ pub fn run_with_host_stats<R: Recorder>(
     trace: &Trace,
     _threads: usize,
 ) -> (RunReport, HostScaling) {
-    (run(vmm, trace), HostScaling::default())
+    (run_epochs(vmm, trace, || {}), HostScaling::default())
 }
 
 /// [`run`], calling `hook(0)` once at the start of every epoch. Kept
@@ -545,8 +546,8 @@ mod tests {
     #[test]
     fn run_completes_and_reports() {
         let t = private_sweep_trace(2, 64, 3);
-        let vmm = Vmm::new(KernelConfig::new(2, 256));
-        let r = run(&vmm, &t);
+        let mut vmm = Vmm::new(KernelConfig::new(2, 256));
+        let r = run(&mut vmm, &t);
         assert!(r.runtime_cycles > 0);
         assert_eq!(r.per_core.len(), 2);
         assert_eq!(r.per_core[0].dtlb_accesses, 64 * 3);
@@ -566,8 +567,9 @@ mod tests {
     fn runs_are_bit_identical() {
         let t = private_sweep_trace(4, 128, 4);
         let run = || {
-            let vmm = Vmm::new(KernelConfig::new(4, 96).with_policy(PolicyKind::Cmcp { p: 0.5 }));
-            let r = super::run(&vmm, &t);
+            let mut vmm =
+                Vmm::new(KernelConfig::new(4, 96).with_policy(PolicyKind::Cmcp { p: 0.5 }));
+            let r = super::run(&mut vmm, &t);
             (r.runtime_cycles, r.avg_page_faults(), r.global.evictions)
         };
         assert_eq!(run(), run());
@@ -590,8 +592,8 @@ mod tests {
         for (t, blocks, policy) in inputs {
             let cores = t.cores.len();
             let render = || {
-                let vmm = Vmm::new(KernelConfig::new(cores, blocks).with_policy(policy));
-                run(&vmm, &t)
+                let mut vmm = Vmm::new(KernelConfig::new(cores, blocks).with_policy(policy));
+                run(&mut vmm, &t)
             };
             let base = render();
             assert!(
@@ -617,16 +619,16 @@ mod tests {
         });
         t.cores[1].ops.push(Op::Compute(200_000_000));
         t.cores[1].ops.push(Op::touch(VirtPage(1 << 20), false, 1));
-        let vmm = Vmm::new(KernelConfig::new(2, 256));
-        let r = run(&vmm, &t);
+        let mut vmm = Vmm::new(KernelConfig::new(2, 256));
+        let r = run(&mut vmm, &t);
         assert!(
             r.scaling.fast_forwards > 0,
             "straggler phases must fast-forward: {:?}",
             r.scaling
         );
         // LRU arms the scan timer, which forbids fast-forwarding.
-        let vmm = Vmm::new(KernelConfig::new(2, 256).with_policy(PolicyKind::Lru));
-        let r = run(&vmm, &t);
+        let mut vmm = Vmm::new(KernelConfig::new(2, 256).with_policy(PolicyKind::Lru));
+        let r = run(&mut vmm, &t);
         assert_eq!(r.scaling.fast_forwards, 0, "timers disable fast-forward");
     }
 
@@ -636,7 +638,7 @@ mod tests {
         // zero, and neither entry moves a report byte.
         let t = shared_and_private_trace(4, 2);
         let fresh = || Vmm::new(KernelConfig::new(4, 64));
-        let plain = format!("{:?}", run(&fresh(), &t));
+        let plain = format!("{:?}", run(&mut fresh(), &t));
         let calls = std::cell::Cell::new(0u64);
         let hooked = run_with_worker_hook(&fresh(), &t, 2, &|worker| {
             assert_eq!(worker, 0);
@@ -665,8 +667,8 @@ mod tests {
         t.cores[1].ops.push(Op::Compute(1_000_000));
         t.cores[1].ops.push(Op::Barrier);
         t.cores[0].ops.push(Op::touch(VirtPage(1), false, 1));
-        let vmm = Vmm::new(KernelConfig::new(2, 16));
-        run(&vmm, &t);
+        let mut vmm = Vmm::new(KernelConfig::new(2, 16));
+        run(&mut vmm, &t);
         assert!(
             vmm.clocks()[0].now() >= 1_000_000,
             "core0 waited at the barrier"
@@ -686,7 +688,7 @@ mod tests {
                     work_per_page: 2,
                 });
             }
-            run(&Vmm::new(KernelConfig::new(1, 32)), &t)
+            run(&mut Vmm::new(KernelConfig::new(1, 32)), &t)
         };
         let r = sweep(true);
         assert!(r.global.evictions > 64, "sweep must thrash");
@@ -707,8 +709,8 @@ mod tests {
     fn shared_pressure_run_executes_every_touch() {
         let t = shared_and_private_trace(4, 4);
         // Footprint: 16 shared + 4×32 private = 144 pages; constrain to 64.
-        let vmm = Vmm::new(KernelConfig::new(4, 64).with_policy(PolicyKind::Cmcp { p: 0.5 }));
-        let r = run(&vmm, &t);
+        let mut vmm = Vmm::new(KernelConfig::new(4, 64).with_policy(PolicyKind::Cmcp { p: 0.5 }));
+        let r = run(&mut vmm, &t);
         assert!(r.global.evictions > 0);
         assert!(r.runtime_cycles > 0);
         // Every core executed all its touches.
@@ -726,8 +728,8 @@ mod tests {
         for core in &mut t.cores {
             core.ops.push(Op::touch(VirtPage(5), false, 1));
         }
-        let vmm = Vmm::new(KernelConfig::new(2, 16).with_scheme(SchemeChoice::Regular));
-        let r = run(&vmm, &t);
+        let mut vmm = Vmm::new(KernelConfig::new(2, 16).with_scheme(SchemeChoice::Regular));
+        let r = run(&mut vmm, &t);
         assert_eq!(
             r.scaling.committed, 2,
             "both cores parked in the fault trap"
@@ -764,8 +766,9 @@ mod tests {
         let split = trace([&[137], &[1, 211]]);
         assert_eq!(whole.total_touches(), split.total_touches());
         let report = |t: &Trace| {
-            let vmm = Vmm::new(KernelConfig::new(2, 64).with_policy(PolicyKind::Cmcp { p: 0.5 }));
-            let r = run(&vmm, t);
+            let mut vmm =
+                Vmm::new(KernelConfig::new(2, 64).with_policy(PolicyKind::Cmcp { p: 0.5 }));
+            let r = run(&mut vmm, t);
             assert!(r.global.evictions > 0, "under eviction pressure");
             format!("{r:?}")
         };
@@ -814,8 +817,9 @@ mod tests {
         assert_eq!(replayed.cores[0].ops.len(), 9);
         assert_eq!(copied.total_touches(), replayed.total_touches());
         let run = |t: &Trace| {
-            let vmm = Vmm::new(KernelConfig::new(2, 64).with_policy(PolicyKind::Cmcp { p: 0.5 }));
-            super::run(&vmm, t)
+            let mut vmm =
+                Vmm::new(KernelConfig::new(2, 64).with_policy(PolicyKind::Cmcp { p: 0.5 }));
+            super::run(&mut vmm, t)
         };
         let faults = |r: &RunReport| r.per_core.iter().map(|c| c.page_faults).sum::<u64>();
         assert!(
@@ -838,8 +842,8 @@ mod tests {
             t.cores[0].ops.push(Op::touch(VirtPage(1), false, 1));
             t.cores[0].ops.push(Op::Compute(11_000_000));
         }
-        let vmm = Vmm::new(KernelConfig::new(1, 16).with_policy(PolicyKind::Lru));
-        let r = run(&vmm, &t);
+        let mut vmm = Vmm::new(KernelConfig::new(1, 16).with_policy(PolicyKind::Lru));
+        let r = run(&mut vmm, &t);
         assert!(
             r.global.scan_ticks >= 4,
             "timer must fire each period: {}",
@@ -853,8 +857,8 @@ mod tests {
             let mut t = Trace::new(1, "noscan");
             t.cores[0].ops.push(Op::touch(VirtPage(1), false, 1));
             t.cores[0].ops.push(Op::Compute(50_000_000));
-            let vmm = Vmm::new(KernelConfig::new(1, 16).with_policy(policy));
-            let r = run(&vmm, &t);
+            let mut vmm = Vmm::new(KernelConfig::new(1, 16).with_policy(policy));
+            let r = run(&mut vmm, &t);
             assert_eq!(r.global.scan_ticks, 0);
         }
     }
@@ -880,8 +884,8 @@ mod tests {
             payload: 1 << 20,
             write: true,
         });
-        let vmm = Vmm::new(KernelConfig::new(1, 8));
-        run(&vmm, &t);
+        let mut vmm = Vmm::new(KernelConfig::new(1, 8));
+        run(&mut vmm, &t);
         assert_eq!(vmm.offload().total_calls(), 1);
         assert_eq!(vmm.offload().total_payload(), 1 << 20);
         // A 1 MB IKC write is far more expensive than the page touch.
@@ -902,8 +906,8 @@ mod tests {
         }
         let mut cfg = KernelConfig::new(2, 8);
         cfg.pspt_rebuild_period = 1_000_000;
-        let vmm = Vmm::new(cfg);
-        let r = run(&vmm, &t);
+        let mut vmm = Vmm::new(cfg);
+        let r = run(&mut vmm, &t);
         assert!(
             r.global.rebuilds >= 1,
             "timer must fire: {}",
@@ -921,7 +925,7 @@ mod tests {
     #[should_panic(expected = "core count")]
     fn mismatched_core_count_is_rejected() {
         let t = private_sweep_trace(2, 4, 1);
-        let vmm = Vmm::new(KernelConfig::new(3, 16));
-        run(&vmm, &t);
+        let mut vmm = Vmm::new(KernelConfig::new(3, 16));
+        run(&mut vmm, &t);
     }
 }

@@ -128,7 +128,7 @@ impl RunReport {
             .core_stats()
             .iter()
             .zip(runners.iter())
-            .zip(vmm.clocks())
+            .zip(vmm.clocks().iter())
             .map(|((st, runner), clock)| {
                 let tlb: TlbStats = runner.tlb_stats();
                 let mut snap = *st;

@@ -16,7 +16,7 @@
 //! the TLB, and the ceiling is still checked between any two touches, so
 //! a replayed range runs exactly as a copy of it would.
 
-use cmcp_arch::{CoreId, Cycles, FxHashSet, LocalClock, PageSize, Tlb, TlbLookup, VirtPage};
+use cmcp_arch::{CoreClock, CoreId, Cycles, FxHashSet, PageSize, Tlb, TlbLookup, VirtPage};
 use cmcp_kernel::{Syscall, Vmm};
 use cmcp_trace::Recorder;
 
@@ -172,7 +172,7 @@ impl CoreRunner {
         &mut self,
         vmm: &Vmm<R>,
         trace: &CoreTrace,
-        clock: &mut LocalClock,
+        clock: &mut CoreClock,
     ) -> Option<Pause> {
         let pf = self.pending?;
         match vmm.mark_accessed(self.core, pf.page, pf.write) {
@@ -205,7 +205,7 @@ impl CoreRunner {
     fn touch<R: Recorder>(
         &mut self,
         vmm: &Vmm<R>,
-        clock: &mut LocalClock,
+        clock: &mut CoreClock,
         page: VirtPage,
         write: bool,
         work: u32,
@@ -264,21 +264,22 @@ impl CoreRunner {
     /// u64::MAX` this runs until the next park, as a core with no epoch
     /// window would.
     ///
-    /// The core's clock is copied out on entry and written back once on
-    /// return; every advance, settle and ceiling check in between runs
-    /// on the copy ([`LocalClock`]). Only phase-B commits charge debt,
-    /// so the copy's debt is exact for the whole call.
+    /// The core's clock is copied out of the kernel on entry and written
+    /// back once on return; every advance, settle and ceiling check in
+    /// between runs on the copy. Only phase-B commits charge debt, so
+    /// the copy's debt is exact for the whole call. Returns the pause
+    /// and the core's clock there, which stamps a parked kernel entry.
     pub fn advance<R: Recorder>(
         &mut self,
         vmm: &Vmm<R>,
         trace: &CoreTrace,
         ceiling: Cycles,
-    ) -> Pause {
-        let shared = &vmm.clocks()[self.core.index()];
-        let mut clock = shared.load();
+    ) -> (Pause, Cycles) {
+        let loaded = vmm.clocks()[self.core.index()];
+        let mut clock = loaded;
         let pause = self.run(vmm, trace, ceiling, &mut clock);
-        shared.store(&clock);
-        pause
+        write_back(&mut vmm.clocks_mut()[self.core.index()], loaded, clock);
+        (pause, clock.now())
     }
 
     /// [`CoreRunner::advance`] on the local clock copy.
@@ -287,7 +288,7 @@ impl CoreRunner {
         vmm: &Vmm<R>,
         trace: &CoreTrace,
         ceiling: Cycles,
-        clock: &mut LocalClock,
+        clock: &mut CoreClock,
     ) -> Pause {
         self.drain_invalidations(vmm, clock.now());
         if let Some(parked) = self.resume_pending(vmm, trace, clock) {
@@ -346,6 +347,18 @@ impl CoreRunner {
     }
 }
 
+/// Stores phase A's clock copy `local` over the kernel's `clock`, which
+/// read `loaded` when the copy was taken. Nothing may charge the clock
+/// in between (only phase-B commits charge debt, and the copy lives
+/// within one phase A); debug builds check that.
+fn write_back(clock: &mut CoreClock, loaded: CoreClock, local: CoreClock) {
+    debug_assert_eq!(
+        *clock, loaded,
+        "remote debt charged while the owner ran on a local copy"
+    );
+    *clock = local;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +376,7 @@ mod tests {
     /// kernel work inline (the engine in miniature).
     fn drive(r: &mut CoreRunner, v: &Vmm, t: &CoreTrace) -> Pause {
         loop {
-            match r.advance(v, t, u64::MAX) {
+            match r.advance(v, t, u64::MAX).0 {
                 Pause::Fault { page, write } => {
                     v.handle_fault(r.core, page, write);
                 }
@@ -396,7 +409,8 @@ mod tests {
         let mut r = CoreRunner::new(CoreId(0), &v);
         let t = trace_of(vec![Op::touch(VirtPage(5), false, 1)]);
         // The cold touch parks in the fault trap without handling it...
-        match r.advance(&v, &t, u64::MAX) {
+        let (pause, parked_at) = r.advance(&v, &t, u64::MAX);
+        match pause {
             Pause::Fault { page, write } => {
                 assert_eq!(page, VirtPage(5));
                 assert!(!write);
@@ -404,11 +418,11 @@ mod tests {
             other => panic!("expected fault park, got {other:?}"),
         }
         // ...the park stamp already includes the failed walk...
-        let parked_at = v.clocks()[0].now();
         assert!(parked_at > 0, "work + walk must be charged before parking");
+        assert_eq!(v.clocks()[0].now(), parked_at, "the copy was written back");
         // ...and after the engine runs the handler the touch retires.
         v.handle_fault(CoreId(0), VirtPage(5), false);
-        assert_eq!(r.advance(&v, &t, u64::MAX), Pause::Done);
+        assert_eq!(r.advance(&v, &t, u64::MAX).0, Pause::Done);
         assert_eq!(r.tlb_stats().misses, 1);
     }
 
@@ -425,7 +439,7 @@ mod tests {
         // A ceiling of 1 cycle stops the core at its first park or
         // boundary — here the first cold touch faults immediately.
         assert!(matches!(
-            r.advance(&v, &t, 1),
+            r.advance(&v, &t, 1).0,
             Pause::Fault {
                 page: VirtPage(0),
                 ..
@@ -434,7 +448,7 @@ mod tests {
         v.handle_fault(CoreId(0), VirtPage(0), false);
         // With the fault handled, a tiny ceiling pauses at the boundary
         // without consuming further touches...
-        assert_eq!(r.advance(&v, &t, 1), Pause::Ceiling);
+        assert_eq!(r.advance(&v, &t, 1).0, Pause::Ceiling);
         assert_eq!(r.tlb_stats().accesses, 1);
         // ...and an unbounded drive finishes all 100 pages.
         assert_eq!(drive(&mut r, &v, &t), Pause::Done);
@@ -466,8 +480,9 @@ mod tests {
             let t = trace_of(ops);
             let mut seen = Vec::new();
             loop {
-                let pause = r.advance(&v, &t, v.clocks()[0].now() + 400);
-                seen.push((pause, v.clocks()[0].now(), r.tlb_stats()));
+                let ceiling = v.clocks()[0].now() + 400;
+                let (pause, now) = r.advance(&v, &t, ceiling);
+                seen.push((pause, now, r.tlb_stats()));
                 match pause {
                     Pause::Fault { page, write } => {
                         v.handle_fault(r.core, page, write);
@@ -512,7 +527,7 @@ mod tests {
         let v = vmm(4);
         let mut r = CoreRunner::new(CoreId(0), &v);
         let t = trace_of(vec![Op::Barrier, Op::touch(VirtPage(1), false, 1)]);
-        assert_eq!(r.advance(&v, &t, u64::MAX), Pause::Barrier);
+        assert_eq!(r.advance(&v, &t, u64::MAX).0, Pause::Barrier);
         assert_eq!(drive(&mut r, &v, &t), Pause::Done);
     }
 
@@ -524,13 +539,23 @@ mod tests {
             payload: 4096,
             write: true,
         }]);
-        match r.advance(&v, &t, u64::MAX) {
+        match r.advance(&v, &t, u64::MAX).0 {
             Pause::Syscall {
                 call: Syscall::Write(4096),
             } => {}
             other => panic!("expected write syscall park, got {other:?}"),
         }
-        assert_eq!(r.advance(&v, &t, u64::MAX), Pause::Done);
+        assert_eq!(r.advance(&v, &t, u64::MAX).0, Pause::Done);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "remote debt charged while the owner ran on a local copy")]
+    fn a_charge_during_a_local_run_is_caught_in_debug_builds() {
+        let mut clock = CoreClock::new();
+        let loaded = clock;
+        clock.charge_remote(1);
+        write_back(&mut clock, loaded, loaded);
     }
 
     #[test]
@@ -538,7 +563,7 @@ mod tests {
         let v = vmm(4);
         let mut r = CoreRunner::new(CoreId(0), &v);
         let t = trace_of(vec![Op::Compute(12345)]);
-        assert_eq!(r.advance(&v, &t, u64::MAX), Pause::Done);
+        assert_eq!(r.advance(&v, &t, u64::MAX).0, Pause::Done);
         assert_eq!(v.clocks()[0].now(), 12345);
         assert_eq!(r.tlb_stats().accesses, 0);
     }
@@ -554,9 +579,9 @@ mod tests {
         let v = vmm(4);
         let mut r = CoreRunner::new(CoreId(0), &v);
         let t = trace_of(vec![Op::touch(VirtPage(5), false, 1)]);
-        v.clocks()[0].charge_remote(100);
+        v.clocks_mut()[0].charge_remote(100);
         // The debt alone reaches the ceiling: no touch runs.
-        assert_eq!(r.advance(&v, &t, 100), Pause::Ceiling);
+        assert_eq!(r.advance(&v, &t, 100).0, Pause::Ceiling);
         assert_eq!(v.clocks()[0].executed(), 0);
         assert_eq!(v.clocks()[0].now(), 100);
         assert_eq!(r.tlb_stats().accesses, 0);
@@ -567,8 +592,8 @@ mod tests {
         let v = vmm(4);
         let mut r = CoreRunner::new(CoreId(0), &v);
         let t = trace_of(vec![Op::Compute(50), Op::Barrier]);
-        v.clocks()[0].charge_remote(100);
-        assert_eq!(r.advance(&v, &t, u64::MAX), Pause::Barrier);
+        v.clocks_mut()[0].charge_remote(100);
+        assert_eq!(r.advance(&v, &t, u64::MAX).0, Pause::Barrier);
         assert_eq!(v.clocks()[0].executed(), 50);
         assert_eq!(v.clocks()[0].now(), 150);
     }
@@ -580,11 +605,11 @@ mod tests {
         let t = trace_of(vec![Op::touch(VirtPage(5), false, 1)]);
         assert_eq!(drive(&mut r, &v, &t), Pause::Done);
         let before = v.clocks()[0].executed();
-        v.clocks()[0].charge_remote(100);
+        v.clocks_mut()[0].charge_remote(100);
         // The same page again: an L1 hit, so the touch costs its work
         // unit alone, plus the folded debt.
         let mut r = CoreRunner { op_idx: 0, ..r };
-        assert_eq!(r.advance(&v, &t, u64::MAX), Pause::Done);
+        assert_eq!(r.advance(&v, &t, u64::MAX).0, Pause::Done);
         assert_eq!(r.tlb_stats().l1_hits, 1);
         let after = before + v.cost().work_unit + 100;
         assert_eq!(v.clocks()[0].executed(), after);

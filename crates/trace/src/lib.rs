@@ -10,9 +10,9 @@
 //!   empty inline function, and every call site that would compute
 //!   event arguments guards on `R::ENABLED`, so a non-traced build
 //!   carries no cost (verified by `benches/trace_overhead.rs`).
-//! * [`RingTracer`] — one lock-free fixed-capacity ring per core (plus
-//!   one for maintenance work not attributable to a core), overwriting
-//!   the oldest slot on overflow and counting what it dropped.
+//! * [`RingTracer`] — one fixed-capacity ring per core (plus one for
+//!   maintenance work not attributable to a core), overwriting the
+//!   oldest slot on overflow and counting what it dropped.
 //!
 //! Post-run, [`Breakdown`](breakdown::Breakdown) folds a trace into a
 //! per-core cycle decomposition of the fault path and **validates it
@@ -31,7 +31,7 @@ pub mod export;
 pub use breakdown::{Breakdown, CoreBreakdown, CoreTotals};
 pub use export::{to_chrome_trace, to_jsonl};
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 /// Virtual time, in simulated core cycles (mirrors `cmcp_arch::Cycles`;
 /// redeclared here so `cmcp-arch` itself can depend on this crate).
@@ -159,32 +159,6 @@ impl EventKind {
             EventKind::Migration => "migration",
         }
     }
-
-    fn from_code(code: u8) -> Option<EventKind> {
-        Some(match code {
-            0 => EventKind::FaultStart,
-            1 => EventKind::FaultEnd,
-            2 => EventKind::LockAcquire,
-            3 => EventKind::LockRelease,
-            4 => EventKind::VictimSelect,
-            5 => EventKind::ShootdownSend,
-            6 => EventKind::ShootdownAck,
-            7 => EventKind::DmaEnqueue,
-            8 => EventKind::DmaComplete,
-            9 => EventKind::PolicyScan,
-            10 => EventKind::TlbInvalidate,
-            11 => EventKind::BarrierArrive,
-            12 => EventKind::Rebuild,
-            13 => EventKind::ShardLock,
-            14 => EventKind::FaultInjected,
-            15 => EventKind::Retry,
-            16 => EventKind::Quarantine,
-            17 => EventKind::TierPenalty,
-            18 => EventKind::ReplicaSync,
-            19 => EventKind::Migration,
-            _ => return None,
-        })
-    }
 }
 
 /// One recorded moment: four words, fixed size, no heap.
@@ -203,8 +177,9 @@ pub struct Event {
 }
 
 /// A sink for trace events. `record` takes `&self` because the kernel
-/// keeps its tracer outside its single-writer state and records through
-/// a shared reference; the kernel and the engine run on one thread.
+/// keeps its tracer outside its state cell and records through a shared
+/// reference; one thread makes every call, so a recorder with state
+/// keeps it in `Cell`s (as [`RingTracer`] does).
 pub trait Recorder {
     /// `false` means `record` is a no-op and call sites skip computing
     /// event arguments entirely (the zero-cost path).
@@ -238,81 +213,49 @@ impl Recorder for NullTracer {
 
 /// One core's fixed-capacity event ring.
 ///
-/// A writer claims a slot by bumping `claimed` and then stores the four
-/// event words. When the ring wraps, the oldest events are overwritten
-/// and counted as dropped; any run that dropped events has its
-/// breakdown validation disabled.
-///
-/// ## Memory-ordering contract
-///
-/// Everything here is `Relaxed`, deliberately (DESIGN.md §10): the
-/// engine runs on one thread, so every ring has one writer, and the
-/// readers ([`EventRing::drain_into`], [`EventRing::dropped`]) run after
-/// the run returns, on the same thread. The words are atomics only
-/// because [`Recorder::record`] takes `&self`; they go with the
-/// kernel's move to `&mut self`.
+/// Each event takes the next slot in claim order. When the ring wraps,
+/// the oldest events are overwritten and counted as dropped; any run
+/// that dropped events has its breakdown validation disabled. The slots
+/// are `Cell`s because [`Recorder::record`] takes `&self`.
 struct EventRing {
-    /// Total slots ever claimed; `min(claimed, capacity)` slots hold data.
-    claimed: AtomicU64,
-    /// `[ts, meta, a, b]` per slot, `meta = core << 8 | kind`.
-    slots: Vec<[AtomicU64; 4]>,
+    /// Total events ever recorded; `min(claimed, capacity)` slots hold
+    /// data.
+    claimed: Cell<usize>,
+    slots: Vec<Cell<Event>>,
 }
 
 impl EventRing {
     fn new(capacity: usize) -> EventRing {
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push([
-                AtomicU64::new(0),
-                AtomicU64::new(u64::MAX),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ]);
-        }
+        // Fills the slots past `claimed`, which are never read.
+        let blank = Event {
+            ts: 0,
+            core: 0,
+            kind: EventKind::FaultStart,
+            a: 0,
+            b: 0,
+        };
         EventRing {
-            claimed: AtomicU64::new(0),
-            slots,
+            claimed: Cell::new(0),
+            slots: vec![Cell::new(blank); capacity],
         }
     }
 
-    fn push(&self, core: u16, ts: Cycles, kind: EventKind, a: u64, b: u64) {
-        let claim = self.claimed.fetch_add(1, Relaxed) as usize;
-        let slot = &self.slots[claim % self.slots.len()];
-        slot[0].store(ts, Relaxed);
-        slot[1].store(((core as u64) << 8) | kind as u64, Relaxed);
-        slot[2].store(a, Relaxed);
-        slot[3].store(b, Relaxed);
+    fn push(&self, event: Event) {
+        let claim = self.claimed.get();
+        self.claimed.set(claim + 1);
+        self.slots[claim % self.slots.len()].set(event);
     }
 
     fn dropped(&self) -> u64 {
-        self.claimed
-            .load(Relaxed)
-            .saturating_sub(self.slots.len() as u64)
+        self.claimed.get().saturating_sub(self.slots.len()) as u64
     }
 
     fn drain_into(&self, out: &mut Vec<Event>) {
-        let claimed = self.claimed.load(Relaxed) as usize;
-        let live = claimed.min(self.slots.len());
-        for i in 0..live {
-            // After a wrap the ring's oldest event sits at `claimed %
-            // len`; before one, slot order is claim order from 0.
-            let idx = if claimed > self.slots.len() {
-                (claimed + i) % self.slots.len()
-            } else {
-                i
-            };
-            let slot = &self.slots[idx];
-            let meta = slot[1].load(Relaxed);
-            let kind = EventKind::from_code((meta & 0xff) as u8)
-                .expect("every live slot holds a whole event");
-            out.push(Event {
-                ts: slot[0].load(Relaxed),
-                core: (meta >> 8) as u16,
-                kind,
-                a: slot[2].load(Relaxed),
-                b: slot[3].load(Relaxed),
-            });
-        }
+        let (claimed, len) = (self.claimed.get(), self.slots.len());
+        // After a wrap the ring's oldest event sits at `claimed % len`;
+        // before one, slot order is claim order from 0.
+        let first = if claimed > len { claimed % len } else { 0 };
+        out.extend((0..claimed.min(len)).map(|i| self.slots[(first + i) % len].get()));
     }
 }
 
@@ -348,7 +291,13 @@ impl Recorder for RingTracer {
     const ENABLED: bool = true;
 
     fn record(&self, core: u16, ts: Cycles, kind: EventKind, a: u64, b: u64) {
-        self.ring_for(core).push(core, ts, kind, a, b);
+        self.ring_for(core).push(Event {
+            ts,
+            core,
+            kind,
+            a,
+            b,
+        });
     }
 
     fn events(&self) -> Vec<Event> {
@@ -362,24 +311,6 @@ impl Recorder for RingTracer {
 
     fn dropped(&self) -> u64 {
         self.rings.iter().map(EventRing::dropped).sum()
-    }
-}
-
-/// Forwarding impl so engines can take `&impl Recorder` internally.
-impl<R: Recorder> Recorder for &R {
-    const ENABLED: bool = R::ENABLED;
-
-    #[inline(always)]
-    fn record(&self, core: u16, ts: Cycles, kind: EventKind, a: u64, b: u64) {
-        (**self).record(core, ts, kind, a, b);
-    }
-
-    fn events(&self) -> Vec<Event> {
-        (**self).events()
-    }
-
-    fn dropped(&self) -> u64 {
-        (**self).dropped()
     }
 }
 

@@ -236,8 +236,7 @@ impl SimulationBuilder {
     /// Generates the trace, sizes the memory, runs the simulation.
     pub fn run(self) -> RunReport {
         let (trace, cfg) = self.materialize();
-        let vmm = Vmm::new(cfg);
-        cmcp_sim::run(&vmm, &trace)
+        cmcp_sim::run(&mut Vmm::new(cfg), &trace)
     }
 
     /// Like [`SimulationBuilder::run`], but records the fault-path event
@@ -247,8 +246,8 @@ impl SimulationBuilder {
     pub fn run_traced(self) -> TracedRun {
         let (trace, cfg) = self.materialize();
         let cores = cfg.cores;
-        let vmm = Vmm::with_tracer(cfg, RingTracer::new(cores, self.trace_capacity));
-        let report = cmcp_sim::run(&vmm, &trace);
+        let mut vmm = Vmm::with_tracer(cfg, RingTracer::new(cores, self.trace_capacity));
+        let report = cmcp_sim::run(&mut vmm, &trace);
         TracedRun {
             report,
             events: vmm.tracer().events(),

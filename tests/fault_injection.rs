@@ -78,8 +78,8 @@ fn seeded_plan_loses_no_dirty_writes_under_any_policy() {
         let cfg = KernelConfig::new(t.cores.len(), blocks)
             .with_policy(policy)
             .with_fault_plan(plan.clone());
-        let vmm = Vmm::new(cfg);
-        let report = run(&vmm, &t);
+        let mut vmm = Vmm::new(cfg);
+        let report = run(&mut vmm, &t);
         assert!(
             report.global.evictions > 0,
             "{}: oracle needs eviction traffic",
@@ -109,8 +109,8 @@ fn quarantined_frames_stay_out_of_circulation() {
     let cfg = KernelConfig::new(t.cores.len(), blocks)
         .with_policy(PolicyKind::Cmcp { p: 0.5 })
         .with_fault_plan(FaultPlan::new(1).dma_errors(0.05));
-    let vmm = Vmm::new(cfg);
-    let report = run(&vmm, &t);
+    let mut vmm = Vmm::new(cfg);
+    let report = run(&mut vmm, &t);
     let executed: u64 = report.per_core.iter().map(|c| c.dtlb_accesses).sum();
     assert_eq!(executed, touches);
     let (free, resident, quarantined, total) = vmm.frame_audit_pages();
@@ -174,8 +174,8 @@ fn cg_class_b_acceptance_run_is_reproducible_and_loses_nothing() {
         let cfg = KernelConfig::new(8, blocks)
             .with_policy(PolicyKind::Cmcp { p: 0.75 })
             .with_fault_plan(plan.clone());
-        let vmm = Vmm::with_tracer(cfg, RingTracer::new(8, 1 << 16));
-        let report = run(&vmm, &t);
+        let mut vmm = Vmm::with_tracer(cfg, RingTracer::new(8, 1 << 16));
+        let report = run(&mut vmm, &t);
         let events = vmm.tracer().events();
         (vmm, report, events)
     };
@@ -229,12 +229,12 @@ fn offload_death_degrades_syscalls_synchronously() {
         t.cores[c].ops.push(Op::Barrier);
     }
     let healthy = {
-        let vmm = Vmm::new(KernelConfig::new(2, 16));
-        run(&vmm, &t)
+        let mut vmm = Vmm::new(KernelConfig::new(2, 16));
+        run(&mut vmm, &t)
     };
     let cfg = KernelConfig::new(2, 16).with_fault_plan(FaultPlan::new(3).offload_death_after(4));
-    let vmm = Vmm::new(cfg);
-    let degraded = run(&vmm, &t);
+    let mut vmm = Vmm::new(cfg);
+    let degraded = run(&mut vmm, &t);
     assert!(vmm.offload_dead(), "engine must die after the 4th call");
     assert_eq!(degraded.global.sync_syscalls, 12 - 4);
     assert_eq!(

@@ -12,7 +12,7 @@
 //! runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use cmcp::arch::{CoreId, VirtPage};
 use cmcp::{KernelConfig, NumaConfig, PolicyKind, SchemeChoice, TierConfig, Vmm};
@@ -23,7 +23,11 @@ use cmcp::{KernelConfig, NumaConfig, PolicyKind, SchemeChoice, TierConfig, Vmm};
 /// `alloc`.
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+#[allow(
+    clippy::disallowed_types,
+    reason = "a global allocator counts through a static, which must be atomic"
+)]
+static ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter only observes.

@@ -81,8 +81,8 @@ fn pressured(topology: &str, replicate: bool, rebuild_period: u64) -> (Trace, Vm
 #[test]
 fn replica_sets_are_subsets_of_pspt_mapping_node_sets() {
     for rebuild_period in [0, 200_000] {
-        let (trace, vmm) = pressured("4node", true, rebuild_period);
-        cmcp::sim::run(&vmm, &trace);
+        let (trace, mut vmm) = pressured("4node", true, rebuild_period);
+        cmcp::sim::run(&mut vmm, &trace);
         let mut resident = 0usize;
         for head in touched_pages(&trace) {
             if let Some(st) = vmm.numa_block_state(head) {
@@ -103,8 +103,8 @@ fn replica_sets_are_subsets_of_pspt_mapping_node_sets() {
 
 #[test]
 fn every_replica_drop_is_counted_exactly_once() {
-    let (trace, vmm) = pressured("4node", true, 0);
-    cmcp::sim::run(&vmm, &trace);
+    let (trace, mut vmm) = pressured("4node", true, 0);
+    cmcp::sim::run(&mut vmm, &trace);
     assert_eq!(vmm.numa_books().capacity().len(), 4, "one budget per node");
     let evictions = vmm.global_stats().evictions;
     let n = vmm.numa_stats().clone();
@@ -135,8 +135,8 @@ fn every_replica_drop_is_counted_exactly_once() {
 #[test]
 fn node_budgets_are_never_overdrawn_and_sum_to_residency() {
     for replicate in [true, false] {
-        let (trace, vmm) = pressured("4node", replicate, 0);
-        cmcp::sim::run(&vmm, &trace);
+        let (trace, mut vmm) = pressured("4node", replicate, 0);
+        cmcp::sim::run(&mut vmm, &trace);
         let books = vmm.numa_books();
         let used = vmm.numa_used();
         for (n, (&u, &cap)) in used.iter().zip(books.capacity()).enumerate() {
@@ -157,8 +157,8 @@ fn balanced_private_streams_neither_spill_nor_invalidate() {
     // to equality with zero invalidations.
     let trace = synthetic::private_stream(8, 16, 3);
     let blocks = trace.declared_blocks(PageSize::K4);
-    let vmm = numa_vmm(&trace, "2node", true, blocks, 0);
-    cmcp::sim::run(&vmm, &trace);
+    let mut vmm = numa_vmm(&trace, "2node", true, blocks, 0);
+    cmcp::sim::run(&mut vmm, &trace);
     let n = vmm.numa_stats().clone();
     assert_eq!(vmm.global_stats().evictions, 0);
     assert_eq!(n.remote_spills, 0);
@@ -185,8 +185,8 @@ fn multi_node_reports_are_thread_count_invariant() {
         let run = || {
             let trace = synthetic::shared_hot(8, 48, 24, 4);
             let blocks = (trace.declared_blocks(PageSize::K4) * 3) / 5;
-            let vmm = numa_vmm(&trace, "4node", replicate, blocks, 0);
-            format!("{:?}", cmcp::sim::run(&vmm, &trace))
+            let mut vmm = numa_vmm(&trace, "4node", replicate, blocks, 0);
+            format!("{:?}", cmcp::sim::run(&mut vmm, &trace))
         };
         assert_eq!(
             run(),
@@ -203,8 +203,8 @@ fn single_node_books_balance_and_nothing_crosses_a_link() {
     // nowhere to spill, sync from or migrate to.
     let trace = synthetic::shared_hot(4, 16, 8, 2);
     let blocks = trace.declared_blocks(PageSize::K4) / 2;
-    let vmm = numa_vmm(&trace, "1node", true, blocks, 0);
-    let report = cmcp::sim::run(&vmm, &trace);
+    let mut vmm = numa_vmm(&trace, "1node", true, blocks, 0);
+    let report = cmcp::sim::run(&mut vmm, &trace);
     assert!(
         vmm.global_stats().evictions > 0,
         "half the footprint must evict"
@@ -232,8 +232,8 @@ fn single_node_books_balance_and_nothing_crosses_a_link() {
 
 #[test]
 fn replication_off_still_tracks_homes_but_grows_no_masks() {
-    let (trace, vmm) = pressured("4node", false, 0);
-    cmcp::sim::run(&vmm, &trace);
+    let (trace, mut vmm) = pressured("4node", false, 0);
+    cmcp::sim::run(&mut vmm, &trace);
     let mut saw_block = false;
     for head in touched_pages(&trace) {
         if let Some(st) = vmm.numa_block_state(head) {

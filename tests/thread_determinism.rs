@@ -78,7 +78,7 @@ fn all_policies_are_byte_identical_across_thread_counts_under_pressure() {
     let t = synthetic::shared_hot(6, 32, 64, 4);
     for policy in ALL_POLICIES {
         let cfg = half_memory(&t).with_policy(policy);
-        let reference = run(&Vmm::new(cfg.clone()), &t);
+        let reference = run(&mut Vmm::new(cfg.clone()), &t);
         assert!(
             reference.global.evictions > 0,
             "{}: ratio 0.5 must force evictions",
@@ -99,7 +99,7 @@ fn all_policies_are_byte_identical_across_thread_counts_under_pressure() {
 fn regular_tables_are_byte_identical_across_thread_counts() {
     let t = synthetic::private_stream(4, 32, 3);
     let cfg = half_memory(&t).with_scheme(SchemeChoice::Regular);
-    let reference = run(&Vmm::new(cfg.clone()), &t);
+    let reference = run(&mut Vmm::new(cfg.clone()), &t);
     assert!(reference.global.evictions > 0);
     assert!(
         reference.sharing_histogram.is_none(),

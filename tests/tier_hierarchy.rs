@@ -90,8 +90,8 @@ fn kernel_config(
 /// one tier included.
 fn run_audited(cfg: KernelConfig, trace: &Trace) -> RunReport {
     let faulted = cfg.fault_plan.is_some();
-    let vmm = Vmm::new(cfg);
-    let report = run(&vmm, trace);
+    let mut vmm = Vmm::new(cfg);
+    let report = run(&mut vmm, trace);
 
     // Layer 2: span/book audit (panics on overlap, drift, or a bounded
     // tier over capacity) and device-frame conservation.

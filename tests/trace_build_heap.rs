@@ -14,7 +14,7 @@
 //! runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use cmcp::sim::Trace;
 use cmcp::workloads::cg::{cg_trace, CgConfig};
@@ -25,8 +25,16 @@ use cmcp::{Workload, WorkloadClass};
 /// its default, which goes through `alloc`.
 struct Counting;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+#[allow(
+    clippy::disallowed_types,
+    reason = "a global allocator counts through statics, which must be atomic"
+)]
+static LIVE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+#[allow(
+    clippy::disallowed_types,
+    reason = "a global allocator counts through statics, which must be atomic"
+)]
+static PEAK: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
