@@ -23,7 +23,6 @@ use serde::{Deserialize, Serialize};
 use crate::clock::Cycles;
 use crate::numa::NumaConfig;
 use crate::tier::TierConfig;
-use crate::types::PageSize;
 
 /// Cycle costs for every simulated hardware and kernel operation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -154,39 +153,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Pure transfer time (no queueing) of moving `bytes` across PCIe.
-    #[inline]
-    pub fn dma_transfer(&self, bytes: u64) -> Cycles {
-        self.dma_latency + bytes * 1024 / self.dma_bytes_per_kcycle
-    }
-
-    /// Pure transfer time of moving one page of `size`.
-    #[inline]
-    pub fn dma_page(&self, size: PageSize) -> Cycles {
-        self.dma_transfer(size.bytes())
-    }
-
-    /// Requester-side cost of a shootdown to `targets` cores: the
-    /// serialized send loop plus the ack fan-in wait. Zero targets cost
-    /// nothing (purely local invalidation is charged separately).
-    #[inline]
-    pub fn shootdown_requester(&self, targets: usize) -> Cycles {
-        if targets == 0 {
-            return 0;
-        }
-        self.ipi_send * targets as u64
-            + self.ipi_ack_base
-            + self.ipi_ack_per_target * targets as u64
-    }
-
-    /// Target-side cost of receiving one shootdown for `entries` TLB
-    /// entries (a 64 kB invalidation is still a single `INVLPG`-visible
-    /// entry on KNC, so `entries` is almost always 1).
-    #[inline]
-    pub fn shootdown_target(&self, entries: usize) -> Cycles {
-        self.ipi_handle + self.tlb_invlpg * entries.max(1) as u64
-    }
-
     /// The minimum virtual-time latency by which one core's kernel
     /// activity can perturb another core's *locally observable* state —
     /// the window of the epoch engine.
@@ -225,12 +191,6 @@ impl CostModel {
     pub fn cycles_to_secs(&self, cycles: Cycles) -> f64 {
         cycles as f64 / (self.core_khz as f64 * 1000.0)
     }
-
-    /// Converts cycles into milliseconds.
-    #[inline]
-    pub fn cycles_to_millis(&self, cycles: Cycles) -> f64 {
-        self.cycles_to_secs(cycles) * 1e3
-    }
 }
 
 #[cfg(test)]
@@ -245,39 +205,6 @@ mod tests {
         assert_eq!(c.core_khz, 1_053_000);
         // 10 ms scan period at 1.053 GHz.
         assert_eq!(c.scan_period, 10_530_000);
-        // ~6 GB/s: a 4 kB transfer should take on the order of a
-        // microsecond of streaming plus the fixed latency.
-        let t = c.dma_transfer(4096) - c.dma_latency;
-        assert!((600..900).contains(&t), "4kB streaming time {t}");
-    }
-
-    #[test]
-    fn dma_scales_linearly_with_page_size() {
-        let c = CostModel::default();
-        let t4 = c.dma_page(PageSize::K4) - c.dma_latency;
-        let t64 = c.dma_page(PageSize::K64) - c.dma_latency;
-        let t2m = c.dma_page(PageSize::M2) - c.dma_latency;
-        // 16× and 512× the bytes → within rounding of 16× and 512× time.
-        assert!((t64 as f64 / t4 as f64 - 16.0).abs() < 0.1);
-        assert!((t2m as f64 / t4 as f64 - 512.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn shootdown_grows_linearly_with_targets() {
-        let c = CostModel::default();
-        assert_eq!(c.shootdown_requester(0), 0);
-        let one = c.shootdown_requester(1);
-        let fifty = c.shootdown_requester(50);
-        assert!(fifty > one * 15, "50-target shootdown must dwarf 1-target");
-        let diff = c.shootdown_requester(11) - c.shootdown_requester(10);
-        assert_eq!(diff, c.ipi_send + c.ipi_ack_per_target);
-    }
-
-    #[test]
-    fn target_cost_has_interrupt_floor() {
-        let c = CostModel::default();
-        assert_eq!(c.shootdown_target(0), c.ipi_handle + c.tlb_invlpg);
-        assert_eq!(c.shootdown_target(2), c.ipi_handle + 2 * c.tlb_invlpg);
     }
 
     #[test]
@@ -329,7 +256,6 @@ mod tests {
         let c = CostModel::default();
         let secs = c.cycles_to_secs(1_053_000_000);
         assert!((secs - 1.0).abs() < 1e-9);
-        assert!((c.cycles_to_millis(10_530_000) - 10.0).abs() < 1e-9);
     }
 
     #[test]

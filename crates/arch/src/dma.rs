@@ -12,6 +12,12 @@
 //!    latency grows with the fault rate. This is modeled with a
 //!    [`VirtualResource`] reservation clock.
 //!
+//! [`DmaModel::transfer`] is the engine's one entry: every transfer rolls
+//! the fault plan's latency-spike and transfer-error dice on the backing
+//! tier it lands in (a run without a plan rolls the empty plan, which
+//! never fires). The kernel records the transfer's `DmaEnqueue` and
+//! `DmaComplete` trace events around the call.
+//!
 //! [`VirtualResource`]: crate::resource::VirtualResource
 
 use crate::clock::Cycles;
@@ -88,102 +94,51 @@ impl DmaModel {
         }
     }
 
-    /// Unqueued service time for `bytes`.
-    #[inline]
-    pub fn service_time(&self, bytes: u64) -> Cycles {
-        self.latency + bytes * 1024 / self.bytes_per_kcycle
-    }
-
-    /// Reserves the engine for an arbitrary-size transfer.
+    /// Reserves the engine for a transfer of `bytes` to or from backing
+    /// tier `tier`, rolling `inj`'s DMA latency-spike and transfer-error
+    /// dice on that tier's injection sequence.
     ///
     /// The engine's *occupancy* is the streaming time only — descriptor
     /// setup and completion signalling pipeline with other transfers on
     /// the KNC's multi-channel DMA engine — while the caller additionally
-    /// waits out the fixed latency. The returned reservation's `end` is
-    /// the caller-visible completion time.
-    pub fn transfer(&mut self, now: Cycles, bytes: u64, dir: DmaDirection) -> Reservation {
+    /// waits out the fixed latency and any latency spike (a stall in the
+    /// completion path, not the streaming channel). The returned
+    /// reservation's `end` is the caller-visible completion time. The
+    /// engine is reserved, and the link carries the bytes, whether or
+    /// not the attempt fails: an aborted transfer still burned its slot.
+    pub fn transfer(
+        &mut self,
+        now: Cycles,
+        bytes: u64,
+        dir: DmaDirection,
+        tier: usize,
+        inj: &mut FaultInjector,
+    ) -> CheckedTransfer {
         match dir {
             DmaDirection::HostToDevice => self.bytes_in += bytes,
             DmaDirection::DeviceToHost => self.bytes_out += bytes,
         }
         let streaming = bytes * 1024 / self.bytes_per_kcycle;
+        let spike_cycles = inj
+            .roll_param_tiered(FaultSite::DmaLatency, tier)
+            .map_or(0, |mult| mult * streaming.max(1));
         // Each core blocks on its own fault and a fault issues at most
         // two transfers (write-back + page-in), so a genuine queue never
         // exceeds ~2 transfers per client; the 4× cap only clamps the
         // out-of-order arrivals of cores whose clocks skew between
-        // barriers (`VirtualResource::acquire_bounded`).
+        // barriers (`VirtualResource::acquire`).
         let r = self
             .engine
-            .acquire_bounded(now, streaming, 4 * self.clients * streaming.max(64));
-        Reservation {
-            start: r.start,
-            end: r.end + self.latency,
-            queue_delay: r.queue_delay,
+            .acquire(now, streaming, 4 * self.clients * streaming.max(64));
+        CheckedTransfer {
+            reservation: Reservation {
+                start: r.start,
+                end: r.end + self.latency + spike_cycles,
+                queue_delay: r.queue_delay,
+            },
+            spike_cycles,
+            failed: inj.roll(dir.error_site(), tier),
         }
-    }
-
-    /// [`DmaModel::transfer`] that also records the enqueue as a
-    /// [`cmcp_trace::EventKind::DmaEnqueue`] event on behalf of `core`.
-    /// The matching `DmaComplete` is recorded by the caller, which alone
-    /// knows how many cycles of the wait its clock actually absorbed.
-    pub fn transfer_traced<R: cmcp_trace::Recorder>(
-        &mut self,
-        now: Cycles,
-        bytes: u64,
-        dir: DmaDirection,
-        tracer: &R,
-        core: u16,
-    ) -> Reservation {
-        if R::ENABLED {
-            tracer.record(
-                core,
-                now,
-                cmcp_trace::EventKind::DmaEnqueue,
-                bytes,
-                dir.code(),
-            );
-        }
-        self.transfer(now, bytes, dir)
-    }
-
-    /// [`DmaModel::transfer_traced`] with fault injection, keyed by the
-    /// backing tier the transfer lands in (or is served from). The
-    /// engine is reserved (and the link carries the bytes) whether or
-    /// not the attempt fails — an aborted transfer still burned its
-    /// slot — and a latency spike stretches the caller-visible
-    /// completion time without occupying the engine longer (the stall
-    /// is in the completion path, not the streaming channel). The DMA
-    /// error and latency rolls draw from the tier's independent
-    /// injection sequence, so each tier of a hierarchy can fail on its
-    /// own schedule; tier 0 hashes exactly as the pre-tier injector
-    /// did. With `inj == None` this is exactly
-    /// [`DmaModel::transfer_traced`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn transfer_checked_tiered<R: cmcp_trace::Recorder>(
-        &mut self,
-        now: Cycles,
-        bytes: u64,
-        dir: DmaDirection,
-        inj: Option<&mut FaultInjector>,
-        tracer: &R,
-        core: u16,
-        tier: usize,
-    ) -> CheckedTransfer {
-        let reservation = self.transfer_traced(now, bytes, dir, tracer, core);
-        let mut out = CheckedTransfer {
-            reservation,
-            spike_cycles: 0,
-            failed: false,
-        };
-        if let Some(inj) = inj {
-            if let Some(mult) = inj.roll_param_tiered(FaultSite::DmaLatency, tier) {
-                let streaming = bytes * 1024 / self.bytes_per_kcycle;
-                out.spike_cycles = mult * streaming.max(1);
-                out.reservation.end += out.spike_cycles;
-            }
-            out.failed = inj.roll_tiered(dir.error_site(), tier);
-        }
-        out
     }
 
     /// Total bytes moved host → device.
@@ -211,26 +166,53 @@ impl DmaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::types::PageSize;
 
     fn engine() -> DmaModel {
         DmaModel::with_clients(&CostModel::default(), 64)
     }
 
+    /// The empty plan: every roll misses.
+    fn quiet() -> FaultInjector {
+        FaultInjector::new(&FaultPlan::new(0))
+    }
+
+    fn transfer(d: &mut DmaModel, now: Cycles, bytes: u64, dir: DmaDirection) -> Reservation {
+        d.transfer(now, bytes, dir, 0, &mut quiet()).reservation
+    }
+
+    /// Streaming time of `size` on an idle engine: the caller-visible
+    /// wait less the fixed latency.
+    fn streaming(size: PageSize) -> Cycles {
+        let r = transfer(&mut engine(), 0, size.bytes(), DmaDirection::HostToDevice);
+        assert_eq!(r.queue_delay, 0);
+        r.end - CostModel::default().dma_latency
+    }
+
     #[test]
-    fn service_time_scales_with_size() {
-        let d = engine();
-        let t4 = d.service_time(PageSize::K4.bytes());
-        let t2m = d.service_time(PageSize::M2.bytes());
-        assert!(t2m > 100 * t4, "2MB must cost vastly more than 4kB");
-        assert!(t4 > 0);
+    fn streaming_is_calibrated_to_paper() {
+        // ~6 GB/s: a 4 kB transfer should take on the order of a
+        // microsecond of streaming plus the fixed latency.
+        let t = streaming(PageSize::K4);
+        assert!((600..900).contains(&t), "4kB streaming time {t}");
+    }
+
+    #[test]
+    fn streaming_scales_linearly_with_page_size() {
+        let t4 = streaming(PageSize::K4) as f64;
+        let t64 = streaming(PageSize::K64) as f64;
+        let t2m = streaming(PageSize::M2) as f64;
+        // 16× and 512× the bytes → within rounding of 16× and 512× time.
+        assert!((t64 / t4 - 16.0).abs() < 0.1);
+        assert!((t2m / t4 - 512.0).abs() < 1.0);
     }
 
     #[test]
     fn concurrent_transfers_queue_on_streaming_time_only() {
         let mut d = engine();
-        let a = d.transfer(0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
-        let b = d.transfer(0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
+        let a = transfer(&mut d, 0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
+        let b = transfer(&mut d, 0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
         assert_eq!(a.queue_delay, 0);
         // The second transfer queues behind the first's *streaming* time
         // (latency pipelines), so it starts before the first's visible end.
@@ -242,82 +224,43 @@ mod tests {
     #[test]
     fn byte_accounting_by_direction() {
         let mut d = engine();
-        d.transfer(0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
-        d.transfer(0, PageSize::K64.bytes(), DmaDirection::DeviceToHost);
-        d.transfer(0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
+        transfer(&mut d, 0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
+        transfer(&mut d, 0, PageSize::K64.bytes(), DmaDirection::DeviceToHost);
+        transfer(&mut d, 0, PageSize::K4.bytes(), DmaDirection::HostToDevice);
         assert_eq!(d.bytes_in(), 8192);
         assert_eq!(d.bytes_out(), 65536);
     }
 
     #[test]
-    fn checked_transfer_without_injector_matches_plain() {
-        let mut d = engine();
-        let plain = d.transfer(0, 4096, DmaDirection::HostToDevice);
-        let mut d2 = engine();
-        let checked = d2.transfer_checked_tiered(
-            0,
-            4096,
-            DmaDirection::HostToDevice,
-            None,
-            &cmcp_trace::NullTracer,
-            0,
-            0,
-        );
-        assert!(!checked.failed);
-        assert_eq!(checked.spike_cycles, 0);
-        assert_eq!(checked.reservation, plain);
-    }
-
-    #[test]
     fn spikes_stretch_completion_not_occupancy() {
-        use crate::fault::FaultPlan;
         let mut d = engine();
-        let mut inj = crate::fault::FaultInjector::new(&FaultPlan::new(5).latency_spikes(0.5, 8));
+        let mut inj = FaultInjector::new(&FaultPlan::new(5).latency_spikes(0.5, 8));
+        let streaming = streaming(PageSize::K4);
         let mut spiked = 0;
         let mut now = 0;
         for _ in 0..64 {
-            let c = d.transfer_checked_tiered(
-                now,
-                4096,
-                DmaDirection::HostToDevice,
-                Some(&mut inj),
-                &cmcp_trace::NullTracer,
-                0,
-                0,
-            );
+            let c = d.transfer(now, 4096, DmaDirection::HostToDevice, 0, &mut inj);
             now = c.reservation.end;
             if c.spike_cycles > 0 {
                 spiked += 1;
-                let streaming = 4096 * 1024 / CostModel::default().dma_bytes_per_kcycle;
                 assert_eq!(c.spike_cycles, 8 * streaming);
             }
         }
         assert!(spiked > 5, "50% spike rate over 64 transfers: {spiked}");
         // Engine busy time is unaffected by spikes (completion-path stall).
-        let streaming = 4096 * 1024 / CostModel::default().dma_bytes_per_kcycle;
         assert_eq!(d.busy_cycles(), 64 * streaming);
     }
 
     #[test]
     fn failed_transfers_still_carry_bytes() {
-        use crate::fault::FaultPlan;
         let mut d = engine();
-        let mut inj = crate::fault::FaultInjector::new(&FaultPlan::new(6).dma_errors(0.5));
-        let mut failures = 0;
-        for _ in 0..64 {
-            let c = d.transfer_checked_tiered(
-                0,
-                4096,
-                DmaDirection::DeviceToHost,
-                Some(&mut inj),
-                &cmcp_trace::NullTracer,
-                0,
-                0,
-            );
-            if c.failed {
-                failures += 1;
-            }
-        }
+        let mut inj = FaultInjector::new(&FaultPlan::new(6).dma_errors(0.5));
+        let failures = (0..64)
+            .filter(|_| {
+                d.transfer(0, 4096, DmaDirection::DeviceToHost, 0, &mut inj)
+                    .failed
+            })
+            .count();
         assert!(failures > 5, "50% over 64 rolls: {failures}");
         assert_eq!(d.bytes_out(), 64 * 4096, "aborted attempts burn the link");
     }
@@ -325,9 +268,9 @@ mod tests {
     #[test]
     fn busy_and_queued_statistics() {
         let mut d = engine();
-        let stream = d.service_time(4096) - CostModel::default().dma_latency;
-        d.transfer(0, 4096, DmaDirection::HostToDevice);
-        d.transfer(0, 4096, DmaDirection::HostToDevice);
+        let stream = streaming(PageSize::K4);
+        transfer(&mut d, 0, 4096, DmaDirection::HostToDevice);
+        transfer(&mut d, 0, 4096, DmaDirection::HostToDevice);
         assert_eq!(d.busy_cycles(), 2 * stream);
         assert_eq!(d.queued_cycles(), stream);
     }

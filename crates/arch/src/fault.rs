@@ -344,32 +344,22 @@ impl FaultInjector {
         }
     }
 
-    /// Whether any rule is active at all.
-    pub fn armed(&self) -> bool {
-        self.rate_ppm.iter().any(|&r| r > 0)
-    }
-
     /// The offload-death call threshold, if an offload rule is set.
     pub fn offload_death_after(&self) -> Option<u64> {
         (self.rate_ppm[FaultSite::Offload as usize] > 0)
             .then(|| self.param[FaultSite::Offload as usize])
     }
 
-    /// Rolls the dice for one operation at `site`. Returns `true` when
-    /// the operation must fail. Consumes one sequence number at the
-    /// site (even when the site's rate is zero, so adding a rule to one
-    /// site never perturbs another site's schedule). Operations with no
-    /// tier affinity roll against tier 0, whose salt is zero — this is
-    /// bit-for-bit the pre-tier injector.
-    pub fn roll(&mut self, site: FaultSite) -> bool {
-        self.roll_tiered(site, 0)
-    }
-
-    /// [`FaultInjector::roll`] keyed by backing tier: each (site, tier)
-    /// pair owns an independent sequence counter and folds its own salt
-    /// into the hash, so per-tier failure schedules neither shift nor
-    /// correlate when another tier's traffic changes.
-    pub fn roll_tiered(&mut self, site: FaultSite, tier: usize) -> bool {
+    /// Rolls the dice for one operation at `site` on backing tier
+    /// `tier`. Returns `true` when the operation must fail. Each
+    /// (site, tier) pair owns an independent sequence counter and folds
+    /// its own salt into the hash, so per-tier failure schedules neither
+    /// shift nor correlate when another tier's traffic changes. A roll
+    /// consumes one sequence number even when the site's rate is zero,
+    /// so adding a rule to one site never perturbs another site's
+    /// schedule. Operations with no tier affinity (IKC, offload) roll
+    /// against tier 0, whose salt is zero.
+    pub fn roll(&mut self, site: FaultSite, tier: usize) -> bool {
         debug_assert!(tier < MAX_TIERS, "tier {tier} out of range");
         let i = site as usize;
         let tier = tier.min(MAX_TIERS - 1);
@@ -383,23 +373,9 @@ impl FaultInjector {
         h % PPM < self.rate_ppm[i] as u64
     }
 
-    /// [`FaultInjector::roll_tiered`], returning the site parameter on
-    /// a hit.
+    /// [`FaultInjector::roll`], returning the site parameter on a hit.
     pub fn roll_param_tiered(&mut self, site: FaultSite, tier: usize) -> Option<u64> {
-        self.roll_tiered(site, tier)
-            .then(|| self.param[site as usize])
-    }
-
-    /// Number of rolls taken at `site` so far across all tiers (for
-    /// reports/tests).
-    pub fn rolls(&self, site: FaultSite) -> u64 {
-        let i = site as usize;
-        self.seq[i * MAX_TIERS..(i + 1) * MAX_TIERS].iter().sum()
-    }
-
-    /// Number of rolls taken at `(site, tier)` so far.
-    pub fn rolls_tiered(&self, site: FaultSite, tier: usize) -> u64 {
-        self.seq[site as usize * MAX_TIERS + tier.min(MAX_TIERS - 1)]
+        self.roll(site, tier).then(|| self.param[site as usize])
     }
 }
 
@@ -461,13 +437,13 @@ mod tests {
         let plan = FaultPlan::new(7).dma_errors(0.2).enospc(0.1);
         let mut a = FaultInjector::new(&plan);
         let mut b = FaultInjector::new(&plan);
-        let seq_a: Vec<bool> = (0..1000).map(|_| a.roll(FaultSite::DmaIn)).collect();
+        let seq_a: Vec<bool> = (0..1000).map(|_| a.roll(FaultSite::DmaIn, 0)).collect();
         // Interleave another site's rolls on `b`: DmaIn's schedule must
         // not shift.
         let seq_b: Vec<bool> = (0..1000)
             .map(|_| {
-                b.roll(FaultSite::Backing);
-                b.roll(FaultSite::DmaIn)
+                b.roll(FaultSite::Backing, 0);
+                b.roll(FaultSite::DmaIn, 0)
             })
             .collect();
         assert_eq!(seq_a, seq_b);
@@ -477,7 +453,9 @@ mod tests {
     #[test]
     fn hit_rate_tracks_the_rule() {
         let mut inj = FaultInjector::new(&FaultPlan::new(3).dma_errors(0.1));
-        let hits = (0..20_000).filter(|_| inj.roll(FaultSite::DmaOut)).count();
+        let hits = (0..20_000)
+            .filter(|_| inj.roll(FaultSite::DmaOut, 0))
+            .count();
         let rate = hits as f64 / 20_000.0;
         assert!((0.08..0.12).contains(&rate), "observed rate {rate}");
     }
@@ -485,11 +463,10 @@ mod tests {
     #[test]
     fn zero_rate_never_fires_but_still_sequences() {
         let mut inj = FaultInjector::new(&FaultPlan::new(9));
-        assert!(!inj.armed());
         for _ in 0..100 {
-            assert!(!inj.roll(FaultSite::Ikc));
+            assert!(!inj.roll(FaultSite::Ikc, 0));
         }
-        assert_eq!(inj.rolls(FaultSite::Ikc), 100);
+        assert_eq!(inj.seq[FaultSite::Ikc as usize * MAX_TIERS], 100);
     }
 
     #[test]
@@ -501,45 +478,24 @@ mod tests {
     }
 
     #[test]
-    fn tier_zero_rolls_are_the_legacy_sequence() {
-        // The whole flat-golden story rests on this: an untiered call
-        // site (roll) and an explicit tier-0 call site must draw the
-        // same schedule, because TIER_SALT[0] == 0 reduces the hash to
-        // the pre-tier formula.
-        let plan = FaultPlan::new(42).dma_errors(0.2);
-        let mut a = FaultInjector::new(&plan);
-        let mut b = FaultInjector::new(&plan);
-        let legacy: Vec<bool> = (0..500).map(|_| a.roll(FaultSite::DmaIn)).collect();
-        let tier0: Vec<bool> = (0..500)
-            .map(|_| b.roll_tiered(FaultSite::DmaIn, 0))
-            .collect();
-        assert_eq!(legacy, tier0);
-    }
-
-    #[test]
     fn tiers_draw_independent_sequences() {
         let plan = FaultPlan::new(7).dma_errors(0.2);
         let mut a = FaultInjector::new(&plan);
         let mut b = FaultInjector::new(&plan);
-        let t0: Vec<bool> = (0..1000)
-            .map(|_| a.roll_tiered(FaultSite::DmaIn, 0))
-            .collect();
+        let t0: Vec<bool> = (0..1000).map(|_| a.roll(FaultSite::DmaIn, 0)).collect();
         // Interleave heavy tier-1 traffic on `b`: tier 0's schedule
         // must not shift (per-tier sequence counters), and tier 1's
         // schedule must not mirror tier 0's (per-tier salt).
         let mut t0_interleaved = Vec::new();
         let mut t1 = Vec::new();
         for _ in 0..1000 {
-            t1.push(b.roll_tiered(FaultSite::DmaIn, 1));
-            b.roll_tiered(FaultSite::DmaIn, 1);
-            t0_interleaved.push(b.roll_tiered(FaultSite::DmaIn, 0));
+            t1.push(b.roll(FaultSite::DmaIn, 1));
+            b.roll(FaultSite::DmaIn, 1);
+            t0_interleaved.push(b.roll(FaultSite::DmaIn, 0));
         }
         assert_eq!(t0, t0_interleaved, "tier-1 traffic shifted tier 0");
         assert_ne!(t0, t1, "tier salts failed to decorrelate");
         assert!(t1.iter().any(|&f| f), "tier 1 at 0.2 over 1000 must hit");
-        assert_eq!(a.rolls_tiered(FaultSite::DmaIn, 0), 1000);
-        assert_eq!(b.rolls_tiered(FaultSite::DmaIn, 1), 2000);
-        assert_eq!(b.rolls(FaultSite::DmaIn), 3000, "rolls sums tiers");
     }
 
     #[test]
@@ -551,7 +507,7 @@ mod tests {
         let mut inj = FaultInjector::new(&FaultPlan::new(42).dma_errors(0.1));
         let mut hits = |tier: usize| -> Vec<u64> {
             (0u64..200)
-                .filter(|_| inj.roll_tiered(FaultSite::DmaOut, tier))
+                .filter(|_| inj.roll(FaultSite::DmaOut, tier))
                 .collect()
         };
         assert_eq!(

@@ -18,19 +18,14 @@ use crate::cost::CostModel;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::resource::VirtualResource;
 
-/// Message classes with distinct host-side service behaviour.
+/// One request shipped to the host: `service` cycles of host work,
+/// `payload` bytes copied each way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IkcMessage {
-    /// Signal-only doorbell (no payload, no host work).
-    Notify,
-    /// A system call forwarded to the host: `service` cycles of host
-    /// work, `payload` bytes copied each way.
-    Syscall {
-        /// Host-side service time in (device-clock) cycles.
-        service: Cycles,
-        /// Request + response payload bytes.
-        payload: u64,
-    },
+pub struct IkcMessage {
+    /// Host-side service time in (device-clock) cycles.
+    pub service: Cycles,
+    /// Request + response payload bytes.
+    pub payload: u64,
 }
 
 /// Completion report for one IKC round trip.
@@ -70,67 +65,55 @@ impl IkcChannel {
 
     /// Service time occupied on the channel for `msg`.
     pub fn service_time(&self, msg: IkcMessage) -> Cycles {
-        match msg {
-            IkcMessage::Notify => 64,
-            IkcMessage::Syscall { service, payload } => {
-                service + payload * 1024 / self.bytes_per_kcycle
-            }
-        }
+        msg.service + msg.payload * 1024 / self.bytes_per_kcycle
     }
 
-    /// Performs a round trip starting at device time `now`.
-    pub fn round_trip(&mut self, now: Cycles, msg: IkcMessage) -> IkcCompletion {
-        self.requests += 1;
-        if let IkcMessage::Syscall { payload, .. } = msg {
-            self.payload_bytes += payload;
-        }
-        let service = self.service_time(msg);
-        // Bounded like the DMA engine: a core has one offload
-        // outstanding, so the cap only clamps the out-of-order arrivals
-        // of cores whose clocks skew between barriers.
-        let r = self
-            .channel
-            .acquire_bounded(now, service, 256 * service.max(64));
-        IkcCompletion {
-            done_at: r.end + 2 * self.latency, // request + response hops
-            queue_delay: r.queue_delay,
-        }
-    }
-
-    /// One-way message latency (doorbell + IPI hop).
-    pub fn latency(&self) -> Cycles {
-        self.latency
-    }
-
-    /// [`IkcChannel::round_trip`] with fault injection: each injected
-    /// drop loses the message, and the caller discovers it only after a
-    /// resend timeout of one full unqueued round trip (service +
-    /// both hops). Returns the completion of the eventually-successful
-    /// trip — `done_at` already includes all timeout penalties — plus
-    /// the number of drops suffered. Dropped messages never occupied
-    /// the channel (they died on the wire), so only the final trip
-    /// reserves it. With `inj == None` this is exactly `round_trip`.
-    pub fn round_trip_checked(
+    /// Performs a round trip starting at device time `now`, rolling
+    /// `inj`'s IKC drop dice: each injected drop loses the message, and
+    /// the caller discovers it only after a resend timeout of one full
+    /// unqueued round trip (service + both hops). Returns the completion
+    /// of the eventually-successful trip — `done_at` already includes
+    /// all timeout penalties, counted as queueing (wait, not work) —
+    /// plus the number of drops suffered. Dropped messages never
+    /// occupied the channel (they died on the wire), so only the final
+    /// trip reserves it.
+    pub fn round_trip(
         &mut self,
         now: Cycles,
         msg: IkcMessage,
-        inj: Option<&mut FaultInjector>,
+        inj: &mut FaultInjector,
     ) -> (IkcCompletion, u32) {
+        let service = self.service_time(msg);
         let mut drops = 0u32;
         let mut start = now;
-        if let Some(inj) = inj {
-            while inj.roll(FaultSite::Ikc) {
-                drops += 1;
-                start += self.service_time(msg) + 2 * self.latency;
-                assert!(
-                    drops < 64,
-                    "64 consecutive IKC drops — fault rate beyond the clamp?"
-                );
-            }
+        while inj.roll(FaultSite::Ikc, 0) {
+            drops += 1;
+            start += service + 2 * self.latency;
+            assert!(
+                drops < 64,
+                "64 consecutive IKC drops — fault rate beyond the clamp?"
+            );
         }
-        let mut done = self.round_trip(start, msg);
-        done.queue_delay += start - now; // timeouts are wait, not work
+        self.requests += 1;
+        self.payload_bytes += msg.payload;
+        // Bounded like the DMA engine: a core has one offload
+        // outstanding, so the cap only clamps the out-of-order arrivals
+        // of cores whose clocks skew between barriers.
+        let r = self.channel.acquire(start, service, 256 * service.max(64));
+        let done = IkcCompletion {
+            done_at: r.end + 2 * self.latency, // request + response hops
+            queue_delay: r.queue_delay + (start - now),
+        };
         (done, drops)
+    }
+
+    /// The cost of serving `msg` without the channel, once the host's
+    /// offload daemon is dead: the call is emulated synchronously,
+    /// paying the service time both ways plus the doorbell hops a
+    /// healthy round trip would have pipelined, so it is strictly
+    /// slower than [`IkcChannel::round_trip`] on an idle channel.
+    pub fn sync_fallback(&self, msg: IkcMessage) -> Cycles {
+        2 * self.service_time(msg) + 4 * self.latency
     }
 
     /// Total round trips.
@@ -142,109 +125,64 @@ impl IkcChannel {
     pub fn payload_bytes(&self) -> u64 {
         self.payload_bytes
     }
-
-    /// Total queueing delay imposed on callers.
-    pub fn queued_cycles(&self) -> Cycles {
-        self.channel.total_queued()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
 
     fn channel() -> IkcChannel {
         IkcChannel::new(&CostModel::default())
     }
 
-    #[test]
-    fn notify_is_cheap() {
-        let mut c = channel();
-        let done = c.round_trip(0, IkcMessage::Notify);
-        assert!(
-            done.done_at < 10_000,
-            "a doorbell is a few microseconds: {done:?}"
-        );
-        assert_eq!(c.requests(), 1);
+    /// The empty plan: no message is ever dropped.
+    fn quiet() -> FaultInjector {
+        FaultInjector::new(&FaultPlan::new(0))
+    }
+
+    fn msg(service: Cycles, payload: u64) -> IkcMessage {
+        IkcMessage { service, payload }
     }
 
     #[test]
     fn syscall_cost_scales_with_payload() {
         let mut c = channel();
-        let small = c
-            .round_trip(
-                0,
-                IkcMessage::Syscall {
-                    service: 1_000,
-                    payload: 256,
-                },
-            )
-            .done_at;
-        let big = c
-            .round_trip(
-                1_000_000,
-                IkcMessage::Syscall {
-                    service: 1_000,
-                    payload: 1 << 20,
-                },
-            )
-            .done_at
-            - 1_000_000;
+        let (small, _) = c.round_trip(0, msg(1_000, 256), &mut quiet());
+        let (big, _) = c.round_trip(1_000_000, msg(1_000, 1 << 20), &mut quiet());
+        let (small, big) = (small.done_at, big.done_at - 1_000_000);
         assert!(
             big > 10 * small,
             "1MB payload must dwarf 256B: {small} vs {big}"
         );
+        assert_eq!(c.requests(), 2);
         assert_eq!(c.payload_bytes(), 256 + (1 << 20));
     }
 
     #[test]
     fn concurrent_offloads_serialize() {
         let mut c = channel();
-        let a = c.round_trip(
-            0,
-            IkcMessage::Syscall {
-                service: 10_000,
-                payload: 0,
-            },
-        );
-        let b = c.round_trip(
-            0,
-            IkcMessage::Syscall {
-                service: 10_000,
-                payload: 0,
-            },
-        );
+        let (a, _) = c.round_trip(0, msg(10_000, 0), &mut quiet());
+        let (b, _) = c.round_trip(0, msg(10_000, 0), &mut quiet());
         assert_eq!(a.queue_delay, 0);
         assert!(b.queue_delay >= 10_000, "second request queues: {b:?}");
-        assert!(c.queued_cycles() >= 10_000);
     }
 
     #[test]
-    fn checked_round_trip_pays_timeouts_on_drops() {
-        use crate::fault::{FaultInjector, FaultPlan};
-        let mut c = channel();
-        let msg = IkcMessage::Syscall {
-            service: 1_000,
-            payload: 256,
-        };
-        // No injector: identical to the plain path.
-        let plain = c.round_trip(0, msg);
-        let mut c2 = channel();
-        let (checked, drops) = c2.round_trip_checked(0, msg, None);
-        assert_eq!(drops, 0);
-        assert_eq!(checked, plain);
+    fn drops_pay_resend_timeouts() {
+        let msg = msg(1_000, 256);
+        let timeout = channel().service_time(msg) + 2 * CostModel::default().dma_latency;
+        let (base, _) = channel().round_trip(0, msg, &mut quiet());
         // Heavy drops: completions get pushed out by timeout penalties.
         let mut inj = FaultInjector::new(&FaultPlan::new(11).ikc_drops(0.5));
         let mut total_drops = 0;
         let mut penalized = 0;
         for _ in 0..64 {
-            let base = channel().round_trip(0, msg).done_at;
-            let (done, d) = channel().round_trip_checked(0, msg, Some(&mut inj));
+            let (done, d) = channel().round_trip(0, msg, &mut inj);
             total_drops += d;
             if d > 0 {
                 penalized += 1;
-                let timeout = channel().service_time(msg) + 2 * channel().latency();
-                assert_eq!(done.done_at, base + d as u64 * timeout);
+                assert_eq!(done.done_at, base.done_at + d as u64 * timeout);
                 assert_eq!(done.queue_delay, d as u64 * timeout);
             }
         }
@@ -255,8 +193,25 @@ mod tests {
     #[test]
     fn round_trip_includes_both_hops() {
         let mut c = channel();
-        let done = c.round_trip(500, IkcMessage::Notify);
+        let m = msg(1_000, 256);
+        let (done, _) = c.round_trip(500, m, &mut quiet());
         let cost = CostModel::default();
-        assert!(done.done_at >= 500 + 64 + 2 * cost.dma_latency);
+        assert_eq!(done.done_at, 500 + c.service_time(m) + 2 * cost.dma_latency);
+    }
+
+    #[test]
+    fn sync_fallback_is_slower_than_a_round_trip() {
+        let mut c = channel();
+        let m = msg(15_000, 64 << 10);
+        let (done, _) = c.round_trip(0, m, &mut quiet());
+        let sync = c.sync_fallback(m);
+        assert!(
+            sync > done.done_at,
+            "degraded mode must cost more: {} vs {sync}",
+            done.done_at
+        );
+        // The fallback leaves the channel alone.
+        assert_eq!(c.requests(), 1);
+        assert_eq!(c.payload_bytes(), 64 << 10);
     }
 }

@@ -47,24 +47,9 @@ impl VirtualResource {
     }
 
     /// Reserves `service` cycles of exclusive use starting no earlier than
-    /// `now`. Returns when service starts/ends; the caller is expected to
+    /// `now`, charging the caller at most `max_queue` cycles of queueing.
+    /// Returns when service starts/ends; the caller is expected to
     /// advance its own clock by `end - now`.
-    pub fn acquire(&mut self, now: Cycles, service: Cycles) -> Reservation {
-        let start = self.free_at.max(now);
-        let end = start + service;
-        let queue_delay = start - now;
-        self.free_at = end;
-        self.busy += service;
-        self.queued += queue_delay;
-        Reservation {
-            start,
-            end,
-            queue_delay,
-        }
-    }
-
-    /// Like [`VirtualResource::acquire`], but caps the queueing delay at
-    /// `max_queue` cycles.
     ///
     /// Physically, a resource's genuine queue depth is bounded by the
     /// number of clients that can have requests outstanding (each
@@ -74,16 +59,20 @@ impl VirtualResource {
     /// own clock, and clocks skew between barriers, so a core can reach
     /// a resource after reservations made "in its future" by cores that
     /// ran ahead, and must not be charged for them. Callers pass a cap
-    /// comfortably above the genuine bound.
-    pub fn acquire_bounded(
-        &mut self,
-        now: Cycles,
-        service: Cycles,
-        max_queue: Cycles,
-    ) -> Reservation {
-        let r = self.acquire(now, service);
-        if r.queue_delay <= max_queue {
-            return r;
+    /// comfortably above the genuine bound (`Cycles::MAX` for none).
+    pub fn acquire(&mut self, now: Cycles, service: Cycles, max_queue: Cycles) -> Reservation {
+        let start = self.free_at.max(now);
+        let end = start + service;
+        let queue_delay = start - now;
+        self.free_at = end;
+        self.busy += service;
+        self.queued += queue_delay;
+        if queue_delay <= max_queue {
+            return Reservation {
+                start,
+                end,
+                queue_delay,
+            };
         }
         // Clamp: serve at now + max_queue (the resource books the excess
         // twice, a deliberate approximation in the skewed case).
@@ -93,12 +82,6 @@ impl VirtualResource {
             end: start + service,
             queue_delay: max_queue,
         }
-    }
-
-    /// Virtual time at which the resource next becomes idle.
-    #[inline]
-    pub fn free_at(&self) -> Cycles {
-        self.free_at
     }
 
     /// Total cycles of service ever reserved.
@@ -120,10 +103,12 @@ impl VirtualResource {
 mod tests {
     use super::*;
 
+    const UNCAPPED: Cycles = Cycles::MAX;
+
     #[test]
     fn idle_resource_serves_immediately() {
         let mut r = VirtualResource::new();
-        let res = r.acquire(1000, 50);
+        let res = r.acquire(1000, 50, UNCAPPED);
         assert_eq!(
             res,
             Reservation {
@@ -132,14 +117,15 @@ mod tests {
                 queue_delay: 0
             }
         );
-        assert_eq!(r.free_at(), 1050);
+        // The next arrival at 1000 waits for the first to finish.
+        assert_eq!(r.acquire(1000, 0, UNCAPPED).start, 1050);
     }
 
     #[test]
     fn busy_resource_queues() {
         let mut r = VirtualResource::new();
-        r.acquire(0, 100);
-        let res = r.acquire(30, 10);
+        r.acquire(0, 100, UNCAPPED);
+        let res = r.acquire(30, 10, UNCAPPED);
         assert_eq!(res.start, 100);
         assert_eq!(res.end, 110);
         assert_eq!(res.queue_delay, 70);
@@ -150,8 +136,8 @@ mod tests {
     #[test]
     fn late_arrival_after_idle_gap_does_not_queue() {
         let mut r = VirtualResource::new();
-        r.acquire(0, 100);
-        let res = r.acquire(500, 10);
+        r.acquire(0, 100, UNCAPPED);
+        let res = r.acquire(500, 10, UNCAPPED);
         assert_eq!(res.start, 500);
         assert_eq!(res.queue_delay, 0);
     }
@@ -162,26 +148,26 @@ mod tests {
         let mut r = VirtualResource::new();
         for k in 0..1000u64 {
             for i in 0..8 {
-                r.acquire(i * 1000 + k, 7);
+                r.acquire(i * 1000 + k, 7, UNCAPPED);
             }
         }
         assert_eq!(r.total_busy(), 8 * 1000 * 7);
         // All 8000 reservations must fit back-to-back at minimum.
-        assert!(r.free_at() >= 8 * 1000 * 7);
+        assert!(r.acquire(0, 0, UNCAPPED).start >= 8 * 1000 * 7);
     }
 
     #[test]
     fn bounded_acquire_clamps_only_excess() {
         let mut r = VirtualResource::new();
-        r.acquire(0, 1000);
+        r.acquire(0, 1000, UNCAPPED);
         // Genuine small queue: below the cap, unchanged.
-        let a = r.acquire_bounded(500, 10, 5000);
+        let a = r.acquire(500, 10, 5000);
         assert_eq!(a.start, 1000);
         assert_eq!(a.queue_delay, 500);
         // A latecomer far behind reservations made ahead of its clock:
         // delay capped.
-        r.acquire(0, 1_000_000);
-        let b = r.acquire_bounded(100, 10, 2000);
+        r.acquire(0, 1_000_000, UNCAPPED);
+        let b = r.acquire(100, 10, 2000);
         assert_eq!(b.queue_delay, 2000);
         assert_eq!(b.start, 2100);
     }
@@ -193,7 +179,7 @@ mod tests {
         let mut r = VirtualResource::new();
         let mut prev_end = 0;
         for now in [0u64, 10, 5, 200, 190, 191] {
-            let res = r.acquire(now, 13);
+            let res = r.acquire(now, 13, UNCAPPED);
             assert!(res.start >= prev_end.min(res.start));
             assert!(res.start >= now);
             assert_eq!(res.end, res.start + 13);

@@ -97,14 +97,6 @@ impl RingModel {
             targets: n,
         }
     }
-
-    /// Shootdown cost for a broadcast to all cores except the requester —
-    /// what *regular* (shared) page tables must do on every remap, because
-    /// centralized bookkeeping cannot tell which cores cached the entry.
-    pub fn broadcast_shootdown(&self, requester: CoreId, active_cores: usize) -> ShootdownCost {
-        let targets = CoreSet::first_n(active_cores.min(self.cores));
-        self.shootdown(requester, &targets)
-    }
 }
 
 #[cfg(test)]
@@ -156,14 +148,6 @@ mod tests {
         assert_eq!(all.targets, 55);
         assert!(all.requester > two.requester * 10);
         assert_eq!(two.per_target, all.per_target);
-    }
-
-    #[test]
-    fn broadcast_matches_explicit_full_set() {
-        let r = ring(40);
-        let explicit = r.shootdown(CoreId(5), &CoreSet::first_n(40));
-        let broadcast = r.broadcast_shootdown(CoreId(5), 40);
-        assert_eq!(explicit, broadcast);
     }
 
     #[test]

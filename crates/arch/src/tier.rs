@@ -57,8 +57,8 @@ pub struct TierSpec {
 
 impl TierSpec {
     /// Cycles to move `bytes` into or out of this tier: the fixed
-    /// latency plus the bandwidth term (mirrors
-    /// `CostModel::dma_transfer`).
+    /// latency plus the bandwidth term (the shape of the DMA engine's
+    /// transfer time).
     pub fn penalty(&self, bytes: u64) -> Cycles {
         let bw = (bytes * 1024)
             .checked_div(self.bytes_per_kcycle)

@@ -263,22 +263,6 @@ impl CoreSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Set union, in place.
-    #[inline]
-    pub fn union_with(&mut self, other: &CoreSet) {
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-    }
-
-    /// Removes every core in `other` from `self`.
-    #[inline]
-    pub fn subtract(&mut self, other: &CoreSet) {
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a &= !b;
-        }
-    }
-
     /// Removes all cores.
     #[inline]
     pub fn clear(&mut self) {
@@ -403,17 +387,6 @@ mod tests {
         assert!(s.contains(CoreId(0)));
         assert!(s.contains(CoreId(55)));
         assert!(!s.contains(CoreId(56)));
-    }
-
-    #[test]
-    fn coreset_union_subtract() {
-        let mut a = CoreSet::first_n(4);
-        let b: CoreSet = [CoreId(2), CoreId(3), CoreId(70)].into_iter().collect();
-        a.union_with(&b);
-        assert_eq!(a.count(), 5);
-        a.subtract(&b);
-        let ids: Vec<u16> = a.iter().map(|c| c.0).collect();
-        assert_eq!(ids, vec![0, 1]);
     }
 
     #[test]

@@ -184,12 +184,6 @@ pub fn workloads(class: WorkloadClass) -> [Workload; 4] {
     Workload::all(class)
 }
 
-/// Relative performance of `report` against a no-data-movement baseline
-/// runtime (the paper's Figure 8/10 y-axis).
-pub fn relative_perf(report: &RunReport, baseline_cycles: u64) -> f64 {
-    baseline_cycles as f64 / report.runtime_cycles as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -334,10 +334,10 @@ impl TieredStore {
         head: VirtPage,
         pages: u64,
         rank: usize,
-        inj: Option<&mut FaultInjector>,
+        inj: &mut FaultInjector,
     ) -> StoreOutcome {
         let tier = rank.min(self.caps.len() - 1);
-        if inj.is_some_and(|inj| inj.roll_tiered(FaultSite::Backing, tier)) {
+        if inj.roll(FaultSite::Backing, tier) {
             return StoreOutcome {
                 stored: false,
                 tier,
@@ -462,6 +462,11 @@ mod tests {
     use super::*;
     use cmcp_arch::FaultPlan;
 
+    /// The empty plan: no store ever fails.
+    fn quiet() -> FaultInjector {
+        FaultInjector::new(&FaultPlan::new(0))
+    }
+
     #[test]
     fn the_flat_tier_records_whole_blocks() {
         let mut s = TieredStore::new(&TierConfig::flat());
@@ -470,26 +475,26 @@ mod tests {
         assert!(s.load(VirtPage(1), 1).is_none());
         assert!(s.is_empty());
         // A stored block is then found, on the one tier.
-        assert!(s.try_store(VirtPage(7), 1, 0, None).stored);
+        assert!(s.try_store(VirtPage(7), 1, 0, &mut quiet()).stored);
         assert!(s.contains(VirtPage(7), 1));
         assert!(!s.contains(VirtPage(8), 1));
         let l = s.load(VirtPage(7), 1).unwrap();
         assert_eq!((l.tier, l.promoted), (0, 0));
         // Rewriting a block is idempotent.
-        assert_eq!(s.try_store(VirtPage(7), 1, 0, None).demoted, 0);
+        assert_eq!(s.try_store(VirtPage(7), 1, 0, &mut quiet()).demoted, 0);
         assert_eq!(s.len(), 1);
         // An injected ENOSPC records nothing.
         let mut inj = FaultInjector::new(&FaultPlan::new(13).enospc(0.5));
         let mut failures = 0;
         for p in 0..64 {
             let head = VirtPage(100 + p);
-            let stored = s.try_store(head, 1, 0, Some(&mut inj)).stored;
+            let stored = s.try_store(head, 1, 0, &mut inj).stored;
             failures += u64::from(!stored);
             assert_eq!(s.contains(head, 1), stored, "page {p}");
         }
         assert!(failures > 5, "50% over 64 stores: {failures}");
         // A 1-page probe hits a 16-page span.
-        s.try_store(VirtPage(32), 16, 0, None);
+        s.try_store(VirtPage(32), 16, 0, &mut quiet());
         assert!(s.contains(VirtPage(37), 1));
         assert!(!s.contains(VirtPage(48), 1));
         let books = s.tier_counters();
@@ -507,7 +512,7 @@ mod tests {
     #[test]
     fn store_lands_on_the_demotion_rank() {
         let mut s = TieredStore::new(&two_tier());
-        let out = s.try_store(VirtPage(0), 4, 1, None);
+        let out = s.try_store(VirtPage(0), 4, 1, &mut quiet());
         assert!(out.stored);
         assert_eq!(out.tier, 1);
         let books = s.tier_counters();
@@ -515,7 +520,7 @@ mod tests {
         assert_eq!(books[1].stores, 1);
         assert_eq!(books[0].used_pages, 0);
         // Rank beyond the last tier clamps.
-        assert_eq!(s.try_store(VirtPage(100), 1, 9, None).tier, 1);
+        assert_eq!(s.try_store(VirtPage(100), 1, 9, &mut quiet()).tier, 1);
         s.audit();
     }
 
@@ -523,10 +528,10 @@ mod tests {
     fn overflow_cascades_fifo_oldest_down() {
         let mut s = TieredStore::new(&two_tier());
         // Hot tier holds 8 pages: two 4-page spans fill it.
-        s.try_store(VirtPage(0), 4, 0, None);
-        s.try_store(VirtPage(10), 4, 0, None);
+        s.try_store(VirtPage(0), 4, 0, &mut quiet());
+        s.try_store(VirtPage(10), 4, 0, &mut quiet());
         // A third store overflows it: the OLDEST span (head 0) demotes.
-        let out = s.try_store(VirtPage(20), 4, 0, None);
+        let out = s.try_store(VirtPage(20), 4, 0, &mut quiet());
         assert_eq!(out.demoted, 1);
         let books = s.tier_counters();
         assert_eq!(books[0].used_pages, 8);
@@ -539,12 +544,12 @@ mod tests {
     #[test]
     fn a_rewritten_span_queues_as_the_youngest() {
         let mut s = TieredStore::new(&two_tier());
-        s.try_store(VirtPage(0), 4, 0, None);
-        s.try_store(VirtPage(10), 4, 0, None);
+        s.try_store(VirtPage(0), 4, 0, &mut quiet());
+        s.try_store(VirtPage(10), 4, 0, &mut quiet());
         // Rewriting span 0 leaves its first FIFO entry stale behind
         // span 10's: the overflow must demote 10, not the stale 0.
-        s.try_store(VirtPage(0), 4, 0, None);
-        let out = s.try_store(VirtPage(20), 4, 0, None);
+        s.try_store(VirtPage(0), 4, 0, &mut quiet());
+        let out = s.try_store(VirtPage(20), 4, 0, &mut quiet());
         assert_eq!(out.demoted, 1);
         assert_eq!(s.load(VirtPage(10), 4).unwrap().tier, 1, "span 10 demoted");
         assert_eq!(s.load(VirtPage(0), 4).unwrap().tier, 0, "span 0 stayed hot");
@@ -554,14 +559,14 @@ mod tests {
     #[test]
     fn load_promotes_into_slack_only() {
         let mut s = TieredStore::new(&two_tier());
-        s.try_store(VirtPage(0), 4, 1, None);
+        s.try_store(VirtPage(0), 4, 1, &mut quiet());
         // Hot tier is empty: the load promotes.
         let l = s.load(VirtPage(0), 4).unwrap();
         assert_eq!((l.tier, l.promoted), (1, 1));
         assert_eq!(s.load(VirtPage(0), 4).unwrap().tier, 0, "now hot");
         // Fill the hot tier; a cold span then stays cold on load.
-        s.try_store(VirtPage(100), 8, 0, None);
-        s.try_store(VirtPage(200), 4, 1, None);
+        s.try_store(VirtPage(100), 8, 0, &mut quiet());
+        s.try_store(VirtPage(200), 4, 1, &mut quiet());
         let l = s.load(VirtPage(200), 4).unwrap();
         assert_eq!((l.tier, l.promoted), (1, 0), "no room above");
         s.audit();
@@ -571,9 +576,9 @@ mod tests {
     fn partial_overwrite_keeps_remainders_on_their_tier() {
         let mut s = TieredStore::new(&two_tier());
         // A 16-page span on the cold tier...
-        s.try_store(VirtPage(0), 16, 1, None);
+        s.try_store(VirtPage(0), 16, 1, &mut quiet());
         // ...partially overwritten in the middle at rank 0.
-        s.try_store(VirtPage(4), 4, 0, None);
+        s.try_store(VirtPage(4), 4, 0, &mut quiet());
         let books = s.tier_counters();
         assert_eq!(books[0].used_pages, 4);
         assert_eq!(books[1].used_pages, 12, "remainders stay cold");
@@ -586,8 +591,8 @@ mod tests {
     #[test]
     fn spans_on_either_side_of_a_region_boundary_stay_apart() {
         let mut s = TieredStore::new(&two_tier());
-        s.try_store(VirtPage(508), 4, 1, None);
-        s.try_store(VirtPage(512), 16, 1, None);
+        s.try_store(VirtPage(508), 4, 1, &mut quiet());
+        s.try_store(VirtPage(512), 16, 1, &mut quiet());
         assert!(s.contains(VirtPage(511), 1));
         assert!(s.contains(VirtPage(527), 1));
         assert!(!s.contains(VirtPage(528), 1));
@@ -605,7 +610,7 @@ mod tests {
     #[should_panic(expected = "tier store range [510, 514) crosses a 2 MB region")]
     fn a_range_crossing_a_2mb_boundary_panics() {
         let mut s = TieredStore::new(&two_tier());
-        s.try_store(VirtPage(510), 4, 0, None);
+        s.try_store(VirtPage(510), 4, 0, &mut quiet());
     }
 
     #[test]
@@ -614,7 +619,7 @@ mod tests {
         let mut s = TieredStore::new(&two_tier());
         let mut failures = 0;
         for p in 0..64u64 {
-            let out = s.try_store(VirtPage(p * 100), 1, (p % 2) as usize, Some(&mut inj));
+            let out = s.try_store(VirtPage(p * 100), 1, (p % 2) as usize, &mut inj);
             if !out.stored {
                 failures += 1;
                 assert!(
@@ -631,7 +636,7 @@ mod tests {
     fn audit_catches_a_clean_store() {
         let mut s = TieredStore::new(&two_tier());
         for i in 0..32u64 {
-            s.try_store(VirtPage(i * 16), 1 + i % 8, (i % 2) as usize, None);
+            s.try_store(VirtPage(i * 16), 1 + i % 8, (i % 2) as usize, &mut quiet());
         }
         for i in 0..32u64 {
             s.load(VirtPage(i * 16), 1);

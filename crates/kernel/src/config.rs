@@ -46,8 +46,8 @@ pub struct KernelConfig {
     /// sharing pattern drifts). 0 disables rebuilding.
     pub pspt_rebuild_period: u64,
     /// Declarative fault schedule for the PCIe/backing path. `None`
-    /// (the default) injects nothing and leaves the fault path
-    /// bit-identical to a build without the fault layer.
+    /// (the default) runs the empty plan, [`FaultPlan::new`]`(0)`: every
+    /// injection site still rolls, and no roll ever fires.
     pub fault_plan: Option<FaultPlan>,
     /// Online page-size adaptation: `block_size` becomes the *largest*
     /// granularity (2 MB), faults map at the pressure-chosen size, and
@@ -102,14 +102,6 @@ impl KernelConfig {
     /// cost model, where the per-tier penalties live).
     pub fn with_tiers(mut self, tiers: TierConfig) -> KernelConfig {
         self.cost.tiers = tiers;
-        self
-    }
-
-    /// Builder-style adaptive page-size mode: forces the 2 MB maximum
-    /// granularity and enables online split/promote decisions.
-    pub fn with_adaptive(mut self) -> KernelConfig {
-        self.adaptive = true;
-        self.block_size = PageSize::M2;
         self
     }
 

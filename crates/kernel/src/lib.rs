@@ -15,9 +15,10 @@
 //! * [`numa`] — per-node accounting: home-node placement, page-table
 //!   replica sets, and per-node frame budgets. A single-node run is its
 //!   one-node case, bit-identical to the pre-NUMA kernel.
-//! * [`offload`] — host-offloaded system calls over the IKC channel
-//!   (paper §2.1: "heavy system calls are shipped to and executed on
-//!   the host").
+//! * [`offload`] — the catalogue of host-offloaded system calls, which
+//!   [`vmm::Vmm::offload_syscall`] ships over the IKC channel (paper
+//!   §2.1: "heavy system calls are shipped to and executed on the
+//!   host").
 //! * [`config`] — experiment configuration: cores, table scheme, policy,
 //!   page size, memory constraint.
 //! * [`vmm`] — the virtual memory manager itself: the page-fault path
@@ -43,6 +44,6 @@ pub mod vmm;
 pub use backing::{TierCounters, TieredStore};
 pub use config::{KernelConfig, SchemeChoice};
 pub use numa::{BlockNuma, NumaBooks};
-pub use offload::{OffloadEngine, Syscall};
+pub use offload::Syscall;
 pub use stats::{CoreStatsSnapshot, GlobalStatsSnapshot, NumaStats};
 pub use vmm::{FaultKind, Vmm};

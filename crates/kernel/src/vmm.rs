@@ -29,7 +29,8 @@ use std::cell::{Ref, RefCell, RefMut};
 
 use cmcp_arch::{
     dma::DmaDirection, CoreClock, CoreId, CoreSet, CostModel, Cycles, DmaModel, FaultInjector,
-    FaultSite, FxHashMap, FxHashSet, PageSize, PhysFrame, RingModel, VirtPage, VirtualResource,
+    FaultPlan, FaultSite, FxHashMap, FxHashSet, IkcChannel, PageSize, PhysFrame, RingModel,
+    VirtPage, VirtualResource,
 };
 use cmcp_core::{AccessBitOracle, ReplacementPolicy};
 use cmcp_pagetable::{MapOutcome, Pspt, RegularTables, TableScheme, Translation};
@@ -40,7 +41,7 @@ use crate::buddy::BuddyPool;
 use crate::config::{KernelConfig, SchemeChoice};
 use crate::frames::FramePool;
 use crate::numa::{BlockNuma, NumaBooks};
-use crate::offload::{OffloadEngine, Syscall};
+use crate::offload::Syscall;
 use crate::stats::{CoreStatsSnapshot, GlobalStatsSnapshot, KernelStats, NumaStats};
 
 const LOCK_SHARDS: usize = 64;
@@ -63,7 +64,7 @@ const MAX_RECOVERY_ATTEMPTS: u32 = 64;
 /// Everything the kernel mutates, behind the one [`RefCell`] in [`Vmm`]:
 /// the residency books, the page tables, the per-core clocks and
 /// counters, and the virtual-time models (page-table locks, DMA engine,
-/// fault injector, offload engine) as plain `&mut self` structures.
+/// fault injector, IKC channel) as plain `&mut self` structures.
 /// Each public entry — a fault, a walk, an accessed-bit update, a
 /// mailbox drain, a scan tick, a rebuild, a query — borrows the cell
 /// once, and its helpers take the borrowed parts, split by
@@ -110,10 +111,11 @@ struct KernelState {
     /// of regular tables, or PSPT's `LOCK_SHARDS` fine-grained ones.
     pt_locks: Vec<VirtualResource>,
     dma: DmaModel,
-    /// Compiled fault plan; `None` leaves every fault-injection branch
-    /// cold and the run bit-identical to a plan-free build.
-    injector: Option<FaultInjector>,
-    offload: OffloadEngine,
+    /// Compiled fault plan. A run without one compiles the empty plan,
+    /// whose rolls never fire.
+    injector: FaultInjector,
+    /// The host channel offloaded syscalls ride.
+    ikc: IkcChannel,
     /// Offloaded syscalls issued so far (drives the offload-death rule).
     offload_calls: u64,
     /// Latched once the offload engine dies; all later syscalls take the
@@ -330,8 +332,8 @@ impl<R: Recorder> Vmm<R> {
                     })
                     .collect(),
                 dma: DmaModel::with_clients(&cfg.cost, cfg.cores),
-                injector: cfg.fault_plan.as_ref().map(FaultInjector::new),
-                offload: OffloadEngine::new(&cfg.cost),
+                injector: FaultInjector::new(cfg.fault_plan.as_ref().unwrap_or(&FaultPlan::new(0))),
+                ikc: IkcChannel::new(&cfg.cost),
                 offload_calls: 0,
                 offload_dead: false,
             }),
@@ -597,31 +599,30 @@ impl<R: Recorder> Vmm<R> {
         self.cfg.cost.scan_period
     }
 
-    /// The syscall-offload engine (IKC to the host).
-    pub fn offload(&self) -> Ref<'_, OffloadEngine> {
-        Ref::map(self.state.borrow(), |s| &s.offload)
+    /// The IKC channel offloaded syscalls ride to the host.
+    pub fn offload(&self) -> Ref<'_, IkcChannel> {
+        Ref::map(self.state.borrow(), |s| &s.ikc)
     }
 
-    /// Executes a host-offloaded system call on behalf of `core`.
+    /// Executes a host-offloaded system call on behalf of `core`,
+    /// blocking it for the full round trip.
     ///
-    /// Under an active fault plan the call rides the checked IKC path
-    /// (dropped messages cost resend timeouts, folded into the wait) and
-    /// the engine may die outright after the plan's call threshold —
-    /// from then on every syscall degrades to the synchronous fallback.
+    /// Dropped IKC messages cost resend timeouts, folded into the wait,
+    /// and under the fault plan's offload-death rule the host daemon
+    /// dies after the plan's call threshold: from then on every syscall
+    /// degrades to the synchronous fallback and leaves the channel
+    /// alone.
     pub fn offload_syscall(&self, core: CoreId, call: Syscall) -> Cycles {
         let mut state = self.state.borrow_mut();
         let KernelState {
             stats,
             injector,
-            offload,
+            ikc,
             offload_calls,
             offload_dead,
             ..
         } = &mut *state;
-        if let Some(threshold) = injector
-            .as_ref()
-            .and_then(FaultInjector::offload_death_after)
-        {
+        if let Some(threshold) = injector.offload_death_after() {
             let n = *offload_calls;
             *offload_calls += 1;
             if n >= threshold && !*offload_dead {
@@ -630,12 +631,16 @@ impl<R: Recorder> Vmm<R> {
             }
         }
         let clock = &mut stats.clocks[core.index()];
+        let now = clock.now();
         if *offload_dead {
-            let wait = offload.sync_syscall(clock, call);
+            let wait = ikc.sync_fallback(call.message());
+            clock.advance(wait);
             stats.global.sync_syscalls += 1;
             return wait;
         }
-        let (wait, drops) = offload.syscall_with_faults(clock, call, injector.as_mut());
+        let (done, drops) = ikc.round_trip(now, call.message(), injector);
+        let wait = done.done_at.saturating_sub(now);
+        clock.advance(wait);
         if drops > 0 {
             // Drop timeouts happen outside fault windows, so they are
             // *not* retry-backoff cycles — each drop is surfaced as an
@@ -995,15 +1000,13 @@ impl<R: Recorder> Vmm<R> {
     ) -> bool {
         let stats = &mut state.stats;
         let now = stats.clocks[core.index()].now();
-        let c = state.dma.transfer_checked_tiered(
-            now,
-            bytes,
-            dir,
-            state.injector.as_mut(),
-            &self.tracer,
-            core.0,
-            tier,
-        );
+        if R::ENABLED {
+            self.tracer
+                .record(core.0, now, EventKind::DmaEnqueue, bytes, dir.code());
+        }
+        let c = state
+            .dma
+            .transfer(now, bytes, dir, tier, &mut state.injector);
         let wait = c.reservation.end.saturating_sub(now);
         let clock = &mut stats.clocks[core.index()];
         clock.advance(wait);
@@ -1034,15 +1037,14 @@ impl<R: Recorder> Vmm<R> {
     /// demotion `rank` selects, riding out injected DMA errors and
     /// backing-store write failures.
     ///
-    /// The happy path (no injector, or no fault rolled) is a single
-    /// transfer plus the store — byte-identical to the pre-fault-layer
-    /// code. Each injected DMA error retries the transfer
-    /// ([`Vmm::dma_attempt`]); each injected ENOSPC backs off and
-    /// re-submits the store. Returns whether any retry was needed: such
-    /// a write-back has lost the async offload pipeline (the caller
-    /// counts it in `sync_writebacks`). The victim's data is never
-    /// dropped: this returns only once the host store accepted the
-    /// block.
+    /// The happy path (no fault rolled, always so without a plan) is a
+    /// single transfer plus the store. Each injected DMA error retries
+    /// the transfer ([`Vmm::dma_attempt`]); each injected ENOSPC backs
+    /// off and re-submits the store. Returns whether any retry was
+    /// needed: such a write-back has lost the async offload pipeline
+    /// (the caller counts it in `sync_writebacks`). The victim's data is
+    /// never dropped: this returns only once the host store accepted
+    /// the block.
     fn write_back(
         &self,
         state: &mut KernelState,
@@ -1072,7 +1074,7 @@ impl<R: Recorder> Vmm<R> {
         loop {
             let out = state
                 .backing
-                .try_store(victim, pages, rank, state.injector.as_mut());
+                .try_store(victim, pages, rank, &mut state.injector);
             let stats = &mut state.stats;
             if out.stored {
                 self.charge_tier_penalty(stats, requester, out.tier, bytes);
@@ -1115,7 +1117,7 @@ impl<R: Recorder> Vmm<R> {
         };
         let (lock, hold) = self.lock_for(&mut state.pt_locks, key);
         let t_req = state.stats.clocks[core.index()].now();
-        let res = lock.acquire_bounded(t_req, hold, 4 * self.cfg.cores as u64 * hold);
+        let res = lock.acquire(t_req, hold, 4 * self.cfg.cores as u64 * hold);
         state.stats.per_core[core.index()].lock_wait_cycles += res.queue_delay;
         state.stats.clocks[core.index()].advance_to(res.end);
         if R::ENABLED {
@@ -1805,6 +1807,17 @@ mod tests {
         // Core 2 faults; eviction of block 0 interrupts cores 0 and 1.
         v.handle_fault(CoreId(2), VirtPage(1), false);
         assert!(v.clocks()[1].now() > before, "target clock charged");
+    }
+
+    #[test]
+    fn offload_syscall_blocks_only_its_caller() {
+        let v = vmm(2, 4);
+        let wait = v.offload_syscall(CoreId(0), Syscall::Write(64 << 10));
+        assert!(wait > 15_000, "at least the host service time: {wait}");
+        assert_eq!(v.clocks()[0].now(), wait);
+        assert_eq!(v.clocks()[1].now(), 0);
+        let ikc = v.offload();
+        assert_eq!((ikc.requests(), ikc.payload_bytes()), (1, 64 << 10));
     }
 
     #[test]

@@ -29,14 +29,13 @@
 use cmcp_arch::{CoreId, CoreSet, FxHashMap, PageSize, PhysFrame, VirtPage};
 
 use crate::pte::PteFlags;
-use crate::scheme::{MapOutcome, ScanOutcome, SchemeKind, TableScheme, Translation, UnmapOutcome};
+use crate::scheme::{MapOutcome, ScanOutcome, TableScheme, Translation, UnmapOutcome};
 use crate::table::{MapError, PageTable};
 
 /// The per-core partially separated table scheme.
 pub struct Pspt {
     /// One private table per core, indexed by core.
     tables: Vec<PageTable>,
-    cores: CoreSet,
     /// Directory: block head page → cores mapping it.
     directory: FxHashMap<u64, CoreSet>,
 }
@@ -46,7 +45,6 @@ impl Pspt {
     pub fn new(n_cores: usize) -> Pspt {
         Pspt {
             tables: (0..n_cores).map(|_| PageTable::new()).collect(),
-            cores: CoreSet::first_n(n_cores),
             directory: FxHashMap::default(),
         }
     }
@@ -72,14 +70,6 @@ impl Pspt {
 }
 
 impl TableScheme for Pspt {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Pspt
-    }
-
-    fn active_cores(&self) -> CoreSet {
-        self.cores
-    }
-
     fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation> {
         self.tables[core.index()].translate(page)
     }

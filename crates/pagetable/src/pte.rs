@@ -256,14 +256,6 @@ impl Pte {
         self.0 &= !(PteFlags::ACCESSED.0 as u64);
         was
     }
-
-    /// Clears the dirty bit (after write-back). Returns whether D was set.
-    #[inline]
-    pub fn test_and_clear_dirty(&mut self) -> bool {
-        let was = self.dirty();
-        self.0 &= !(PteFlags::DIRTY.0 as u64);
-        was
-    }
 }
 
 impl fmt::Display for Pte {
@@ -312,15 +304,6 @@ mod tests {
         assert!(p.test_and_clear_accessed());
         assert!(!p.accessed());
         assert!(!p.test_and_clear_accessed());
-    }
-
-    #[test]
-    fn clear_dirty_preserves_accessed() {
-        let mut p = Pte::new(PhysFrame(1), PteFlags::WRITABLE);
-        p.mark_accessed(true);
-        assert!(p.test_and_clear_dirty());
-        assert!(p.accessed());
-        assert!(!p.dirty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use cmcp_arch::{CoreId, CoreSet, PageSize, PhysFrame, VirtPage};
 
 use crate::pte::PteFlags;
-use crate::scheme::{MapOutcome, ScanOutcome, SchemeKind, TableScheme, Translation, UnmapOutcome};
+use crate::scheme::{MapOutcome, ScanOutcome, TableScheme, Translation, UnmapOutcome};
 use crate::table::{MapError, PageTable};
 
 /// The shared-table scheme.
@@ -39,14 +39,6 @@ impl RegularTables {
 }
 
 impl TableScheme for RegularTables {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Regular
-    }
-
-    fn active_cores(&self) -> CoreSet {
-        self.cores
-    }
-
     fn translate(&self, _core: CoreId, page: VirtPage) -> Option<Translation> {
         self.table.translate(page)
     }

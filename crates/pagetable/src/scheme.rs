@@ -75,37 +75,12 @@ pub struct ScanOutcome {
     pub ptes_examined: usize,
 }
 
-/// Which scheme an object implements (used for lock-cost selection and
-/// experiment labels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchemeKind {
-    /// Traditional shared page tables.
-    Regular,
-    /// Per-core partially separated page tables.
-    Pspt,
-}
-
-impl std::fmt::Display for SchemeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchemeKind::Regular => write!(f, "regular PT"),
-            SchemeKind::Pspt => write!(f, "PSPT"),
-        }
-    }
-}
-
 /// Address-translation operations the kernel performs. Walks and
 /// queries take `&self`, everything that writes a PTE or the PSPT
 /// directory takes `&mut self`; the virtual-time cost of the paper's
 /// page-table locks is charged separately by the kernel from the cost
 /// model.
 pub trait TableScheme {
-    /// Which scheme this is.
-    fn kind(&self) -> SchemeKind;
-
-    /// Cores sharing this address space.
-    fn active_cores(&self) -> CoreSet;
-
     /// Hardware page walk as seen by `core`. Read-only: it sets no
     /// accessed bit.
     fn translate(&self, core: CoreId, page: VirtPage) -> Option<Translation>;

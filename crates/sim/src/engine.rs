@@ -97,8 +97,8 @@ enum EntryKind {
     Rebuild,
     /// A parked page fault.
     Fault { page: VirtPage, write: bool },
-    /// A parked offloaded syscall (never shardable: the IKC ring and
-    /// offload engine are shared, order-sensitive resources).
+    /// A parked offloaded syscall (never shardable: the IKC channel is
+    /// a shared, order-sensitive resource).
     Syscall { call: Syscall },
 }
 
@@ -886,8 +886,8 @@ mod tests {
         });
         let mut vmm = Vmm::new(KernelConfig::new(1, 8));
         run(&mut vmm, &t);
-        assert_eq!(vmm.offload().total_calls(), 1);
-        assert_eq!(vmm.offload().total_payload(), 1 << 20);
+        assert_eq!(vmm.offload().requests(), 1);
+        assert_eq!(vmm.offload().payload_bytes(), 1 << 20);
         // A 1 MB IKC write is far more expensive than the page touch.
         assert!(vmm.clocks()[0].now() > 100_000);
     }

@@ -50,8 +50,9 @@ pub enum Op {
     /// Pure compute: advance the clock without touching memory.
     Compute(Cycles),
     /// A host-offloaded system call (paper §2.1): `payload` bytes over
-    /// the IKC channel. The host's service time is the offload engine's
-    /// fixed figure for the call's kind, not the trace's.
+    /// the IKC channel. The host's service time is the kernel's fixed
+    /// figure for the call's kind ([`cmcp_kernel::Syscall`]), not the
+    /// trace's.
     Syscall {
         /// Payload bytes (request + response).
         payload: u64,

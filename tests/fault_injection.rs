@@ -12,13 +12,13 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use cmcp::arch::VirtPage;
+use cmcp::arch::{FaultRule, FaultSite, VirtPage};
 use cmcp::sim::{run, Op, Trace};
 use cmcp::trace::RingTracer;
 use cmcp::workloads::synthetic;
 use cmcp::{
-    FaultPlan, KernelConfig, PageSize, PolicyKind, Recorder, SimulationBuilder, Vmm, Workload,
-    WorkloadClass,
+    FaultPlan, KernelConfig, NumaConfig, PageSize, PolicyKind, Recorder, SimulationBuilder,
+    TierConfig, Vmm, Workload, WorkloadClass,
 };
 
 /// All seven CLI-reachable policies.
@@ -238,7 +238,7 @@ fn offload_death_degrades_syscalls_synchronously() {
     assert!(vmm.offload_dead(), "engine must die after the 4th call");
     assert_eq!(degraded.global.sync_syscalls, 12 - 4);
     assert_eq!(
-        vmm.offload().total_calls(),
+        vmm.offload().requests(),
         4,
         "only the calls before the death reach the channel"
     );
@@ -248,6 +248,83 @@ fn offload_death_degrades_syscalls_synchronously() {
         healthy.runtime_cycles,
         degraded.runtime_cycles
     );
+}
+
+#[test]
+fn an_empty_plan_changes_no_report() {
+    // A run without a plan compiles the empty plan, so it must report
+    // exactly what a rule-free plan and an all-zero-rate plan report, at
+    // any seed: every site rolls, and no roll fires. The LU run reaches
+    // the DMA, tier-store and replica sites; the SCALE run the IKC one.
+    let lu = cmcp::workloads::lu::lu_trace(
+        4,
+        &cmcp::workloads::lu::LuConfig {
+            grid: cmcp::workloads::grid::Grid3 {
+                nx: 24,
+                ny: 24,
+                nz: 24,
+            },
+            sweeps: 2,
+        },
+    );
+    let scale = cmcp::workloads::scale::scale_trace(
+        4,
+        &cmcp::workloads::scale::ScaleConfig {
+            nx: 256,
+            ny: 64,
+            fields: 2,
+            steps: 4,
+        },
+    );
+    let lu_builder = || {
+        SimulationBuilder::trace(lu.clone())
+            .policy(PolicyKind::Cmcp { p: 0.75 })
+            .memory_ratio(0.66)
+            .tiers(
+                TierConfig::parse("hot:32@300/20000;warm:128@2100/5834;cold:0@8400/1500").unwrap(),
+            )
+            .numa(NumaConfig::parse("2node").unwrap())
+    };
+    let scale_builder = || SimulationBuilder::trace(scale.clone()).memory_ratio(0.5);
+    let lu_none = lu_builder().run();
+    assert!(lu_none.global.writebacks > 0 && lu_none.global.tier_demotions > 0);
+    assert!(lu_none.numa.as_ref().unwrap().replica_syncs > 0);
+    let scale_none = scale_builder().run();
+    assert!(
+        scale.cores[0]
+            .ops
+            .iter()
+            .any(|op| matches!(op, Op::Syscall { .. })),
+        "SCALE must reach the IKC site"
+    );
+    for seed in [0, 7, 42] {
+        let zero_rates = FaultPlan {
+            seed,
+            rules: FaultSite::ALL
+                .into_iter()
+                .map(|site| FaultRule {
+                    site,
+                    rate_ppm: 0,
+                    param: 1,
+                })
+                .collect(),
+        };
+        for plan in [FaultPlan::new(seed), zero_rates] {
+            let label = plan.to_string();
+            let lu_plan = lu_builder().fault_plan(plan.clone()).run();
+            assert_eq!(
+                format!("{lu_plan:?}"),
+                format!("{lu_none:?}"),
+                "lu under {label}"
+            );
+            let scale_plan = scale_builder().fault_plan(plan).run();
+            assert_eq!(
+                format!("{scale_plan:?}"),
+                format!("{scale_none:?}"),
+                "scale under {label}"
+            );
+        }
+    }
 }
 
 #[test]

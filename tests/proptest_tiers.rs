@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use cmcp::arch::VirtPage;
+use cmcp::arch::{FaultInjector, FaultPlan, VirtPage};
 use cmcp::kernel::TieredStore;
 use cmcp::{NodeSpec, NumaConfig, TierConfig, TierSpec};
 
@@ -129,12 +129,13 @@ proptest! {
         let tiers = TierConfig::parse("fast:48@10/0;mid:96@100/0;cold:0@1000/0").unwrap();
         let mut store = TieredStore::new(&tiers);
         let mut oracle: BTreeSet<u64> = BTreeSet::new();
+        let mut empty_plan = FaultInjector::new(&FaultPlan::new(0));
 
         for action in actions {
             match action {
                 Action::Store { head, pages, rank } => {
-                    let out = store.try_store(VirtPage(head), pages, rank, None);
-                    prop_assert!(out.stored, "no injector, stores cannot fail");
+                    let out = store.try_store(VirtPage(head), pages, rank, &mut empty_plan);
+                    prop_assert!(out.stored, "the empty plan never fails a store");
                     prop_assert!(out.tier < tiers.len());
                     oracle.extend(head..head + pages);
                 }
